@@ -10,6 +10,7 @@ byte-identical file.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -17,6 +18,7 @@ import numpy as np
 import yaml
 
 from .device import CryostatConfig, QubitTech
+from .env import observation_length
 from .marl import LearnedPolicy, TrainConfig, load_checkpoint
 from .solvers import BaselinePolicy, PolicyKind, evaluate
 from .workload import (
@@ -101,7 +103,7 @@ _DEVICE_KEYS = {
     "t_hemt": ("cryostat", "t_hemt"),
     "t_para": ("cryostat", "t_para"),
 }
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_TRAIN_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
 
@@ -131,11 +133,20 @@ def _fail(key: str, lines: dict[str, int], message: str):
     raise ConfigError(f"{key}{at}: {message}")
 
 
-def _positive(key, value, lines, kind=float):
+def _number(key, value, lines, kind=float):
+    """``value`` as a finite ``kind``; booleans and non-integral ints are rejected."""
     try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        _fail(key, lines, f"expected a {kind.__name__}, got {value!r}")
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
+        wanted = "an integer" if kind is int else "a finite number"
+        _fail(key, lines, f"expected {wanted}, got {value!r}")
+    return value if kind is int and isinstance(value, int) else kind(number)
+
+
+def _positive(key, value, lines, kind=float):
+    value = _number(key, value, lines, kind)
     if value <= 0:
         _fail(key, lines, f"must be > 0, got {value}")
     return value
@@ -173,7 +184,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _SCENARIO_KEYS:
             _fail(path, lines, "unknown key")
         if key == "weight_latency":
-            value = float(value)
+            value = _number(path, value, lines)
             if not 0.0 <= value <= 1.0:
                 _fail(path, lines, f"must lie in [0, 1], got {value}")
         else:
@@ -214,10 +225,7 @@ def parse_config(text: str) -> ExperimentConfig:
         values = sweep.get("values")
         if not isinstance(values, list) or not values:
             _fail("sweep.values", lines, "must be a non-empty list")
-        try:
-            values = tuple(float(v) for v in values)
-        except (TypeError, ValueError):
-            _fail("sweep.values", lines, "entries must be numbers")
+        values = tuple(_number("sweep.values", v, lines) for v in values)
         cfg = replace(cfg, sweep_parameter=parameter, sweep_values=values)
 
     if "policies" in doc:
@@ -237,10 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seeds = doc["seeds"]
         if not isinstance(seeds, list) or not seeds:
             _fail("seeds", lines, "must be a non-empty list")
-        try:
-            seeds = tuple(int(s) for s in seeds)
-        except (TypeError, ValueError):
-            _fail("seeds", lines, "entries must be integers")
+        seeds = tuple(_number("seeds", s, lines, int) for s in seeds)
         if any(s < 0 for s in seeds):
             _fail("seeds", lines, "entries must be >= 0")
         cfg = replace(cfg, seeds=seeds)
@@ -252,9 +257,15 @@ def parse_config(text: str) -> ExperimentConfig:
     train = doc.get("train") or {}
     if not isinstance(train, dict):
         _fail("train", lines, "must be a mapping")
-    unknown = set(train) - _TRAIN_KEYS
+    unknown = set(train) - _TRAIN_KINDS.keys()
     if unknown:
         _fail(f"train.{sorted(unknown)[0]}", lines, "unknown key")
+    for key, value in train.items():
+        kind = _TRAIN_KINDS[key]
+        if kind in (int, float):
+            train[key] = _number(f"train.{key}", value, lines, kind)
+        elif not isinstance(value, kind):
+            _fail(f"train.{key}", lines, f"expected a {kind.__name__}, got {value!r}")
     if train:
         try:
             cfg = replace(cfg, train=replace(cfg.train, **train))
@@ -285,10 +296,18 @@ def build_scenario(cfg: ExperimentConfig, seed: int, pins: dict | None = None) -
     )
 
 
-def _make_policy(name: str, cfg: ExperimentConfig):
-    if name == "trained":
-        return LearnedPolicy(load_checkpoint(cfg.checkpoint))
-    return BaselinePolicy(PolicyKind(name))
+def _make_policy(name: str, cfg: ExperimentConfig, scenario: Scenario):
+    if name != "trained":
+        return BaselinePolicy(PolicyKind(name))
+    agents = load_checkpoint(cfg.checkpoint)
+    obs_dim = observation_length(len(scenario.servers))
+    if len(agents) != len(scenario.users) or agents[0].obs_dim != obs_dim:
+        raise ConfigError(
+            f"checkpoint: {cfg.checkpoint} holds {len(agents)} agents with obs_dim "
+            f"{agents[0].obs_dim}, but the scenario has {len(scenario.users)} users "
+            f"and obs_dim {obs_dim}"
+        )
+    return LearnedPolicy(agents)
 
 
 def _sweep_point(args) -> dict:
@@ -298,7 +317,7 @@ def _sweep_point(args) -> dict:
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(value_idx, policy_idx))
     )
-    stats = evaluate(_make_policy(policy, cfg), scenario, cfg.episodes, rng)
+    stats = evaluate(_make_policy(policy, cfg, scenario), scenario, cfg.episodes, rng)
     return {
         "seed": seed,
         "policy": policy,

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .bench import ConfigError, ExperimentConfig, build_scenario, emit_csv, parse_config
+from .bench import (
+    ConfigError,
+    ExperimentConfig,
+    build_scenario,
+    emit_csv,
+    parse_config,
+    run_eval,
+    run_sweep,
+)
 from .marl import train as train_agents
 from .workload import save_scenario
 
@@ -30,12 +39,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         cfg = parse_config(path.read_text(encoding="utf-8"))
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seeds=(args.seed,))
     if getattr(args, "out", None) is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, output=args.out)
     return cfg
 
@@ -49,8 +54,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .bench import run_eval
-
     cfg = _load_config(args)
     rows = run_eval(cfg)
     emit_csv(rows, cfg.output)
@@ -79,8 +82,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .bench import run_sweep
-
     cfg = _load_config(args)
     rows = run_sweep(cfg)
     emit_csv(rows, cfg.output)

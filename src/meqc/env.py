@@ -12,9 +12,8 @@ parallel rollouts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,7 +93,6 @@ def resolve_quantum_allocation(
 class StepResult:
     """Outcome of one decision slot."""
 
-    observations: tuple[np.ndarray, ...]
     reward: float
     breakdowns: tuple[CostBreakdown, ...]
     indicators: tuple[int, ...]
@@ -107,8 +105,8 @@ class MeqcEnv:
 
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
-    tasks from the workload generator.  Setting ``trajectory_file`` to a
-    writable text file logs one CSV line per (step, user) for debugging.
+    tasks from the workload generator.  Observations depend only on the
+    scenario, so only ``reset`` returns them, not ``step``.
     """
 
     def __init__(
@@ -118,7 +116,6 @@ class MeqcEnv:
         redraw_tasks: bool = False,
         arbitration: str = "max_saving",
         rng: np.random.Generator | None = None,
-        trajectory_file: IO[str] | None = None,
     ):
         if arbitration not in ARBITRATION_RULES:
             raise ValueError(f"unknown arbitration rule {arbitration!r}")
@@ -130,14 +127,6 @@ class MeqcEnv:
         self.evaluator = ScenarioEvaluator(scenario)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
-        self._step_count = 0
-        self._trajectory = None
-        if trajectory_file is not None:
-            self._trajectory = csv.writer(trajectory_file, lineterminator="\n")
-            header = ["step", "user", "server_choice", "local_ratio", "indicator",
-                      "reward"]
-            header += [f"obs_{i}" for i in range(observation_length(self.num_servers))]
-            self._trajectory.writerow(header)
 
     def observations(self) -> list[np.ndarray]:
         return [build_observation(self.scenario, u) for u in range(self.num_users)]
@@ -147,7 +136,6 @@ class MeqcEnv:
         if self.redraw:
             self.scenario = redraw_tasks(self.base_scenario, self.rng)
             self.evaluator = ScenarioEvaluator(self.scenario)
-        self._step_count = 0
         return self.observations()
 
     def step(self, actions: Sequence[tuple[int, float]] | JointAction) -> StepResult:
@@ -199,8 +187,7 @@ class MeqcEnv:
                 quantum_indicator=indicators,
             )
         cost, breakdowns = self.evaluator.total(action)
-        result = StepResult(
-            observations=tuple(self.observations()),
+        return StepResult(
             reward=-cost,
             breakdowns=breakdowns,
             indicators=indicators,
@@ -209,11 +196,3 @@ class MeqcEnv:
             ),
             action=action,
         )
-        if self._trajectory is not None:
-            for u in range(self.num_users):
-                row = [self._step_count, u, servers[u], repr(ratios[u]),
-                       indicators[u], repr(result.reward)]
-                row += [repr(x) for x in result.observations[u]]
-                self._trajectory.writerow(row)
-        self._step_count += 1
-        return result

@@ -5,7 +5,10 @@ categorical head over servers and a sigmoid-squashed Gaussian head for the
 local ratio, each with its own value network.  Rollouts come from the
 shared environment (team reward), advantages from generalized advantage
 estimation against each head's critic, and updates from the clipped
-surrogate objective.  All numerics run on the hand-rolled ``nn.Mlp``.
+surrogate objective.  An agent's observation is fixed within a training
+epoch, so its networks run once per epoch in the rollout and every step
+only draws from the resulting distribution.  All numerics run on the
+hand-rolled ``nn.Mlp``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _NET_NAMES = ("pi_server", "v_server", "pi_ratio", "v_ratio")
+_SAMPLE_COLUMNS = ("server", "pre_squash", "logp_server", "logp_ratio", "squash_correction")
 
 
 class TrainingError(RuntimeError):
@@ -90,6 +95,45 @@ class ActionSample:
     squash_correction: float
 
 
+@dataclass(frozen=True)
+class PolicyHeads:
+    """One agent's network outputs at one observation.
+
+    ``logp_server``/``probs`` are over servers; ``mean``/``log_std`` give
+    the pre-squash Gaussian of the ratio, ``log_std`` already clamped;
+    ``values`` are the (server, ratio) critics' estimates.
+    """
+
+    logp_server: np.ndarray
+    probs: np.ndarray
+    mean: float
+    log_std: float
+    values: tuple[float, float]
+
+
+def draw_action(heads: PolicyHeads, rng: np.random.Generator) -> ActionSample:
+    """Draw (server, ratio) from ``heads`` with exact log-densities.
+
+    Consumes one categorical draw, then one standard normal.  The ratio is
+    a Gaussian draw squashed through a sigmoid; its log-density carries the
+    change-of-variables correction ``-log sigmoid'(z)``, so the reported
+    value is the density of the ratio itself.
+    """
+    server = int(rng.choice(len(heads.probs), p=heads.probs))
+    mean, log_std = heads.mean, heads.log_std
+    z = float(mean + np.exp(log_std) * rng.standard_normal())
+    correction = float(_log_sigmoid_slope(z))
+    gauss = -0.5 * ((z - mean) / np.exp(log_std)) ** 2 - log_std - 0.5 * _LOG_2PI
+    return ActionSample(
+        server=server,
+        ratio=float(_sigmoid(z)),
+        pre_squash=z,
+        logp_server=float(heads.logp_server[server]),
+        logp_ratio=gauss - correction,
+        squash_correction=correction,
+    )
+
+
 class HybridAgent:
     """One user's policy and value networks."""
 
@@ -122,32 +166,22 @@ class HybridAgent:
             float(self.nets["v_ratio"].forward(obs)[0]),
         )
 
-    def sample_action(self, obs, rng: np.random.Generator) -> ActionSample:
-        """Draw (server, ratio) with exact log-densities.
-
-        The ratio is a Gaussian draw squashed through a sigmoid; its
-        log-density carries the change-of-variables correction
-        ``-log sigmoid'(z)``, so the reported value is the density of the
-        ratio itself.
-        """
+    def heads(self, obs) -> PolicyHeads:
+        """Action distribution and both value estimates at one observation."""
         logits = self.server_logits(obs)
         logp_all = logits - _logsumexp(logits)
-        server = int(rng.choice(self.num_servers, p=np.exp(logp_all)))
-
         mean, log_std = self.ratio_params(obs)
-        z = float(mean + np.exp(log_std) * rng.standard_normal())
-        correction = float(_log_sigmoid_slope(z))
-        gauss = -0.5 * ((z - float(mean)) / np.exp(float(log_std))) ** 2 - float(
-            log_std
-        ) - 0.5 * _LOG_2PI
-        return ActionSample(
-            server=server,
-            ratio=float(_sigmoid(z)),
-            pre_squash=z,
-            logp_server=float(logp_all[server]),
-            logp_ratio=gauss - correction,
-            squash_correction=correction,
+        return PolicyHeads(
+            logp_server=logp_all,
+            probs=np.exp(logp_all),
+            mean=float(mean),
+            log_std=float(log_std),
+            values=self.values(obs),
         )
+
+    def sample_action(self, obs, rng: np.random.Generator) -> ActionSample:
+        """Draw (server, ratio) with exact log-densities; see ``draw_action``."""
+        return draw_action(self.heads(obs), rng)
 
     def greedy_action(self, obs) -> tuple[int, float]:
         """Deterministic mode: argmax server, squashed mean ratio."""
@@ -192,67 +226,6 @@ def gae(
         acc = delta + discount * lam * acc
         advantages[t] = acc
     return advantages, advantages + values[:-1]
-
-
-class RolloutBuffer:
-    """Fixed-capacity per-agent storage for one epoch of experience."""
-
-    def __init__(self, capacity: int, obs_dim: int):
-        self.capacity = capacity
-        self.cursor = 0
-        self.obs = np.empty((capacity, obs_dim))
-        self.server = np.empty(capacity, dtype=np.int64)
-        self.pre_squash = np.empty(capacity)
-        self.logp_server = np.empty(capacity)
-        self.logp_ratio = np.empty(capacity)
-        self.squash_correction = np.empty(capacity)
-        self.reward = np.empty(capacity)
-        self.value_server = np.empty(capacity)
-        self.value_ratio = np.empty(capacity)
-        self.adv_server = None
-        self.adv_ratio = None
-        self.ret_server = None
-        self.ret_ratio = None
-
-    def add(self, obs, sample: ActionSample, reward: float, values: tuple[float, float]):
-        if self.cursor >= self.capacity:
-            raise IndexError("rollout buffer is full")
-        i = self.cursor
-        self.obs[i] = obs
-        self.server[i] = sample.server
-        self.pre_squash[i] = sample.pre_squash
-        self.logp_server[i] = sample.logp_server
-        self.logp_ratio[i] = sample.logp_ratio
-        self.squash_correction[i] = sample.squash_correction
-        self.reward[i] = reward
-        self.value_server[i], self.value_ratio[i] = values
-        self.cursor += 1
-
-    def finish(self, last_values: tuple[float, float], discount: float, lam: float):
-        """Compute per-head advantages/returns over the written prefix."""
-        n = self.cursor
-        vs = np.append(self.value_server[:n], last_values[0])
-        vr = np.append(self.value_ratio[:n], last_values[1])
-        self.adv_server, self.ret_server = gae(self.reward[:n], vs, discount, lam)
-        self.adv_ratio, self.ret_ratio = gae(self.reward[:n], vr, discount, lam)
-
-    def batch(self, idx: np.ndarray) -> dict[str, np.ndarray]:
-        if self.adv_server is None:
-            raise RuntimeError("finish() must run before sampling batches")
-        if len(idx) and idx.max() >= self.cursor:
-            raise IndexError("batch index past the write cursor")
-        return {
-            "obs": self.obs[idx],
-            "server": self.server[idx],
-            "pre_squash": self.pre_squash[idx],
-            "logp_server": self.logp_server[idx],
-            "logp_ratio": self.logp_ratio[idx],
-            "squash_correction": self.squash_correction[idx],
-            "adv_server": self.adv_server[idx],
-            "adv_ratio": self.adv_ratio[idx],
-            "ret_server": self.ret_server[idx],
-            "ret_ratio": self.ret_ratio[idx],
-        }
 
 
 @dataclass(frozen=True)
@@ -352,6 +325,23 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     return stats
 
 
+def _rollout_columns(
+    heads: PolicyHeads, samples: Sequence[ActionSample], rewards: np.ndarray, cfg: TrainConfig
+) -> dict[str, np.ndarray]:
+    """One agent's epoch as PPO batch columns indexed by step (all but ``obs``).
+
+    The observation, hence each critic's value, is the same at every step
+    and after the last, so each GAE baseline is a constant vector.
+    """
+    cols = {key: np.array([getattr(s, key) for s in samples]) for key in _SAMPLE_COLUMNS}
+    for head, value in zip(("server", "ratio"), heads.values):
+        baseline = np.full(len(rewards) + 1, value)
+        cols[f"adv_{head}"], cols[f"ret_{head}"] = gae(
+            rewards, baseline, cfg.discount, cfg.gae_lambda
+        )
+    return cols
+
+
 def _make_optimizers(agent: HybridAgent, cfg: TrainConfig) -> dict:
     maker = Adam if cfg.optimizer == "adam" else Sgd
     return {name: maker(agent.nets[name], cfg.learning_rate) for name in _NET_NAMES}
@@ -401,19 +391,19 @@ def train(
     result = TrainResult(agents=agents)
     last_good = [agent.flat_params() for agent in agents]
     for epoch in range(cfg.epochs):
-        buffers = [RolloutBuffer(cfg.steps_per_epoch, obs_dim) for _ in agents]
+        # Observations only change on reset, so each agent's policy and
+        # values are fixed for the epoch: evaluate them once, draw per step.
         obs = env.reset()
-        for _ in range(cfg.steps_per_epoch):
-            samples = [
-                agent.sample_action(obs[u], sample_rng)
-                for u, agent in enumerate(agents)
-            ]
-            step = env.step([(s.server, s.ratio) for s in samples])
-            for u, agent in enumerate(agents):
-                buffers[u].add(obs[u], samples[u], step.reward, agent.values(obs[u]))
-            obs = list(step.observations)
-        for u, agent in enumerate(agents):
-            buffers[u].finish(agent.values(obs[u]), cfg.discount, cfg.gae_lambda)
+        heads = [agent.heads(o) for agent, o in zip(agents, obs)]
+        samples = []
+        rewards = np.empty(cfg.steps_per_epoch)
+        for t in range(cfg.steps_per_epoch):
+            samples.append([draw_action(h, sample_rng) for h in heads])
+            rewards[t] = env.step([(s.server, s.ratio) for s in samples[-1]]).reward
+        rollouts = [
+            _rollout_columns(h, agent_samples, rewards, cfg)
+            for h, agent_samples in zip(heads, zip(*samples))
+        ]
 
         stats: list[UpdateStats] = []
         try:
@@ -423,8 +413,10 @@ def train(
                     size=min(cfg.batch_size, cfg.steps_per_epoch),
                     replace=False,
                 )
-                for agent, opts, buf in zip(agents, optimizers, buffers):
-                    stats.append(ppo_update(agent, opts, buf.batch(idx), cfg))
+                for agent, opts, o, cols in zip(agents, optimizers, obs, rollouts):
+                    batch = {key: col[idx] for key, col in cols.items()}
+                    batch["obs"] = np.tile(o, (len(idx), 1))
+                    stats.append(ppo_update(agent, opts, batch, cfg))
             bad = [u for u, agent in enumerate(agents) if not agent.params_finite()]
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
@@ -439,7 +431,7 @@ def train(
         result.curve.append(
             {
                 "epoch": epoch,
-                "mean_cost": float(-buffers[0].reward[: buffers[0].cursor].mean()),
+                "mean_cost": float(-rewards.mean()),
                 "policy_loss": float(np.mean([s.policy_loss for s in stats])),
                 "value_loss": float(np.mean([s.value_loss for s in stats])),
                 "entropy": float(np.mean([s.entropy for s in stats])),

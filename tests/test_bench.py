@@ -1,6 +1,7 @@
 """Config parsing, sweep plumbing, CSV contract and CLI exit codes."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -15,7 +16,8 @@ from meqc.bench import (
     run_sweep,
 )
 from meqc.cli import main
-from meqc.marl import TrainConfig
+from meqc.marl import TrainConfig, save_checkpoint, train
+from meqc.workload import gen_scenario
 
 
 class TestParseConfig:
@@ -86,6 +88,34 @@ class TestParseConfig:
             parse_config("train:\n  discount: 1.5\n")
         with pytest.raises(ConfigError, match="train.frobs"):
             parse_config("train:\n  frobs: 3\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("episodes: 1\nscenario: {weight_latency: abc}\n",
+             "scenario.weight_latency (line 2)"),
+            ("episodes: 1\ntrain: {epochs: x}\n", "train.epochs (line 2)"),
+            ("episodes: 1\nscenario: {users: 2.7}\n", "scenario.users (line 2)"),
+            ("seeds: [0]\nepisodes: true\n", "episodes (line 2)"),
+            ("episodes: 1\nseeds: [1.7]\n", "seeds (line 2)"),
+            ("episodes: 1\ndevice: {decoherence_time: .nan}\n",
+             "device.decoherence_time (line 2)"),
+        ],
+        ids=["weight_latency_abc", "epochs_x", "users_2.7", "episodes_true", "seeds_1.7",
+             "decoherence_time_nan"],
+    )
+    def test_ill_typed_value_rejected_with_key_and_line(self, text, where, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        assert main(["eval", "--config", str(config)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_integral_float_accepted_as_int(self):
+        cfg = parse_config("scenario: {users: 3.0}\ntrain: {epochs: 2.0}\n")
+        assert cfg.users == 3 and isinstance(cfg.users, int)
+        assert cfg.train.epochs == 2 and isinstance(cfg.train.epochs, int)
 
     def test_configs_are_frozen_and_hashable(self):
         # A mutable TrainConfig cannot be a dataclass default on Python 3.11+,
@@ -230,6 +260,23 @@ class TestCli:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert (tmp_path / "agents.npz").exists()
         assert out.read_text().startswith("epoch,")
+
+    @pytest.mark.parametrize("users, servers", [(1, 2), (3, 2), (2, 3)],
+                             ids=["fewer_users", "more_users", "more_servers"])
+    def test_checkpoint_not_fitting_scenario(self, users, servers, tmp_path, capsys):
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        agents = train(gen_scenario(2, 2, seed=0), cfg, seed=0).agents
+        save_checkpoint(tmp_path / "agents.npz", agents)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"scenario: {{users: {users}, servers: {servers}}}\n"
+            f"policies: [trained]\ncheckpoint: {tmp_path / 'agents.npz'}\nepisodes: 1\n"
+        )
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "bad.yaml"

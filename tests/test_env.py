@@ -1,7 +1,6 @@
 """Environment tests: observation layout, QPU arbitration and reward wiring."""
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -218,18 +217,3 @@ class TestStep:
         assert env2.step([actions[p] for p in perm]).reward == pytest.approx(
             base, rel=1e-12
         )
-
-
-class TestTrajectoryDump:
-    def test_csv_lines(self):
-        buffer = io.StringIO()
-        env = MeqcEnv(gen_scenario(2, 2, seed=0), trajectory_file=buffer)
-        env.reset()
-        env.step([(0, 0.5), (1, 0.0)])
-        env.step([(1, 1.0), (0, 0.2)])
-        lines = buffer.getvalue().strip().split("\n")
-        assert len(lines) == 1 + 2 * 2
-        header = lines[0].split(",")
-        assert header[:6] == ["step", "user", "server_choice", "local_ratio",
-                              "indicator", "reward"]
-        assert len(header) == 6 + observation_length(2)

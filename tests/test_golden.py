@@ -1,0 +1,87 @@
+"""Byte-for-byte golden outputs: two small training runs and a sweep CSV.
+
+The files under ``tests/golden/`` pin the learning curves, a sha256 of
+every trained parameter vector and a sweep CSV, so refactors of the
+learner, environment or evaluator can show that no output moved.  After
+a deliberate change of results, regenerate them with
+``python tests/test_golden.py`` and explain the change.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from meqc.bench import emit_csv, parse_config, run_sweep
+from meqc.marl import TrainConfig, train, write_learning_curve
+from meqc.workload import gen_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TRAIN_RUNS = {
+    "train_redraw": dict(
+        users=3, servers=2, scenario_seed=4, seed=1,
+        cfg=TrainConfig(epochs=3, steps_per_epoch=32, updates_per_epoch=2,
+                        batch_size=16, hidden_units=16, redraw_tasks=True),
+    ),
+    "train_sgd": dict(
+        users=2, servers=3, scenario_seed=5, seed=2,
+        cfg=TrainConfig(epochs=3, steps_per_epoch=32, updates_per_epoch=2,
+                        batch_size=16, hidden_units=16, optimizer="sgd",
+                        learning_rate=0.01),
+    ),
+}
+
+SWEEP_CONFIG = (
+    "scenario: {users: 3, servers: 2}\n"
+    "sweep: {parameter: edge_cpu, values: [10.0e9, 20.0e9]}\n"
+    "policies: [local, random, greedy, oracle]\n"
+    "episodes: 3\n"
+    "seeds: [0, 1]\n"
+)
+
+
+def train_outputs(name: str, workdir: Path) -> dict[str, bytes]:
+    """The learning-curve CSV and per-network parameter hashes of one run."""
+    run = TRAIN_RUNS[name]
+    scenario = gen_scenario(run["users"], run["servers"], run["scenario_seed"])
+    result = train(scenario, run["cfg"], run["seed"])
+    curve = workdir / f"{name}_curve.csv"
+    write_learning_curve(curve, result.curve)
+    hashes = "".join(
+        f"agent{u}.{net} {hashlib.sha256(vec.tobytes()).hexdigest()}\n"
+        for u, agent in enumerate(result.agents)
+        for net, vec in agent.flat_params().items()
+    )
+    return {
+        f"{name}_curve.csv": curve.read_bytes(),
+        f"{name}_params.txt": hashes.encode(),
+    }
+
+
+def sweep_output(workdir: Path) -> dict[str, bytes]:
+    path = workdir / "sweep_3x2.csv"
+    emit_csv(run_sweep(parse_config(SWEEP_CONFIG)), path)
+    return {path.name: path.read_bytes()}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
+def test_training_matches_golden(name, tmp_path):
+    for filename, data in train_outputs(name, tmp_path).items():
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+def test_sweep_matches_golden(tmp_path):
+    for filename, data in sweep_output(tmp_path).items():
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    outputs = sweep_output(GOLDEN)
+    for run_name in TRAIN_RUNS:
+        outputs.update(train_outputs(run_name, GOLDEN))
+    for filename, data in outputs.items():
+        (GOLDEN / filename).write_bytes(data)
+        print(f"wrote {GOLDEN / filename}", file=sys.stderr)

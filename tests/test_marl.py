@@ -4,10 +4,10 @@ clipped-update mechanics and the end-to-end training contract."""
 import numpy as np
 import pytest
 
+import meqc.marl as marl
 from meqc.marl import (
     HybridAgent,
     LearnedPolicy,
-    RolloutBuffer,
     TrainConfig,
     TrainingError,
     _make_optimizers,
@@ -17,6 +17,7 @@ from meqc.marl import (
     save_checkpoint,
     train,
 )
+from meqc.nn import Mlp
 from meqc.solvers import evaluate
 from meqc.workload import gen_scenario
 
@@ -220,21 +221,6 @@ class TestPpoUpdate:
             ppo_update(agent, _make_optimizers(agent, cfg), batch, cfg)
 
 
-class TestRolloutBuffer:
-    def test_overflow_guard(self):
-        agent = HybridAgent(2, 2, 8, np.random.default_rng(0))
-        buf = RolloutBuffer(capacity=1, obs_dim=2)
-        sample = agent.sample_action(np.zeros(2), np.random.default_rng(1))
-        buf.add(np.zeros(2), sample, 0.0, (0.0, 0.0))
-        with pytest.raises(IndexError):
-            buf.add(np.zeros(2), sample, 0.0, (0.0, 0.0))
-
-    def test_batch_requires_finish(self):
-        buf = RolloutBuffer(capacity=4, obs_dim=2)
-        with pytest.raises(RuntimeError):
-            buf.batch(np.array([0]))
-
-
 class TestTrain:
     def smoke_config(self, **overrides):
         defaults = dict(
@@ -250,6 +236,30 @@ class TestTrain:
         a = train(scenario, cfg, seed=5)
         b = train(scenario, cfg, seed=5)
         assert a.curve == b.curve
+
+    def test_rollout_runs_each_network_once_per_epoch(self, monkeypatch):
+        counts = {"rollout": 0, "update": 0}
+        in_update = [False]
+        real_forward, real_update = Mlp.forward_cached, marl.ppo_update
+
+        def counting_forward(self, x):
+            counts["update" if in_update[0] else "rollout"] += 1
+            return real_forward(self, x)
+
+        def flagged_update(*args):
+            in_update[0] = True
+            try:
+                return real_update(*args)
+            finally:
+                in_update[0] = False
+
+        monkeypatch.setattr(Mlp, "forward_cached", counting_forward)
+        monkeypatch.setattr(marl, "ppo_update", flagged_update)
+        cfg = self.smoke_config()
+        train(gen_scenario(3, 2, seed=0), cfg, seed=0)
+        agents = 3
+        assert counts["rollout"] == 4 * agents * cfg.epochs
+        assert counts["update"] == 4 * agents * cfg.epochs * cfg.updates_per_epoch
 
     def test_curve_finite_and_complete(self):
         scenario = gen_scenario(2, 2, seed=1)
