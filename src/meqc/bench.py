@@ -19,7 +19,7 @@ import yaml
 
 from .device import CryostatConfig, QubitTech
 from .env import observation_length
-from .marl import LearnedPolicy, TrainConfig, load_checkpoint
+from .marl import HybridAgent, LearnedPolicy, TrainConfig, load_checkpoint
 from .solvers import BaselinePolicy, PolicyKind, evaluate
 from .workload import (
     DEFAULT_BANDWIDTH,
@@ -104,6 +104,13 @@ _DEVICE_KEYS = {
     "t_para": ("cryostat", "t_para"),
 }
 _TRAIN_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
+# Domain of each pinnable field, as (test, description) for sweep values.
+_PIN_DOMAINS = {
+    "edge_cpu": (lambda v: v > 0.0, "> 0"),
+    "physical_qubits": (lambda v: v >= 0.0 and v.is_integer(), "an integer >= 0"),
+    "decoherence_time": (lambda v: v > 0.0, "> 0"),
+    "weight_latency": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+}
 _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
 
@@ -226,6 +233,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(values, list) or not values:
             _fail("sweep.values", lines, "must be a non-empty list")
         values = tuple(_number("sweep.values", v, lines) for v in values)
+        in_domain, domain = _PIN_DOMAINS[parameter]
+        for value in values:
+            if not in_domain(value):
+                _fail("sweep.values", lines, f"{parameter} must be {domain}, got {value}")
         cfg = replace(cfg, sweep_parameter=parameter, sweep_values=values)
 
     if "policies" in doc:
@@ -296,28 +307,33 @@ def build_scenario(cfg: ExperimentConfig, seed: int, pins: dict | None = None) -
     )
 
 
-def _make_policy(name: str, cfg: ExperimentConfig, scenario: Scenario):
-    if name != "trained":
-        return BaselinePolicy(PolicyKind(name))
+def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
+    """The checkpoint's agents, loaded and fitted to the scenario shape once per run."""
+    if "trained" not in cfg.policies:
+        return None
     agents = load_checkpoint(cfg.checkpoint)
-    obs_dim = observation_length(len(scenario.servers))
-    if len(agents) != len(scenario.users) or agents[0].obs_dim != obs_dim:
+    obs_dim = observation_length(cfg.servers)
+    if len(agents) != cfg.users or agents[0].obs_dim != obs_dim:
         raise ConfigError(
             f"checkpoint: {cfg.checkpoint} holds {len(agents)} agents with obs_dim "
-            f"{agents[0].obs_dim}, but the scenario has {len(scenario.users)} users "
+            f"{agents[0].obs_dim}, but the scenario has {cfg.users} users "
             f"and obs_dim {obs_dim}"
         )
-    return LearnedPolicy(agents)
+    return agents
 
 
 def _sweep_point(args) -> dict:
-    cfg, param, value, value_idx, policy, policy_idx, seed = args
+    cfg, param, value, value_idx, policy, policy_idx, seed, agents = args
     pins = {param: value} if param is not None else None
     scenario = build_scenario(cfg, seed, pins)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(value_idx, policy_idx))
     )
-    stats = evaluate(_make_policy(policy, cfg, scenario), scenario, cfg.episodes, rng)
+    if policy == "trained":
+        chosen = LearnedPolicy(agents)
+    else:
+        chosen = BaselinePolicy(PolicyKind(policy))
+    stats = evaluate(chosen, scenario, cfg.episodes, rng)
     return {
         "seed": seed,
         "policy": policy,
@@ -331,17 +347,16 @@ def _sweep_point(args) -> dict:
     }
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Evaluate every (sweep value, policy, seed) combination.
+def _run_grid(cfg: ExperimentConfig, param: str | None, values) -> list[dict]:
+    """Evaluate every (value, policy, seed) combination, sorted in that order.
 
-    Rows come back sorted by (value, policy, seed) regardless of worker
-    scheduling, so output is deterministic.
+    Rows come back sorted regardless of worker scheduling, so output is
+    deterministic.
     """
-    if cfg.sweep_parameter is None:
-        raise ConfigError("sweep requires a 'sweep' section in the config")
+    agents = _trained_agents(cfg)
     grid = [
-        (cfg, cfg.sweep_parameter, value, vi, policy, pi, seed)
-        for vi, value in enumerate(cfg.sweep_values)
+        (cfg, param, value, vi, policy, pi, seed, agents if policy == "trained" else None)
+        for vi, value in enumerate(values)
         for pi, policy in enumerate(cfg.policies)
         for seed in cfg.seeds
     ]
@@ -354,16 +369,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+def run_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """Evaluate every (sweep value, policy, seed) combination."""
+    if cfg.sweep_parameter is None:
+        raise ConfigError("sweep requires a 'sweep' section in the config")
+    return _run_grid(cfg, cfg.sweep_parameter, cfg.sweep_values)
+
+
 def run_eval(cfg: ExperimentConfig) -> list[dict]:
     """Evaluate every (policy, seed) combination on the unswept scenario."""
-    grid = [
-        (cfg, None, 0.0, 0, policy, pi, seed)
-        for pi, policy in enumerate(cfg.policies)
-        for seed in cfg.seeds
-    ]
-    rows = [_sweep_point(point) for point in grid]
-    rows.sort(key=lambda r: (r["value"], r["policy"], r["seed"]))
-    return rows
+    return _run_grid(cfg, None, (0.0,))
 
 
 def _format_cell(value) -> str:

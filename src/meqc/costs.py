@@ -2,26 +2,29 @@
 
 Latency/energy for the four processing paths (local CPU, uplink, edge CPU,
 edge QPU), the quantum-feasibility indicator, and the weighted sum over
-users.  All functions are pure; ``ScenarioEvaluator`` just precomputes the
-per-scenario device tables so that solvers and the environment can score
-many candidate actions cheaply.
+users.  All functions are pure and are the specification;
+``ScenarioEvaluator`` tabulates one scenario's ratio-independent factors
+and evaluates the same formulas on whole numpy batches, so solvers and the
+environment can score many candidate actions in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .device import (
     GatePowerProfile,
     LogicalResources,
     QubitTech,
     cryostat_stages,
+    error_suppression,
     gate_power_profile,
     logical_resources,
     physical_error_rate,
-    success_probability,
 )
 
 if TYPE_CHECKING:
@@ -123,7 +126,8 @@ class CostBreakdown:
 
     Components not on the active path are zero.  ``cost`` is the
     latency-weighted sum of the active latencies plus the energy-weighted
-    sum of the active energies.
+    sum of the active energies.  ``ScenarioEvaluator.breakdown`` returns
+    one whose fields are arrays of a batch's shape.
     """
 
     latency_local: float = 0.0
@@ -291,97 +295,214 @@ def quantum_feasible(
     return 1 if (fits and reliable) else 0
 
 
-def _merge(local: CostBreakdown, remote: CostBreakdown) -> CostBreakdown:
-    return CostBreakdown(
-        latency_local=local.latency_local,
-        latency_uplink=remote.latency_uplink,
-        latency_edge_cpu=remote.latency_edge_cpu,
-        latency_edge_qpu=remote.latency_edge_qpu,
-        energy_local=local.energy_local,
-        energy_uplink=remote.energy_uplink,
-        energy_edge_cpu=remote.energy_edge_cpu,
-        energy_edge_qpu=remote.energy_edge_qpu,
-        cost=local.cost + remote.cost,
-    )
+def sum_over_users(values: np.ndarray) -> np.ndarray:
+    """Sum over the last (user) axis, adding users strictly in index order.
+
+    ``np.sum`` adds pairwise, which moves the last bits of a total from
+    eight users on; a running sum reproduces ``sum()`` over the users.
+    """
+    return np.add.accumulate(values, axis=-1)[..., -1]
+
+
+_FIELDS = tuple(f.name for f in fields(CostBreakdown))
+_ENDPOINTS = np.array([0.0, 1.0])
+_PATHS = np.array([False, True])
 
 
 class ScenarioEvaluator:
     """Scores actions against one scenario.
 
-    Precomputes the device tables (error rate, gate powers, per-level
-    resources) and the per-(user, server) uplink rates, success
-    probabilities and feasibility indicators.  The scenario is read-only;
-    one evaluator may be shared by concurrent readers.
+    Construction turns the scenario into numpy tables of every
+    ratio-independent factor of the cost formulas: per-user task and
+    profile vectors, the per-(user, server) ``rate``, ``success`` and
+    ``eligible`` arrays (each ``[U, E]``), and per-server QPU step time and
+    step energy.  ``breakdown`` evaluates the formulas on any batch in the
+    operation order of ``local_cost``, ``transmission_cost``,
+    ``edge_classical_cost`` and ``edge_quantum_cost``, so every number is
+    bit-identical to those scalar functions.  The scenario and tables are
+    read-only; one evaluator may be shared by concurrent readers.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        stages = cryostat_stages(scenario.cryostat)
-        self.error_rate = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
-        self.powers = gate_power_profile(scenario.cryostat, scenario.qubit_tech, stages)
-        self.resources = {
-            level: logical_resources(level)
-            for level in {s.concat_level for s in scenario.servers}
-        }
-        self.num_users = len(scenario.users)
-        self.num_servers = len(scenario.servers)
-        self.success = [
-            tuple(
-                success_probability(
-                    entry.quantum_task.logical_qubits,
-                    entry.quantum_task.logical_depth,
-                    server.concat_level,
-                    self.error_rate,
-                    scenario.error_threshold,
+        users, servers = scenario.users, scenario.servers
+        self.num_users = len(users)
+        self.num_servers = len(servers)
+        for u, entry in enumerate(users):
+            if len(entry.profile.channel_gains) != self.num_servers:
+                raise ValueError(
+                    f"user {u} has {len(entry.profile.channel_gains)} channel gains "
+                    f"for {self.num_servers} servers"
                 )
-                for server in scenario.servers
+
+        def column(values):
+            return np.array(values, dtype=np.float64)
+
+        self.user_index = np.arange(self.num_users)
+        self._f_local = column([e.profile.f_local for e in users])
+        self._tx_power = column([e.profile.tx_power for e in users])
+        self._edge_cpu = column([e.profile.edge_cpu for e in users])
+        self.weight_latency = column([e.profile.weight_latency for e in users])
+        self.weight_energy = column([e.profile.weight_energy for e in users])
+        self._data_size = column([e.task.data_size for e in users])
+        self._cycles_per_byte = column([e.task.cycles_per_byte for e in users])
+        self._q_data_size = column([e.quantum_task.data_size for e in users])
+        self._logical_qubits = column([e.quantum_task.logical_qubits for e in users])
+
+        # uplink_rate: bandwidth * log2(1 + tx * gain / noise).  math.log2
+        # rather than np.log2, whose SIMD variants may round differently.
+        snr = (
+            self._tx_power[:, None]
+            * column([e.profile.channel_gains for e in users])
+            / column([s.noise_power for s in servers])
+        )
+        log_terms = list(map(math.log2, (1.0 + snr).ravel().tolist()))
+        self.rate = column([s.bandwidth for s in servers]) * column(log_terms).reshape(
+            snr.shape
+        )
+        self._dead_links = not (self.rate > 0.0).all()
+
+        # success_probability, clamped the way min(1, max(0, .)) clamps.
+        depths = column([e.quantum_task.logical_depth for e in users])
+        locations = self._logical_qubits * depths
+        error_rate = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
+        suppression = column(
+            [
+                error_suppression(s.concat_level, error_rate, scenario.error_threshold)
+                for s in servers
+            ]
+        )
+        success = 1.0 - locations[:, None] * scenario.error_threshold * suppression
+        success = np.where(success > 0.0, success, 0.0)
+        self.success = np.where(success < 1.0, success, 1.0)
+        fits = np.array(
+            [e.quantum_task.logical_qubits <= e.profile.logical_qubit_quota for e in users]
+        )
+        self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
+
+        # edge_quantum_cost's per-step time and energy, per server.
+        tech = scenario.qubit_tech
+        powers = gate_power_profile(
+            scenario.cryostat, tech, cryostat_stages(scenario.cryostat)
+        )
+        step = {}
+        for level in {s.concat_level for s in servers}:
+            res = logical_resources(level)
+            step[level] = (
+                tech.tau_1qb * res.n_1qb
+                + tech.tau_2qb * res.n_2qb
+                + tech.tau_meas * res.n_meas,
+                powers.e_1qb * res.n_1qb
+                + powers.e_2qb * res.n_2qb
+                + powers.e_meas * res.n_meas
+                + powers.e_qubit * res.phys_per_logical,
             )
-            for entry in scenario.users
-        ]
-        self.eligible = [
-            tuple(
-                quantum_feasible(
-                    entry.quantum_task, entry.profile, self.success[u][e]
-                )
-                for e in range(self.num_servers)
-            )
-            for u, entry in enumerate(scenario.users)
-        ]
+        self._step_time, self._step_energy = column(
+            [step[s.concat_level] for s in servers]
+        ).T
+
+    def breakdown(self, servers, ratios, qpu, users=None) -> CostBreakdown:
+        """Cost components of a whole batch at once, as arrays.
+
+        ``servers``, ``ratios`` and ``qpu`` (the QPU path flag) broadcast
+        against ``users``, which defaults to every user along the last
+        axis, so ``[B, U]`` arrays score B joint decisions.  Inputs are not
+        validated: servers must be in range and ratios in [0, 1].
+        """
+        if users is None:
+            users = self.user_index
+        ratios = np.asarray(ratios, dtype=np.float64)
+        chip = self.scenario.chip_energy_per_cycle
+        cycles = ratios * self._data_size[users] * self._cycles_per_byte[users]
+        latency_local = cycles / self._f_local[users]
+        energy_local = chip * cycles
+
+        payload = (1.0 - ratios) * np.where(
+            qpu, self._q_data_size[users], self._data_size[users]
+        )
+        bits = payload * BITS_PER_BYTE
+        rate = self.rate[users, servers]
+        if self._dead_links:
+            dead = (bits != 0.0) & (rate <= 0.0)
+            if dead.any():
+                server = np.broadcast_to(servers, dead.shape)[dead].flat[0]
+                raise ValueError(f"link to server {server} carries no data")
+            rate = np.where(rate > 0.0, rate, 1.0)
+        latency_uplink = bits / rate
+        energy_uplink = self._tx_power[users] * latency_uplink
+
+        cycles_edge = payload * self._cycles_per_byte[users]
+        volume = payload * self._logical_qubits[users]
+        latency_edge = np.where(
+            qpu, volume * self._step_time[servers], cycles_edge / self._edge_cpu[users]
+        )
+        energy_edge = np.where(qpu, volume * self._step_energy[servers], chip * cycles_edge)
+
+        w_lat, w_en = self.weight_latency[users], self.weight_energy[users]
+        cost = (w_lat * latency_local + w_en * energy_local) + (
+            w_lat * (latency_uplink + latency_edge) + w_en * (energy_uplink + energy_edge)
+        )
+        return CostBreakdown(
+            latency_local=latency_local,
+            latency_uplink=latency_uplink,
+            latency_edge_cpu=np.where(qpu, 0.0, latency_edge),
+            latency_edge_qpu=np.where(qpu, latency_edge, 0.0),
+            energy_local=energy_local,
+            energy_uplink=energy_uplink,
+            energy_edge_cpu=np.where(qpu, 0.0, energy_edge),
+            energy_edge_qpu=np.where(qpu, energy_edge, 0.0),
+            cost=cost,
+        )
+
+    def endpoint_costs(self) -> np.ndarray:
+        """Cost of every user at every server, ratio 0 or 1, CPU or QPU path.
+
+        Shape ``[U, E, 2, 2]``; the last two axes are the ratio (0, 1) and
+        the path (CPU, QPU).  QPU entries are computed for ineligible
+        pairs too.
+        """
+        return self.breakdown(
+            np.arange(self.num_servers)[:, None, None],
+            _ENDPOINTS[:, None],
+            _PATHS,
+            users=self.user_index[:, None, None, None],
+        ).cost
 
     def user_cost(
         self, u: int, server: int, local_ratio: float, use_qpu: bool
     ) -> CostBreakdown:
         """Full cost of user ``u`` splitting its task toward ``server``."""
-        entry = self.scenario.users[u]
-        chip = self.scenario.chip_energy_per_cycle
-        loc = local_cost(entry.profile, entry.task, local_ratio, chip)
-        if use_qpu:
-            remote = edge_quantum_cost(
-                entry.profile,
-                self.scenario.servers[server],
-                server,
-                entry.quantum_task,
-                local_ratio,
-                self.resources[self.scenario.servers[server].concat_level],
-                self.powers,
-                self.scenario.qubit_tech,
-            )
-        else:
-            remote = edge_classical_cost(
-                entry.profile,
-                self.scenario.servers[server],
-                server,
-                entry.task,
-                local_ratio,
-                chip,
-            )
-        return _merge(loc, remote)
+        self._check(server, local_ratio)
+        b = self.breakdown(server, local_ratio, bool(use_qpu), users=u)
+        return CostBreakdown(*(float(getattr(b, name)) for name in _FIELDS))
+
+    def savings(self, servers, ratios, users=None) -> np.ndarray:
+        """CPU-path cost minus QPU-path cost, elementwise (see ``breakdown``)."""
+        cpu = self.breakdown(servers, ratios, False, users=users).cost
+        return cpu - self.breakdown(servers, ratios, True, users=users).cost
 
     def qpu_saving(self, u: int, server: int, local_ratio: float) -> float:
         """Cost saved by running user ``u``'s offloaded share on the QPU instead of CPUs."""
-        cpu = self.user_cost(u, server, local_ratio, use_qpu=False)
-        qpu = self.user_cost(u, server, local_ratio, use_qpu=True)
-        return cpu.cost - qpu.cost
+        self._check(server, local_ratio)
+        return float(self.savings(server, local_ratio, users=u))
+
+    def _check(self, server: int, local_ratio: float) -> None:
+        if not 0 <= server < self.num_servers:
+            raise LookupError(f"unknown server id {server}")
+        if not 0.0 <= local_ratio <= 1.0:
+            raise ValueError("local_ratio must lie in [0, 1]")
+
+    def check_servers(self, servers: np.ndarray) -> None:
+        """Raise unless every entry of ``servers`` (last axis: users) is a server index."""
+        bad = (servers < 0) | (servers >= self.num_servers)
+        if bad.any():
+            u = int(np.nonzero(bad)[-1][0])
+            raise ValueError(f"user {u} picked unknown server {servers[bad].flat[0]}")
+
+    def check_grants(self, servers: np.ndarray, grants: np.ndarray) -> None:
+        """Raise unless a single joint action's grants leave each QPU at most one task."""
+        if (np.bincount(servers[grants], minlength=self.num_servers) > 1).any():
+            raise ValueError("more than one QPU grant on a single server")
 
     def total(self, action: JointAction) -> tuple[float, tuple[CostBreakdown, ...]]:
         """System cost of a joint action plus per-user breakdowns.
@@ -394,27 +515,14 @@ class ScenarioEvaluator:
                 f"action covers {len(action.server_choice)} users, "
                 f"scenario has {self.num_users}"
             )
-        granted_per_server = [0] * self.num_servers
-        for u, (server, grant) in enumerate(
-            zip(action.server_choice, action.quantum_indicator)
-        ):
-            if not 0 <= server < self.num_servers:
-                raise ValueError(f"user {u} picked unknown server {server}")
-            if grant:
-                granted_per_server[server] += 1
-        if any(n > 1 for n in granted_per_server):
-            raise ValueError("more than one QPU grant on a single server")
-
-        breakdowns = tuple(
-            self.user_cost(
-                u,
-                action.server_choice[u],
-                action.local_ratio[u],
-                use_qpu=bool(action.quantum_indicator[u]),
-            )
-            for u in range(self.num_users)
-        )
-        return sum(b.cost for b in breakdowns), breakdowns
+        servers = np.array(action.server_choice)
+        grants = np.array(action.quantum_indicator, dtype=bool)
+        self.check_servers(servers)
+        self.check_grants(servers, grants)
+        b = self.breakdown(servers, action.local_ratio, grants)
+        columns = [getattr(b, name).tolist() for name in _FIELDS]
+        breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))
+        return float(sum_over_users(b.cost)), breakdowns
 
 
 def total_cost(

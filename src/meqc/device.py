@@ -260,6 +260,17 @@ def gate_power_profile(
     )
 
 
+def error_suppression(level: int, err_rate: float, err_threshold: float) -> float:
+    """Logical error suppression ``(err_rate / err_threshold) ** (2 ** level)``."""
+    if err_threshold <= 0.0:
+        raise ValueError(f"err_threshold must be > 0, got {err_threshold}")
+    if err_rate < 0.0:
+        raise ValueError(f"err_rate must be >= 0, got {err_rate}")
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    return (err_rate / err_threshold) ** (2**level)
+
+
 def success_probability(
     q_logical: int, d_logical: int, level: int, err_rate: float, err_threshold: float
 ) -> float:
@@ -271,14 +282,9 @@ def success_probability(
     go negative for deep circuits above threshold, so the result is
     clamped to [0, 1].
     """
-    if err_threshold <= 0.0:
-        raise ValueError(f"err_threshold must be > 0, got {err_threshold}")
-    if err_rate < 0.0:
-        raise ValueError(f"err_rate must be >= 0, got {err_rate}")
     if q_logical <= 0 or d_logical <= 0:
         raise ValueError("q_logical and d_logical must be > 0")
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    suppression = error_suppression(level, err_rate, err_threshold)
     locations = float(q_logical) * float(d_logical)
-    failure = locations * err_threshold * (err_rate / err_threshold) ** (2**level)
+    failure = locations * err_threshold * suppression
     return min(1.0, max(0.0, 1.0 - failure))

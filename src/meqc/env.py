@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostBreakdown, JointAction, ScenarioEvaluator
+from .costs import JointAction, ScenarioEvaluator, sum_over_users
 from .workload import Scenario, redraw_tasks
 
 ARBITRATION_RULES = ("max_saving", "first_index")
@@ -52,6 +52,39 @@ def observation_length(num_servers: int) -> int:
     return 8 + 2 * num_servers
 
 
+def grant_mask(
+    evaluator: ScenarioEvaluator,
+    servers: np.ndarray,
+    ratios: np.ndarray,
+    rule: str = "max_saving",
+) -> np.ndarray:
+    """QPU grants of a ``[B, U]`` batch of decisions, as a boolean ``[B, U]`` array.
+
+    See ``resolve_quantum_allocation`` for the rule; each row is arbitrated
+    on its own.  ``servers`` must hold valid server indices.
+    """
+    if rule not in ARBITRATION_RULES:
+        raise ValueError(f"unknown arbitration rule {rule!r}")
+    grants = np.zeros(servers.shape, dtype=bool)
+    rows, users = np.nonzero(evaluator.eligible[evaluator.user_index, servers])
+    if len(users) == 0:
+        return grants
+    chosen = servers[rows, users]
+    # one contest per (row, server); sort each contest's candidates by rank
+    contest = rows * evaluator.num_servers + chosen
+    if rule == "max_saving":
+        saving = evaluator.savings(chosen, ratios[rows, users], users=users)
+        order = np.lexsort((users, -saving, contest))
+    else:
+        order = np.lexsort((users, contest))
+    contest = contest[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = contest[1:] != contest[:-1]
+    winners = order[first]
+    grants[rows[winners], users[winners]] = True
+    return grants
+
+
 def resolve_quantum_allocation(
     evaluator: ScenarioEvaluator,
     server_choice: Sequence[int],
@@ -67,34 +100,26 @@ def resolve_quantum_allocation(
     to the lowest user index; ``first_index`` simply takes the lowest
     index.  Everyone else falls back to the server CPUs.
     """
-    if rule not in ARBITRATION_RULES:
-        raise ValueError(f"unknown arbitration rule {rule!r}")
-    indicators = [0] * len(server_choice)
-    for server in range(evaluator.num_servers):
-        candidates = [
-            u
-            for u, choice in enumerate(server_choice)
-            if choice == server and evaluator.eligible[u][server]
-        ]
-        if not candidates:
-            continue
-        if rule == "max_saving":
-            winner = max(
-                candidates,
-                key=lambda u: (evaluator.qpu_saving(u, server, local_ratio[u]), -u),
-            )
-        else:
-            winner = candidates[0]
-        indicators[winner] = 1
-    return tuple(indicators)
+    grants = grant_mask(
+        evaluator,
+        np.array([server_choice], dtype=np.int64),
+        np.array([local_ratio], dtype=np.float64),
+        rule,
+    )
+    return tuple(grants[0].astype(int).tolist())
 
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one decision slot."""
+    """Outcome of one decision slot.
+
+    ``latency_cost`` and ``energy_cost`` are the latency- and
+    energy-weighted parts of the cost; they add up to ``-reward``.
+    """
 
     reward: float
-    breakdowns: tuple[CostBreakdown, ...]
+    latency_cost: float
+    energy_cost: float
     indicators: tuple[int, ...]
     success_probs: tuple[float, ...]
     action: JointAction
@@ -106,7 +131,8 @@ class MeqcEnv:
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
     tasks from the workload generator.  Observations depend only on the
-    scenario, so only ``reset`` returns them, not ``step``.
+    scenario, so they are built once per scenario and only ``reset``
+    returns them, not ``step``.
     """
 
     def __init__(
@@ -120,34 +146,72 @@ class MeqcEnv:
         if arbitration not in ARBITRATION_RULES:
             raise ValueError(f"unknown arbitration rule {arbitration!r}")
         self.base_scenario = scenario
-        self.scenario = scenario
         self.redraw = redraw_tasks
         self.arbitration = arbitration
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
-        self.evaluator = ScenarioEvaluator(scenario)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
+        self._load(scenario)
+
+    def _load(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.evaluator = ScenarioEvaluator(scenario)
+        self._observations = None
 
     def observations(self) -> list[np.ndarray]:
-        return [build_observation(self.scenario, u) for u in range(self.num_users)]
+        """Every agent's observation of the current scenario, built once, read-only."""
+        if self._observations is None:
+            self._observations = [
+                build_observation(self.scenario, u) for u in range(self.num_users)
+            ]
+            for obs in self._observations:
+                obs.flags.writeable = False
+        return list(self._observations)
 
     def reset(self) -> list[np.ndarray]:
         """Start a new episode; redraws tasks when configured to."""
         if self.redraw:
-            self.scenario = redraw_tasks(self.base_scenario, self.rng)
-            self.evaluator = ScenarioEvaluator(self.scenario)
+            self._load(redraw_tasks(self.base_scenario, self.rng))
         return self.observations()
+
+    def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:
+        """Checked ``[B, U]`` server indices and ratios clamped to [0, 1]."""
+        servers = np.asarray(servers).astype(np.int64, copy=False)
+        ratios = np.asarray(ratios, dtype=np.float64)
+        if servers.ndim != 2 or servers.shape[1] != self.num_users:
+            raise ValueError(
+                f"expected {self.num_users} actions per row, got shape {servers.shape}"
+            )
+        if ratios.shape != servers.shape:
+            raise ValueError(
+                f"ratios shape {ratios.shape} != servers shape {servers.shape}"
+            )
+        self.evaluator.check_servers(servers)
+        # min(1, max(0, r)) elementwise; NaN clamps to 0 as it does there
+        ratios = np.where(ratios > 0.0, ratios, 0.0)
+        return servers, np.where(ratios < 1.0, ratios, 1.0)
+
+    def rewards(self, servers, ratios) -> np.ndarray:
+        """Shared reward of each of B joint decisions, ``servers``/``ratios`` ``[B, U]``.
+
+        Row b gets exactly the reward ``step`` returns for the pairs
+        ``zip(servers[b], ratios[b])``.
+        """
+        servers, ratios = self._decisions(servers, ratios)
+        grants = grant_mask(self.evaluator, servers, ratios, self.arbitration)
+        return -sum_over_users(self.evaluator.breakdown(servers, ratios, grants).cost)
 
     def step(self, actions: Sequence[tuple[int, float]] | JointAction) -> StepResult:
         """Resolve one joint decision and return the shared reward.
 
         Decentralized agents submit raw (server index, local ratio) pairs;
         ratios are clamped to [0, 1] and the QPU indicators are resolved by
-        the arbitration rule.  A centralized solver may instead submit a
-        complete ``JointAction`` whose grant schedule is honored after
-        validation (every claimed grant must be feasible; at most one per
-        server).
+        the arbitration rule, exactly as ``rewards`` does for a batch.  A
+        centralized solver may instead submit a complete ``JointAction``
+        whose grant schedule is honored after validation (every claimed
+        grant must be feasible; at most one per server).
         """
+        evaluator = self.evaluator
         if isinstance(actions, JointAction):
             action = actions
             if len(action.server_choice) != self.num_users:
@@ -155,44 +219,39 @@ class MeqcEnv:
                     f"expected {self.num_users} actions, "
                     f"got {len(action.server_choice)}"
                 )
-            for u, (server, grant) in enumerate(
-                zip(action.server_choice, action.quantum_indicator)
-            ):
-                if grant and not self.evaluator.eligible[u][server]:
-                    raise ValueError(
-                        f"user {u} claims an infeasible QPU grant on server {server}"
-                    )
-            servers = list(action.server_choice)
-            ratios = list(action.local_ratio)
-            indicators = action.quantum_indicator
+            servers = np.array(action.server_choice, dtype=np.int64)
+            ratios = np.array(action.local_ratio, dtype=np.float64)
+            grants = np.array(action.quantum_indicator, dtype=bool)
+            evaluator.check_servers(servers)
+            infeasible = grants & ~evaluator.eligible[evaluator.user_index, servers]
+            if infeasible.any():
+                u = int(np.argmax(infeasible))
+                raise ValueError(
+                    f"user {u} claims an infeasible QPU grant on server {servers[u]}"
+                )
+            evaluator.check_grants(servers, grants)
         else:
             if len(actions) != self.num_users:
                 raise ValueError(
                     f"expected {self.num_users} actions, got {len(actions)}"
                 )
-            servers = []
-            ratios = []
-            for u, (server, ratio) in enumerate(actions):
-                server = int(server)
-                if not 0 <= server < self.num_servers:
-                    raise ValueError(f"user {u} picked unknown server {server}")
-                servers.append(server)
-                ratios.append(min(1.0, max(0.0, float(ratio))))
-            indicators = resolve_quantum_allocation(
-                self.evaluator, servers, ratios, rule=self.arbitration
+            servers, ratios = self._decisions(
+                [[int(server) for server, _ in actions]],
+                [[float(ratio) for _, ratio in actions]],
             )
+            grants = grant_mask(evaluator, servers, ratios, self.arbitration)
+            servers, ratios, grants = servers[0], ratios[0], grants[0]
             action = JointAction(
-                server_choice=tuple(servers),
-                local_ratio=tuple(ratios),
-                quantum_indicator=indicators,
+                server_choice=tuple(servers.tolist()),
+                local_ratio=tuple(ratios.tolist()),
+                quantum_indicator=tuple(grants.astype(int).tolist()),
             )
-        cost, breakdowns = self.evaluator.total(action)
+        b = evaluator.breakdown(servers, ratios, grants)
         return StepResult(
-            reward=-cost,
-            breakdowns=breakdowns,
-            indicators=indicators,
-            success_probs=tuple(
-                self.evaluator.success[u][servers[u]] for u in range(self.num_users)
-            ),
+            reward=-float(sum_over_users(b.cost)),
+            latency_cost=float(sum_over_users(evaluator.weight_latency * b.latency_total)),
+            energy_cost=float(sum_over_users(evaluator.weight_energy * b.energy_total)),
+            indicators=action.quantum_indicator,
+            success_probs=tuple(evaluator.success[evaluator.user_index, servers].tolist()),
             action=action,
         )

@@ -392,14 +392,18 @@ def train(
     last_good = [agent.flat_params() for agent in agents]
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
-        # values are fixed for the epoch: evaluate them once, draw per step.
+        # values are fixed for the epoch: evaluate them once, draw per step
+        # in the scalar RNG order (step by step, agent by agent), then score
+        # all steps in one batch.
         obs = env.reset()
         heads = [agent.heads(o) for agent, o in zip(agents, obs)]
-        samples = []
-        rewards = np.empty(cfg.steps_per_epoch)
-        for t in range(cfg.steps_per_epoch):
-            samples.append([draw_action(h, sample_rng) for h in heads])
-            rewards[t] = env.step([(s.server, s.ratio) for s in samples[-1]]).reward
+        samples = [
+            [draw_action(h, sample_rng) for h in heads] for _ in range(cfg.steps_per_epoch)
+        ]
+        rewards = env.rewards(
+            [[s.server for s in step] for step in samples],
+            [[s.ratio for s in step] for step in samples],
+        )
         rollouts = [
             _rollout_columns(h, agent_samples, rewards, cfg)
             for h, agent_samples in zip(heads, zip(*samples))

@@ -82,11 +82,12 @@ def solve_greedy(scenario: Scenario) -> JointAction:
     Users are visited in descending cycle count.  Each picks the server,
     endpoint ratio and processing path that minimize its own cost given
     the QPU slots consumed so far; a slot is consumed only when the QPU
-    path is feasible and strictly cheaper than the CPU path.
+    path is feasible and strictly cheaper than the CPU path.  Options are
+    scanned server by server, ratio 0 before 1, CPU before QPU, and the
+    first minimum wins.
     """
     evaluator = ScenarioEvaluator(scenario)
     num_users = evaluator.num_users
-    num_servers = evaluator.num_servers
     order = sorted(
         range(num_users),
         key=lambda u: (
@@ -94,28 +95,20 @@ def solve_greedy(scenario: Scenario) -> JointAction:
             u,
         ),
     )
+    # [U, E, ratio, path] in scan order.  CPU comes before QPU at each
+    # (server, ratio), so the first minimum is a QPU option only when that
+    # is strictly cheaper, i.e. saves cost.
+    options = evaluator.endpoint_costs()
+    options[..., 1] = np.where(evaluator.eligible[:, :, None], options[..., 1], np.inf)
     servers = [0] * num_users
     ratios = [1.0] * num_users
     indicators = [0] * num_users
-    slot_free = [True] * num_servers
     for u in order:
-        best = None
-        for server in range(num_servers):
-            for ratio in (0.0, 1.0):
-                cpu = evaluator.user_cost(u, server, ratio, use_qpu=False).cost
-                if best is None or cpu < best[0]:
-                    best = (cpu, server, ratio, 0)
-                if (
-                    slot_free[server]
-                    and evaluator.eligible[u][server]
-                    and evaluator.qpu_saving(u, server, ratio) > 0.0
-                ):
-                    qpu = evaluator.user_cost(u, server, ratio, use_qpu=True).cost
-                    if qpu < best[0]:
-                        best = (qpu, server, ratio, 1)
-        _, servers[u], ratios[u], indicators[u] = best
+        server, rest = divmod(int(np.argmin(options[u])), 4)
+        ratio, indicators[u] = divmod(rest, 2)
+        servers[u], ratios[u] = server, float(ratio)
         if indicators[u]:
-            slot_free[servers[u]] = False
+            options[:, server, :, 1] = np.inf  # the slot is consumed
     return JointAction(
         server_choice=tuple(servers),
         local_ratio=tuple(ratios),
@@ -148,23 +141,13 @@ def solve_exhaustive(
         )
 
     # Endpoint costs per (user, server, path); the ratio-1 cost is path- and
-    # server-independent (nothing is offloaded).
-    local_only = [
-        evaluator.user_cost(u, 0, 1.0, use_qpu=False).cost for u in range(num_users)
-    ]
-    cpu_full = [
-        [evaluator.user_cost(u, e, 0.0, use_qpu=False).cost for e in range(num_servers)]
-        for u in range(num_users)
-    ]
-    qpu_full = [
-        [
-            evaluator.user_cost(u, e, 0.0, use_qpu=True).cost
-            if evaluator.eligible[u][e]
-            else math.inf
-            for e in range(num_servers)
-        ]
-        for u in range(num_users)
-    ]
+    # server-independent (nothing is offloaded).  The hot loop below reads
+    # plain lists: indexing numpy arrays element by element is far slower.
+    endpoints = evaluator.endpoint_costs()
+    local_only = endpoints[:, 0, 1, 0].tolist()
+    cpu_full = endpoints[:, :, 0, 0].tolist()
+    qpu_full = np.where(evaluator.eligible, endpoints[:, :, 0, 1], math.inf).tolist()
+    eligible = evaluator.eligible.tolist()
 
     best_cost = math.inf
     best_key = None
@@ -177,7 +160,7 @@ def solve_exhaustive(
                 candidates += [
                     u
                     for u, choice in enumerate(assignment)
-                    if choice == server and evaluator.eligible[u][server]
+                    if choice == server and eligible[u][server]
                 ]
             grant_options.append(candidates)
         for grants in itertools.product(*grant_options):
@@ -282,18 +265,8 @@ def evaluate(
         obs = env.reset()
         result = env.step(policy.act(env.scenario, obs, rng))
         costs.append(-result.reward)
-        latency_parts.append(
-            sum(
-                entry.profile.weight_latency * b.latency_total
-                for entry, b in zip(env.scenario.users, result.breakdowns)
-            )
-        )
-        energy_parts.append(
-            sum(
-                entry.profile.weight_energy * b.energy_total
-                for entry, b in zip(env.scenario.users, result.breakdowns)
-            )
-        )
+        latency_parts.append(result.latency_cost)
+        energy_parts.append(result.energy_cost)
         grants += sum(result.indicators)
         success_sum += sum(result.success_probs) / env.num_users
     return EvalStats(

@@ -172,6 +172,28 @@ class TestRunSweep:
         parallel = run_sweep(tiny_sweep_config(workers=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize("runner", ["sweep", "eval"])
+    def test_checkpoint_loaded_once_per_run(self, runner, tmp_path, monkeypatch):
+        import meqc.bench
+
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        save_checkpoint(tmp_path / "agents.npz", train(gen_scenario(2, 2, seed=0), cfg, 0).agents)
+        loads = []
+        real_load = meqc.bench.load_checkpoint
+        monkeypatch.setattr(
+            meqc.bench, "load_checkpoint", lambda path: loads.append(path) or real_load(path)
+        )
+        cfg = parse_config(
+            "scenario: {users: 2, servers: 2}\n"
+            "sweep: {parameter: edge_cpu, values: [10.0e9, 15.0e9, 20.0e9]}\n"
+            f"policies: [trained, local]\ncheckpoint: {tmp_path / 'agents.npz'}\n"
+            "episodes: 1\nseeds: [0, 1, 2]\n"
+        )
+        rows = run_sweep(cfg) if runner == "sweep" else run_eval(cfg)
+        assert len(rows) == (18 if runner == "sweep" else 6)
+        assert len(loads) == 1
+
     def test_eval_rows(self):
         cfg = parse_config(
             "scenario: {users: 2, servers: 2}\npolicies: [local]\nepisodes: 1\n"
@@ -277,6 +299,35 @@ class TestCli:
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
         assert "checkpoint" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("edge_cpu", "-5"), ("weight_latency", "1.5"), ("decoherence_time", "0"),
+         ("physical_qubits", "2.5")],
+    )
+    def test_out_of_domain_sweep_value(self, parameter, value, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 2, servers: 2}\n"
+            "policies: [local]\n"
+            f"sweep:\n  parameter: {parameter}\n  values: [{value}]\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep.values (line 5): {parameter} must be" in err
+        assert not out.exists()
+
+    def test_zero_physical_qubits_sweep_runs(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 2, servers: 2}\n"
+            "sweep: {parameter: physical_qubits, values: [0]}\n"
+            "policies: [greedy]\nepisodes: 1\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert load_csv(out)[0]["qpu_grant_rate"] == 0.0
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "bad.yaml"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from meqc.costs import (
+    CostBreakdown,
     JointAction,
     QuantumTaskSpec,
     ScenarioEvaluator,
@@ -19,12 +20,16 @@ from meqc.costs import (
     edge_quantum_cost,
     local_cost,
     quantum_feasible,
+    sum_over_users,
     total_cost,
     transmission_cost,
     uplink_rate,
 )
 from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
+from meqc.device import physical_error_rate, success_probability
 from meqc.workload import gen_scenario
+
+from test_env import craft_scenario
 
 CHIP = 1e-11
 
@@ -363,3 +368,132 @@ class TestCostProperties:
             b = evaluator.user_cost(u, e, ratio, use_qpu=False)
             assert math.isfinite(b.cost) and b.cost >= 0.0
             assert b.latency_total >= 0.0 and b.energy_total >= 0.0
+
+
+def spec_user_cost(scenario, u, server, ratio, use_qpu):
+    """One user's full cost composed from the scalar spec functions alone."""
+    entry = scenario.users[u]
+    chip = scenario.chip_energy_per_cycle
+    target = scenario.servers[server]
+    local = local_cost(entry.profile, entry.task, ratio, chip)
+    if use_qpu:
+        stages = cryostat_stages(scenario.cryostat)
+        remote = edge_quantum_cost(
+            entry.profile, target, server, entry.quantum_task, ratio,
+            logical_resources(target.concat_level),
+            gate_power_profile(scenario.cryostat, scenario.qubit_tech, stages),
+            scenario.qubit_tech,
+        )
+    else:
+        remote = edge_classical_cost(entry.profile, target, server, entry.task, ratio, chip)
+    return dataclasses.replace(
+        remote,
+        latency_local=local.latency_local,
+        energy_local=local.energy_local,
+        cost=local.cost + remote.cost,
+    )
+
+
+KERNEL_SCENARIOS = {
+    "gen_4x3_seed0": lambda: gen_scenario(4, 3, seed=0),
+    "gen_5x2_seed7": lambda: gen_scenario(5, 2, seed=7),
+    "gen_3x4_seed31": lambda: gen_scenario(3, 4, seed=31),
+    "crafted_qpu": lambda: craft_scenario(
+        num_servers=3, quotas=(54, 54, 0), data_sizes=(1e3, 2e3, 5e2), levels=[1, 2, 3]
+    ),
+}
+
+
+class TestKernelMatchesSpec:
+    """The array kernel is bit-identical (``==``) to the scalar spec functions."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
+    def test_user_cost_every_field(self, name):
+        scenario = KERNEL_SCENARIOS[name]()
+        evaluator = ScenarioEvaluator(scenario)
+        rng = np.random.default_rng(3)
+        ratios = [0.0, 1.0] + [float(r) for r in rng.uniform(0, 1, size=6)]
+        for u in range(evaluator.num_users):
+            for e in range(evaluator.num_servers):
+                for ratio in ratios:
+                    for use_qpu in (False, True):
+                        got = evaluator.user_cost(u, e, ratio, use_qpu)
+                        want = spec_user_cost(scenario, u, e, ratio, use_qpu)
+                        assert got == want, (u, e, ratio, use_qpu)
+                    cpu = spec_user_cost(scenario, u, e, ratio, False).cost
+                    qpu = spec_user_cost(scenario, u, e, ratio, True).cost
+                    assert evaluator.qpu_saving(u, e, ratio) == cpu - qpu
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
+    def test_tables_match_scalar_functions(self, name):
+        scenario = KERNEL_SCENARIOS[name]()
+        evaluator = ScenarioEvaluator(scenario)
+        err = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
+        for u, entry in enumerate(scenario.users):
+            for e, server in enumerate(scenario.servers):
+                assert evaluator.rate[u, e] == uplink_rate(entry.profile, server, e)
+                success = success_probability(
+                    entry.quantum_task.logical_qubits, entry.quantum_task.logical_depth,
+                    server.concat_level, err, scenario.error_threshold,
+                )
+                assert evaluator.success[u, e] == success
+                assert evaluator.eligible[u, e] == quantum_feasible(
+                    entry.quantum_task, entry.profile, success
+                )
+
+    def test_crafted_instance_has_eligible_pairs(self):
+        evaluator = ScenarioEvaluator(KERNEL_SCENARIOS["crafted_qpu"]())
+        assert evaluator.eligible[:2].any() and not evaluator.eligible[2].any()
+        assert evaluator.qpu_saving(0, 1, 0.0) > 0.0
+
+    def test_total_is_user_order_sum_of_spec(self):
+        scenario = gen_scenario(9, 3, seed=2)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            action = JointAction(
+                tuple(int(s) for s in rng.integers(0, 3, size=9)),
+                tuple(float(r) for r in rng.uniform(0, 1, size=9)),
+                (0,) * 9,
+            )
+            cost, breakdowns = total_cost(scenario, action)
+            want = [
+                spec_user_cost(scenario, u, action.server_choice[u], action.local_ratio[u], False)
+                for u in range(9)
+            ]
+            assert breakdowns == tuple(want)
+            assert cost == sum(b.cost for b in want)
+
+    @pytest.mark.parametrize("users", [1, 7, 8, 9, 64, 257])
+    def test_sum_over_users_adds_in_user_order(self, users):
+        values = np.random.default_rng(users).lognormal(0.0, 3.0, size=(4, users))
+        sums = sum_over_users(values)
+        for row, total in zip(values, sums):
+            assert total == sum(row.tolist())
+
+    def test_batch_shapes_broadcast(self):
+        scenario = gen_scenario(4, 3, seed=5)
+        evaluator = ScenarioEvaluator(scenario)
+        servers = np.array([[0, 1, 2, 0], [2, 2, 1, 1]])
+        ratios = np.array([[0.0, 0.3, 1.0, 0.7], [0.5, 0.0, 0.25, 1.0]])
+        batch = evaluator.breakdown(servers, ratios, False)
+        for b in range(2):
+            for u in range(4):
+                want = evaluator.user_cost(u, int(servers[b, u]), float(ratios[b, u]), False)
+                assert batch.cost[b, u] == want.cost
+                assert batch.latency_total[b, u] == want.latency_total
+
+    def test_dead_link_raises_only_when_data_is_sent(self):
+        scenario = gen_scenario(2, 2, seed=1)
+        entry = scenario.users[1]
+        dead = dataclasses.replace(
+            entry, profile=dataclasses.replace(entry.profile, channel_gains=(6.0, 1e-30))
+        )
+        scenario = dataclasses.replace(scenario, users=(scenario.users[0], dead))
+        evaluator = ScenarioEvaluator(scenario)
+        assert evaluator.rate[1, 1] == 0.0
+        with pytest.raises(ValueError, match="link to server 1 carries no data"):
+            spec_user_cost(scenario, 1, 1, 0.5, False)
+        with pytest.raises(ValueError, match="link to server 1 carries no data"):
+            evaluator.user_cost(1, 1, 0.5, False)
+        assert evaluator.user_cost(1, 1, 1.0, False) == spec_user_cost(scenario, 1, 1, 1.0, False)
+        assert evaluator.user_cost(0, 1, 0.5, True) == spec_user_cost(scenario, 0, 1, 0.5, True)

@@ -15,8 +15,10 @@ from meqc.costs import (
     total_cost,
 )
 from meqc.env import (
+    ARBITRATION_RULES,
     MeqcEnv,
     build_observation,
+    grant_mask,
     observation_length,
     resolve_quantum_allocation,
 )
@@ -217,3 +219,143 @@ class TestStep:
         assert env2.step([actions[p] for p in perm]).reward == pytest.approx(
             base, rel=1e-12
         )
+
+
+def rowwise_step_rewards(env, servers, ratios):
+    return [
+        env.step(list(zip(row_servers, row_ratios))).reward
+        for row_servers, row_ratios in zip(servers.tolist(), ratios.tolist())
+    ]
+
+
+def reference_allocation(evaluator, server_choice, local_ratio, rule):
+    """The per-server scalar arbitration loop that ``grant_mask`` vectorises."""
+    indicators = [0] * len(server_choice)
+    for server in range(evaluator.num_servers):
+        candidates = [
+            u
+            for u, choice in enumerate(server_choice)
+            if choice == server and evaluator.eligible[u][server]
+        ]
+        if not candidates:
+            continue
+        if rule == "max_saving":
+            winner = max(
+                candidates,
+                key=lambda u: (evaluator.qpu_saving(u, server, local_ratio[u]), -u),
+            )
+        else:
+            winner = candidates[0]
+        indicators[winner] = 1
+    return tuple(indicators)
+
+
+class TestBatchedRewards:
+    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_scenario(6, 3, seed=12),
+            lambda: gen_scenario(10, 4, seed=3),
+            lambda: craft_scenario(
+                num_servers=2, quotas=(54, 54, 54), data_sizes=(1e3, 2e3, 1.5e3)
+            ),
+        ],
+        ids=["gen_6x3", "gen_10x4", "crafted"],
+    )
+    def test_rows_equal_step_rewards(self, make, rule):
+        scenario = make()
+        env = MeqcEnv(scenario, arbitration=rule)
+        users, servers = env.num_users, env.num_servers
+        rng = np.random.default_rng(8)
+        batch_servers = rng.integers(0, servers, size=(64, users))
+        # out-of-range ratios exercise the clamp; exact endpoints the grants
+        batch_ratios = rng.choice([-0.5, 0.0, 0.25, 0.6, 1.0, 1.5], size=(64, users))
+        batch_ratios[::2] = rng.uniform(0, 1, size=(32, users))
+        rewards = env.rewards(batch_servers, batch_ratios)
+        assert rewards.shape == (64,)
+        assert rewards.tolist() == rowwise_step_rewards(env, batch_servers, batch_ratios)
+
+    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    def test_grants_match_reference_loop(self, rule):
+        scenario = craft_scenario(
+            num_servers=3, quotas=(54, 54, 0, 54, 54), data_sizes=(1e3, 2e3, 1e3, 1e3, 3e3)
+        )
+        evaluator = ScenarioEvaluator(scenario)
+        rng = np.random.default_rng(21)
+        servers = rng.integers(0, 3, size=(200, 5))
+        ratios = rng.choice([0.0, 0.5, 1.0], size=(200, 5))
+        ratios[::2] = rng.uniform(0, 1, size=(100, 5))
+        grants = grant_mask(evaluator, servers, ratios, rule).astype(int)
+        for row in range(200):
+            want = reference_allocation(
+                evaluator, servers[row].tolist(), ratios[row].tolist(), rule
+            )
+            assert tuple(grants[row].tolist()) == want, row
+
+    def test_crafted_batch_makes_grants(self):
+        scenario = craft_scenario(
+            num_servers=2, quotas=(54, 54, 54), data_sizes=(1e3, 2e3, 1.5e3)
+        )
+        evaluator = ScenarioEvaluator(scenario)
+        rng = np.random.default_rng(8)
+        servers = rng.integers(0, 2, size=(64, 3))
+        grants = grant_mask(evaluator, servers, np.zeros((64, 3)))
+        assert grants.any()
+        for row in range(64):
+            for server in range(2):
+                assert grants[row][servers[row] == server].sum() <= 1
+
+    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    def test_tie_goes_to_lowest_index(self, rule):
+        scenario = craft_scenario(quotas=(54, 54, 54), data_sizes=(1e3, 1e3, 1e3))
+        env = MeqcEnv(scenario, arbitration=rule)
+        servers = np.array([[0, 0, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]])
+        ratios = np.zeros((4, 3))
+        grants = grant_mask(env.evaluator, servers, ratios, rule)
+        assert grants.astype(int).tolist() == [
+            [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 0]
+        ]
+        assert env.rewards(servers, ratios).tolist() == rowwise_step_rewards(
+            env, servers, ratios
+        )
+        assert env.step([(0, 0.0)] * 3).indicators == (1, 0, 0)
+
+    def test_batch_checks_shape_and_servers(self):
+        env = MeqcEnv(gen_scenario(2, 2, seed=0))
+        with pytest.raises(ValueError, match="expected 2 actions"):
+            env.rewards([[0, 1, 0]], [[0.5, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="user 1 picked unknown server 2"):
+            env.rewards([[0, 1], [0, 2]], [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_step_splits_cost_into_weighted_parts(self):
+        scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
+        env = MeqcEnv(scenario)
+        result = env.step([(0, 0.0), (0, 0.3)])
+        assert result.indicators == (0, 1)
+        _, breakdowns = total_cost(scenario, result.action)
+        assert result.latency_cost == sum(
+            entry.profile.weight_latency * b.latency_total
+            for entry, b in zip(scenario.users, breakdowns)
+        )
+        assert result.energy_cost == sum(
+            entry.profile.weight_energy * b.energy_total
+            for entry, b in zip(scenario.users, breakdowns)
+        )
+
+    def test_observations_built_once_per_scenario(self, monkeypatch):
+        import meqc.env
+
+        calls = []
+        real = meqc.env.build_observation
+        monkeypatch.setattr(
+            meqc.env, "build_observation", lambda s, u: calls.append(u) or real(s, u)
+        )
+        env = MeqcEnv(gen_scenario(3, 2, seed=0))
+        first = env.reset()
+        env.reset()
+        assert len(calls) == 3
+        with pytest.raises(ValueError):
+            first[0][0] = 1.0  # shared between resets, so read-only
+        MeqcEnv(gen_scenario(3, 2, seed=0), redraw_tasks=True).reset()
+        assert len(calls) == 3 + 3

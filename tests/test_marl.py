@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import meqc.marl as marl
+from meqc.env import MeqcEnv
 from meqc.marl import (
     HybridAgent,
     LearnedPolicy,
@@ -260,6 +261,26 @@ class TestTrain:
         agents = 3
         assert counts["rollout"] == 4 * agents * cfg.epochs
         assert counts["update"] == 4 * agents * cfg.epochs * cfg.updates_per_epoch
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
+    def test_epoch_scored_in_one_batch(self, monkeypatch, redraw):
+        calls = {"step": 0, "rewards": []}
+        real_rewards = MeqcEnv.rewards
+
+        def counting_step(self, actions):
+            calls["step"] += 1
+            raise AssertionError("train must not call MeqcEnv.step")
+
+        def counting_rewards(self, servers, ratios):
+            calls["rewards"].append(len(servers))
+            return real_rewards(self, servers, ratios)
+
+        monkeypatch.setattr(MeqcEnv, "step", counting_step)
+        monkeypatch.setattr(MeqcEnv, "rewards", counting_rewards)
+        cfg = self.smoke_config(redraw_tasks=redraw)
+        train(gen_scenario(3, 2, seed=0), cfg, seed=0)
+        assert calls["step"] == 0
+        assert calls["rewards"] == [cfg.steps_per_epoch] * cfg.epochs
 
     def test_curve_finite_and_complete(self):
         scenario = gen_scenario(2, 2, seed=1)

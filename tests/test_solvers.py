@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from meqc.costs import ScenarioEvaluator, local_cost, total_cost
+from meqc.costs import JointAction, ScenarioEvaluator, local_cost, total_cost
 from meqc.solvers import (
     BaselinePolicy,
     InstanceTooLargeError,
@@ -56,7 +56,76 @@ class TestBaselines:
             solve_baseline(PolicyKind.RANDOM, gen_scenario(1, 1, seed=0))
 
 
+def reference_greedy(scenario):
+    """The scalar greedy loop that ``solve_greedy`` vectorises, kept as its spec."""
+    evaluator = ScenarioEvaluator(scenario)
+    num_users = evaluator.num_users
+    num_servers = evaluator.num_servers
+    order = sorted(
+        range(num_users),
+        key=lambda u: (
+            -scenario.users[u].task.data_size * scenario.users[u].task.cycles_per_byte,
+            u,
+        ),
+    )
+    servers = [0] * num_users
+    ratios = [1.0] * num_users
+    indicators = [0] * num_users
+    slot_free = [True] * num_servers
+    for u in order:
+        best = None
+        for server in range(num_servers):
+            for ratio in (0.0, 1.0):
+                cpu = evaluator.user_cost(u, server, ratio, use_qpu=False).cost
+                if best is None or cpu < best[0]:
+                    best = (cpu, server, ratio, 0)
+                if (
+                    slot_free[server]
+                    and evaluator.eligible[u][server]
+                    and evaluator.qpu_saving(u, server, ratio) > 0.0
+                ):
+                    qpu = evaluator.user_cost(u, server, ratio, use_qpu=True).cost
+                    if qpu < best[0]:
+                        best = (qpu, server, ratio, 1)
+        _, servers[u], ratios[u], indicators[u] = best
+        if indicators[u]:
+            slot_free[servers[u]] = False
+    return JointAction(
+        server_choice=tuple(servers),
+        local_ratio=tuple(ratios),
+        quantum_indicator=tuple(indicators),
+    )
+
+
+GRANTING_INSTANCES = {
+    "one_qpu_four_users": dict(
+        num_servers=1, quotas=(54,) * 4, data_sizes=(1e3, 2e3, 3e3, 4e3)
+    ),
+    "two_servers_ties": dict(num_servers=2, quotas=(54,) * 5, data_sizes=(1e3,) * 5),
+    "mixed_levels": dict(
+        num_servers=3, quotas=(54, 0, 54, 54, 54), data_sizes=(3e3, 1e3, 2e3, 2e3, 5e2),
+        levels=[1, 2, 3],
+    ),
+    "fast_edge_cpu": dict(
+        num_servers=2, quotas=(54, 54, 54), data_sizes=(1e3, 2e3, 3e3), edge_cpu=1e9
+    ),
+}
+
+
 class TestGreedy:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_on_default_instances(self, seed):
+        scenario = gen_scenario(10, 10, seed=seed)
+        assert solve_greedy(scenario) == reference_greedy(scenario)
+
+    @pytest.mark.parametrize("name", sorted(GRANTING_INSTANCES))
+    def test_matches_reference_where_grants_happen(self, name):
+        scenario = craft_scenario(**GRANTING_INSTANCES[name])
+        action = solve_greedy(scenario)
+        assert action == reference_greedy(scenario)
+        if name != "fast_edge_cpu":
+            assert sum(action.quantum_indicator) >= 1
+
     def test_single_user_matches_oracle(self):
         for seed in range(10):
             scenario = gen_scenario(1, 3, seed=seed)
