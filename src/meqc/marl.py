@@ -428,7 +428,7 @@ def train(
             if checkpoint_path is not None:
                 for agent, params in zip(agents, last_good):
                     agent.set_flat_params(params)
-                save_checkpoint(checkpoint_path, agents, scenario_seed=scenario.rng_seed)
+                save_checkpoint(checkpoint_path, agents)
             raise
         last_good = [agent.flat_params() for agent in agents]
 
@@ -445,7 +445,7 @@ def train(
     if curve_path is not None:
         write_learning_curve(curve_path, result.curve)
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, agents, scenario_seed=scenario.rng_seed)
+        save_checkpoint(checkpoint_path, agents)
     return result
 
 
@@ -465,7 +465,7 @@ def write_learning_curve(path: str | Path, curve: list[dict]) -> None:
             )
 
 
-def save_checkpoint(path: str | Path, agents: list[HybridAgent], **meta) -> None:
+def save_checkpoint(path: str | Path, agents: list[HybridAgent]) -> None:
     """Versioned dump of every agent's parameter vectors plus shape metadata."""
     arrays = {
         f"agent{i}.{name}": vec
@@ -480,7 +480,6 @@ def save_checkpoint(path: str | Path, agents: list[HybridAgent], **meta) -> None
         obs_dim=first.obs_dim,
         num_servers=first.num_servers,
         hidden_units=first.hidden,
-        **{k: np.float64(v) for k, v in meta.items()},
         **arrays,
     )
 

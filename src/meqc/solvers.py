@@ -1,17 +1,18 @@
 """Non-learning offloading policies.
 
 Four baselines (all-local, uniform random, random server with full
-offload, centralized greedy) and an exhaustive oracle.  The oracle
-exploits that each user's cost is affine in its local ratio once the
-server and QPU grant are fixed, so only the ratio endpoints {0, 1} need
-enumerating; the grid cross-check guarding that lemma lives in the test
-suite.
+offload, centralized greedy) and an exact oracle, ``solve_exhaustive``
+(named for the enumeration it replaced; the name is kept for its
+callers).  The oracle exploits that each user's cost is affine in its
+local ratio once the server and QPU grant are fixed, so only the ratio
+endpoints {0, 1} matter, and that users decouple once the grants are
+fixed, so the grants are one maximum-weight user-server matching.  The
+grid cross-check guarding the endpoint lemma and the enumeration the
+oracle is checked against live in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -19,16 +20,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .costs import JointAction, ScenarioEvaluator
+from .costs import JointAction, ScenarioEvaluator, sum_over_users
 from .env import MeqcEnv, resolve_quantum_allocation
 from .workload import Scenario
-
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
-
-
-class InstanceTooLargeError(RuntimeError):
-    """Raised when exhaustive enumeration would exceed its budget."""
-
 
 class PolicyKind(str, Enum):
     LOCAL = "local"
@@ -46,34 +40,36 @@ def solve_baseline(
     local: keep everything on-device.  random: uniform server and uniform
     ratio per user.  random_cloud: uniform server, full offload.  greedy:
     see ``solve_greedy``.  Indicators of the first three are resolved with
-    the environment's allocation rule so the returned action is exactly
-    what would execute.
+    the environment's default ``max_saving`` allocation rule so the returned
+    action is exactly what would execute.
     """
     kind = PolicyKind(kind)
-    num_users = len(scenario.users)
-    num_servers = len(scenario.servers)
     if kind is PolicyKind.GREEDY:
         return solve_greedy(scenario)
     if kind is PolicyKind.ORACLE:
         return solve_exhaustive(scenario)[0]
-    if kind is PolicyKind.LOCAL:
-        servers = [0] * num_users
-        ratios = [1.0] * num_users
-    else:
-        if rng is None:
-            raise ValueError(f"{kind.value} baseline needs an rng")
-        servers = [int(s) for s in rng.integers(0, num_servers, size=num_users)]
-        if kind is PolicyKind.RANDOM:
-            ratios = [float(r) for r in rng.uniform(0.0, 1.0, size=num_users)]
-        else:  # RANDOM_CLOUD
-            ratios = [0.0] * num_users
-    evaluator = ScenarioEvaluator(scenario)
-    indicators = resolve_quantum_allocation(evaluator, servers, ratios)
+    servers, ratios = _decisions(kind, scenario, rng)
+    indicators = resolve_quantum_allocation(ScenarioEvaluator(scenario), servers, ratios)
     return JointAction(
         server_choice=tuple(servers),
         local_ratio=tuple(ratios),
         quantum_indicator=indicators,
     )
+
+
+def _decisions(
+    kind: PolicyKind, scenario: Scenario, rng: np.random.Generator | None
+) -> tuple[list[int], list[float]]:
+    """(server, ratio) per user of the local and random baselines, before arbitration."""
+    num_users = len(scenario.users)
+    if kind is PolicyKind.LOCAL:
+        return [0] * num_users, [1.0] * num_users
+    if rng is None:
+        raise ValueError(f"{kind.value} baseline needs an rng")
+    servers = [int(s) for s in rng.integers(0, len(scenario.servers), size=num_users)]
+    if kind is PolicyKind.RANDOM:
+        return servers, [float(r) for r in rng.uniform(0.0, 1.0, size=num_users)]
+    return servers, [0.0] * num_users  # RANDOM_CLOUD
 
 
 def solve_greedy(scenario: Scenario) -> JointAction:
@@ -117,75 +113,80 @@ def solve_greedy(scenario: Scenario) -> JointAction:
 
 
 def solve_exhaustive(
-    scenario: Scenario,
-    *,
-    allow_quantum: bool = True,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    scenario: Scenario, *, allow_quantum: bool = True
 ) -> tuple[JointAction, float]:
-    """Globally minimal joint action by enumeration.
+    """Globally minimal joint action and its cost, exact at every size.
 
-    Enumerates every server assignment and, per server, every choice of at
-    most one feasible QPU grant; each user's ratio is then optimized over
-    the endpoints {0, 1}, which is exact because the cost is affine in the
-    ratio at fixed assignment and grant.  Ties break lexicographically on
-    (assignment, grants, ratios).  ``allow_quantum=False`` restricts the
-    search to CPU-only execution.
+    The name is kept for its callers; nothing is enumerated.  Only the
+    ratio endpoints {0, 1} matter (ratio 0 when full offload is no dearer
+    than local), and users decouple once grants are fixed.  So each user
+    takes its best CPU-or-local cost ``c[u]`` at the first cheapest server,
+    and the grants are a maximum-weight user-server matching on the
+    strictly positive savings ``c[u] - g[u, e]`` (``g``: QPU cost, eligible
+    pairs only).  ``allow_quantum=False`` allows no grant.
+
+    Tie rule: a unique optimum is the action enumeration found (the
+    lexicographically smallest (assignment, grants, ratios)).  Exact ties
+    come only from duplicate servers or users; there the matching's pick
+    is returned.  Five identical users on two identical QPU servers get
+    servers (0, 1, 0, 0, 0) and grants (1, 1, 0, 0, 0), where enumeration
+    picked (0, 0, 0, 0, 1) and (0, 0, 0, 1, 1) at the same cost.
     """
     evaluator = ScenarioEvaluator(scenario)
-    num_users = evaluator.num_users
-    num_servers = evaluator.num_servers
-    if num_servers**num_users * 2**num_users > budget:
-        raise InstanceTooLargeError(
-            f"{num_users} users x {num_servers} servers exceeds the "
-            f"enumeration budget of {budget}"
-        )
-
-    # Endpoint costs per (user, server, path); the ratio-1 cost is path- and
-    # server-independent (nothing is offloaded).  The hot loop below reads
-    # plain lists: indexing numpy arrays element by element is far slower.
+    users = evaluator.user_index
     endpoints = evaluator.endpoint_costs()
-    local_only = endpoints[:, 0, 1, 0].tolist()
-    cpu_full = endpoints[:, :, 0, 0].tolist()
-    qpu_full = np.where(evaluator.eligible, endpoints[:, :, 0, 1], math.inf).tolist()
-    eligible = evaluator.eligible.tolist()
+    local = endpoints[:, 0, 1, 0]  # nothing offloaded: the same at every server
+    cpu = np.minimum(endpoints[:, :, 0, 0], local[:, None])
+    servers = np.argmin(cpu, axis=1)
+    saving = cpu[users, servers][:, None] - np.minimum(endpoints[:, :, 0, 1], local[:, None])
+    saving = np.where(evaluator.eligible & (saving > 0.0) & allow_quantum, saving, 0.0)
+    grants = np.zeros(evaluator.num_users, dtype=bool)
+    for server, u in _max_weight_matching(saving.T):
+        servers[u], grants[u] = server, True
+    full = endpoints[users, servers, 0, grants.astype(int)]
+    ratios = np.where(full <= local, 0.0, 1.0)
+    action = JointAction(*(tuple(a.tolist()) for a in (servers, ratios, grants.astype(int))))
+    return action, float(sum_over_users(np.minimum(full, local)))
 
-    best_cost = math.inf
-    best_key = None
-    best_action = None
-    for assignment in itertools.product(range(num_servers), repeat=num_users):
-        grant_options = []
-        for server in range(num_servers):
-            candidates = [None]
-            if allow_quantum:
-                candidates += [
-                    u
-                    for u, choice in enumerate(assignment)
-                    if choice == server and eligible[u][server]
-                ]
-            grant_options.append(candidates)
-        for grants in itertools.product(*grant_options):
-            granted = {u for u in grants if u is not None}
-            cost = 0.0
-            ratios = []
-            for u, server in enumerate(assignment):
-                full = qpu_full[u][server] if u in granted else cpu_full[u][server]
-                if full <= local_only[u]:
-                    cost += full
-                    ratios.append(0.0)
-                else:
-                    cost += local_only[u]
-                    ratios.append(1.0)
-            indicators = tuple(1 if u in granted else 0 for u in range(num_users))
-            key = (assignment, indicators, tuple(ratios))
-            if cost < best_cost or (cost == best_cost and key < best_key):
-                best_cost = cost
-                best_key = key
-                best_action = JointAction(
-                    server_choice=assignment,
-                    local_ratio=tuple(ratios),
-                    quantum_indicator=indicators,
-                )
-    return best_action, best_cost
+
+def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
+    """(row, column) pairs of a maximum-weight matching of a non-negative matrix.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant
+    1987; rectangular form of Crouse 2016) on ``-weights`` plus one zero
+    column per row, so any row may stay unmatched; zero-weight pairs are
+    not returned.  Rows are matched in index order, a numpy pass per step.
+    Among equally short paths a free column (lowest index first) ends the
+    search, so a row with nothing to gain stops after one step.
+    """
+    num_rows = len(weights)
+    padded = np.hstack([weights, np.zeros((num_rows, num_rows))])
+    width = padded.shape[1]
+    u, v = np.zeros(num_rows), np.zeros(width)
+    col4row, row4col = np.full(num_rows, -1), np.full(width, -1)
+    for start in range(num_rows):
+        shortest, path = np.full(width, np.inf), np.full(width, -1)
+        unscanned = np.ones(width, dtype=bool)
+        i, min_val = start, 0.0
+        while True:
+            reduced = min_val - padded[i] - u[i] - v
+            better = unscanned & (reduced < shortest)
+            path[better], shortest[better] = i, reduced[better]
+            candidates = np.where(unscanned, shortest, np.inf)
+            j = int(np.lexsort((row4col >= 0, candidates))[0])
+            min_val, unscanned[j] = candidates[j], False
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        done = ~unscanned & (row4col >= 0)  # columns whose rows the search passed
+        u[start] += min_val
+        u[row4col[done]] += min_val - shortest[done]
+        v[~unscanned] -= min_val - shortest[~unscanned]
+        while j >= 0:  # augment back along the path; col4row[start] is -1
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return [(r, int(c)) for r, c in enumerate(col4row) if padded[r, c] > 0.0]
 
 
 class Policy(Protocol):
@@ -207,23 +208,23 @@ class Policy(Protocol):
 class BaselinePolicy:
     """Adapter that replays a baseline solution through the environment.
 
-    Deterministic baselines are solved once per scenario and replayed;
-    the random baselines redraw on every step.  Solutions are submitted
-    as complete joint actions, so a solver's grant schedule is what runs.
+    Deterministic baselines are solved once per scenario and submitted as
+    complete joint actions, so a solver's grant schedule is what runs.  The
+    random baselines redraw on every step and submit raw (server, ratio)
+    pairs; the environment's default ``max_saving`` arbitration grants the
+    QPUs exactly as ``solve_baseline`` does.
     """
 
     def __init__(self, kind: PolicyKind):
         self.kind = PolicyKind(kind)
-        self._cached: JointAction | None = None
-        self._cached_for: Scenario | None = None
+        self._solved: tuple[Scenario, JointAction] | None = None
 
     def act(self, scenario, observations, rng):
         if self.kind in (PolicyKind.RANDOM, PolicyKind.RANDOM_CLOUD):
-            return solve_baseline(self.kind, scenario, rng)
-        if self._cached is None or self._cached_for is not scenario:
-            self._cached = solve_baseline(self.kind, scenario, rng)
-            self._cached_for = scenario
-        return self._cached
+            return list(zip(*_decisions(self.kind, scenario, rng)))
+        if self._solved is None or self._solved[0] is not scenario:
+            self._solved = (scenario, solve_baseline(self.kind, scenario, rng))
+        return self._solved[1]
 
 
 @dataclass(frozen=True)

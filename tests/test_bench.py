@@ -259,6 +259,13 @@ class TestCli:
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_text().startswith(",".join(CSV_COLUMNS))
 
+    def test_eval_defaults_run(self, tmp_path):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--out", str(out)]) == 0
+        policies = [row["policy"] for row in load_csv(out)]
+        assert len(policies) == 5 and "oracle" in policies
+        assert sorted(policies) == sorted(parse_config("").policies)
+
     def test_sweep_verb(self, tmp_path):
         config = tmp_path / "cfg.yaml"
         config.write_text(

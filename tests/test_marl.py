@@ -340,14 +340,19 @@ class TestCheckpoint:
         result = train(scenario, cfg, seed=9)
         path = tmp_path / "agents.npz"
         save_checkpoint(path, result.agents)
-        restored = load_checkpoint(path)
+        # older checkpoints also carry an unread scenario_seed entry
+        older = tmp_path / "older.npz"
+        with np.load(path) as data:
+            assert "scenario_seed" not in data
+            np.savez(older, **data, scenario_seed=np.float64(0))
         obs = np.full(12, 0.4)
-        for a, b in zip(result.agents, restored):
-            assert a.greedy_action(obs) == b.greedy_action(obs)
-            for name in a.nets:
-                assert np.array_equal(
-                    a.nets[name].flat_params(), b.nets[name].flat_params()
-                )
+        for restored in (load_checkpoint(path), load_checkpoint(older)):
+            for a, b in zip(result.agents, restored, strict=True):
+                assert a.greedy_action(obs) == b.greedy_action(obs)
+                for name in a.nets:
+                    assert np.array_equal(
+                        a.nets[name].flat_params(), b.nets[name].flat_params()
+                    )
 
     def test_schema_version_checked(self, tmp_path):
         scenario = gen_scenario(1, 1, seed=0)

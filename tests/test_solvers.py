@@ -1,15 +1,18 @@
 """Solver tests: baseline semantics, greedy bookkeeping, oracle optimality."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import meqc.costs
 from meqc.costs import JointAction, ScenarioEvaluator, local_cost, total_cost
 from meqc.solvers import (
     BaselinePolicy,
-    InstanceTooLargeError,
     PolicyKind,
+    _max_weight_matching,
     evaluate,
     solve_baseline,
     solve_exhaustive,
@@ -17,6 +20,7 @@ from meqc.solvers import (
 )
 from meqc.workload import gen_scenario
 
+from test_acceptance import instance_set
 from test_env import craft_scenario
 
 
@@ -161,6 +165,173 @@ class TestGreedy:
                 assert evaluator.qpu_saving(u, e, action.local_ratio[u]) > 0
 
 
+def reference_oracle(scenario, *, allow_quantum=True):
+    """The exhaustive enumeration that ``solve_exhaustive`` replaced, kept as its spec.
+
+    Enumerates every server assignment and, per server, every choice of at
+    most one feasible QPU grant; each user's ratio is then optimized over
+    the endpoints {0, 1}.  Ties break lexicographically on (assignment,
+    grants, ratios).  Runs in E^U * 2^U steps, so only small instances.
+    """
+    evaluator = ScenarioEvaluator(scenario)
+    num_users = evaluator.num_users
+    num_servers = evaluator.num_servers
+
+    # Endpoint costs per (user, server, path); the ratio-1 cost is path- and
+    # server-independent (nothing is offloaded).  The hot loop below reads
+    # plain lists: indexing numpy arrays element by element is far slower.
+    endpoints = evaluator.endpoint_costs()
+    local_only = endpoints[:, 0, 1, 0].tolist()
+    cpu_full = endpoints[:, :, 0, 0].tolist()
+    qpu_full = np.where(evaluator.eligible, endpoints[:, :, 0, 1], math.inf).tolist()
+    eligible = evaluator.eligible.tolist()
+
+    best_cost = math.inf
+    best_key = None
+    best_action = None
+    for assignment in itertools.product(range(num_servers), repeat=num_users):
+        grant_options = []
+        for server in range(num_servers):
+            candidates = [None]
+            if allow_quantum:
+                candidates += [
+                    u
+                    for u, choice in enumerate(assignment)
+                    if choice == server and eligible[u][server]
+                ]
+            grant_options.append(candidates)
+        for grants in itertools.product(*grant_options):
+            granted = {u for u in grants if u is not None}
+            cost = 0.0
+            ratios = []
+            for u, server in enumerate(assignment):
+                full = qpu_full[u][server] if u in granted else cpu_full[u][server]
+                if full <= local_only[u]:
+                    cost += full
+                    ratios.append(0.0)
+                else:
+                    cost += local_only[u]
+                    ratios.append(1.0)
+            indicators = tuple(1 if u in granted else 0 for u in range(num_users))
+            key = (assignment, indicators, tuple(ratios))
+            if cost < best_cost or (cost == best_cost and key < best_key):
+                best_cost = cost
+                best_key = key
+                best_action = JointAction(
+                    server_choice=assignment,
+                    local_ratio=tuple(ratios),
+                    quantum_indicator=indicators,
+                )
+    return best_action, best_cost
+
+
+def crafted_instance(rng, distinct_servers=True):
+    """A random QPU-favourable instance (see ``craft_scenario``).
+
+    Users get distinct data sizes; with ``distinct_servers`` every server
+    also gets its own bandwidth, so no two servers or users are duplicates.
+    """
+    num_users = int(rng.integers(1, 6))
+    num_servers = int(rng.integers(1, 5))
+    scenario = craft_scenario(
+        num_servers=num_servers,
+        quotas=tuple(int(q) for q in rng.choice([0, 54], p=[0.2, 0.8], size=num_users)),
+        data_sizes=tuple(float(d) for d in rng.uniform(2e2, 5e3, size=num_users)),
+        edge_cpu=float(rng.choice([1e3, 1e6, 1e9])),
+        levels=[int(lv) for lv in rng.integers(1, 4, size=num_servers)],
+    )
+    if not distinct_servers:
+        return scenario
+    bandwidths = rng.permutation(np.linspace(5e6, 40e6, 8))[:num_servers]
+    return dataclasses.replace(scenario, servers=tuple(
+        dataclasses.replace(server, bandwidth=float(bw))
+        for server, bw in zip(scenario.servers, bandwidths)
+    ))
+
+
+class TestOracleMatchesReference:
+    def test_acceptance_instances(self):
+        for scenario in instance_set():
+            assert solve_exhaustive(scenario) == reference_oracle(scenario)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            scenario = random_instance(rng)
+            assert solve_exhaustive(scenario) == reference_oracle(scenario)
+
+    def test_crafted_instances_with_distinct_servers(self):
+        rng = np.random.default_rng(42)
+        granting = 0
+        for _ in range(150):
+            scenario = crafted_instance(rng)
+            action, cost = solve_exhaustive(scenario)
+            assert (action, cost) == reference_oracle(scenario)
+            assert solve_exhaustive(scenario, allow_quantum=False) == reference_oracle(
+                scenario, allow_quantum=False
+            )
+            granting += any(action.quantum_indicator)
+        assert granting >= 50
+
+    def test_duplicate_servers_reach_the_same_cost(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            scenario = crafted_instance(rng, distinct_servers=False)
+            action, cost = solve_exhaustive(scenario)
+            _, reference_cost = reference_oracle(scenario)
+            assert cost == pytest.approx(reference_cost, rel=1e-12)
+            assert total_cost(scenario, action)[0] == cost
+
+    def test_full_offload_wins_an_exact_tie(self):
+        # energy-only users on a strong link: the uplink energy is below one
+        # ulp of the compute energy, so full offload costs exactly as much as local
+        scenario = craft_scenario(num_servers=2, quotas=(0, 0), data_sizes=(1e3, 3e3))
+        scenario = dataclasses.replace(scenario, users=tuple(
+            dataclasses.replace(
+                user,
+                task=dataclasses.replace(user.task, cycles_per_byte=1e9),
+                profile=dataclasses.replace(
+                    user.profile, weight_latency=0.0, weight_energy=1.0,
+                    tx_power=1e-12, channel_gains=(6e9, 6e9),
+                ),
+            )
+            for user in scenario.users
+        ))
+        endpoints = ScenarioEvaluator(scenario).endpoint_costs()
+        assert (endpoints[:, :, 0, 0] == endpoints[:, :1, 1, 0]).all()
+        action, cost = solve_exhaustive(scenario)
+        assert action.local_ratio == (0.0, 0.0)
+        assert (action, cost) == reference_oracle(scenario)
+
+    def test_tie_rule(self):
+        scenario = craft_scenario(**GRANTING_INSTANCES["two_servers_ties"])
+        action, cost = solve_exhaustive(scenario)
+        reference, reference_cost = reference_oracle(scenario)
+        assert action.server_choice == (0, 1, 0, 0, 0)
+        assert action.quantum_indicator == (1, 1, 0, 0, 0)
+        assert reference.server_choice == (0, 0, 0, 0, 1)
+        assert reference.quantum_indicator == (0, 0, 0, 1, 1)
+        assert cost == reference_cost == 1500004.4025985901
+
+
+class TestMaxWeightMatching:
+    def test_matches_linear_sum_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(44)
+        shapes = [(e, u) for e in range(1, 9) for u in (1, 3, 8, 20, 40)]
+        for rows, cols in shapes:
+            for zero_share in (0.0, 0.5, 0.9):
+                weights = rng.uniform(0.0, 10.0, size=(rows, cols))
+                weights[rng.random((rows, cols)) < zero_share] = 0.0
+                pairs = _max_weight_matching(weights)
+                assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+                assert all(weights[r, c] > 0.0 for r, c in pairs)
+                best = weights[optimize.linear_sum_assignment(weights, maximize=True)].sum()
+                assert sum(weights[r, c] for r, c in pairs) == pytest.approx(
+                    best, rel=1e-12, abs=1e-12
+                )
+
+
 class TestExhaustive:
     def test_single_pair_enumeration(self):
         scenario = craft_scenario(num_servers=1, quotas=(54,), data_sizes=(1e3,))
@@ -199,10 +370,11 @@ class TestExhaustive:
         assert action.quantum_indicator == (0,)
         assert with_qpu <= without
 
-    def test_budget_guard(self):
-        scenario = gen_scenario(4, 3, seed=0)
-        with pytest.raises(InstanceTooLargeError):
-            solve_exhaustive(scenario, budget=10)
+    @pytest.mark.parametrize("users, servers", [(10, 10), (50, 20), (1000, 50)])
+    def test_solves_beyond_enumeration_reach(self, users, servers):
+        scenario = gen_scenario(users, servers, seed=3)
+        action, cost = solve_exhaustive(scenario)
+        assert total_cost(scenario, action)[0] == cost
 
     def test_endpoint_restriction_matches_grid(self):
         # small copy of the acceptance check: endpoints vs a coarse ratio grid
@@ -270,6 +442,18 @@ class TestEvaluate:
         assert stats.latency_cost + stats.energy_cost == pytest.approx(
             stats.mean_cost, rel=1e-9
         )
+
+    @pytest.mark.parametrize("kind", [PolicyKind.RANDOM, PolicyKind.RANDOM_CLOUD])
+    def test_random_baselines_build_one_evaluator(self, kind, monkeypatch):
+        built = []
+        init = meqc.costs.ScenarioEvaluator.__init__
+        monkeypatch.setattr(
+            meqc.costs.ScenarioEvaluator, "__init__",
+            lambda self, scenario: built.append(scenario) or init(self, scenario),
+        )
+        evaluate(BaselinePolicy(kind), gen_scenario(4, 3, seed=5), 10,
+                 np.random.default_rng(0))
+        assert len(built) == 1
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):
