@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -311,7 +312,11 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
     """The checkpoint's agents, loaded and fitted to the scenario shape once per run."""
     if "trained" not in cfg.policies:
         return None
-    agents = load_checkpoint(cfg.checkpoint)
+    try:
+        agents = load_checkpoint(cfg.checkpoint)
+    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # missing, empty, truncated, not an .npz archive, or not a checkpoint
+        raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}") from exc
     obs_dim = observation_length(cfg.servers)
     if len(agents) != cfg.users or agents[0].obs_dim != obs_dim:
         raise ConfigError(

@@ -6,8 +6,10 @@ local ratio, each with its own value network.  Rollouts come from the
 shared environment (team reward), advantages from generalized advantage
 estimation against each head's critic, and updates from the clipped
 surrogate objective.  An agent's observation is fixed within a training
-epoch, so its networks run once per epoch in the rollout and every step
-only draws from the resulting distribution.  All numerics run on the
+epoch, so its networks run once per epoch in the rollout, the whole
+epoch's actions come from one batched draw, and each update runs every
+network forward and backward on that one observation row, fed the
+per-sample gradients summed over the minibatch.  All numerics run on the
 hand-rolled ``nn.Mlp``.
 """
 
@@ -28,7 +30,6 @@ CHECKPOINT_SCHEMA_VERSION = 1
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _NET_NAMES = ("pi_server", "v_server", "pi_ratio", "v_ratio")
-_SAMPLE_COLUMNS = ("server", "pre_squash", "logp_server", "logp_ratio", "squash_correction")
 
 
 class TrainingError(RuntimeError):
@@ -84,18 +85,6 @@ def _log_sigmoid_slope(z):
 
 
 @dataclass(frozen=True)
-class ActionSample:
-    """One sampled hybrid action with everything PPO needs later."""
-
-    server: int
-    ratio: float
-    pre_squash: float
-    logp_server: float
-    logp_ratio: float
-    squash_correction: float
-
-
-@dataclass(frozen=True)
 class PolicyHeads:
     """One agent's network outputs at one observation.
 
@@ -111,27 +100,39 @@ class PolicyHeads:
     values: tuple[float, float]
 
 
-def draw_action(heads: PolicyHeads, rng: np.random.Generator) -> ActionSample:
-    """Draw (server, ratio) from ``heads`` with exact log-densities.
+def draw_actions(
+    heads: Sequence[PolicyHeads], steps: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """``steps`` (server, ratio) draws per agent, as ``[steps, agents]`` columns.
 
-    Consumes one categorical draw, then one standard normal.  The ratio is
-    a Gaussian draw squashed through a sigmoid; its log-density carries the
+    Consumes one ``random`` block, then one ``standard_normal`` block.
+    Servers follow ``Generator.choice(p=probs)``: the right insertion point
+    of the uniform draw in the normalised cumulative probabilities.  The
+    ratio is a squashed Gaussian draw; its log-density carries the
     change-of-variables correction ``-log sigmoid'(z)``, so the reported
     value is the density of the ratio itself.
     """
-    server = int(rng.choice(len(heads.probs), p=heads.probs))
-    mean, log_std = heads.mean, heads.log_std
-    z = float(mean + np.exp(log_std) * rng.standard_normal())
-    correction = float(_log_sigmoid_slope(z))
-    gauss = -0.5 * ((z - mean) / np.exp(log_std)) ** 2 - log_std - 0.5 * _LOG_2PI
-    return ActionSample(
-        server=server,
-        ratio=float(_sigmoid(z)),
-        pre_squash=z,
-        logp_server=float(heads.logp_server[server]),
-        logp_ratio=gauss - correction,
-        squash_correction=correction,
+    uniform = rng.random((steps, len(heads)))
+    normal = rng.standard_normal((steps, len(heads)))
+    cdf = np.cumsum([h.probs for h in heads], axis=1)
+    cdf /= cdf[:, -1:]
+    server = np.stack(
+        [np.searchsorted(c, x, side="right") for c, x in zip(cdf, uniform.T)], axis=1
     )
+    logp_all = np.array([h.logp_server for h in heads])
+    mean = np.array([h.mean for h in heads])
+    log_std = np.array([h.log_std for h in heads])
+    z = mean + np.exp(log_std) * normal
+    correction = _log_sigmoid_slope(z)
+    gauss = -0.5 * ((z - mean) / np.exp(log_std)) ** 2 - log_std - 0.5 * _LOG_2PI
+    return {
+        "server": server,
+        "ratio": _sigmoid(z),
+        "pre_squash": z,
+        "logp_server": logp_all[np.arange(len(heads)), server],
+        "logp_ratio": gauss - correction,
+        "squash_correction": correction,
+    }
 
 
 class HybridAgent:
@@ -178,10 +179,6 @@ class HybridAgent:
             log_std=float(log_std),
             values=self.values(obs),
         )
-
-    def sample_action(self, obs, rng: np.random.Generator) -> ActionSample:
-        """Draw (server, ratio) with exact log-densities; see ``draw_action``."""
-        return draw_action(self.heads(obs), rng)
 
     def greedy_action(self, obs) -> tuple[int, float]:
         """Deterministic mode: argmax server, squashed mean ratio."""
@@ -250,12 +247,16 @@ def _surrogate_coef(ratio, adv, clip_eps):
 def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConfig) -> UpdateStats:
     """One clipped-surrogate update of all four networks on one minibatch.
 
-    Both policy heads maximize the clipped objective plus an entropy
-    bonus; both critics descend on squared error against their GAE
-    returns.  Raises ``TrainingError`` if any loss goes non-finite.
+    ``batch["obs"]`` is the observation every sample shares, so each
+    network runs forward and backward once, on that row, fed the sum of the
+    per-sample upstream gradients (backprop is linear in the upstream).
+    Both policy heads maximize the clipped objective plus an entropy bonus;
+    both critics descend on squared error against their GAE returns.
+    Raises ``TrainingError`` if any loss goes non-finite.
     """
     obs = batch["obs"]
-    n = len(obs)
+    server = batch["server"]
+    n = len(server)
     adv_a = batch["adv_server"]
     adv_r = batch["adv_ratio"]
     if cfg.normalize_advantages and n > 1:
@@ -264,27 +265,23 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
 
     # Discrete head.
     logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
-    logp_all = logits - _logsumexp(logits)[:, None]
+    logp_all = logits - _logsumexp(logits)
     probs = np.exp(logp_all)
-    logp_new = logp_all[np.arange(n), batch["server"]]
-    ratio = np.exp(logp_new - batch["logp_server"])
+    ratio = np.exp(logp_all[server] - batch["logp_server"])
     surr_a = np.minimum(
         ratio * adv_a, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_a
     )
-    entropy_a = -(probs * logp_all).sum(axis=1)
+    entropy_a = -(probs * logp_all).sum()
     coef = _surrogate_coef(ratio, adv_a, cfg.clip_epsilon)
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), batch["server"]] = 1.0
-    up_logits = -(coef / n)[:, None] * (one_hot - probs)
-    up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
-    optimizers["pi_server"].step(agent.nets["pi_server"].backward(cache_a, up_logits))
+    up_logits = -(coef / n)[:, None] * (np.eye(len(probs))[server] - probs)
+    up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
+    optimizers["pi_server"].step(agent.nets["pi_server"].backward(cache_a, up_logits.sum(0)))
 
     # Continuous head.
     out, cache_r = agent.nets["pi_ratio"].forward_cached(obs)
-    mean = out[:, 0]
-    raw_ls = out[:, 1]
+    mean, raw_ls = out
     log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
-    ls_open = (raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)
+    ls_open = LOG_STD_MIN < raw_ls < LOG_STD_MAX
     std = np.exp(log_std)
     zscore = (batch["pre_squash"] - mean) / std
     logp_new_r = (
@@ -297,25 +294,24 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     )
     entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
     coef_r = _surrogate_coef(ratio_r, adv_r, cfg.clip_epsilon)
-    up_out = np.zeros_like(out)
-    up_out[:, 0] = -(coef_r / n) * (zscore / std)
-    up_out[:, 1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
+    up_mean = -(coef_r / n) * (zscore / std)
+    up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
+    up_out = np.array([up_mean.sum(), up_ls.sum()])
     optimizers["pi_ratio"].step(agent.nets["pi_ratio"].backward(cache_r, up_out))
 
     # Critics.
     value_loss = 0.0
     for net_name, target in (("v_server", batch["ret_server"]), ("v_ratio", batch["ret_ratio"])):
         v, cache_v = agent.nets[net_name].forward_cached(obs)
-        err = v[:, 0] - target
+        err = v[0] - target
         value_loss += float(np.mean(err**2))
-        optimizers[net_name].step(
-            agent.nets[net_name].backward(cache_v, (2.0 * err / n)[:, None])
-        )
+        up_v = np.array([(2.0 * err / n).sum()])
+        optimizers[net_name].step(agent.nets[net_name].backward(cache_v, up_v))
 
     stats = UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
         value_loss=value_loss,
-        entropy=float(entropy_a.mean() + entropy_r.mean()),
+        entropy=float(entropy_a + entropy_r),
     )
     if not all(np.isfinite(v) for v in (stats.policy_loss, stats.value_loss, stats.entropy)):
         raise TrainingError(
@@ -326,14 +322,14 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
 
 
 def _rollout_columns(
-    heads: PolicyHeads, samples: Sequence[ActionSample], rewards: np.ndarray, cfg: TrainConfig
+    heads: PolicyHeads, actions: dict[str, np.ndarray], rewards: np.ndarray, cfg: TrainConfig
 ) -> dict[str, np.ndarray]:
     """One agent's epoch as PPO batch columns indexed by step (all but ``obs``).
 
     The observation, hence each critic's value, is the same at every step
     and after the last, so each GAE baseline is a constant vector.
     """
-    cols = {key: np.array([getattr(s, key) for s in samples]) for key in _SAMPLE_COLUMNS}
+    cols = dict(actions)
     for head, value in zip(("server", "ratio"), heads.values):
         baseline = np.full(len(rewards) + 1, value)
         cols[f"adv_{head}"], cols[f"ret_{head}"] = gae(
@@ -392,21 +388,15 @@ def train(
     last_good = [agent.flat_params() for agent in agents]
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
-        # values are fixed for the epoch: evaluate them once, draw per step
-        # in the scalar RNG order (step by step, agent by agent), then score
-        # all steps in one batch.
+        # values are fixed for the epoch: evaluate them once, draw the whole
+        # epoch in one batch, then score all steps in one batch.
         obs = env.reset()
         heads = [agent.heads(o) for agent, o in zip(agents, obs)]
-        samples = [
-            [draw_action(h, sample_rng) for h in heads] for _ in range(cfg.steps_per_epoch)
-        ]
-        rewards = env.rewards(
-            [[s.server for s in step] for step in samples],
-            [[s.ratio for s in step] for step in samples],
-        )
+        actions = draw_actions(heads, cfg.steps_per_epoch, sample_rng)
+        rewards = env.rewards(actions["server"], actions["ratio"])
         rollouts = [
-            _rollout_columns(h, agent_samples, rewards, cfg)
-            for h, agent_samples in zip(heads, zip(*samples))
+            _rollout_columns(h, {key: col[:, u] for key, col in actions.items()}, rewards, cfg)
+            for u, h in enumerate(heads)
         ]
 
         stats: list[UpdateStats] = []
@@ -419,7 +409,7 @@ def train(
                 )
                 for agent, opts, o, cols in zip(agents, optimizers, obs, rollouts):
                     batch = {key: col[idx] for key, col in cols.items()}
-                    batch["obs"] = np.tile(o, (len(idx), 1))
+                    batch["obs"] = o
                     stats.append(ppo_update(agent, opts, batch, cfg))
             bad = [u for u, agent in enumerate(agents) if not agent.params_finite()]
             if bad:
@@ -473,15 +463,17 @@ def save_checkpoint(path: str | Path, agents: list[HybridAgent]) -> None:
         for name, vec in agent.flat_params().items()
     }
     first = agents[0]
-    np.savez(
-        path,
-        schema_version=CHECKPOINT_SCHEMA_VERSION,
-        num_agents=len(agents),
-        obs_dim=first.obs_dim,
-        num_servers=first.num_servers,
-        hidden_units=first.hidden,
-        **arrays,
-    )
+    # a file handle, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            schema_version=CHECKPOINT_SCHEMA_VERSION,
+            num_agents=len(agents),
+            obs_dim=first.obs_dim,
+            num_servers=first.num_servers,
+            hidden_units=first.hidden,
+            **arrays,
+        )
 
 
 def load_checkpoint(path: str | Path) -> list[HybridAgent]:

@@ -33,7 +33,6 @@ LOCAL_CPU_CHOICES = (1e9, 2e9, 3e9)
 EDGE_CPU_CHOICES = (10e9, 15e9, 20e9)
 PHYSICAL_QUBIT_RANGE = (1000, 5000)  # inclusive
 CONCAT_LEVELS = (1, 2, 3)
-FRAMES_RANGE = (1024, 10240)  # inclusive
 DEFAULT_WEIGHT_LATENCY = 0.5
 DEFAULT_BANDWIDTH = 20e6
 DEFAULT_NOISE_POWER = 1e-6
@@ -41,11 +40,11 @@ DEFAULT_CHIP_ENERGY = 1e-11
 DEFAULT_ERROR_THRESHOLD = 2e-4
 RAYS_PER_PRIMITIVE = 3
 DEFAULT_COORD_BITS = 6
-DEFAULT_RESOLUTION = 128 * 128
 
 # Entity namespaces and field tags for the per-field RNG streams.
 _USER, _SERVER = 1, 2
-_F_TASK, _F_PRIM, _F_FRAMES, _F_GAIN, _F_TX, _F_CPU_LOCAL = 0, 1, 2, 3, 4, 5
+# Tag 2 is retired (it drew an unread frame count); tags are never reused.
+_F_TASK, _F_PRIM, _F_GAIN, _F_TX, _F_CPU_LOCAL = 0, 1, 3, 4, 5
 _F_CPU_EDGE, _F_SUB_PHYS, _F_SUB_LEVEL, _F_LEVEL = 6, 7, 8, 9
 
 # Pinnable generation fields (used by parameter sweeps).
@@ -69,15 +68,13 @@ class RayTracingParams:
 
     primitive_exponent: int
     coord_bits: int = DEFAULT_COORD_BITS
-    frames: int = FRAMES_RANGE[0]
-    resolution: int = DEFAULT_RESOLUTION
     rays_per_primitive: int = RAYS_PER_PRIMITIVE
 
     def __post_init__(self):
         if self.primitive_exponent < 0 or self.coord_bits < 0:
             raise ValueError("primitive_exponent and coord_bits must be >= 0")
-        if self.frames < 1 or self.resolution < 1 or self.rays_per_primitive < 1:
-            raise ValueError("frames, resolution and rays_per_primitive must be >= 1")
+        if self.rays_per_primitive < 1:
+            raise ValueError("rays_per_primitive must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -187,12 +184,7 @@ def gen_scenario(
                 PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1
             )
         )
-        frames = int(
-            field_rng(seed, _USER, u, _F_FRAMES).integers(
-                FRAMES_RANGE[0], FRAMES_RANGE[1] + 1
-            )
-        )
-        params = RayTracingParams(primitive_exponent=prim, frames=frames)
+        params = RayTracingParams(primitive_exponent=prim)
         task = gen_task(params, field_rng(seed, _USER, u, _F_TASK))
         qtask = compile_quantum(params, task)
 
@@ -270,8 +262,7 @@ def redraw_tasks(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     users = []
     for entry in scenario.users:
         prim = int(rng.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1))
-        frames = int(rng.integers(FRAMES_RANGE[0], FRAMES_RANGE[1] + 1))
-        params = RayTracingParams(primitive_exponent=prim, frames=frames)
+        params = RayTracingParams(primitive_exponent=prim)
         task = gen_task(params, rng)
         users.append(
             ScenarioUser(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +290,37 @@ class TestCli:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert (tmp_path / "agents.npz").exists()
         assert out.read_text().startswith("epoch,")
+
+    def test_train_then_eval_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.yaml").write_text(
+            "scenario: {users: 2, servers: 2}\n"
+            "policies: [trained]\ncheckpoint: agents.ckpt\nepisodes: 1\n"
+            "train: {epochs: 1, steps_per_epoch: 8, updates_per_epoch: 1, "
+            "batch_size: 8, hidden_units: 8}\n"
+        )
+        assert main(["train", "--config", "cfg.yaml", "--out", "curve.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "agents.ckpt", "cfg.yaml", "curve.csv"
+        ]
+        assert main(["eval", "--config", "cfg.yaml", "--out", "eval.csv"]) == 0
+        assert [row["policy"] for row in load_csv("eval.csv")] == ["trained"]
+
+    @pytest.mark.parametrize("content", [None, b"", b"not a checkpoint", b"PK\x03\x04junk"],
+                             ids=["missing", "empty", "junk", "bad_zip"])
+    def test_unreadable_checkpoint(self, content, tmp_path, capsys):
+        path = tmp_path / "agents.npz"
+        if content is not None:
+            path.write_bytes(content)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 2, servers: 2}\n"
+            f"policies: [trained]\ncheckpoint: {path}\nepisodes: 1\n"
+        )
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
+        assert f"checkpoint: cannot load {path}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("users, servers", [(1, 2), (3, 2), (2, 3)],
                              ids=["fewer_users", "more_users", "more_servers"])

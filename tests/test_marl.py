@@ -7,11 +7,19 @@ import pytest
 import meqc.marl as marl
 from meqc.env import MeqcEnv
 from meqc.marl import (
+    _LOG_2PI,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     HybridAgent,
     LearnedPolicy,
     TrainConfig,
     TrainingError,
+    UpdateStats,
+    _logsumexp,
     _make_optimizers,
+    _normalize,
+    _surrogate_coef,
+    draw_actions,
     gae,
     load_checkpoint,
     ppo_update,
@@ -75,6 +83,11 @@ class TestGae:
             gae(np.zeros(3), np.zeros(3), 0.9, 0.5)
 
 
+def draw_one(agent, obs, n, rng):
+    """``n`` actions of one agent at ``obs``, as per-sample columns."""
+    return {key: col[:, 0] for key, col in draw_actions([agent.heads(obs)], n, rng).items()}
+
+
 class TestHybridSampling:
     def test_server_frequencies_near_uniform(self):
         agent = HybridAgent(obs_dim=6, num_servers=4, hidden=16,
@@ -84,9 +97,7 @@ class TestHybridSampling:
                 w[:] = 0.0
         obs = np.zeros(6)
         rng = np.random.default_rng(1)
-        counts = np.zeros(4)
-        for _ in range(10_000):
-            counts[agent.sample_action(obs, rng).server] += 1
+        counts = np.bincount(draw_one(agent, obs, 10_000, rng)["server"], minlength=4)
         assert np.all(np.abs(counts / 10_000 - 0.25) < 0.02)
 
     def test_ratio_strictly_inside_unit_interval(self):
@@ -94,11 +105,41 @@ class TestHybridSampling:
                             rng=np.random.default_rng(2))
         obs = np.ones(4)
         rng = np.random.default_rng(3)
-        for _ in range(500):
-            sample = agent.sample_action(obs, rng)
-            assert 0.0 < sample.ratio < 1.0
-            assert np.isfinite(sample.logp_server)
-            assert np.isfinite(sample.logp_ratio)
+        samples = draw_one(agent, obs, 500, rng)
+        assert np.all((0.0 < samples["ratio"]) & (samples["ratio"] < 1.0))
+        assert np.isfinite(samples["logp_server"]).all()
+        assert np.isfinite(samples["logp_ratio"]).all()
+
+    @pytest.mark.parametrize("num_servers", [1, 2, 3, 5])
+    def test_draws_follow_generator_streams(self, num_servers):
+        # servers by Generator.choice's rule on a random block, then the
+        # pre-squash ratio from a standard_normal block
+        agent = HybridAgent(obs_dim=4, num_servers=num_servers, hidden=8,
+                            rng=np.random.default_rng(num_servers))
+        for net in agent.nets.values():
+            net.weights[-1] *= 100.0  # far from uniform
+        obs = np.linspace(-1.0, 1.0, 4)
+        heads = agent.heads(obs)
+        for seed in range(5):
+            samples = draw_one(agent, obs, 257, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            expected = rng.choice(num_servers, size=257, p=heads.probs)
+            assert np.array_equal(samples["server"], expected)
+            normal = rng.standard_normal(257)
+            assert np.array_equal(
+                samples["pre_squash"], heads.mean + np.exp(heads.log_std) * normal
+            )
+            assert np.array_equal(samples["logp_server"], heads.logp_server[expected])
+
+    def test_agents_draw_from_their_own_heads(self):
+        agents = [HybridAgent(obs_dim=3, num_servers=3, hidden=8,
+                              rng=np.random.default_rng(seed)) for seed in (0, 1)]
+        agents[1].nets["pi_server"].biases[-1][:] = (-50.0, -50.0, 50.0)
+        obs = np.full(3, 0.5)
+        actions = draw_actions([a.heads(obs) for a in agents], 300, np.random.default_rng(6))
+        assert actions["server"].shape == (300, 2)
+        assert (actions["server"][:, 1] == 2).all()
+        assert len(np.unique(actions["server"][:, 0])) == 3
 
     def test_greedy_mode_deterministic(self):
         agent = HybridAgent(obs_dim=4, num_servers=3, hidden=8,
@@ -122,18 +163,15 @@ class TestHybridSampling:
 
 
 def constant_batch(agent, obs, server, advantage, rng, n=32):
-    """Batch of identical transitions sampled from the agent's current policy."""
-    samples = [agent.sample_action(obs, rng) for _ in range(n)]
+    """Batch of transitions at one observation sampled from the agent's current policy."""
+    samples = draw_one(agent, obs, n, rng)
+    if server is not None:
+        logits = agent.server_logits(obs)
+        samples["server"] = np.full(n, server)
+        samples["logp_server"] = np.full(n, logits[server] - _lse(logits))
     return {
-        "obs": np.tile(obs, (n, 1)),
-        "server": np.array([server if server is not None else s.server for s in samples]),
-        "pre_squash": np.array([s.pre_squash for s in samples]),
-        "logp_server": np.array(
-            [agent.server_logits(obs)[server if server is not None else s.server]
-             - _lse(agent.server_logits(obs)) for s in samples]
-        ),
-        "logp_ratio": np.array([s.logp_ratio for s in samples]),
-        "squash_correction": np.array([s.squash_correction for s in samples]),
+        "obs": obs,
+        **samples,
         "adv_server": np.full(n, advantage),
         "adv_ratio": np.zeros(n),
         "ret_server": np.zeros(n),
@@ -189,16 +227,12 @@ class TestPpoUpdate:
         obs = np.ones(2)
         rng = np.random.default_rng(8)
         for _ in range(200):
-            samples = [agent.sample_action(obs, rng) for _ in range(64)]
-            rewards = np.array([1.0 if s.server == 0 else 0.0 for s in samples])
+            samples = draw_one(agent, obs, 64, rng)
+            rewards = (samples["server"] == 0).astype(float)
             value = agent.values(obs)[0]
             batch = {
-                "obs": np.tile(obs, (64, 1)),
-                "server": np.array([s.server for s in samples]),
-                "pre_squash": np.array([s.pre_squash for s in samples]),
-                "logp_server": np.array([s.logp_server for s in samples]),
-                "logp_ratio": np.array([s.logp_ratio for s in samples]),
-                "squash_correction": np.array([s.squash_correction for s in samples]),
+                "obs": obs,
+                **samples,
                 "adv_server": rewards - value,
                 "adv_ratio": np.zeros(64),
                 "ret_server": rewards,
@@ -220,6 +254,123 @@ class TestPpoUpdate:
         batch["adv_server"] = np.full(32, np.nan)
         with pytest.raises(TrainingError, match="non-finite"):
             ppo_update(agent, _make_optimizers(agent, cfg), batch, cfg)
+
+
+def reference_ppo_update(agent, optimizers, batch, cfg):
+    """The tiled update: every network runs on ``batch["obs"]``, one row per sample."""
+    obs = batch["obs"]
+    n = len(obs)
+    adv_a = batch["adv_server"]
+    adv_r = batch["adv_ratio"]
+    if cfg.normalize_advantages and n > 1:
+        adv_a = _normalize(adv_a)
+        adv_r = _normalize(adv_r)
+
+    logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
+    logp_all = logits - _logsumexp(logits)[:, None]
+    probs = np.exp(logp_all)
+    logp_new = logp_all[np.arange(n), batch["server"]]
+    ratio = np.exp(logp_new - batch["logp_server"])
+    surr_a = np.minimum(
+        ratio * adv_a, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_a
+    )
+    entropy_a = -(probs * logp_all).sum(axis=1)
+    coef = _surrogate_coef(ratio, adv_a, cfg.clip_epsilon)
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(n), batch["server"]] = 1.0
+    up_logits = -(coef / n)[:, None] * (one_hot - probs)
+    up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
+    optimizers["pi_server"].step(agent.nets["pi_server"].backward(cache_a, up_logits))
+
+    out, cache_r = agent.nets["pi_ratio"].forward_cached(obs)
+    mean = out[:, 0]
+    raw_ls = out[:, 1]
+    log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
+    ls_open = (raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)
+    std = np.exp(log_std)
+    zscore = (batch["pre_squash"] - mean) / std
+    logp_new_r = (
+        -0.5 * zscore**2 - log_std - 0.5 * _LOG_2PI - batch["squash_correction"]
+    )
+    ratio_r = np.exp(logp_new_r - batch["logp_ratio"])
+    surr_r = np.minimum(
+        ratio_r * adv_r,
+        np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_r,
+    )
+    entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
+    coef_r = _surrogate_coef(ratio_r, adv_r, cfg.clip_epsilon)
+    up_out = np.zeros_like(out)
+    up_out[:, 0] = -(coef_r / n) * (zscore / std)
+    up_out[:, 1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
+    optimizers["pi_ratio"].step(agent.nets["pi_ratio"].backward(cache_r, up_out))
+
+    value_loss = 0.0
+    for net_name, target in (("v_server", batch["ret_server"]), ("v_ratio", batch["ret_ratio"])):
+        v, cache_v = agent.nets[net_name].forward_cached(obs)
+        err = v[:, 0] - target
+        value_loss += float(np.mean(err**2))
+        optimizers[net_name].step(
+            agent.nets[net_name].backward(cache_v, (2.0 * err / n)[:, None])
+        )
+
+    return UpdateStats(
+        policy_loss=float(-(surr_a.mean() + surr_r.mean())),
+        value_loss=value_loss,
+        entropy=float(entropy_a.mean() + entropy_r.mean()),
+    )
+
+
+def perturbed_batch(agent, obs, n, seed):
+    """Batch at ``obs`` whose old log-probs, advantages and returns are jittered,
+    so that some samples sit outside the clipping range on either side."""
+    rng = np.random.default_rng(seed)
+    batch = constant_batch(agent, obs, None, 0.0, rng, n=n)
+    batch["logp_server"] = batch["logp_server"] + rng.normal(0.0, 0.3, n)
+    batch["logp_ratio"] = batch["logp_ratio"] + rng.normal(0.0, 0.3, n)
+    for key in ("adv_server", "adv_ratio", "ret_server", "ret_ratio"):
+        batch[key] = rng.normal(0.0, 2.0, n)
+    return batch
+
+
+class TestOneRowUpdate:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("normalize", [True, False], ids=["norm", "raw"])
+    @pytest.mark.parametrize("num_servers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 128])
+    @pytest.mark.parametrize("log_std_bias", [0.0, LOG_STD_MAX + 1.0], ids=["open", "clamped"])
+    def test_matches_tiled_reference(self, optimizer, normalize, num_servers, n, log_std_bias):
+        cfg = TrainConfig(optimizer=optimizer, normalize_advantages=normalize,
+                          learning_rate=0.01)
+        agents = [HybridAgent(obs_dim=6, num_servers=num_servers, hidden=32,
+                              rng=np.random.default_rng(num_servers)) for _ in range(2)]
+        for agent in agents:
+            agent.nets["pi_ratio"].biases[-1][1] = log_std_bias
+        obs = np.linspace(0.0, 1.0, 6)
+        batch = perturbed_batch(agents[0], obs, n, seed=10 * num_servers + n)
+        tiled = dict(batch, obs=np.tile(obs, (n, 1)))
+        before = agents[0].flat_params()
+        ref = reference_ppo_update(agents[0], _make_optimizers(agents[0], cfg), tiled, cfg)
+        got = ppo_update(agents[1], _make_optimizers(agents[1], cfg), batch, cfg)
+        for name, vec in agents[0].flat_params().items():
+            if n > 1 and (num_servers > 1 or name != "pi_server"):
+                assert not np.array_equal(vec, before[name]), name
+            delta = np.abs(agents[1].nets[name].flat_params() - vec).max()
+            assert delta <= 1e-12 * np.abs(vec).max(), name
+        for field in ("policy_loss", "value_loss", "entropy"):
+            assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_one_server_policy_untouched(self, optimizer):
+        # with one server the discrete head's gradient is exactly zero; any
+        # rounding residue would become a full-size Adam step
+        cfg = TrainConfig(optimizer=optimizer)
+        agent = HybridAgent(obs_dim=5, num_servers=1, hidden=16, rng=np.random.default_rng(3))
+        obs = np.full(5, 0.3)
+        before = agent.nets["pi_server"].flat_params()
+        opts = _make_optimizers(agent, cfg)
+        for seed in range(5):
+            ppo_update(agent, opts, perturbed_batch(agent, obs, 128, seed), cfg)
+        assert np.array_equal(agent.nets["pi_server"].flat_params(), before)
 
 
 class TestTrain:
