@@ -327,49 +327,62 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
     return agents
 
 
-def _sweep_point(args) -> dict:
-    cfg, param, value, value_idx, policy, policy_idx, seed, agents = args
+def _sweep_point(args) -> list[dict]:
+    """Rows of every policy on the one scenario of a (value, seed) grid point."""
+    cfg, param, value, value_idx, seed, agents = args
     pins = {param: value} if param is not None else None
     scenario = build_scenario(cfg, seed, pins)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(value_idx, policy_idx))
-    )
-    if policy == "trained":
-        chosen = LearnedPolicy(agents)
-    else:
-        chosen = BaselinePolicy(PolicyKind(policy))
-    stats = evaluate(chosen, scenario, cfg.episodes, rng)
-    return {
-        "seed": seed,
-        "policy": policy,
-        "param": param if param is not None else "none",
-        "value": float(value),
-        "mean_cost": stats.mean_cost,
-        "latency_cost": stats.latency_cost,
-        "energy_cost": stats.energy_cost,
-        "qpu_grant_rate": stats.qpu_grant_rate,
-        "mean_success_prob": stats.mean_success_prob,
-    }
+    rows = []
+    for policy_idx, policy in enumerate(cfg.policies):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(value_idx, policy_idx))
+        )
+        if policy == "trained":
+            chosen = LearnedPolicy(agents)
+        else:
+            chosen = BaselinePolicy(PolicyKind(policy))
+        stats = evaluate(chosen, scenario, cfg.episodes, rng)
+        rows.append({
+            "seed": seed,
+            "policy": policy,
+            "param": param if param is not None else "none",
+            "value": float(value),
+            "mean_cost": stats.mean_cost,
+            "latency_cost": stats.latency_cost,
+            "energy_cost": stats.energy_cost,
+            "qpu_grant_rate": stats.qpu_grant_rate,
+            "mean_success_prob": stats.mean_success_prob,
+        })
+    return rows
 
 
 def _run_grid(cfg: ExperimentConfig, param: str | None, values) -> list[dict]:
     """Evaluate every (value, policy, seed) combination, sorted in that order.
 
-    Rows come back sorted regardless of worker scheduling, so output is
-    deterministic.
+    Each (value, seed) scenario is generated once and shared by every
+    policy.  Rows come back sorted regardless of worker scheduling, so
+    output is deterministic.
     """
     agents = _trained_agents(cfg)
     grid = [
-        (cfg, param, value, vi, policy, pi, seed, agents if policy == "trained" else None)
+        (cfg, param, value, vi, seed, agents)
         for vi, value in enumerate(values)
-        for pi, policy in enumerate(cfg.policies)
         for seed in cfg.seeds
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_point, grid))
+            points = list(pool.map(_sweep_point, grid))
     else:
-        rows = [_sweep_point(point) for point in grid]
+        points = [_sweep_point(point) for point in grid]
+    # (value, policy, seed) order before the stable sort, so rows that tie
+    # on the sort key (repeated policies and seeds) keep their order
+    seeds = len(cfg.seeds)
+    rows = [
+        points[vi * seeds + si][pi]
+        for vi in range(len(values))
+        for pi in range(len(cfg.policies))
+        for si in range(seeds)
+    ]
     rows.sort(key=lambda r: (r["value"], r["policy"], r["seed"]))
     return rows
 

@@ -305,7 +305,6 @@ def sum_over_users(values: np.ndarray) -> np.ndarray:
 
 
 _FIELDS = tuple(f.name for f in fields(CostBreakdown))
-_ENDPOINTS = np.array([0.0, 1.0])
 _PATHS = np.array([False, True])
 
 
@@ -461,12 +460,22 @@ class ScenarioEvaluator:
         the path (CPU, QPU).  QPU entries are computed for ineligible
         pairs too.
         """
-        return self.breakdown(
-            np.arange(self.num_servers)[:, None, None],
-            _ENDPOINTS[:, None],
+        # One kernel call on [U, E + 1, 2]: column e < E is server e at
+        # ratio 0.  Column E is ratio 1, where nothing is offloaded, so its
+        # cost is the same at every server and on both paths; it is
+        # evaluated once (at server 0, CPU path) and broadcast.
+        columns = np.arange(self.num_servers + 1)
+        ratio_one = columns == self.num_servers
+        cost = self.breakdown(
+            np.where(ratio_one, 0, columns)[:, None],
+            np.where(ratio_one, 1.0, 0.0)[:, None],
             _PATHS,
-            users=self.user_index[:, None, None, None],
+            users=self.user_index[:, None, None],
         ).cost
+        costs = np.empty((self.num_users, self.num_servers, 2, 2))
+        costs[:, :, 0] = cost[:, :-1]
+        costs[:, :, 1] = cost[:, -1:, :1]
+        return costs
 
     def user_cost(
         self, u: int, server: int, local_ratio: float, use_qpu: bool

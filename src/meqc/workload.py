@@ -8,12 +8,21 @@ counter-based RNG scheme: each field of each entity has its own stream
 derived from ``(seed, entity kind, entity index, field tag)``, so adding
 users or servers never perturbs existing draws and a single field can be
 pinned (for sweeps) without disturbing anything else.
+
+A stream is ``default_rng(SeedSequence(seed, spawn_key=key))`` seeded
+from numpy's documented ``SeedSequence`` hash.  ``gen_scenario`` runs
+that hash once, vectorised over all of a scenario's keys, and hands each
+row of seed words to numpy's own ``PCG64``; the scheme and every drawn
+value are the same as building one ``SeedSequence`` per stream, and the
+tests check the words and generator states against numpy itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -51,9 +60,94 @@ _F_CPU_EDGE, _F_SUB_PHYS, _F_SUB_LEVEL, _F_LEVEL = 6, 7, 8, 9
 PIN_FIELDS = ("edge_cpu", "physical_qubits", "decoherence_time", "weight_latency")
 
 
-def field_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (entity, field) slot of one seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+# Constants of numpy's SeedSequence hash (O'Neill's seed_seq alternative).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands ``PCG64`` its precomputed four uint64 state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seed_words(seed) -> list[int]:
+    """The seed's little-endian uint32 words, as ``SeedSequence`` splits it."""
+    seed = operator.index(seed)  # TypeError for non-integers, as numpy
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count`` hash constants ``init * mult**i mod 2**32``."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# Both work on Python ints and, elementwise, on uint32 arrays.
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ result >> 16
+
+
+def _field_rngs(seed: int, keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(seed, spawn_key=k))`` for each row ``k`` of ``keys``.
+
+    ``keys`` is an ``[N, 3]`` table of ``(entity, index, tag)`` entries,
+    each below ``2**32``.  This is ``SeedSequence``'s entropy mix and
+    ``generate_state(4, np.uint64)`` in numpy's order.  The seed words are
+    the same for every stream, so they are mixed once; each key word is
+    then mixed into ``[4, N]`` pool words at once.  numpy's ``PCG64``
+    seeds from each stream's row of state words; generators are built as
+    the iterator is read, so only the streams in use are held.
+    """
+    words = _seed_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    # one hashmix per pool word for each entropy word, in numpy's order
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + keys.shape[1]) + 1)
+
+    pool = [_hashmix(w, consts[i], consts[i + 1]) for i, w in enumerate(words[:_POOL_SIZE])]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k], consts[k + 1]))
+                k += 1
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts[k], consts[k + 1]))
+            k += 1
+
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    for column in keys.T.astype(np.uint32):
+        window = consts[k:k + _POOL_SIZE + 1]
+        pool = _mix(pool, _hashmix(column, window[:-1], window[1:]))
+        k += _POOL_SIZE
+
+    # generate_state(4, np.uint64): eight uint32 words cycled from the pool
+    consts = np.array(_hash_consts(_INIT_B, _MULT_B, 9), dtype=np.uint32)[:, None]
+    state = _hashmix(np.tile(pool, (2, 1)), consts[:-1], consts[1:])
+    state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in state)
 
 
 @dataclass(frozen=True)
@@ -177,49 +271,55 @@ def gen_scenario(
         if unknown:
             raise ValueError(f"unknown pinned fields: {sorted(unknown)}")
 
+    # one stream per (user, field) in user_tags, then one per server
+    user_tags = [_F_PRIM, _F_TASK, _F_GAIN, _F_CPU_LOCAL, _F_TX, _F_SUB_LEVEL]
+    if _pin(pins, "edge_cpu") is None:
+        user_tags.append(_F_CPU_EDGE)
+    if _pin(pins, "physical_qubits") is None:
+        user_tags.append(_F_SUB_PHYS)
+    per_user = len(user_tags)
+    n_user = num_users * per_user
+    keys = np.empty((n_user + num_servers, 3), dtype=np.int64)
+    keys[:n_user, 0] = _USER
+    keys[:n_user, 1] = np.repeat(np.arange(num_users), per_user)
+    keys[:n_user, 2] = np.tile(user_tags, num_users)
+    keys[n_user:, 0] = _SERVER
+    keys[n_user:, 1] = np.arange(num_servers)
+    keys[n_user:, 2] = _F_LEVEL
+    streams = _field_rngs(seed, keys)
+
     users = []
-    for u in range(num_users):
+    for _ in range(num_users):
+        # zip stops at the end of user_tags before reading another stream
+        rng = dict(zip(user_tags, streams))
         prim = int(
-            field_rng(seed, _USER, u, _F_PRIM).integers(
-                PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1
-            )
+            rng[_F_PRIM].integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1)
         )
         params = RayTracingParams(primitive_exponent=prim)
-        task = gen_task(params, field_rng(seed, _USER, u, _F_TASK))
+        task = gen_task(params, rng[_F_TASK])
         qtask = compile_quantum(params, task)
 
-        gains = tuple(
-            float(g)
-            for g in field_rng(seed, _USER, u, _F_GAIN).uniform(
-                *CHANNEL_GAIN_RANGE, size=num_servers
-            )
-        )
+        gains = tuple(rng[_F_GAIN].uniform(*CHANNEL_GAIN_RANGE, size=num_servers).tolist())
         edge_cpu = _pin(pins, "edge_cpu")
         if edge_cpu is None:
-            edge_cpu = float(
-                field_rng(seed, _USER, u, _F_CPU_EDGE).choice(EDGE_CPU_CHOICES)
-            )
+            edge_cpu = float(rng[_F_CPU_EDGE].choice(EDGE_CPU_CHOICES))
         sub_phys = _pin(pins, "physical_qubits")
         if sub_phys is None:
             sub_phys = int(
-                field_rng(seed, _USER, u, _F_SUB_PHYS).integers(
+                rng[_F_SUB_PHYS].integers(
                     PHYSICAL_QUBIT_RANGE[0], PHYSICAL_QUBIT_RANGE[1] + 1
                 )
             )
         sub_level = int(
-            field_rng(seed, _USER, u, _F_SUB_LEVEL).integers(
-                CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1
-            )
+            rng[_F_SUB_LEVEL].integers(CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1)
         )
         weight_latency = _pin(pins, "weight_latency")
         if weight_latency is None:
             weight_latency = DEFAULT_WEIGHT_LATENCY
 
         profile = UserProfile(
-            f_local=float(
-                field_rng(seed, _USER, u, _F_CPU_LOCAL).choice(LOCAL_CPU_CHOICES)
-            ),
-            tx_power=float(field_rng(seed, _USER, u, _F_TX).uniform(*TX_POWER_RANGE)),
+            f_local=float(rng[_F_CPU_LOCAL].choice(LOCAL_CPU_CHOICES)),
+            tx_power=float(rng[_F_TX].uniform(*TX_POWER_RANGE)),
             weight_latency=float(weight_latency),
             weight_energy=1.0 - float(weight_latency),
             channel_gains=gains,
@@ -232,13 +332,9 @@ def gen_scenario(
         ServerProfile(
             noise_power=noise_power,
             bandwidth=bandwidth,
-            concat_level=int(
-                field_rng(seed, _SERVER, e, _F_LEVEL).integers(
-                    CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1
-                )
-            ),
+            concat_level=int(rng.integers(CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1)),
         )
-        for e in range(num_servers)
+        for rng in streams
     )
 
     decoherence = _pin(pins, "decoherence_time")

@@ -4,6 +4,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meqc.bench import (
@@ -18,6 +19,7 @@ from meqc.bench import (
 )
 from meqc.cli import main
 from meqc.marl import TrainConfig, save_checkpoint, train
+from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import gen_scenario
 
 
@@ -194,6 +196,49 @@ class TestRunSweep:
         rows = run_sweep(cfg) if runner == "sweep" else run_eval(cfg)
         assert len(rows) == (18 if runner == "sweep" else 6)
         assert len(loads) == 1
+
+    @pytest.mark.parametrize("runner", ["sweep", "eval"])
+    def test_one_scenario_per_value_and_seed(self, runner, monkeypatch):
+        import meqc.bench
+
+        calls = []
+        monkeypatch.setattr(
+            meqc.bench, "gen_scenario",
+            lambda *args, **kwargs: calls.append(args) or gen_scenario(*args, **kwargs),
+        )
+        cfg = parse_config(
+            "scenario: {users: 2, servers: 2}\n"
+            "sweep: {parameter: edge_cpu, values: [10.0e9, 15.0e9, 20.0e9]}\n"
+            "policies: [local, random, random_cloud, greedy, oracle]\n"
+            "episodes: 1\nseeds: [0, 1, 2, 3, 4]\n"
+        )
+        rows = run_sweep(cfg) if runner == "sweep" else run_eval(cfg)
+        values = 3 if runner == "sweep" else 1
+        assert len(rows) == values * 5 * 5
+        assert len(calls) == values * 5
+
+    def test_rows_match_one_evaluation_per_row(self):
+        # repeated policies and seeds tie on the sort key; their order holds too
+        cfg = parse_config(
+            "scenario: {users: 3, servers: 2}\n"
+            "sweep: {parameter: physical_qubits, values: [3000, 1000]}\n"
+            "policies: [random, greedy, random]\nepisodes: 2\nseeds: [1, 0, 1]\n"
+        )
+        expected = []
+        for vi, value in enumerate(cfg.sweep_values):
+            for pi, policy in enumerate(cfg.policies):
+                for seed in cfg.seeds:
+                    scenario = build_scenario(cfg, seed, {"physical_qubits": value})
+                    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(vi, pi)))
+                    stats = evaluate(BaselinePolicy(PolicyKind(policy)), scenario, 2, rng)
+                    expected.append((value, policy, seed, stats.mean_cost, stats.qpu_grant_rate))
+        expected.sort(key=lambda r: r[:3])
+        rows = run_sweep(cfg)
+        assert [
+            (r["value"], r["policy"], r["seed"], r["mean_cost"], r["qpu_grant_rate"])
+            for r in rows
+        ] == expected
+        assert len({r["mean_cost"] for r in rows if r["policy"] == "random"}) > 4
 
     def test_eval_rows(self):
         cfg = parse_config(

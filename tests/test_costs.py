@@ -404,6 +404,24 @@ KERNEL_SCENARIOS = {
 }
 
 
+def reference_endpoint_costs(evaluator):
+    """Every endpoint entry evaluated in full, the ratio-1 half included."""
+    return evaluator.breakdown(
+        np.arange(evaluator.num_servers)[:, None, None],
+        np.array([0.0, 1.0])[:, None],
+        np.array([False, True]),
+        users=evaluator.user_index[:, None, None, None],
+    ).cost
+
+
+ENDPOINT_SCENARIOS = {
+    **KERNEL_SCENARIOS,
+    "gen_40x6_seed11": lambda: gen_scenario(40, 6, seed=11),
+    "gen_6x5_latency_only": lambda: gen_scenario(6, 5, seed=2, pins={"weight_latency": 1.0}),
+    "gen_6x5_energy_only": lambda: gen_scenario(6, 5, seed=2, pins={"weight_latency": 0.0}),
+}
+
+
 class TestKernelMatchesSpec:
     """The array kernel is bit-identical (``==``) to the scalar spec functions."""
 
@@ -440,6 +458,15 @@ class TestKernelMatchesSpec:
                 assert evaluator.eligible[u, e] == quantum_feasible(
                     entry.quantum_task, entry.profile, success
                 )
+
+    @pytest.mark.parametrize("name", sorted(ENDPOINT_SCENARIOS))
+    def test_endpoint_costs(self, name):
+        scenario = ENDPOINT_SCENARIOS[name]()
+        evaluator = ScenarioEvaluator(scenario)
+        endpoints = evaluator.endpoint_costs()
+        assert np.array_equal(endpoints, reference_endpoint_costs(evaluator))
+        for (u, e, ratio, path), cost in np.ndenumerate(endpoints):
+            assert cost == spec_user_cost(scenario, u, e, float(ratio), bool(path)).cost
 
     def test_crafted_instance_has_eligible_pairs(self):
         evaluator = ScenarioEvaluator(KERNEL_SCENARIOS["crafted_qpu"]())

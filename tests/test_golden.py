@@ -1,13 +1,16 @@
-"""Byte-for-byte golden outputs: two small training runs and a sweep CSV.
+"""Byte-for-byte golden outputs: two small training runs, a sweep CSV and
+a hash of generated scenarios.
 
 The files under ``tests/golden/`` pin the learning curves, a sha256 of
-every trained parameter vector and a sweep CSV, so refactors of the
-learner, environment or evaluator can show that no output moved.  After
+every trained parameter vector, a sweep CSV and one sha256 over many
+``gen_scenario`` outputs, so refactors of the learner, environment,
+evaluator or scenario generator can show that no output moved.  After
 a deliberate change of results, regenerate them with
 ``python tests/test_golden.py`` and explain the change.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pytest
 
 from meqc.bench import emit_csv, parse_config, run_sweep
 from meqc.marl import TrainConfig, train, write_learning_curve
-from meqc.workload import gen_scenario
+from meqc.workload import PIN_FIELDS, gen_scenario, scenario_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,6 +35,18 @@ TRAIN_RUNS = {
                         learning_rate=0.01),
     ),
 }
+
+SCENARIO_SEEDS = (*range(30), 2**32 - 1, 2**70 + 1)
+SCENARIO_SHAPES = ((1, 1), (3, 3), (7, 4), (10, 10), (100, 20))
+PIN_VALUES = {
+    "edge_cpu": 12.5e9,
+    "physical_qubits": 4000,
+    "decoherence_time": 5e-3,
+    "weight_latency": 0.3,
+}
+assert set(PIN_VALUES) == set(PIN_FIELDS)
+# no pins, then each pinnable field on its own
+SCENARIO_PINS = (None, *({name: PIN_VALUES[name]} for name in PIN_FIELDS))
 
 SWEEP_CONFIG = (
     "scenario: {users: 3, servers: 2}\n"
@@ -66,6 +81,17 @@ def sweep_output(workdir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes()}
 
 
+def scenarios_output() -> dict[str, bytes]:
+    """One sha256 over the JSON form of every (pins, shape, seed) scenario."""
+    digest = hashlib.sha256()
+    for pins in SCENARIO_PINS:
+        for users, servers in SCENARIO_SHAPES:
+            for seed in SCENARIO_SEEDS:
+                doc = scenario_to_dict(gen_scenario(users, servers, seed, pins=pins))
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+    return {"scenarios.sha256": f"{digest.hexdigest()}\n".encode()}
+
+
 @pytest.mark.parametrize("name", sorted(TRAIN_RUNS))
 def test_training_matches_golden(name, tmp_path):
     for filename, data in train_outputs(name, tmp_path).items():
@@ -77,9 +103,15 @@ def test_sweep_matches_golden(tmp_path):
         assert data == (GOLDEN / filename).read_bytes(), filename
 
 
+def test_scenarios_match_golden():
+    for filename, data in scenarios_output().items():
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     outputs = sweep_output(GOLDEN)
+    outputs.update(scenarios_output())
     for run_name in TRAIN_RUNS:
         outputs.update(train_outputs(run_name, GOLDEN))
     for filename, data in outputs.items():

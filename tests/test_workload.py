@@ -15,6 +15,7 @@ from meqc.workload import (
     PHYSICAL_QUBIT_RANGE,
     RayTracingParams,
     TX_POWER_RANGE,
+    _field_rngs,
     compile_quantum,
     gen_scenario,
     gen_task,
@@ -73,6 +74,47 @@ class TestGenTask:
         for _ in range(200):
             task = gen_task(RayTracingParams(4), rng)
             assert DATA_SIZE_RANGE[0] <= task.data_size <= DATA_SIZE_RANGE[1]
+
+
+def field_rng(seed, *key):
+    """Reference stream: one numpy ``SeedSequence`` per (entity, field) slot."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5)
+
+
+def stream_keys() -> np.ndarray:
+    """Structured keys around the real ones, then random full-range keys."""
+    grid = [
+        (entity, index, tag)
+        for entity in (1, 2)
+        for index in (0, 1, 7, 99, 10**6, 2**31, 2**32 - 1)
+        for tag in range(10)
+    ]
+    random = np.random.default_rng(0).integers(0, 2**32, size=(160, 3))
+    return np.concatenate([np.array(grid), random])
+
+
+class TestFieldStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_words_and_states_match_numpy(self, seed):
+        keys = stream_keys()
+        rngs = list(_field_rngs(seed, keys))
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys.tolist(), rngs):
+            words = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
+            assert rng.bit_generator.state == field_rng(seed, *key).bit_generator.state
+
+    def test_bad_seeds_fail_like_numpy(self):
+        with pytest.raises(ValueError):
+            gen_scenario(2, 2, seed=-1)
+        with pytest.raises(TypeError):
+            gen_scenario(2, 2, seed=1.5)
+
+    def test_numpy_integer_seed_gives_same_scenario(self):
+        assert gen_scenario(4, 3, seed=np.int64(7)) == gen_scenario(4, 3, seed=7)
 
 
 class TestGenScenario:
