@@ -24,7 +24,7 @@ from .device import (
     physical_error_rate,
     success_probability,
 )
-from .env import MeqcEnv, StepResult, build_observation, resolve_quantum_allocation
+from .env import MeqcEnv, StepResult, build_observation
 from .marl import HybridAgent, LearnedPolicy, TrainConfig, gae, ppo_update, train
 from .solvers import (
     BaselinePolicy,

@@ -356,8 +356,11 @@ def _sweep_point(args) -> list[dict]:
     return rows
 
 
-def _run_grid(cfg: ExperimentConfig, param: str | None, values) -> list[dict]:
+def run_grid(cfg: ExperimentConfig, param: str | None = None, values=(0.0,)) -> list[dict]:
     """Evaluate every (value, policy, seed) combination, sorted in that order.
+
+    With no ``param`` this is the unswept evaluation (``meqc eval``): one
+    value, rows labelled ``param`` "none".
 
     Each (value, seed) scenario is generated once and shared by every
     policy.  Rows come back sorted regardless of worker scheduling, so
@@ -391,12 +394,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Evaluate every (sweep value, policy, seed) combination."""
     if cfg.sweep_parameter is None:
         raise ConfigError("sweep requires a 'sweep' section in the config")
-    return _run_grid(cfg, cfg.sweep_parameter, cfg.sweep_values)
-
-
-def run_eval(cfg: ExperimentConfig) -> list[dict]:
-    """Evaluate every (policy, seed) combination on the unswept scenario."""
-    return _run_grid(cfg, None, (0.0,))
+    return run_grid(cfg, cfg.sweep_parameter, cfg.sweep_values)
 
 
 def _format_cell(value) -> str:

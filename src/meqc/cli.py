@@ -19,7 +19,7 @@ from .bench import (
     build_scenario,
     emit_csv,
     parse_config,
-    run_eval,
+    run_grid,
     run_sweep,
 )
 from .marl import train as train_agents
@@ -55,7 +55,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    rows = run_eval(cfg)
+    rows = run_grid(cfg)
     emit_csv(rows, cfg.output)
     print(f"wrote {len(rows)} rows to {cfg.output}")
     return EXIT_OK

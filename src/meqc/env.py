@@ -4,7 +4,8 @@ Each user is an agent that observes only its own local, edge and wireless
 conditions and acts with a (server choice, local ratio) pair.  The
 environment resolves which offloaded tasks actually run on a QPU (at most
 one per server), scores the joint action with the cost model and hands
-every agent the shared reward ``-cost``.
+every agent the shared reward ``-cost``.  Every policy's raw decisions
+become QPU grants in one place, ``grant_mask``.
 
 An environment instance is single-owner; run several instances for
 parallel rollouts.
@@ -19,8 +20,6 @@ import numpy as np
 
 from .costs import JointAction, ScenarioEvaluator, sum_over_users
 from .workload import Scenario, redraw_tasks
-
-ARBITRATION_RULES = ("max_saving", "first_index")
 
 
 def build_observation(scenario: Scenario, user: int) -> np.ndarray:
@@ -53,60 +52,33 @@ def observation_length(num_servers: int) -> int:
 
 
 def grant_mask(
-    evaluator: ScenarioEvaluator,
-    servers: np.ndarray,
-    ratios: np.ndarray,
-    rule: str = "max_saving",
+    evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
 ) -> np.ndarray:
     """QPU grants of a ``[B, U]`` batch of decisions, as a boolean ``[B, U]`` array.
 
-    See ``resolve_quantum_allocation`` for the rule; each row is arbitrated
-    on its own.  ``servers`` must hold valid server indices.
+    Each row is arbitrated on its own.  Every user that offloads some of
+    its task (ratio < 1) to a server and passes the feasibility check there
+    is a candidate; the server executes exactly one candidate on its QPU:
+    the one whose offloaded share gains the most (CPU cost minus QPU cost,
+    at the user's actual ratio), ties going to the lowest user index.
+    Everyone else falls back to the server CPUs.  ``servers`` must hold
+    valid server indices.
     """
-    if rule not in ARBITRATION_RULES:
-        raise ValueError(f"unknown arbitration rule {rule!r}")
     grants = np.zeros(servers.shape, dtype=bool)
-    rows, users = np.nonzero(evaluator.eligible[evaluator.user_index, servers])
+    rows, users = np.nonzero(evaluator.eligible[evaluator.user_index, servers] & (ratios < 1.0))
     if len(users) == 0:
         return grants
     chosen = servers[rows, users]
     # one contest per (row, server); sort each contest's candidates by rank
     contest = rows * evaluator.num_servers + chosen
-    if rule == "max_saving":
-        saving = evaluator.savings(chosen, ratios[rows, users], users=users)
-        order = np.lexsort((users, -saving, contest))
-    else:
-        order = np.lexsort((users, contest))
+    saving = evaluator.savings(chosen, ratios[rows, users], users=users)
+    order = np.lexsort((users, -saving, contest))
     contest = contest[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = contest[1:] != contest[:-1]
     winners = order[first]
     grants[rows[winners], users[winners]] = True
     return grants
-
-
-def resolve_quantum_allocation(
-    evaluator: ScenarioEvaluator,
-    server_choice: Sequence[int],
-    local_ratio: Sequence[float],
-    rule: str = "max_saving",
-) -> tuple[int, ...]:
-    """Decide which users run on a QPU, one per server.
-
-    Every user that picked a server and passes the feasibility check is a
-    candidate there; the server executes exactly one candidate on its QPU.
-    Under ``max_saving`` the candidate whose offloaded share gains the most
-    (CPU cost minus QPU cost, at the user's actual ratio) wins, ties going
-    to the lowest user index; ``first_index`` simply takes the lowest
-    index.  Everyone else falls back to the server CPUs.
-    """
-    grants = grant_mask(
-        evaluator,
-        np.array([server_choice], dtype=np.int64),
-        np.array([local_ratio], dtype=np.float64),
-        rule,
-    )
-    return tuple(grants[0].astype(int).tolist())
 
 
 @dataclass(frozen=True)
@@ -131,8 +103,8 @@ class MeqcEnv:
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
     tasks from the workload generator.  Observations depend only on the
-    scenario, so they are built once per scenario and only ``reset``
-    returns them, not ``step``.
+    scenario, so ``observations`` builds them on first request, once per
+    scenario; policies that do not read them never pay for them.
     """
 
     def __init__(
@@ -140,14 +112,10 @@ class MeqcEnv:
         scenario: Scenario,
         *,
         redraw_tasks: bool = False,
-        arbitration: str = "max_saving",
         rng: np.random.Generator | None = None,
     ):
-        if arbitration not in ARBITRATION_RULES:
-            raise ValueError(f"unknown arbitration rule {arbitration!r}")
         self.base_scenario = scenario
         self.redraw = redraw_tasks
-        self.arbitration = arbitration
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
@@ -168,11 +136,10 @@ class MeqcEnv:
                 obs.flags.writeable = False
         return list(self._observations)
 
-    def reset(self) -> list[np.ndarray]:
+    def reset(self) -> None:
         """Start a new episode; redraws tasks when configured to."""
         if self.redraw:
             self._load(redraw_tasks(self.base_scenario, self.rng))
-        return self.observations()
 
     def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:
         """Checked ``[B, U]`` server indices and ratios clamped to [0, 1]."""
@@ -198,7 +165,7 @@ class MeqcEnv:
         ``zip(servers[b], ratios[b])``.
         """
         servers, ratios = self._decisions(servers, ratios)
-        grants = grant_mask(self.evaluator, servers, ratios, self.arbitration)
+        grants = grant_mask(self.evaluator, servers, ratios)
         return -sum_over_users(self.evaluator.breakdown(servers, ratios, grants).cost)
 
     def step(self, actions: Sequence[tuple[int, float]] | JointAction) -> StepResult:
@@ -206,7 +173,7 @@ class MeqcEnv:
 
         Decentralized agents submit raw (server index, local ratio) pairs;
         ratios are clamped to [0, 1] and the QPU indicators are resolved by
-        the arbitration rule, exactly as ``rewards`` does for a batch.  A
+        ``grant_mask``, exactly as ``rewards`` does for a batch.  A
         centralized solver may instead submit a complete ``JointAction``
         whose grant schedule is honored after validation (every claimed
         grant must be feasible; at most one per server).
@@ -239,7 +206,7 @@ class MeqcEnv:
                 [[int(server) for server, _ in actions]],
                 [[float(ratio) for _, ratio in actions]],
             )
-            grants = grant_mask(evaluator, servers, ratios, self.arbitration)
+            grants = grant_mask(evaluator, servers, ratios)
             servers, ratios, grants = servers[0], ratios[0], grants[0]
             action = JointAction(
                 server_choice=tuple(servers.tolist()),

@@ -194,7 +194,7 @@ class HybridAgent:
             self.nets[name].set_flat_params(vec)
 
     def params_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.flat_params().values())
+        return all(np.isfinite(a).all() for n in self.nets.values() for a in n.weights + n.biases)
 
 
 def _logsumexp(x):
@@ -365,8 +365,9 @@ def train(
 
     Deterministic in ``seed``.  Writes a per-epoch learning curve CSV and
     a parameter checkpoint when paths are given.  If parameters go
-    non-finite, the last good checkpoint is saved (when a path is given)
-    before ``TrainingError`` propagates.
+    non-finite, the last good parameters are saved to the checkpoint path
+    (when one is given; only then are they kept) before ``TrainingError``
+    propagates.
     """
     root = np.random.SeedSequence(seed)
     env_ss, sample_ss, batch_ss, agents_ss = root.spawn(4)
@@ -385,12 +386,13 @@ def train(
     batch_rng = np.random.default_rng(batch_ss)
 
     result = TrainResult(agents=agents)
-    last_good = [agent.flat_params() for agent in agents]
+    last_good = None if checkpoint_path is None else [agent.flat_params() for agent in agents]
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
         # values are fixed for the epoch: evaluate them once, draw the whole
         # epoch in one batch, then score all steps in one batch.
-        obs = env.reset()
+        env.reset()
+        obs = env.observations()
         heads = [agent.heads(o) for agent, o in zip(agents, obs)]
         actions = draw_actions(heads, cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
@@ -415,12 +417,13 @@ def train(
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
         except TrainingError:
-            if checkpoint_path is not None:
+            if last_good is not None:
                 for agent, params in zip(agents, last_good):
                     agent.set_flat_params(params)
                 save_checkpoint(checkpoint_path, agents)
             raise
-        last_good = [agent.flat_params() for agent in agents]
+        if last_good is not None:
+            last_good = [agent.flat_params() for agent in agents]
 
         result.curve.append(
             {
@@ -502,7 +505,5 @@ class LearnedPolicy:
     def __init__(self, agents: list[HybridAgent]):
         self.agents = agents
 
-    def act(self, scenario, observations, rng):
-        return [
-            agent.greedy_action(obs) for agent, obs in zip(self.agents, observations)
-        ]
+    def act(self, env, rng):
+        return [a.greedy_action(obs) for a, obs in zip(self.agents, env.observations())]

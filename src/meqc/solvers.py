@@ -9,6 +9,9 @@ endpoints {0, 1} matter, and that users decouple once the grants are
 fixed, so the grants are one maximum-weight user-server matching.  The
 grid cross-check guarding the endpoint lemma and the enumeration the
 oracle is checked against live in the test suite.
+
+Policies act on a ``MeqcEnv``; the local and random baselines submit raw
+(server, ratio) pairs, so only ``env.grant_mask`` grants their QPUs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
 from .costs import JointAction, ScenarioEvaluator, sum_over_users
-from .env import MeqcEnv, resolve_quantum_allocation
+from .env import MeqcEnv
 from .workload import Scenario
+
 
 class PolicyKind(str, Enum):
     LOCAL = "local"
@@ -39,37 +43,31 @@ def solve_baseline(
 
     local: keep everything on-device.  random: uniform server and uniform
     ratio per user.  random_cloud: uniform server, full offload.  greedy:
-    see ``solve_greedy``.  Indicators of the first three are resolved with
-    the environment's default ``max_saving`` allocation rule so the returned
-    action is exactly what would execute.
+    see ``solve_greedy``.  The first three are stepped through a
+    ``MeqcEnv``, so the returned action carries exactly the grants that
+    would execute.
     """
     kind = PolicyKind(kind)
     if kind is PolicyKind.GREEDY:
         return solve_greedy(scenario)
     if kind is PolicyKind.ORACLE:
         return solve_exhaustive(scenario)[0]
-    servers, ratios = _decisions(kind, scenario, rng)
-    indicators = resolve_quantum_allocation(ScenarioEvaluator(scenario), servers, ratios)
-    return JointAction(
-        server_choice=tuple(servers),
-        local_ratio=tuple(ratios),
-        quantum_indicator=indicators,
-    )
+    env = MeqcEnv(scenario)
+    return env.step(_decisions(kind, env.num_users, env.num_servers, rng)).action
 
 
 def _decisions(
-    kind: PolicyKind, scenario: Scenario, rng: np.random.Generator | None
-) -> tuple[list[int], list[float]]:
-    """(server, ratio) per user of the local and random baselines, before arbitration."""
-    num_users = len(scenario.users)
+    kind: PolicyKind, num_users: int, num_servers: int, rng: np.random.Generator | None
+) -> list[tuple[int, float]]:
+    """Raw (server, ratio) pair per user of the local and random baselines."""
     if kind is PolicyKind.LOCAL:
-        return [0] * num_users, [1.0] * num_users
+        return [(0, 1.0)] * num_users
     if rng is None:
         raise ValueError(f"{kind.value} baseline needs an rng")
-    servers = [int(s) for s in rng.integers(0, len(scenario.servers), size=num_users)]
+    servers = rng.integers(0, num_servers, size=num_users).tolist()
     if kind is PolicyKind.RANDOM:
-        return servers, [float(r) for r in rng.uniform(0.0, 1.0, size=num_users)]
-    return servers, [0.0] * num_users  # RANDOM_CLOUD
+        return list(zip(servers, rng.uniform(0.0, 1.0, size=num_users).tolist()))
+    return [(server, 0.0) for server in servers]  # RANDOM_CLOUD
 
 
 def solve_greedy(scenario: Scenario) -> JointAction:
@@ -190,40 +188,37 @@ def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 class Policy(Protocol):
-    """Anything that can pick actions from per-user observations.
+    """Anything that can pick a joint decision in an environment.
 
     ``act`` returns either raw (server, local ratio) pairs, leaving QPU
     arbitration to the environment, or a complete ``JointAction`` whose
-    grant schedule the environment honors.
+    grant schedule the environment honors.  A policy that needs the
+    agents' observations reads ``env.observations()``.
     """
 
     def act(
-        self,
-        scenario: Scenario,
-        observations: Sequence[np.ndarray],
-        rng: np.random.Generator,
+        self, env: MeqcEnv, rng: np.random.Generator
     ) -> list[tuple[int, float]] | JointAction: ...
 
 
 class BaselinePolicy:
-    """Adapter that replays a baseline solution through the environment.
+    """Adapter that replays a baseline through the environment.
 
-    Deterministic baselines are solved once per scenario and submitted as
-    complete joint actions, so a solver's grant schedule is what runs.  The
-    random baselines redraw on every step and submit raw (server, ratio)
-    pairs; the environment's default ``max_saving`` arbitration grants the
-    QPUs exactly as ``solve_baseline`` does.
+    The local and random baselines submit raw (server, ratio) pairs, the
+    random ones redrawn on every step, and the environment grants the
+    QPUs.  Greedy and the oracle are solved once per scenario and submitted
+    as complete joint actions, so a solver's grant schedule is what runs.
     """
 
     def __init__(self, kind: PolicyKind):
         self.kind = PolicyKind(kind)
         self._solved: tuple[Scenario, JointAction] | None = None
 
-    def act(self, scenario, observations, rng):
-        if self.kind in (PolicyKind.RANDOM, PolicyKind.RANDOM_CLOUD):
-            return list(zip(*_decisions(self.kind, scenario, rng)))
-        if self._solved is None or self._solved[0] is not scenario:
-            self._solved = (scenario, solve_baseline(self.kind, scenario, rng))
+    def act(self, env, rng):
+        if self.kind not in (PolicyKind.GREEDY, PolicyKind.ORACLE):
+            return _decisions(self.kind, env.num_users, env.num_servers, rng)
+        if self._solved is None or self._solved[0] is not env.scenario:
+            self._solved = (env.scenario, solve_baseline(self.kind, env.scenario, rng))
         return self._solved[1]
 
 
@@ -263,8 +258,8 @@ def evaluate(
     grants = 0
     success_sum = 0.0
     for _ in range(episodes):
-        obs = env.reset()
-        result = env.step(policy.act(env.scenario, obs, rng))
+        env.reset()
+        result = env.step(policy.act(env, rng))
         costs.append(-result.reward)
         latency_parts.append(result.latency_cost)
         energy_parts.append(result.energy_cost)

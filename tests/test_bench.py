@@ -14,7 +14,7 @@ from meqc.bench import (
     emit_csv,
     load_csv,
     parse_config,
-    run_eval,
+    run_grid,
     run_sweep,
 )
 from meqc.cli import main
@@ -193,7 +193,7 @@ class TestRunSweep:
             f"policies: [trained, local]\ncheckpoint: {tmp_path / 'agents.npz'}\n"
             "episodes: 1\nseeds: [0, 1, 2]\n"
         )
-        rows = run_sweep(cfg) if runner == "sweep" else run_eval(cfg)
+        rows = run_sweep(cfg) if runner == "sweep" else run_grid(cfg)
         assert len(rows) == (18 if runner == "sweep" else 6)
         assert len(loads) == 1
 
@@ -212,7 +212,7 @@ class TestRunSweep:
             "policies: [local, random, random_cloud, greedy, oracle]\n"
             "episodes: 1\nseeds: [0, 1, 2, 3, 4]\n"
         )
-        rows = run_sweep(cfg) if runner == "sweep" else run_eval(cfg)
+        rows = run_sweep(cfg) if runner == "sweep" else run_grid(cfg)
         values = 3 if runner == "sweep" else 1
         assert len(rows) == values * 5 * 5
         assert len(calls) == values * 5
@@ -244,9 +244,28 @@ class TestRunSweep:
         cfg = parse_config(
             "scenario: {users: 2, servers: 2}\npolicies: [local]\nepisodes: 1\n"
         )
-        rows = run_eval(cfg)
+        rows = run_grid(cfg)
         assert len(rows) == 1
         assert rows[0]["param"] == "none"
+
+    def test_only_the_learned_policy_builds_observations(self, tmp_path, monkeypatch):
+        import meqc.env
+
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        save_checkpoint(tmp_path / "agents.npz", train(gen_scenario(3, 2, seed=0), cfg, 0).agents)
+        built = []
+        real = meqc.env.build_observation
+        monkeypatch.setattr(
+            meqc.env, "build_observation", lambda s, u: built.append(u) or real(s, u)
+        )
+        text = "scenario: {users: 3, servers: 2}\nepisodes: 2\n"
+        run_grid(parse_config(text))  # every baseline
+        assert built == []
+        run_grid(parse_config(
+            text + f"policies: [trained]\ncheckpoint: {tmp_path / 'agents.npz'}\n"
+        ))
+        assert built == [0, 1, 2]
 
 
 class TestEmitCsv:

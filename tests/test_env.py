@@ -14,15 +14,12 @@ from meqc.costs import (
     UserProfile,
     total_cost,
 )
-from meqc.env import (
-    ARBITRATION_RULES,
-    MeqcEnv,
-    build_observation,
-    grant_mask,
-    observation_length,
-    resolve_quantum_allocation,
-)
+from meqc.env import MeqcEnv, build_observation, grant_mask, observation_length
+from meqc.solvers import BaselinePolicy, PolicyKind, evaluate, solve_baseline
 from meqc.workload import gen_scenario
+
+# ``grant_mask`` has one rule (largest saving wins); cases carry its name
+ONE_RULE = pytest.mark.parametrize("rule", ["max_saving"])
 
 
 def craft_scenario(num_servers=2, quotas=(54, 54), data_sizes=(1e3, 1e3),
@@ -64,16 +61,20 @@ class TestObservations:
 
     def test_reset_stable_without_redraw(self):
         env = MeqcEnv(gen_scenario(3, 3, seed=4))
-        first = env.reset()
-        second = env.reset()
+        env.reset()
+        first = env.observations()
+        env.reset()
+        second = env.observations()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
     def test_redraw_changes_tasks(self):
         env = MeqcEnv(gen_scenario(3, 3, seed=4), redraw_tasks=True,
                       rng=np.random.default_rng(0))
-        first = env.reset()
-        second = env.reset()
+        env.reset()
+        first = env.observations()
+        env.reset()
+        second = env.observations()
         assert any(not np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_normalized_fields_in_unit_interval(self):
@@ -85,12 +86,22 @@ class TestObservations:
                 assert np.all(np.isfinite(obs))
 
 
+def allocate(evaluator, server_choice, local_ratio):
+    """Grants of one joint decision: a one-row ``grant_mask`` batch."""
+    grants = grant_mask(
+        evaluator,
+        np.array([server_choice], dtype=np.int64),
+        np.array([local_ratio], dtype=np.float64),
+    )
+    return tuple(grants[0].astype(int).tolist())
+
+
 class TestResolveAllocation:
     def test_lone_eligible_user_granted(self):
         scenario = craft_scenario(quotas=(54,), data_sizes=(1e3,))
         evaluator = ScenarioEvaluator(scenario)
         assert evaluator.eligible[0][0]
-        assert resolve_quantum_allocation(evaluator, [0], [0.0]) == (1,)
+        assert allocate(evaluator, [0], [0.0]) == (1,)
 
     def test_contested_server_largest_saving_wins(self):
         # same server, user 1 offloads a bigger payload => larger saving
@@ -99,7 +110,7 @@ class TestResolveAllocation:
         save0 = evaluator.qpu_saving(0, 0, 0.0)
         save1 = evaluator.qpu_saving(1, 0, 0.0)
         assert save1 > save0 > 0.0
-        indicators = resolve_quantum_allocation(evaluator, [0, 0], [0.0, 0.0])
+        indicators = allocate(evaluator, [0, 0], [0.0, 0.0])
         assert indicators == (0, 1)
         # one grant per server, always
         assert sum(indicators) == 1
@@ -107,20 +118,33 @@ class TestResolveAllocation:
     def test_tie_breaks_to_lowest_index(self):
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 1e3))
         evaluator = ScenarioEvaluator(scenario)
-        assert resolve_quantum_allocation(evaluator, [0, 0], [0.0, 0.0]) == (1, 0)
+        assert allocate(evaluator, [0, 0], [0.0, 0.0]) == (1, 0)
 
-    def test_first_index_rule(self):
+    def test_ratio_one_users_do_not_contend(self):
+        # at ratio 1 nothing is offloaded, so there is nothing to run on a QPU
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
         evaluator = ScenarioEvaluator(scenario)
-        indicators = resolve_quantum_allocation(
-            evaluator, [0, 0], [0.0, 0.0], rule="first_index"
+        assert allocate(evaluator, [0, 0], [1.0, 1.0]) == (0, 0)
+        # only the offloading user contends, on whichever server it picked
+        assert allocate(evaluator, [0, 0], [0.0, 1.0]) == (1, 0)
+        assert allocate(evaluator, [0, 1], [0.99, 1.0]) == (1, 0)
+
+    def test_all_local_baseline_grants_nothing(self):
+        scenario = craft_scenario(
+            num_servers=2, quotas=(54, 54, 54), data_sizes=(1e3, 2e3, 3e3)
         )
-        assert indicators == (1, 0)
+        assert ScenarioEvaluator(scenario).eligible[:, 0].all()
+        action = solve_baseline(PolicyKind.LOCAL, scenario)
+        assert action.local_ratio == (1.0,) * 3
+        assert action.quantum_indicator == (0, 0, 0)
+        stats = evaluate(BaselinePolicy(PolicyKind.LOCAL), scenario, 3,
+                         np.random.default_rng(0))
+        assert stats.qpu_grant_rate == 0.0
 
     def test_no_eligible_users(self):
         scenario = craft_scenario(quotas=(0, 0))
         evaluator = ScenarioEvaluator(scenario)
-        assert resolve_quantum_allocation(evaluator, [0, 0], [0.0, 0.0]) == (0, 0)
+        assert allocate(evaluator, [0, 0], [0.0, 0.0]) == (0, 0)
 
     def test_exclusivity_over_random_actions(self):
         scenario = gen_scenario(5, 3, seed=8)
@@ -129,7 +153,7 @@ class TestResolveAllocation:
         for _ in range(10_000):
             servers = rng.integers(0, 3, size=5)
             ratios = rng.uniform(0, 1, size=5)
-            indicators = resolve_quantum_allocation(evaluator, servers, ratios)
+            indicators = allocate(evaluator, servers, ratios)
             for server in range(3):
                 granted = sum(
                     ind for u, ind in enumerate(indicators) if servers[u] == server
@@ -228,30 +252,27 @@ def rowwise_step_rewards(env, servers, ratios):
     ]
 
 
-def reference_allocation(evaluator, server_choice, local_ratio, rule):
+def reference_allocation(evaluator, server_choice, local_ratio):
     """The per-server scalar arbitration loop that ``grant_mask`` vectorises."""
     indicators = [0] * len(server_choice)
     for server in range(evaluator.num_servers):
         candidates = [
             u
             for u, choice in enumerate(server_choice)
-            if choice == server and evaluator.eligible[u][server]
+            if choice == server and evaluator.eligible[u][server] and local_ratio[u] < 1.0
         ]
         if not candidates:
             continue
-        if rule == "max_saving":
-            winner = max(
-                candidates,
-                key=lambda u: (evaluator.qpu_saving(u, server, local_ratio[u]), -u),
-            )
-        else:
-            winner = candidates[0]
+        winner = max(
+            candidates,
+            key=lambda u: (evaluator.qpu_saving(u, server, local_ratio[u]), -u),
+        )
         indicators[winner] = 1
     return tuple(indicators)
 
 
 class TestBatchedRewards:
-    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    @ONE_RULE
     @pytest.mark.parametrize(
         "make",
         [
@@ -265,7 +286,7 @@ class TestBatchedRewards:
     )
     def test_rows_equal_step_rewards(self, make, rule):
         scenario = make()
-        env = MeqcEnv(scenario, arbitration=rule)
+        env = MeqcEnv(scenario)
         users, servers = env.num_users, env.num_servers
         rng = np.random.default_rng(8)
         batch_servers = rng.integers(0, servers, size=(64, users))
@@ -276,7 +297,7 @@ class TestBatchedRewards:
         assert rewards.shape == (64,)
         assert rewards.tolist() == rowwise_step_rewards(env, batch_servers, batch_ratios)
 
-    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    @ONE_RULE
     def test_grants_match_reference_loop(self, rule):
         scenario = craft_scenario(
             num_servers=3, quotas=(54, 54, 0, 54, 54), data_sizes=(1e3, 2e3, 1e3, 1e3, 3e3)
@@ -286,10 +307,10 @@ class TestBatchedRewards:
         servers = rng.integers(0, 3, size=(200, 5))
         ratios = rng.choice([0.0, 0.5, 1.0], size=(200, 5))
         ratios[::2] = rng.uniform(0, 1, size=(100, 5))
-        grants = grant_mask(evaluator, servers, ratios, rule).astype(int)
+        grants = grant_mask(evaluator, servers, ratios).astype(int)
         for row in range(200):
             want = reference_allocation(
-                evaluator, servers[row].tolist(), ratios[row].tolist(), rule
+                evaluator, servers[row].tolist(), ratios[row].tolist()
             )
             assert tuple(grants[row].tolist()) == want, row
 
@@ -306,13 +327,13 @@ class TestBatchedRewards:
             for server in range(2):
                 assert grants[row][servers[row] == server].sum() <= 1
 
-    @pytest.mark.parametrize("rule", ARBITRATION_RULES)
+    @ONE_RULE
     def test_tie_goes_to_lowest_index(self, rule):
         scenario = craft_scenario(quotas=(54, 54, 54), data_sizes=(1e3, 1e3, 1e3))
-        env = MeqcEnv(scenario, arbitration=rule)
+        env = MeqcEnv(scenario)
         servers = np.array([[0, 0, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]])
         ratios = np.zeros((4, 3))
-        grants = grant_mask(env.evaluator, servers, ratios, rule)
+        grants = grant_mask(env.evaluator, servers, ratios)
         assert grants.astype(int).tolist() == [
             [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 0]
         ]
@@ -352,10 +373,15 @@ class TestBatchedRewards:
             meqc.env, "build_observation", lambda s, u: calls.append(u) or real(s, u)
         )
         env = MeqcEnv(gen_scenario(3, 2, seed=0))
-        first = env.reset()
         env.reset()
+        assert calls == []  # built only when a policy asks for them
+        first = env.observations()
+        env.reset()
+        env.observations()
         assert len(calls) == 3
         with pytest.raises(ValueError):
             first[0][0] = 1.0  # shared between resets, so read-only
-        MeqcEnv(gen_scenario(3, 2, seed=0), redraw_tasks=True).reset()
+        redrawn = MeqcEnv(gen_scenario(3, 2, seed=0), redraw_tasks=True)
+        redrawn.reset()
+        redrawn.observations()
         assert len(calls) == 3 + 3

@@ -474,6 +474,47 @@ class TestTrain:
         )
         assert stats.mean_cost <= 1.05 * oracle_cost
 
+    def test_non_finite_parameters_restore_last_good_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = gen_scenario(2, 2, seed=0)
+        cfg = self.smoke_config(epochs=3, updates_per_epoch=1)
+        after_epoch0 = train(scenario, self.smoke_config(epochs=1, updates_per_epoch=1),
+                             seed=4).agents
+        calls = []
+        real_update = marl.ppo_update
+
+        def poisoning_update(agent, optimizers, batch, cfg):
+            stats = real_update(agent, optimizers, batch, cfg)
+            calls.append(agent)
+            if len(calls) == len(scenario.users) + 1:  # epoch 1, first agent
+                agent.nets["v_ratio"].weights[1][0, 0] = np.nan
+            return stats
+
+        monkeypatch.setattr(marl, "ppo_update", poisoning_update)
+        path = tmp_path / "agents.npz"
+        with pytest.raises(TrainingError, match=r"non-finite parameters for agents \[0\]"):
+            train(scenario, cfg, seed=4, checkpoint_path=path)
+        for want, got in zip(after_epoch0, load_checkpoint(path), strict=True):
+            for name in want.nets:
+                assert np.array_equal(
+                    want.nets[name].flat_params(), got.nets[name].flat_params()
+                )
+
+        # without a path nothing is kept or written
+        saved, copies = [], []
+        real_flat = HybridAgent.flat_params
+        monkeypatch.setattr(marl, "save_checkpoint", lambda *args: saved.append(args))
+        monkeypatch.setattr(
+            HybridAgent, "flat_params", lambda self: copies.append(self) or real_flat(self)
+        )
+        monkeypatch.chdir(tmp_path)
+        calls.clear()
+        with pytest.raises(TrainingError, match="non-finite parameters"):
+            train(scenario, cfg, seed=4)
+        assert saved == [] and copies == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.npz"]
+
     def test_curve_written(self, tmp_path):
         scenario = gen_scenario(2, 2, seed=3)
         path = tmp_path / "curve.csv"

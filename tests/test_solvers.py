@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import meqc.costs
+import meqc.env
 from meqc.costs import JointAction, ScenarioEvaluator, local_cost, total_cost
 from meqc.solvers import (
     BaselinePolicy,
@@ -443,17 +444,35 @@ class TestEvaluate:
             stats.mean_cost, rel=1e-9
         )
 
-    @pytest.mark.parametrize("kind", [PolicyKind.RANDOM, PolicyKind.RANDOM_CLOUD])
-    def test_random_baselines_build_one_evaluator(self, kind, monkeypatch):
+    @staticmethod
+    def count_evaluators(monkeypatch) -> list:
         built = []
         init = meqc.costs.ScenarioEvaluator.__init__
         monkeypatch.setattr(
             meqc.costs.ScenarioEvaluator, "__init__",
             lambda self, scenario: built.append(scenario) or init(self, scenario),
         )
+        return built
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_random_baselines_build_one_evaluator(self, kind, monkeypatch):
+        built = self.count_evaluators(monkeypatch)
+        observed = []
+        monkeypatch.setattr(meqc.env, "build_observation",
+                            lambda scenario, user: observed.append(user))
         evaluate(BaselinePolicy(kind), gen_scenario(4, 3, seed=5), 10,
                  np.random.default_rng(0))
-        assert len(built) == 1
+        # the environment's evaluator; greedy and the oracle are solved once,
+        # on an evaluator of their own
+        assert len(built) == 1 + (kind in (PolicyKind.GREEDY, PolicyKind.ORACLE))
+        assert observed == []  # no baseline reads an observation
+
+    def test_redraw_builds_one_evaluator_per_episode(self, monkeypatch):
+        built = self.count_evaluators(monkeypatch)
+        evaluate(BaselinePolicy(PolicyKind.LOCAL), gen_scenario(4, 3, seed=5), 6,
+                 np.random.default_rng(0), redraw_tasks=True)
+        # the base scenario's, then one per redrawn episode
+        assert len(built) == 1 + 6
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):
