@@ -10,6 +10,7 @@ environment can score many candidate actions in one pass.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
@@ -96,11 +97,6 @@ class QuantumTaskSpec:
             raise ValueError("data_size must be > 0")
         if self.logical_qubits <= 0 or self.logical_depth <= 0:
             raise ValueError("logical_qubits and logical_depth must be > 0")
-
-    @property
-    def error_locations(self) -> int:
-        """Number of circuit sites where a logical error can occur."""
-        return self.logical_qubits * self.logical_depth
 
 
 @dataclass(frozen=True)
@@ -308,22 +304,29 @@ _FIELDS = tuple(f.name for f in fields(CostBreakdown))
 _PATHS = np.array([False, True])
 
 
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
 class ScenarioEvaluator:
     """Scores actions against one scenario.
 
     Construction turns the scenario into numpy tables of every
-    ratio-independent factor of the cost formulas: per-user task and
-    profile vectors, the per-(user, server) ``rate``, ``success`` and
-    ``eligible`` arrays (each ``[U, E]``), and per-server QPU step time and
-    step energy.  ``breakdown`` evaluates the formulas on any batch in the
-    operation order of ``local_cost``, ``transmission_cost``,
+    ratio-independent factor of the cost formulas.  The scenario-fixed
+    tables depend on profiles, servers and device physics only: per-user
+    profile vectors and qubit quotas, the per-(user, server) uplink
+    ``rate`` (``[U, E]``), and per-server error suppression and QPU step
+    time and step energy.  The task tables depend on the users' tasks too:
+    per-user task vectors and the ``[U, E]`` ``success`` and ``eligible``
+    arrays.  ``with_tasks`` rebuilds only the task tables, for a scenario
+    whose tasks alone differ.  ``breakdown`` evaluates the formulas on any
+    batch in the operation order of ``local_cost``, ``transmission_cost``,
     ``edge_classical_cost`` and ``edge_quantum_cost``, so every number is
     bit-identical to those scalar functions.  The scenario and tables are
     read-only; one evaluator may be shared by concurrent readers.
     """
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         users, servers = scenario.users, scenario.servers
         self.num_users = len(users)
         self.num_servers = len(servers)
@@ -334,50 +337,34 @@ class ScenarioEvaluator:
                     f"for {self.num_servers} servers"
                 )
 
-        def column(values):
-            return np.array(values, dtype=np.float64)
-
         self.user_index = np.arange(self.num_users)
-        self._f_local = column([e.profile.f_local for e in users])
-        self._tx_power = column([e.profile.tx_power for e in users])
-        self._edge_cpu = column([e.profile.edge_cpu for e in users])
-        self.weight_latency = column([e.profile.weight_latency for e in users])
-        self.weight_energy = column([e.profile.weight_energy for e in users])
-        self._data_size = column([e.task.data_size for e in users])
-        self._cycles_per_byte = column([e.task.cycles_per_byte for e in users])
-        self._q_data_size = column([e.quantum_task.data_size for e in users])
-        self._logical_qubits = column([e.quantum_task.logical_qubits for e in users])
+        self._f_local = _column([e.profile.f_local for e in users])
+        self._tx_power = _column([e.profile.tx_power for e in users])
+        self._edge_cpu = _column([e.profile.edge_cpu for e in users])
+        self.weight_latency = _column([e.profile.weight_latency for e in users])
+        self.weight_energy = _column([e.profile.weight_energy for e in users])
+        self._quota = np.array([e.profile.logical_qubit_quota for e in users])
 
         # uplink_rate: bandwidth * log2(1 + tx * gain / noise).  math.log2
         # rather than np.log2, whose SIMD variants may round differently.
         snr = (
             self._tx_power[:, None]
-            * column([e.profile.channel_gains for e in users])
-            / column([s.noise_power for s in servers])
+            * _column([e.profile.channel_gains for e in users])
+            / _column([s.noise_power for s in servers])
         )
         log_terms = list(map(math.log2, (1.0 + snr).ravel().tolist()))
-        self.rate = column([s.bandwidth for s in servers]) * column(log_terms).reshape(
+        self.rate = _column([s.bandwidth for s in servers]) * _column(log_terms).reshape(
             snr.shape
         )
         self._dead_links = not (self.rate > 0.0).all()
 
-        # success_probability, clamped the way min(1, max(0, .)) clamps.
-        depths = column([e.quantum_task.logical_depth for e in users])
-        locations = self._logical_qubits * depths
         error_rate = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
-        suppression = column(
+        self._suppression = _column(
             [
                 error_suppression(s.concat_level, error_rate, scenario.error_threshold)
                 for s in servers
             ]
         )
-        success = 1.0 - locations[:, None] * scenario.error_threshold * suppression
-        success = np.where(success > 0.0, success, 0.0)
-        self.success = np.where(success < 1.0, success, 1.0)
-        fits = np.array(
-            [e.quantum_task.logical_qubits <= e.profile.logical_qubit_quota for e in users]
-        )
-        self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
 
         # edge_quantum_cost's per-step time and energy, per server.
         tech = scenario.qubit_tech
@@ -396,9 +383,51 @@ class ScenarioEvaluator:
                 + powers.e_meas * res.n_meas
                 + powers.e_qubit * res.phys_per_logical,
             )
-        self._step_time, self._step_energy = column(
+        self._step_time, self._step_energy = _column(
             [step[s.concat_level] for s in servers]
         ).T
+        self._load_tasks(scenario)
+
+    def _load_tasks(self, scenario: Scenario) -> None:
+        """Build the task tables of ``scenario`` and make it the scored one."""
+        self.scenario = scenario
+        users = scenario.users
+        self._data_size = _column([e.task.data_size for e in users])
+        self._cycles_per_byte = _column([e.task.cycles_per_byte for e in users])
+        self._q_data_size = _column([e.quantum_task.data_size for e in users])
+        self._logical_qubits = _column([e.quantum_task.logical_qubits for e in users])
+        depths = _column([e.quantum_task.logical_depth for e in users])
+
+        # success_probability, clamped the way min(1, max(0, .)) clamps.
+        locations = self._logical_qubits * depths
+        success = 1.0 - locations[:, None] * scenario.error_threshold * self._suppression
+        success = np.where(success > 0.0, success, 0.0)
+        self.success = np.where(success < 1.0, success, 1.0)
+        fits = self._logical_qubits <= self._quota
+        self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
+
+    def with_tasks(self, scenario: Scenario) -> ScenarioEvaluator:
+        """An evaluator of ``scenario``, which differs from this one's in its tasks only.
+
+        The new evaluator shares this one's scenario-fixed tables and builds
+        only its task tables.  Raises ``ValueError`` unless ``scenario`` has
+        the same servers, user profiles, cryostat, qubit technology, error
+        threshold and chip energy as this evaluator's scenario.
+        """
+        own = self.scenario
+        same = (
+            scenario.servers == own.servers
+            and [e.profile for e in scenario.users] == [e.profile for e in own.users]
+            and scenario.cryostat == own.cryostat
+            and scenario.qubit_tech == own.qubit_tech
+            and scenario.error_threshold == own.error_threshold
+            and scenario.chip_energy_per_cycle == own.chip_energy_per_cycle
+        )
+        if not same:
+            raise ValueError("scenario differs from the evaluator's in more than its tasks")
+        evaluator = copy.copy(self)
+        evaluator._load_tasks(scenario)
+        return evaluator
 
     def breakdown(self, servers, ratios, qpu, users=None) -> CostBreakdown:
         """Cost components of a whole batch at once, as arrays.

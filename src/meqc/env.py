@@ -51,6 +51,13 @@ def observation_length(num_servers: int) -> int:
     return 8 + 2 * num_servers
 
 
+def _candidates(
+    evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
+) -> np.ndarray:
+    """Users that may hold a QPU grant: ratio < 1, at a server where the task is feasible."""
+    return evaluator.eligible[evaluator.user_index, servers] & (ratios < 1.0)
+
+
 def grant_mask(
     evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
 ) -> np.ndarray:
@@ -65,7 +72,7 @@ def grant_mask(
     valid server indices.
     """
     grants = np.zeros(servers.shape, dtype=bool)
-    rows, users = np.nonzero(evaluator.eligible[evaluator.user_index, servers] & (ratios < 1.0))
+    rows, users = np.nonzero(_candidates(evaluator, servers, ratios))
     if len(users) == 0:
         return grants
     chosen = servers[rows, users]
@@ -119,11 +126,12 @@ class MeqcEnv:
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
-        self._load(scenario)
+        self._base_evaluator = ScenarioEvaluator(scenario)
+        self._load(self._base_evaluator)
 
-    def _load(self, scenario: Scenario) -> None:
-        self.scenario = scenario
-        self.evaluator = ScenarioEvaluator(scenario)
+    def _load(self, evaluator: ScenarioEvaluator) -> None:
+        self.evaluator = evaluator
+        self.scenario = evaluator.scenario
         self._observations = None
 
     def observations(self) -> list[np.ndarray]:
@@ -137,9 +145,14 @@ class MeqcEnv:
         return list(self._observations)
 
     def reset(self) -> None:
-        """Start a new episode; redraws tasks when configured to."""
+        """Start a new episode; redraws tasks when configured to.
+
+        A redrawn episode reuses the base scenario's evaluator tables and
+        rebuilds only those that depend on the tasks.
+        """
         if self.redraw:
-            self._load(redraw_tasks(self.base_scenario, self.rng))
+            scenario = redraw_tasks(self.base_scenario, self.rng)
+            self._load(self._base_evaluator.with_tasks(scenario))
 
     def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:
         """Checked ``[B, U]`` server indices and ratios clamped to [0, 1]."""
@@ -176,7 +189,8 @@ class MeqcEnv:
         ``grant_mask``, exactly as ``rewards`` does for a batch.  A
         centralized solver may instead submit a complete ``JointAction``
         whose grant schedule is honored after validation (every claimed
-        grant must be feasible; at most one per server).
+        grant must be feasible and at a ratio below 1; at most one per
+        server).
         """
         evaluator = self.evaluator
         if isinstance(actions, JointAction):
@@ -190,7 +204,7 @@ class MeqcEnv:
             ratios = np.array(action.local_ratio, dtype=np.float64)
             grants = np.array(action.quantum_indicator, dtype=bool)
             evaluator.check_servers(servers)
-            infeasible = grants & ~evaluator.eligible[evaluator.user_index, servers]
+            infeasible = grants & ~_candidates(evaluator, servers, ratios)
             if infeasible.any():
                 u = int(np.argmax(infeasible))
                 raise ValueError(

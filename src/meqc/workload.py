@@ -231,12 +231,52 @@ def compile_quantum(params: RayTracingParams, task: TaskSpec) -> QuantumTaskSpec
     )
 
 
+def _uniform(rng: np.random.Generator, bounds: tuple[float, float], size=None):
+    """``rng.uniform(*bounds, size)``: the same values and generator state, cheaper."""
+    lo, hi = bounds
+    return lo + (hi - lo) * rng.random(size)
+
+
+def _choice(rng: np.random.Generator, choices: tuple):
+    """``rng.choice(choices)``: the same value and generator state, cheaper."""
+    return choices[rng.integers(len(choices))]
+
+
+def _cycles_per_byte(params: RayTracingParams) -> float:
+    return float(params.rays_per_primitive * 2**params.primitive_exponent)
+
+
 def gen_task(params: RayTracingParams, rng: np.random.Generator) -> TaskSpec:
     """Draw a classical task for a render job of the given shape."""
     return TaskSpec(
-        data_size=float(rng.uniform(*DATA_SIZE_RANGE)),
-        cycles_per_byte=float(
-            params.rays_per_primitive * 2**params.primitive_exponent
+        data_size=_uniform(rng, DATA_SIZE_RANGE), cycles_per_byte=_cycles_per_byte(params)
+    )
+
+
+def _task_shape(primitive_exponent: int) -> tuple[float, int, int]:
+    """``(cycles_per_byte, logical_qubits, logical_depth)`` of a generated render job."""
+    params = RayTracingParams(primitive_exponent=primitive_exponent)
+    cycles_per_byte = _cycles_per_byte(params)
+    qtask = compile_quantum(params, TaskSpec(DATA_SIZE_RANGE[0], cycles_per_byte))
+    return cycles_per_byte, qtask.logical_qubits, qtask.logical_depth
+
+
+# A generated job's shape depends on its primitive exponent alone.
+_TASK_SHAPES = {
+    pb: _task_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1)
+}
+
+
+def _scenario_user(
+    profile: UserProfile, primitive_exponent: int, data_size: float
+) -> ScenarioUser:
+    """``profile`` with a generated render job and its compiled quantum form."""
+    cycles_per_byte, logical_qubits, logical_depth = _TASK_SHAPES[primitive_exponent]
+    return ScenarioUser(
+        profile=profile,
+        task=TaskSpec(data_size=data_size, cycles_per_byte=cycles_per_byte),
+        quantum_task=QuantumTaskSpec(
+            data_size=data_size, logical_qubits=logical_qubits, logical_depth=logical_depth
         ),
     )
 
@@ -295,14 +335,10 @@ def gen_scenario(
         prim = int(
             rng[_F_PRIM].integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1)
         )
-        params = RayTracingParams(primitive_exponent=prim)
-        task = gen_task(params, rng[_F_TASK])
-        qtask = compile_quantum(params, task)
-
-        gains = tuple(rng[_F_GAIN].uniform(*CHANNEL_GAIN_RANGE, size=num_servers).tolist())
+        gains = tuple(_uniform(rng[_F_GAIN], CHANNEL_GAIN_RANGE, num_servers).tolist())
         edge_cpu = _pin(pins, "edge_cpu")
         if edge_cpu is None:
-            edge_cpu = float(rng[_F_CPU_EDGE].choice(EDGE_CPU_CHOICES))
+            edge_cpu = _choice(rng[_F_CPU_EDGE], EDGE_CPU_CHOICES)
         sub_phys = _pin(pins, "physical_qubits")
         if sub_phys is None:
             sub_phys = int(
@@ -318,15 +354,15 @@ def gen_scenario(
             weight_latency = DEFAULT_WEIGHT_LATENCY
 
         profile = UserProfile(
-            f_local=float(rng[_F_CPU_LOCAL].choice(LOCAL_CPU_CHOICES)),
-            tx_power=float(rng[_F_TX].uniform(*TX_POWER_RANGE)),
+            f_local=_choice(rng[_F_CPU_LOCAL], LOCAL_CPU_CHOICES),
+            tx_power=_uniform(rng[_F_TX], TX_POWER_RANGE),
             weight_latency=float(weight_latency),
             weight_energy=1.0 - float(weight_latency),
             channel_gains=gains,
             edge_cpu=float(edge_cpu),
             logical_qubit_quota=int(sub_phys) // 91**sub_level,
         )
-        users.append(ScenarioUser(profile=profile, task=task, quantum_task=qtask))
+        users.append(_scenario_user(profile, prim, _uniform(rng[_F_TASK], DATA_SIZE_RANGE)))
 
     servers = tuple(
         ServerProfile(
@@ -354,20 +390,20 @@ def gen_scenario(
 
 
 def redraw_tasks(scenario: Scenario, rng: np.random.Generator) -> Scenario:
-    """Fresh tasks for every user, keeping profiles and servers untouched."""
-    users = []
-    for entry in scenario.users:
-        prim = int(rng.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1))
-        params = RayTracingParams(primitive_exponent=prim)
-        task = gen_task(params, rng)
-        users.append(
-            ScenarioUser(
-                profile=entry.profile,
-                task=task,
-                quantum_task=compile_quantum(params, task),
-            )
+    """Fresh tasks for every user, keeping profiles and servers untouched.
+
+    Each user, in order, draws its primitive exponent and then its data size
+    from ``rng``.
+    """
+    low, high = PRIMITIVE_EXPONENTS
+    users = tuple(
+        # arguments evaluate left to right: the exponent is drawn first
+        _scenario_user(
+            entry.profile, int(rng.integers(low, high + 1)), _uniform(rng, DATA_SIZE_RANGE)
         )
-    return replace(scenario, users=tuple(users))
+        for entry in scenario.users
+    )
+    return replace(scenario, users=users)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -27,7 +27,7 @@ from meqc.costs import (
 )
 from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
 from meqc.device import physical_error_rate, success_probability
-from meqc.workload import gen_scenario
+from meqc.workload import gen_scenario, redraw_tasks
 
 from test_env import craft_scenario
 
@@ -524,3 +524,75 @@ class TestKernelMatchesSpec:
             evaluator.user_cost(1, 1, 0.5, False)
         assert evaluator.user_cost(1, 1, 1.0, False) == spec_user_cost(scenario, 1, 1, 1.0, False)
         assert evaluator.user_cost(0, 1, 0.5, True) == spec_user_cost(scenario, 0, 1, 0.5, True)
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (users, servers, pins); at the pinned decoherence time the success
+# probabilities vary between users and servers without clamping to 0 or 1
+REFRESH_SHAPES = {
+    "1x1": (1, 1, None),
+    "3x3": (3, 3, None),
+    "100x20": (100, 20, None),
+    "3x3_decoherence": (3, 3, {"decoherence_time": 2e-3}),
+    "100x20_decoherence": (100, 20, {"decoherence_time": 2e-3}),
+}
+
+
+class TestWithTasks:
+    @pytest.mark.parametrize("name", sorted(REFRESH_SHAPES))
+    def test_refresh_equals_full_build(self, name):
+        num_users, num_servers, pins = REFRESH_SHAPES[name]
+        base = gen_scenario(num_users, num_servers, seed=7, pins=pins)
+        evaluator = ScenarioEvaluator(base)
+        rng = np.random.default_rng(3)
+        for draw in range(3):
+            redrawn = redraw_tasks(base, np.random.default_rng(draw))
+            refreshed, full = evaluator.with_tasks(redrawn), ScenarioEvaluator(redrawn)
+            assert refreshed.scenario is redrawn
+            assert refreshed.rate is evaluator.rate  # fixed tables are shared
+            for table in ("rate", "success", "eligible", "_step_time", "_step_energy",
+                          "_data_size", "_cycles_per_byte", "_q_data_size",
+                          "_logical_qubits", "weight_latency", "weight_energy"):
+                assert bitwise_equal(getattr(refreshed, table), getattr(full, table)), table
+            assert bitwise_equal(refreshed.endpoint_costs(), full.endpoint_costs())
+            servers = rng.integers(num_servers, size=(4, num_users))
+            ratios = rng.random((4, num_users))
+            qpu = rng.random((4, num_users)) < 0.5
+            assert bitwise_equal(refreshed.breakdown(servers, ratios, qpu).cost,
+                                 full.breakdown(servers, ratios, qpu).cost)
+        if pins:
+            assert 0.0 < evaluator.success.min() < evaluator.success.max() < 1.0
+
+    def test_refresh_leaves_source_untouched(self):
+        base = gen_scenario(3, 3, seed=2)
+        evaluator = ScenarioEvaluator(base)
+        success = evaluator.success.copy()
+        evaluator.with_tasks(redraw_tasks(base, np.random.default_rng(0)))
+        assert evaluator.scenario is base
+        assert bitwise_equal(evaluator.success, success)
+
+    def test_rejects_more_than_new_tasks(self):
+        base = gen_scenario(3, 2, seed=2)
+        evaluator = ScenarioEvaluator(base)
+        entry = base.users[1]
+        other_profile = dataclasses.replace(
+            base,
+            users=(base.users[0],
+                   dataclasses.replace(entry, profile=dataclasses.replace(
+                       entry.profile, tx_power=2 * entry.profile.tx_power)),
+                   base.users[2]),
+        )
+        other_servers = dataclasses.replace(
+            base, servers=tuple(dataclasses.replace(s, bandwidth=1e6) for s in base.servers)
+        )
+        other_device = dataclasses.replace(
+            base, qubit_tech=dataclasses.replace(base.qubit_tech, decoherence_time=1.0)
+        )
+        fewer_users = dataclasses.replace(base, users=base.users[:2])
+        for scenario in (other_profile, other_servers, other_device, fewer_users):
+            with pytest.raises(ValueError, match="more than its tasks"):
+                evaluator.with_tasks(scenario)

@@ -228,6 +228,16 @@ class TestStep:
         with pytest.raises(ValueError, match="infeasible"):
             env.step(JointAction((0,), (0.0,), (1,)))
 
+    def test_complete_action_grant_at_ratio_one_rejected(self):
+        # a user at ratio 1 offloads nothing, so it cannot hold a QPU grant
+        scenario = craft_scenario(quotas=(54,), data_sizes=(1e3,))
+        env = MeqcEnv(scenario)
+        env.reset()
+        assert env.step([(0, 1.0)]).indicators == (0,)
+        assert env.step(JointAction((0,), (0.5,), (1,))).indicators == (1,)
+        with pytest.raises(ValueError, match="infeasible"):
+            env.step(JointAction((0,), (1.0,), (1,)))
+
     def test_reward_invariant_under_user_permutation(self):
         scenario = gen_scenario(3, 2, seed=14)
         actions = [(0, 0.3), (1, 0.0), (1, 1.0)]

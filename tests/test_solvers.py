@@ -469,10 +469,17 @@ class TestEvaluate:
 
     def test_redraw_builds_one_evaluator_per_episode(self, monkeypatch):
         built = self.count_evaluators(monkeypatch)
+        refreshed = []
+        with_tasks = meqc.costs.ScenarioEvaluator.with_tasks
+        monkeypatch.setattr(
+            meqc.costs.ScenarioEvaluator, "with_tasks",
+            lambda self, scenario: refreshed.append(scenario) or with_tasks(self, scenario),
+        )
         evaluate(BaselinePolicy(PolicyKind.LOCAL), gen_scenario(4, 3, seed=5), 6,
                  np.random.default_rng(0), redraw_tasks=True)
-        # the base scenario's, then one per redrawn episode
-        assert len(built) == 1 + 6
+        # one full build for the base scenario, then one task refresh per episode
+        assert len(built) == 1
+        assert len(refreshed) == 6
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):

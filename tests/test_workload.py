@@ -1,6 +1,7 @@
 """Workload generation: compilation arithmetic, range discipline and the
 stability contract of the counter-based draw scheme."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,13 @@ from meqc.workload import (
     EDGE_CPU_CHOICES,
     LOCAL_CPU_CHOICES,
     PHYSICAL_QUBIT_RANGE,
+    PRIMITIVE_EXPONENTS,
     RayTracingParams,
+    ScenarioUser,
     TX_POWER_RANGE,
+    _choice,
     _field_rngs,
+    _uniform,
     compile_quantum,
     gen_scenario,
     gen_task,
@@ -205,6 +210,66 @@ class TestRedrawTasks:
             after.task != before.task
             for before, after in zip(scenario.users, redrawn.users)
         )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20)])
+    @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half_used"])
+    def test_matches_scalar_reference(self, shape, half_used):
+        scenario = gen_scenario(*shape, seed=4)
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            if half_used:
+                # five uint32 draws leave half a uint64 in PCG64's buffer
+                ours.integers(0, 3, size=5)
+                theirs.integers(0, 3, size=5)
+            redrawn = redraw_tasks(scenario, ours)
+            assert redrawn == reference_redraw_tasks(scenario, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            for entry in redrawn.users:
+                assert type(entry.task.data_size) is float
+                assert type(entry.quantum_task.logical_depth) is int
+
+
+def reference_redraw_tasks(scenario, rng):
+    """Redraw as a per-user scalar loop through ``compile_quantum``."""
+    users = []
+    for entry in scenario.users:
+        prim = int(rng.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1))
+        params = RayTracingParams(primitive_exponent=prim)
+        task = TaskSpec(
+            data_size=float(rng.uniform(*DATA_SIZE_RANGE)),
+            cycles_per_byte=float(params.rays_per_primitive * 2**params.primitive_exponent),
+        )
+        users.append(
+            ScenarioUser(profile=entry.profile, task=task,
+                         quantum_task=compile_quantum(params, task))
+        )
+    return dataclasses.replace(scenario, users=tuple(users))
+
+
+class TestDrawsMatchNumpy:
+    """The generator's shortcut draws give numpy's values and generator states."""
+
+    SEEDS = range(1000)
+
+    @pytest.mark.parametrize(
+        "bounds,size",
+        [(DATA_SIZE_RANGE, None), (TX_POWER_RANGE, None),
+         (CHANNEL_GAIN_RANGE, 1), (CHANNEL_GAIN_RANGE, 20)],
+    )
+    def test_uniform(self, bounds, size):
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = _uniform(ours, bounds, size), theirs.uniform(*bounds, size=size)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("choices", [LOCAL_CPU_CHOICES, EDGE_CPU_CHOICES])
+    def test_choice(self, choices):
+        for seed in self.SEEDS:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _choice(ours, choices) == theirs.choice(choices)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSerialization:
