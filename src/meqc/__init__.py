@@ -40,7 +40,6 @@ from .workload import (
     Scenario,
     compile_quantum,
     gen_scenario,
-    gen_task,
     load_scenario,
     save_scenario,
 )

@@ -10,7 +10,8 @@ epoch, so its networks run once per epoch in the rollout, the whole
 epoch's actions come from one batched draw, and each update runs every
 network forward and backward on that one observation row, fed the
 per-sample gradients summed over the minibatch.  All numerics run on the
-hand-rolled ``nn.Mlp``.
+hand-rolled ``nn.Mlp``; every optimizer of a run writes its gradients and
+step scratch into one shared buffer array.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class HybridAgent:
             self.nets[name].set_flat_params(vec)
 
     def params_finite(self) -> bool:
-        return all(np.isfinite(a).all() for n in self.nets.values() for a in n.weights + n.biases)
+        return all(np.isfinite(net.params).all() for net in self.nets.values())
 
 
 def _logsumexp(x):
@@ -275,7 +276,7 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     coef = _surrogate_coef(ratio, adv_a, cfg.clip_epsilon)
     up_logits = -(coef / n)[:, None] * (np.eye(len(probs))[server] - probs)
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
-    optimizers["pi_server"].step(agent.nets["pi_server"].backward(cache_a, up_logits.sum(0)))
+    optimizers["pi_server"].descend(cache_a, up_logits.sum(0))
 
     # Continuous head.
     out, cache_r = agent.nets["pi_ratio"].forward_cached(obs)
@@ -297,7 +298,7 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     up_mean = -(coef_r / n) * (zscore / std)
     up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
     up_out = np.array([up_mean.sum(), up_ls.sum()])
-    optimizers["pi_ratio"].step(agent.nets["pi_ratio"].backward(cache_r, up_out))
+    optimizers["pi_ratio"].descend(cache_r, up_out)
 
     # Critics.
     value_loss = 0.0
@@ -306,7 +307,7 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
         err = v[0] - target
         value_loss += float(np.mean(err**2))
         up_v = np.array([(2.0 * err / n).sum()])
-        optimizers[net_name].step(agent.nets[net_name].backward(cache_v, up_v))
+        optimizers[net_name].descend(cache_v, up_v)
 
     stats = UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
@@ -338,9 +339,26 @@ def _rollout_columns(
     return cols
 
 
-def _make_optimizers(agent: HybridAgent, cfg: TrainConfig) -> dict:
+def _update_buffers(agent: HybridAgent) -> np.ndarray:
+    """Gradient row and optimizer scratch pair sized to ``agent``'s largest network.
+
+    Updates run one network at a time, so every network of every agent of
+    this shape can share them.
+    """
+    return np.empty((3, max(net.num_params for net in agent.nets.values())))
+
+
+def _make_optimizers(
+    agent: HybridAgent, cfg: TrainConfig, buffers: np.ndarray | None = None
+) -> dict:
+    """One optimizer per network, all on ``buffers`` (the agent's own when omitted)."""
     maker = Adam if cfg.optimizer == "adam" else Sgd
-    return {name: maker(agent.nets[name], cfg.learning_rate) for name in _NET_NAMES}
+    if buffers is None:
+        buffers = _update_buffers(agent)
+    return {
+        name: maker(agent.nets[name], cfg.learning_rate, buffers=buffers)
+        for name in _NET_NAMES
+    }
 
 
 @dataclass
@@ -381,7 +399,8 @@ def train(
         HybridAgent(obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss))
         for ss in agents_ss.spawn(env.num_users)
     ]
-    optimizers = [_make_optimizers(agent, cfg) for agent in agents]
+    buffers = _update_buffers(agents[0])
+    optimizers = [_make_optimizers(agent, cfg, buffers) for agent in agents]
     sample_rng = np.random.default_rng(sample_ss)
     batch_rng = np.random.default_rng(batch_ss)
 

@@ -4,6 +4,10 @@ Deliberately framework-free: a stack of affine layers with tanh hidden
 activations and a linear output.  ``backward`` returns exact analytic
 gradients for an arbitrary upstream gradient on the outputs; the test
 suite pins them against central finite differences.
+
+Parameters and gradients are flat vectors, weights then bias per layer,
+so the optimizers update a whole network with a few in-place array
+operations on caller-owned buffers and allocate nothing network-sized.
 """
 
 from __future__ import annotations
@@ -16,25 +20,44 @@ class Mlp:
 
     ``sizes`` lists layer widths input-first, e.g. ``(14, 256, 256, 3)``.
     ``out_scale`` shrinks the output layer's initial weights, which keeps
-    freshly initialized policy heads near-uniform.
+    freshly initialized policy heads near-uniform.  ``params`` holds every
+    parameter; ``weights`` and ``biases`` are views of it.
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0):
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        for i, (fan_in, fan_out) in enumerate(zip(self.sizes, self.sizes[1:])):
-            scale = 1.0 / np.sqrt(fan_in)
-            if i == len(self.sizes) - 2:
+        self.params = np.zeros(
+            sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
+        )
+        layers = self.layers(self.params)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
+        for i, w in enumerate(self.weights):
+            scale = 1.0 / np.sqrt(w.shape[0])
+            if i == len(self.weights) - 1:
                 scale *= out_scale
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            # the stream and values of rng.normal(0.0, scale, w.shape)
+            rng.standard_normal(out=w)
+            w *= scale
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+    def layers(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W, b)`` views of a flat vector in the parameter layout."""
+        if vec.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
+        views = []
+        offset = 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            w = vec[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            offset += w.size
+            views.append((w, vec[offset : offset + fan_out]))
+            offset += fan_out
+        return views
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Deterministic forward pass; accepts a single vector or a batch."""
@@ -62,97 +85,111 @@ class Mlp:
         out = h[0] if squeeze else h
         return out, (activations, squeeze)
 
-    def backward(self, cache, upstream: np.ndarray):
-        """Gradients of ``sum(upstream * output)`` w.r.t. every parameter.
+    def backward(self, cache, upstream: np.ndarray, out: np.ndarray | None = None):
+        """Gradient of ``sum(upstream * output)`` w.r.t. ``params``.
 
         ``upstream`` must match the cached forward's output shape; batch
-        contributions are summed.  Returns ``[(dW, db), ...]`` aligned with
-        the layers.
+        contributions are summed.  The gradient is written into ``out`` (a
+        fresh vector when omitted) in the parameter layout, and returned.
         """
         activations, squeeze = cache
         g = np.asarray(upstream, dtype=np.float64)
+        expected = activations[-1].shape[1:] if squeeze else activations[-1].shape
+        if g.shape != expected:
+            raise ValueError(
+                f"upstream shape {g.shape} does not match cached output {expected}"
+            )
         if squeeze:
             g = g[None, :]
-        if g.shape != activations[-1].shape and not squeeze:
-            raise ValueError("upstream shape does not match cached output")
-        grads = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
+        grad = np.empty(self.num_params) if out is None else out
+        layers = self.layers(grad)
+        last = len(layers) - 1
+        for i in range(last, -1, -1):
+            if i != last:
                 g = g * (1.0 - activations[i + 1] ** 2)  # through tanh
-            grads[i] = (activations[i].T @ g, g.sum(axis=0))
+            dw, db = layers[i]
+            np.matmul(activations[i].T, g, out=dw)
+            np.sum(g, axis=0, out=db)
             if i > 0:
                 g = g @ self.weights[i].T
-        return grads
+        return grad
 
     def flat_params(self) -> np.ndarray:
         """Copy of all parameters as one flat vector (weights then bias per layer)."""
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        return self.params.copy()
 
     def set_flat_params(self, vec: np.ndarray) -> None:
+        """Overwrite ``params`` in place, so ``weights``/``biases`` stay its views."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_params,):
             raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = vec[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = vec[offset : offset + b.size].copy()
-            offset += b.size
+        self.params[:] = vec
 
 
-class Adam:
-    """Adam updates for one ``Mlp``, gradients supplied per step."""
+class _Optimizer:
+    """Shared set-up: the network, its learning rate and its buffers.
 
-    def __init__(self, net: Mlp, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    ``buffers`` is a ``(3, size)`` float array with ``size`` at least the
+    network's parameter count: row 0 receives gradients (``grad``), rows 1
+    and 2 are step scratch.  Optimizers of networks that are updated one at
+    a time may share one array; each gets its own when it is omitted.
+    """
+
+    def __init__(self, net: Mlp, lr: float, buffers: np.ndarray | None = None):
         self.net = net
         self.lr = lr
+        if buffers is None:
+            buffers = np.empty((3, net.num_params))
+        self.grad, self._scratch, self._scratch2 = buffers[:, : net.num_params]
+
+    def descend(self, cache, upstream: np.ndarray) -> None:
+        """One step along ``net.backward(cache, upstream)``, computed into ``grad``."""
+        self.step(self.net.backward(cache, upstream, out=self.grad))
+
+
+class Adam(_Optimizer):
+    """Adam (Kingma & Ba) over the flat parameter vector of one ``Mlp``."""
+
+    def __init__(
+        self, net: Mlp, lr: float, beta1=0.9, beta2=0.999, eps=1e-8,
+        buffers: np.ndarray | None = None,
+    ):
+        super().__init__(net, lr, buffers)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)
-        ]
-        self.v = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)
-        ]
+        # written now, not calloc'd: the first ``m *= beta1`` would read the
+        # kernel's zero page and then fault again on the write
+        self.m = np.full(net.num_params, 0.0)
+        self.v = np.full(net.num_params, 0.0)
 
-    def step(self, grads) -> None:
-        """Apply one descent step along ``grads`` (layout from ``Mlp.backward``)."""
+    def step(self, grad: np.ndarray) -> None:
+        """Apply one descent step along ``grad`` (layout from ``Mlp.backward``)."""
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for i, (dw, db) in enumerate(grads):
-            mw, mb = self.m[i]
-            vw, vb = self.v[i]
-            mw *= self.beta1
-            mw += (1.0 - self.beta1) * dw
-            mb *= self.beta1
-            mb += (1.0 - self.beta1) * db
-            vw *= self.beta2
-            vw += (1.0 - self.beta2) * dw**2
-            vb *= self.beta2
-            vb += (1.0 - self.beta2) * db**2
-            self.net.weights[i] -= self.lr * (mw / correct1) / (
-                np.sqrt(vw / correct2) + self.eps
-            )
-            self.net.biases[i] -= self.lr * (mb / correct1) / (
-                np.sqrt(vb / correct2) + self.eps
-            )
+        m, v, a, b = self.m, self.v, self._scratch, self._scratch2
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        # params -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
+        np.divide(m, correct1, out=a)
+        a *= self.lr
+        np.divide(v, correct2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.net.params -= a
 
 
-class Sgd:
+class Sgd(_Optimizer):
     """Plain gradient descent, the no-frills alternative to Adam."""
 
-    def __init__(self, net: Mlp, lr: float):
-        self.net = net
-        self.lr = lr
-
-    def step(self, grads) -> None:
-        for i, (dw, db) in enumerate(grads):
-            self.net.weights[i] -= self.lr * dw
-            self.net.biases[i] -= self.lr * db
+    def step(self, grad: np.ndarray) -> None:
+        np.multiply(grad, self.lr, out=self._scratch)
+        self.net.params -= self._scratch

@@ -246,13 +246,6 @@ def _cycles_per_byte(params: RayTracingParams) -> float:
     return float(params.rays_per_primitive * 2**params.primitive_exponent)
 
 
-def gen_task(params: RayTracingParams, rng: np.random.Generator) -> TaskSpec:
-    """Draw a classical task for a render job of the given shape."""
-    return TaskSpec(
-        data_size=_uniform(rng, DATA_SIZE_RANGE), cycles_per_byte=_cycles_per_byte(params)
-    )
-
-
 def _task_shape(primitive_exponent: int) -> tuple[float, int, int]:
     """``(cycles_per_byte, logical_qubits, logical_depth)`` of a generated render job."""
     params = RayTracingParams(primitive_exponent=primitive_exponent)

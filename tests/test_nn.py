@@ -2,6 +2,7 @@
 check here; the acceptance suite runs it at full scale."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,47 @@ def finite_difference(net, x, upstream, index, h=1e-6):
     return (plus - minus) / (2 * h)
 
 
-def flatten_grads(grads):
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
+def reference_adam(weights, biases, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-layer Adam that the flat ``Adam`` replaced, kept as its spec.
+
+    Returns ``step(grads)``, which applies one update along per-layer
+    ``[(dW, db), ...]`` gradients to ``weights``/``biases`` in place.
+    """
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+    v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+    t = 0
+
+    def step(grads):
+        nonlocal t
+        t += 1
+        correct1 = 1.0 - beta1**t
+        correct2 = 1.0 - beta2**t
+        for i, (dw, db) in enumerate(grads):
+            mw, mb = m[i]
+            vw, vb = v[i]
+            mw *= beta1
+            mw += (1.0 - beta1) * dw
+            mb *= beta1
+            mb += (1.0 - beta1) * db
+            vw *= beta2
+            vw += (1.0 - beta2) * dw**2
+            vb *= beta2
+            vb += (1.0 - beta2) * db**2
+            weights[i] -= lr * (mw / correct1) / (np.sqrt(vw / correct2) + eps)
+            biases[i] -= lr * (mb / correct1) / (np.sqrt(vb / correct2) + eps)
+
+    return step
+
+
+def reference_sgd(weights, biases, lr):
+    """The per-layer gradient descent that the flat ``Sgd`` replaced."""
+
+    def step(grads):
+        for i, (dw, db) in enumerate(grads):
+            weights[i] -= lr * dw
+            biases[i] -= lr * db
+
+    return step
 
 
 class TestForward:
@@ -73,7 +113,7 @@ class TestBackward:
             x = rng.normal(size=(4, sizes[0]))
             upstream = rng.normal(size=(4, sizes[-1]))
             _, cache = net.forward_cached(x)
-            analytic = flatten_grads(net.backward(cache, upstream))
+            analytic = net.backward(cache, upstream)
             idx = rng.choice(net.num_params, size=min(40, net.num_params), replace=False)
             for i in idx:
                 numeric = finite_difference(net, x, upstream, int(i))
@@ -85,7 +125,7 @@ class TestBackward:
         x = np.ones((2, 3))
         _, cache = net.forward_cached(x)
         grads = net.backward(cache, np.zeros((2, 2)))
-        assert not flatten_grads(grads).any()
+        assert not grads.any()
 
     def test_linear_net_closed_form(self):
         # a single affine layer: grads equal the least-squares expressions
@@ -95,9 +135,28 @@ class TestBackward:
         y = rng.normal(size=(7, 2))
         pred, cache = net.forward_cached(x)
         residual = pred - y  # gradient of 0.5*||pred - y||^2
-        (dw, db), = net.backward(cache, residual)
+        (dw, db), = net.layers(net.backward(cache, residual))
         assert np.allclose(dw, x.T @ residual, rtol=1e-12)
         assert np.allclose(db, residual.sum(axis=0), rtol=1e-12)
+
+    def test_wrong_upstream_rejected(self):
+        net = Mlp((3, 2), np.random.default_rng(0))
+        _, cache = net.forward_cached(np.ones(3))
+        for upstream in (np.ones(1), np.ones(3), np.ones((1, 2))):
+            with pytest.raises(ValueError, match="upstream"):
+                net.backward(cache, upstream)
+        _, cache = net.forward_cached(np.ones((4, 3)))
+        for upstream in (np.ones((4, 1)), np.ones(2)):
+            with pytest.raises(ValueError, match="upstream"):
+                net.backward(cache, upstream)
+
+    def test_out_receives_the_gradient(self):
+        net = Mlp((4, 8, 3), np.random.default_rng(7))
+        _, cache = net.forward_cached(np.linspace(-1.0, 1.0, 4))
+        upstream = np.array([0.5, -1.0, 2.0])
+        out = np.full(net.num_params, np.nan)
+        assert net.backward(cache, upstream, out=out) is out
+        assert np.array_equal(out, net.backward(cache, upstream))
 
 
 class TestParams:
@@ -113,6 +172,33 @@ class TestParams:
         net = Mlp((2, 2), np.random.default_rng(0))
         with pytest.raises(ValueError):
             net.set_flat_params(np.zeros(net.num_params + 1))
+
+    @pytest.mark.parametrize(
+        "sizes,out_scale", [((14, 256, 256, 3), 0.01), ((3, 2), 1.0), ((5, 7, 1), 2.5)]
+    )
+    def test_in_place_init_matches_normal_draw(self, sizes, out_scale):
+        net_rng = np.random.default_rng(31)
+        net = Mlp(sizes, net_rng, out_scale=out_scale)
+        rng = np.random.default_rng(31)
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            scale = 1.0 / np.sqrt(fan_in)
+            if i == len(sizes) - 2:
+                scale *= out_scale
+            expected = rng.normal(0.0, scale, size=(fan_in, fan_out))
+            assert np.array_equal(net.weights[i], expected)
+            assert not net.biases[i].any()
+        assert net_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_views_alias_params_after_set_flat_params(self):
+        net = Mlp((4, 6, 3), np.random.default_rng(9))
+        net.set_flat_params(Mlp((4, 6, 3), np.random.default_rng(10)).flat_params())
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+        x = np.random.default_rng(11).normal(size=4)
+        before = net.forward(x)
+        _, cache = net.forward_cached(x)
+        Adam(net, lr=0.01).step(net.backward(cache, np.ones(3)))
+        assert not np.allclose(net.forward(x), before)
 
 
 class TestOptimizers:
@@ -147,4 +233,49 @@ class TestOptimizers:
         _, cache = net.forward_cached(x)
         grads = net.backward(cache, np.ones((1, 2)))
         Sgd(net, lr=0.1).step(grads)
-        assert np.allclose(net.weights[0], w_before - 0.1 * grads[0][0], rtol=1e-14)
+        assert np.allclose(net.weights[0], w_before - 0.1 * net.layers(grads)[0][0], rtol=1e-14)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("rows", [None, 6], ids=["one-row", "batched"])
+    @pytest.mark.parametrize("sizes", [(3, 2), (4, 8, 3), (14, 32, 32, 3)])
+    def test_flat_optimizers_match_reference(self, optimizer, rows, sizes):
+        net = Mlp(sizes, np.random.default_rng(20), out_scale=0.5)
+        ref_weights = [w.copy() for w in net.weights]
+        ref_biases = [b.copy() for b in net.biases]
+        # buffers wider than the network, as when a run shares them
+        buffers = np.empty((3, net.num_params + 7))
+        if optimizer == "adam":
+            opt = Adam(net, lr=0.01, buffers=buffers)
+            ref_step = reference_adam(ref_weights, ref_biases, lr=0.01)
+        else:
+            opt = Sgd(net, lr=0.05, buffers=buffers)
+            ref_step = reference_sgd(ref_weights, ref_biases, lr=0.05)
+        start = net.flat_params()
+        rng = np.random.default_rng(21)
+        shape = () if rows is None else (rows,)
+        for _ in range(25):
+            x = rng.normal(size=shape + (sizes[0],))
+            _, cache = net.forward_cached(x)
+            grad = net.backward(cache, rng.normal(size=shape + (sizes[-1],)), out=opt.grad)
+            ref_step([(dw.copy(), db.copy()) for dw, db in net.layers(grad)])
+            opt.step(grad)
+            for (w, b), ref_w, ref_b in zip(net.layers(net.params), ref_weights, ref_biases):
+                assert np.array_equal(w, ref_w) and np.array_equal(b, ref_b)
+        assert not np.array_equal(net.params, start)
+
+    @pytest.mark.parametrize("maker", [Adam, Sgd])
+    def test_step_with_run_owned_buffers_allocates_nothing(self, maker):
+        net = Mlp((14, 256, 256, 3), np.random.default_rng(0))
+        opt = maker(net, 1e-3, buffers=np.empty((3, net.num_params)))
+        _, cache = net.forward_cached(np.linspace(0.0, 1.0, 14))
+        grad = net.backward(cache, np.ones(3), out=opt.grad)
+        # numpy caches each ufunc's loop on its first call in the process
+        # (about 256 B each); warm up so that only the step itself is measured
+        opt.step(grad)
+        tracemalloc.start()
+        try:
+            opt.step(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024

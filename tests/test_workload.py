@@ -19,11 +19,11 @@ from meqc.workload import (
     ScenarioUser,
     TX_POWER_RANGE,
     _choice,
+    _cycles_per_byte,
     _field_rngs,
     _uniform,
     compile_quantum,
     gen_scenario,
-    gen_task,
     load_scenario,
     redraw_tasks,
     save_scenario,
@@ -61,6 +61,14 @@ class TestCompileQuantum:
     def test_data_size_carried_over(self):
         task = TaskSpec(321e6, 24.0)
         assert compile_quantum(RayTracingParams(4), task).data_size == task.data_size
+
+
+def gen_task(params: RayTracingParams, rng: np.random.Generator) -> TaskSpec:
+    """Reference draw of one classical task for a render job of the given shape,
+    as ``gen_scenario`` draws each user's data size and cycles per byte."""
+    return TaskSpec(
+        data_size=_uniform(rng, DATA_SIZE_RANGE), cycles_per_byte=_cycles_per_byte(params)
+    )
 
 
 class TestGenTask:
