@@ -22,7 +22,6 @@ from .device import (
     gate_power_profile,
     logical_resources,
     physical_error_rate,
-    success_probability,
 )
 from .env import MeqcEnv, StepResult, build_observation
 from .marl import HybridAgent, LearnedPolicy, TrainConfig, gae, ppo_update, train

@@ -117,18 +117,27 @@ _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
 
 
 def _key_lines(text: str) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers of the YAML document."""
+    """Map dotted key paths to 1-based line numbers of the YAML document.
+
+    Keys are spelled as the parsed document holds them, so ``1:`` maps
+    from ``"1"`` and ``true:`` from ``"True"``.
+    """
     try:
         root = yaml.compose(text)
     except yaml.YAMLError:
         return {}
+    construct = yaml.constructor.SafeConstructor().construct_object
     lines: dict[str, int] = {}
 
     def walk(node, prefix):
         if not isinstance(node, yaml.MappingNode):
             return
         for key_node, value_node in node.value:
-            path = f"{prefix}{key_node.value}"
+            try:
+                key = construct(key_node)
+            except yaml.YAMLError:  # the merge key ``<<`` has no constructor
+                key = key_node.value
+            path = f"{prefix}{key}"
             lines[path] = key_node.start_mark.line + 1
             walk(value_node, path + ".")
 
@@ -136,7 +145,8 @@ def _key_lines(text: str) -> dict[str, int]:
     return lines
 
 
-def _fail(key: str, lines: dict[str, int], message: str):
+def _fail(key, lines: dict[str, int], message: str):
+    key = str(key)
     at = f" (line {lines[key]})" if key in lines else ""
     raise ConfigError(f"{key}{at}: {message}")
 
@@ -177,10 +187,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("top level of the config must be a mapping")
     lines = _key_lines(text)
 
-    unknown = set(doc) - _TOP_KEYS
+    unknown = [key for key in doc if key not in _TOP_KEYS]
     if unknown:
-        key = sorted(unknown)[0]
-        _fail(key, lines, "unknown key")
+        _fail(unknown[0], lines, "unknown key")
 
     cfg = ExperimentConfig()
 
@@ -218,15 +227,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if tech_kwargs:
             cfg = replace(cfg, qubit_tech=replace(cfg.qubit_tech, **tech_kwargs))
     except ValueError as exc:
-        raise ConfigError(f"device: {exc}") from exc
+        _fail("device", lines, str(exc))
 
     sweep = doc.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             _fail("sweep", lines, "must be a mapping")
-        unknown = set(sweep) - {"parameter", "values"}
+        unknown = [key for key in sweep if key not in ("parameter", "values")]
         if unknown:
-            _fail(f"sweep.{sorted(unknown)[0]}", lines, "unknown key")
+            _fail(f"sweep.{unknown[0]}", lines, "unknown key")
         parameter = sweep.get("parameter")
         if parameter not in PIN_FIELDS:
             _fail("sweep.parameter", lines, f"must be one of {PIN_FIELDS}")
@@ -269,9 +278,9 @@ def parse_config(text: str) -> ExperimentConfig:
     train = doc.get("train") or {}
     if not isinstance(train, dict):
         _fail("train", lines, "must be a mapping")
-    unknown = set(train) - _TRAIN_KINDS.keys()
+    unknown = [key for key in train if key not in _TRAIN_KINDS]
     if unknown:
-        _fail(f"train.{sorted(unknown)[0]}", lines, "unknown key")
+        _fail(f"train.{unknown[0]}", lines, "unknown key")
     for key, value in train.items():
         kind = _TRAIN_KINDS[key]
         if kind in (int, float):
@@ -282,7 +291,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             cfg = replace(cfg, train=replace(cfg.train, **train))
         except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
+            _fail("train", lines, str(exc))
 
     if "trained" in cfg.policies and cfg.checkpoint is None:
         _fail("policies", lines, "policy 'trained' needs a checkpoint path")
@@ -372,8 +381,10 @@ def run_grid(cfg: ExperimentConfig, param: str | None = None, values=(0.0,)) -> 
         for vi, value in enumerate(values)
         for seed in cfg.seeds
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a pool forks all its workers up front, so never more than there are points
+    workers = min(cfg.workers, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, grid))
     else:
         points = [_sweep_point(point) for point in grid]
@@ -424,16 +435,3 @@ def emit_csv(rows: list[dict], path) -> None:
         except OSError:
             pass
         raise
-
-
-def load_csv(path) -> list[dict]:
-    """Read back an emitted CSV with numeric columns restored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = []
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            parsed["seed"] = int(row["seed"])
-            for col in CSV_COLUMNS[3:]:
-                parsed[col] = float(row[col])
-            rows.append(parsed)
-    return rows

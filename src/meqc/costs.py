@@ -2,10 +2,11 @@
 
 Latency/energy for the four processing paths (local CPU, uplink, edge CPU,
 edge QPU), the quantum-feasibility indicator, and the weighted sum over
-users.  All functions are pure and are the specification;
-``ScenarioEvaluator`` tabulates one scenario's ratio-independent factors
-and evaluates the same formulas on whole numpy batches, so solvers and the
-environment can score many candidate actions in one pass.
+users.  ``ScenarioEvaluator`` tabulates one scenario's ratio-independent
+factors and evaluates the formulas on whole numpy batches, so solvers and
+the environment can score many candidate actions in one pass.  Its kernel
+is the model; the scalar form of each formula lives in the test suite
+(``tests/cost_spec.py``) as the reference the kernel is held to.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .device import (
-    GatePowerProfile,
-    LogicalResources,
-    QubitTech,
     cryostat_stages,
     error_suppression,
     gate_power_profile,
@@ -173,124 +171,6 @@ class JointAction:
             raise ValueError("quantum_indicator entries must be 0 or 1")
 
 
-def uplink_rate(user: UserProfile, server: ServerProfile, target: int) -> float:
-    """Shannon uplink rate in bits/s from a user to server ``target``."""
-    if not 0 <= target < len(user.channel_gains):
-        raise LookupError(f"unknown server id {target}")
-    snr = user.tx_power * user.channel_gains[target] / server.noise_power
-    return server.bandwidth * math.log2(1.0 + snr)
-
-
-def local_cost(
-    user: UserProfile, task: TaskSpec, local_ratio: float, chip_energy: float
-) -> CostBreakdown:
-    """Cost of processing the ``local_ratio`` share of a task on the user CPU."""
-    if not 0.0 <= local_ratio <= 1.0:
-        raise ValueError("local_ratio must lie in [0, 1]")
-    cycles = local_ratio * task.data_size * task.cycles_per_byte
-    latency = cycles / user.f_local
-    energy = chip_energy * cycles
-    return CostBreakdown(
-        latency_local=latency,
-        energy_local=energy,
-        cost=user.weight_latency * latency + user.weight_energy * energy,
-    )
-
-
-def transmission_cost(
-    user: UserProfile,
-    server: ServerProfile,
-    target: int,
-    task: TaskSpec | QuantumTaskSpec,
-    local_ratio: float,
-) -> tuple[float, float]:
-    """Uplink (latency, energy) of shipping the offloaded share to ``target``.
-
-    Task sizes are bytes while the link rate is bits/s, hence the factor 8.
-    """
-    bits = (1.0 - local_ratio) * task.data_size * BITS_PER_BYTE
-    if bits == 0.0:
-        return 0.0, 0.0
-    rate = uplink_rate(user, server, target)
-    if rate <= 0.0:
-        raise ValueError(f"link to server {target} carries no data")
-    latency = bits / rate
-    return latency, user.tx_power * latency
-
-
-def edge_classical_cost(
-    user: UserProfile,
-    server: ServerProfile,
-    target: int,
-    task: TaskSpec,
-    local_ratio: float,
-    chip_energy: float,
-) -> CostBreakdown:
-    """Cost of offloading the remote share to server CPUs, transmission included."""
-    d_up, e_up = transmission_cost(user, server, target, task, local_ratio)
-    cycles = (1.0 - local_ratio) * task.data_size * task.cycles_per_byte
-    latency = cycles / user.edge_cpu
-    energy = chip_energy * cycles
-    return CostBreakdown(
-        latency_uplink=d_up,
-        energy_uplink=e_up,
-        latency_edge_cpu=latency,
-        energy_edge_cpu=energy,
-        cost=user.weight_latency * (d_up + latency)
-        + user.weight_energy * (e_up + energy),
-    )
-
-
-def edge_quantum_cost(
-    user: UserProfile,
-    server: ServerProfile,
-    target: int,
-    qtask: QuantumTaskSpec,
-    local_ratio: float,
-    resources: LogicalResources,
-    powers: GatePowerProfile,
-    tech: QubitTech,
-) -> CostBreakdown:
-    """Cost of offloading the remote share to the server QPU, transmission included.
-
-    Gate latency and energy scale with the offloaded bytes times the
-    circuit width; energy adds the static per-physical-qubit draw of one
-    logical qubit.
-    """
-    d_up, e_up = transmission_cost(user, server, target, qtask, local_ratio)
-    volume = (1.0 - local_ratio) * qtask.data_size * qtask.logical_qubits
-    step_time = (
-        tech.tau_1qb * resources.n_1qb
-        + tech.tau_2qb * resources.n_2qb
-        + tech.tau_meas * resources.n_meas
-    )
-    step_energy = (
-        powers.e_1qb * resources.n_1qb
-        + powers.e_2qb * resources.n_2qb
-        + powers.e_meas * resources.n_meas
-        + powers.e_qubit * resources.phys_per_logical
-    )
-    latency = volume * step_time
-    energy = volume * step_energy
-    return CostBreakdown(
-        latency_uplink=d_up,
-        energy_uplink=e_up,
-        latency_edge_qpu=latency,
-        energy_edge_qpu=energy,
-        cost=user.weight_latency * (d_up + latency)
-        + user.weight_energy * (e_up + energy),
-    )
-
-
-def quantum_feasible(
-    qtask: QuantumTaskSpec, user: UserProfile, success_prob: float
-) -> int:
-    """1 when the task fits the user's qubit quota and the run is reliable enough."""
-    fits = qtask.logical_qubits <= user.logical_qubit_quota
-    reliable = success_prob >= SUCCESS_THRESHOLD
-    return 1 if (fits and reliable) else 0
-
-
 def sum_over_users(values: np.ndarray) -> np.ndarray:
     """Sum over the last (user) axis, adding users strictly in index order.
 
@@ -320,10 +200,11 @@ class ScenarioEvaluator:
     per-user task vectors and the ``[U, E]`` ``success`` and ``eligible``
     arrays.  ``with_tasks`` rebuilds only the task tables, for a scenario
     whose tasks alone differ.  ``breakdown`` evaluates the formulas on any
-    batch in the operation order of ``local_cost``, ``transmission_cost``,
-    ``edge_classical_cost`` and ``edge_quantum_cost``, so every number is
-    bit-identical to those scalar functions.  The scenario and tables are
-    read-only; one evaluator may be shared by concurrent readers.
+    batch; the tests hold every number it returns bit-identical to the
+    scalar reference in ``tests/cost_spec.py``.  ``check_action`` is the one
+    validation of a complete ``JointAction`` and ``candidates`` the one rule
+    for who may hold a QPU grant.  The scenario and tables are read-only;
+    one evaluator may be shared by concurrent readers.
     """
 
     def __init__(self, scenario: Scenario):
@@ -506,29 +387,10 @@ class ScenarioEvaluator:
         costs[:, :, 1] = cost[:, -1:, :1]
         return costs
 
-    def user_cost(
-        self, u: int, server: int, local_ratio: float, use_qpu: bool
-    ) -> CostBreakdown:
-        """Full cost of user ``u`` splitting its task toward ``server``."""
-        self._check(server, local_ratio)
-        b = self.breakdown(server, local_ratio, bool(use_qpu), users=u)
-        return CostBreakdown(*(float(getattr(b, name)) for name in _FIELDS))
-
     def savings(self, servers, ratios, users=None) -> np.ndarray:
         """CPU-path cost minus QPU-path cost, elementwise (see ``breakdown``)."""
         cpu = self.breakdown(servers, ratios, False, users=users).cost
         return cpu - self.breakdown(servers, ratios, True, users=users).cost
-
-    def qpu_saving(self, u: int, server: int, local_ratio: float) -> float:
-        """Cost saved by running user ``u``'s offloaded share on the QPU instead of CPUs."""
-        self._check(server, local_ratio)
-        return float(self.savings(server, local_ratio, users=u))
-
-    def _check(self, server: int, local_ratio: float) -> None:
-        if not 0 <= server < self.num_servers:
-            raise LookupError(f"unknown server id {server}")
-        if not 0.0 <= local_ratio <= 1.0:
-            raise ValueError("local_ratio must lie in [0, 1]")
 
     def check_servers(self, servers: np.ndarray) -> None:
         """Raise unless every entry of ``servers`` (last axis: users) is a server index."""
@@ -537,34 +399,48 @@ class ScenarioEvaluator:
             u = int(np.nonzero(bad)[-1][0])
             raise ValueError(f"user {u} picked unknown server {servers[bad].flat[0]}")
 
-    def check_grants(self, servers: np.ndarray, grants: np.ndarray) -> None:
-        """Raise unless a single joint action's grants leave each QPU at most one task."""
-        if (np.bincount(servers[grants], minlength=self.num_servers) > 1).any():
-            raise ValueError("more than one QPU grant on a single server")
+    def candidates(self, servers: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+        """Users that may hold a QPU grant: ratio < 1, at a server where the task is feasible.
 
-    def total(self, action: JointAction) -> tuple[float, tuple[CostBreakdown, ...]]:
-        """System cost of a joint action plus per-user breakdowns.
+        ``servers`` and ``ratios`` are arrays with users along the last
+        axis; ``servers`` must hold valid server indices.
+        """
+        return self.eligible[self.user_index, servers] & (ratios < 1.0)
 
-        The indicator set must respect one QPU task per server; a grant to
-        an overcommitted server is a contract violation.
+    def check_action(self, action: JointAction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The servers, ratios and grants of a complete joint action, validated.
+
+        Raises ``ValueError`` unless the action covers every user, picks
+        only known servers, grants the QPU only to ``candidates`` and
+        grants each server's QPU at most once.
         """
         if len(action.server_choice) != self.num_users:
             raise ValueError(
-                f"action covers {len(action.server_choice)} users, "
-                f"scenario has {self.num_users}"
+                f"expected {self.num_users} actions, got {len(action.server_choice)}"
             )
-        servers = np.array(action.server_choice)
+        servers = np.array(action.server_choice, dtype=np.int64)
+        ratios = np.array(action.local_ratio, dtype=np.float64)
         grants = np.array(action.quantum_indicator, dtype=bool)
         self.check_servers(servers)
-        self.check_grants(servers, grants)
-        b = self.breakdown(servers, action.local_ratio, grants)
-        columns = [getattr(b, name).tolist() for name in _FIELDS]
-        breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))
-        return float(sum_over_users(b.cost)), breakdowns
+        infeasible = grants & ~self.candidates(servers, ratios)
+        if infeasible.any():
+            u = int(np.argmax(infeasible))
+            raise ValueError(f"user {u} claims an infeasible QPU grant on server {servers[u]}")
+        if (np.bincount(servers[grants], minlength=self.num_servers) > 1).any():
+            raise ValueError("more than one QPU grant on a single server")
+        return servers, ratios, grants
 
 
 def total_cost(
     scenario: Scenario, action: JointAction
 ) -> tuple[float, tuple[CostBreakdown, ...]]:
-    """System cost of ``action`` on ``scenario`` (convenience wrapper)."""
-    return ScenarioEvaluator(scenario).total(action)
+    """System cost of ``action`` on ``scenario`` plus per-user breakdowns.
+
+    The action is validated by ``ScenarioEvaluator.check_action``, as
+    ``MeqcEnv.step`` validates it, so both refuse the same grants.
+    """
+    evaluator = ScenarioEvaluator(scenario)
+    b = evaluator.breakdown(*evaluator.check_action(action))
+    columns = [getattr(b, name).tolist() for name in _FIELDS]
+    breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))
+    return float(sum_over_users(b.cost)), breakdowns

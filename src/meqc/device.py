@@ -3,7 +3,8 @@
 Pure functions describing the hardware side of an edge quantum server:
 the cryostat attenuation chain, thermal-photon noise on the control line,
 per-gate and per-qubit power draw, concatenated-code resource scaling and
-the resulting circuit success probability.  Everything here is stateless
+the logical error suppression that sets a circuit's success probability
+(tabulated by ``costs.ScenarioEvaluator``).  Everything here is stateless
 and safe to call from any number of workers.
 """
 
@@ -269,22 +270,3 @@ def error_suppression(level: int, err_rate: float, err_threshold: float) -> floa
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     return (err_rate / err_threshold) ** (2**level)
-
-
-def success_probability(
-    q_logical: int, d_logical: int, level: int, err_rate: float, err_threshold: float
-) -> float:
-    """Linear-approximation probability that a logical circuit completes correctly.
-
-    A circuit of ``q_logical * d_logical`` logical error locations run at
-    concatenation level ``level`` fails with probability suppressed as
-    ``(err_rate / err_threshold) ** (2 ** level)``.  The approximation can
-    go negative for deep circuits above threshold, so the result is
-    clamped to [0, 1].
-    """
-    if q_logical <= 0 or d_logical <= 0:
-        raise ValueError("q_logical and d_logical must be > 0")
-    suppression = error_suppression(level, err_rate, err_threshold)
-    locations = float(q_logical) * float(d_logical)
-    failure = locations * err_threshold * suppression
-    return min(1.0, max(0.0, 1.0 - failure))

@@ -51,13 +51,6 @@ def observation_length(num_servers: int) -> int:
     return 8 + 2 * num_servers
 
 
-def _candidates(
-    evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
-) -> np.ndarray:
-    """Users that may hold a QPU grant: ratio < 1, at a server where the task is feasible."""
-    return evaluator.eligible[evaluator.user_index, servers] & (ratios < 1.0)
-
-
 def grant_mask(
     evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
 ) -> np.ndarray:
@@ -65,14 +58,15 @@ def grant_mask(
 
     Each row is arbitrated on its own.  Every user that offloads some of
     its task (ratio < 1) to a server and passes the feasibility check there
-    is a candidate; the server executes exactly one candidate on its QPU:
-    the one whose offloaded share gains the most (CPU cost minus QPU cost,
-    at the user's actual ratio), ties going to the lowest user index.
+    is a candidate (``ScenarioEvaluator.candidates``); the server executes
+    exactly one candidate on its QPU: the one whose offloaded share gains
+    the most (CPU cost minus QPU cost, at the user's actual ratio), ties
+    going to the lowest user index.
     Everyone else falls back to the server CPUs.  ``servers`` must hold
     valid server indices.
     """
     grants = np.zeros(servers.shape, dtype=bool)
-    rows, users = np.nonzero(_candidates(evaluator, servers, ratios))
+    rows, users = np.nonzero(evaluator.candidates(servers, ratios))
     if len(users) == 0:
         return grants
     chosen = servers[rows, users]
@@ -188,29 +182,14 @@ class MeqcEnv:
         ratios are clamped to [0, 1] and the QPU indicators are resolved by
         ``grant_mask``, exactly as ``rewards`` does for a batch.  A
         centralized solver may instead submit a complete ``JointAction``
-        whose grant schedule is honored after validation (every claimed
-        grant must be feasible and at a ratio below 1; at most one per
-        server).
+        whose grant schedule is honored once
+        ``ScenarioEvaluator.check_action`` accepts it, the validation
+        ``total_cost`` shares.
         """
         evaluator = self.evaluator
         if isinstance(actions, JointAction):
             action = actions
-            if len(action.server_choice) != self.num_users:
-                raise ValueError(
-                    f"expected {self.num_users} actions, "
-                    f"got {len(action.server_choice)}"
-                )
-            servers = np.array(action.server_choice, dtype=np.int64)
-            ratios = np.array(action.local_ratio, dtype=np.float64)
-            grants = np.array(action.quantum_indicator, dtype=bool)
-            evaluator.check_servers(servers)
-            infeasible = grants & ~_candidates(evaluator, servers, ratios)
-            if infeasible.any():
-                u = int(np.argmax(infeasible))
-                raise ValueError(
-                    f"user {u} claims an infeasible QPU grant on server {servers[u]}"
-                )
-            evaluator.check_grants(servers, grants)
+            servers, ratios, grants = evaluator.check_action(action)
         else:
             if len(actions) != self.num_users:
                 raise ValueError(

@@ -25,7 +25,6 @@ from meqc.device import (
     gate_power_profile,
     logical_resources,
     physical_error_rate,
-    success_probability,
 )
 from meqc.marl import LearnedPolicy, TrainConfig, gae, train
 from meqc.nn import Mlp
@@ -38,6 +37,8 @@ from meqc.solvers import (
 )
 from meqc.workload import RayTracingParams, compile_quantum, gen_scenario
 from meqc.costs import TaskSpec
+
+from cost_spec import success_probability, user_cost
 
 
 def _passed(criterion, detail):
@@ -142,11 +143,11 @@ def _grid_search_cost(scenario, step=0.01):
     for u in range(num_users):
         for e in range(num_servers):
             grid_min[(u, e, 0)] = min(
-                evaluator.user_cost(u, e, float(r), use_qpu=False).cost for r in grid
+                user_cost(evaluator, u, e, float(r), use_qpu=False).cost for r in grid
             )
             if evaluator.eligible[u][e]:
                 grid_min[(u, e, 1)] = min(
-                    evaluator.user_cost(u, e, float(r), use_qpu=True).cost for r in grid
+                    user_cost(evaluator, u, e, float(r), use_qpu=True).cost for r in grid
                 )
     best = math.inf
     for assignment in itertools.product(range(num_servers), repeat=num_users):
@@ -403,7 +404,8 @@ def test_criterion_9c_decoherence_sweep():
     qtask = QuantumTaskSpec(data_size=160e6, logical_qubits=20, logical_depth=813)
     cryo = CryostatConfig()
     energies = []
-    from meqc.costs import edge_quantum_cost, ServerProfile, UserProfile
+    from meqc.costs import ServerProfile, UserProfile
+    from cost_spec import edge_quantum_cost
 
     user = UserProfile(
         f_local=2e9, tx_power=1e-4, weight_latency=0.5, weight_energy=0.5,

@@ -1,5 +1,6 @@
 """Config parsing, sweep plumbing, CSV contract and CLI exit codes."""
 
+import csv
 import dataclasses
 import re
 from pathlib import Path
@@ -12,7 +13,6 @@ from meqc.bench import (
     ConfigError,
     build_scenario,
     emit_csv,
-    load_csv,
     parse_config,
     run_grid,
     run_sweep,
@@ -21,6 +21,19 @@ from meqc.cli import main
 from meqc.marl import TrainConfig, save_checkpoint, train
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import gen_scenario
+
+
+def load_csv(path) -> list[dict]:
+    """Read back an emitted CSV with numeric columns restored."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = []
+        for row in csv.DictReader(fh):
+            parsed = dict(row)
+            parsed["seed"] = int(row["seed"])
+            for col in CSV_COLUMNS[3:]:
+                parsed[col] = float(row[col])
+            rows.append(parsed)
+    return rows
 
 
 class TestParseConfig:
@@ -103,9 +116,17 @@ class TestParseConfig:
             ("episodes: 1\nseeds: [1.7]\n", "seeds (line 2)"),
             ("episodes: 1\ndevice: {decoherence_time: .nan}\n",
              "device.decoherence_time (line 2)"),
+            ("1: 2\nfoo: 3\n", "1 (line 1): unknown key"),
+            ("sweep: {1: 2, x: 3, parameter: edge_cpu, values: [1.0e9]}\n",
+             "sweep.1 (line 1): unknown key"),
+            ("train: {1: 2, x: 3}\n", "train.1 (line 1): unknown key"),
+            ("episodes: 1\ntrain: {epochs: 0}\n", "train (line 2): epochs must be >= 1"),
+            ("episodes: 1\ndevice: {num_stages: 1}\n",
+             "device (line 2): num_stages must be >= 2, got 1"),
         ],
         ids=["weight_latency_abc", "epochs_x", "users_2.7", "episodes_true", "seeds_1.7",
-             "decoherence_time_nan"],
+             "decoherence_time_nan", "top_mixed_keys", "sweep_mixed_keys",
+             "train_mixed_keys", "epochs_0", "num_stages_1"],
     )
     def test_ill_typed_value_rejected_with_key_and_line(self, text, where, tmp_path, capsys):
         with pytest.raises(ConfigError, match=re.escape(where)):
@@ -174,6 +195,33 @@ class TestRunSweep:
         serial = run_sweep(tiny_sweep_config())
         parallel = run_sweep(tiny_sweep_config(workers=2))
         assert serial == parallel
+
+    def test_pool_bounded_by_grid_size(self, tmp_path, monkeypatch):
+        import meqc.bench
+
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(meqc.bench, "ProcessPoolExecutor", SerialPool)
+        emit_csv(run_sweep(tiny_sweep_config()), tmp_path / "serial.csv")
+        emit_csv(run_sweep(tiny_sweep_config(workers=64)), tmp_path / "pooled.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        run_grid(tiny_sweep_config(workers=64))  # unswept: one value, two seeds
+        assert sizes == [4, 2]
 
     @pytest.mark.parametrize("runner", ["sweep", "eval"])
     def test_checkpoint_loaded_once_per_run(self, runner, tmp_path, monkeypatch):

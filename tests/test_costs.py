@@ -16,19 +16,24 @@ from meqc.costs import (
     ServerProfile,
     TaskSpec,
     UserProfile,
+    sum_over_users,
+    total_cost,
+)
+from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
+from meqc.device import physical_error_rate
+from meqc.workload import gen_scenario, redraw_tasks
+
+from cost_spec import (
     edge_classical_cost,
     edge_quantum_cost,
     local_cost,
+    qpu_saving,
     quantum_feasible,
-    sum_over_users,
-    total_cost,
+    success_probability,
     transmission_cost,
     uplink_rate,
+    user_cost,
 )
-from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
-from meqc.device import physical_error_rate, success_probability
-from meqc.workload import gen_scenario, redraw_tasks
-
 from test_env import craft_scenario
 
 CHIP = 1e-11
@@ -307,11 +312,11 @@ class TestCostProperties:
         for use_qpu in (False, True):
             if use_qpu and not evaluator.eligible[0][0]:
                 continue
-            c0 = evaluator.user_cost(0, 0, 0.0, use_qpu).cost
-            c1 = evaluator.user_cost(0, 0, 1.0, use_qpu).cost
+            c0 = user_cost(evaluator, 0, 0, 0.0, use_qpu).cost
+            c1 = user_cost(evaluator, 0, 0, 1.0, use_qpu).cost
             for ratio in np.linspace(0, 1, 11):
                 interpolated = (1 - ratio) * c0 + ratio * c1
-                actual = evaluator.user_cost(0, 0, float(ratio), use_qpu).cost
+                actual = user_cost(evaluator, 0, 0, float(ratio), use_qpu).cost
                 assert actual == pytest.approx(interpolated, rel=1e-12)
 
     def test_weakly_decreasing_in_edge_cpu(self):
@@ -365,7 +370,7 @@ class TestCostProperties:
             u = int(rng.integers(4))
             e = int(rng.integers(3))
             ratio = float(rng.uniform(0, 1))
-            b = evaluator.user_cost(u, e, ratio, use_qpu=False)
+            b = user_cost(evaluator, u, e, ratio, use_qpu=False)
             assert math.isfinite(b.cost) and b.cost >= 0.0
             assert b.latency_total >= 0.0 and b.energy_total >= 0.0
 
@@ -435,12 +440,12 @@ class TestKernelMatchesSpec:
             for e in range(evaluator.num_servers):
                 for ratio in ratios:
                     for use_qpu in (False, True):
-                        got = evaluator.user_cost(u, e, ratio, use_qpu)
+                        got = user_cost(evaluator, u, e, ratio, use_qpu)
                         want = spec_user_cost(scenario, u, e, ratio, use_qpu)
                         assert got == want, (u, e, ratio, use_qpu)
                     cpu = spec_user_cost(scenario, u, e, ratio, False).cost
                     qpu = spec_user_cost(scenario, u, e, ratio, True).cost
-                    assert evaluator.qpu_saving(u, e, ratio) == cpu - qpu
+                    assert qpu_saving(evaluator, u, e, ratio) == cpu - qpu
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
     def test_tables_match_scalar_functions(self, name):
@@ -471,7 +476,7 @@ class TestKernelMatchesSpec:
     def test_crafted_instance_has_eligible_pairs(self):
         evaluator = ScenarioEvaluator(KERNEL_SCENARIOS["crafted_qpu"]())
         assert evaluator.eligible[:2].any() and not evaluator.eligible[2].any()
-        assert evaluator.qpu_saving(0, 1, 0.0) > 0.0
+        assert qpu_saving(evaluator, 0, 1, 0.0) > 0.0
 
     def test_total_is_user_order_sum_of_spec(self):
         scenario = gen_scenario(9, 3, seed=2)
@@ -505,7 +510,7 @@ class TestKernelMatchesSpec:
         batch = evaluator.breakdown(servers, ratios, False)
         for b in range(2):
             for u in range(4):
-                want = evaluator.user_cost(u, int(servers[b, u]), float(ratios[b, u]), False)
+                want = user_cost(evaluator, u, int(servers[b, u]), float(ratios[b, u]), False)
                 assert batch.cost[b, u] == want.cost
                 assert batch.latency_total[b, u] == want.latency_total
 
@@ -521,9 +526,9 @@ class TestKernelMatchesSpec:
         with pytest.raises(ValueError, match="link to server 1 carries no data"):
             spec_user_cost(scenario, 1, 1, 0.5, False)
         with pytest.raises(ValueError, match="link to server 1 carries no data"):
-            evaluator.user_cost(1, 1, 0.5, False)
-        assert evaluator.user_cost(1, 1, 1.0, False) == spec_user_cost(scenario, 1, 1, 1.0, False)
-        assert evaluator.user_cost(0, 1, 0.5, True) == spec_user_cost(scenario, 0, 1, 0.5, True)
+            user_cost(evaluator, 1, 1, 0.5, False)
+        assert user_cost(evaluator, 1, 1, 1.0, False) == spec_user_cost(scenario, 1, 1, 1.0, False)
+        assert user_cost(evaluator, 0, 1, 0.5, True) == spec_user_cost(scenario, 0, 1, 0.5, True)
 
 
 def bitwise_equal(a, b) -> bool:

@@ -15,8 +15,9 @@ from meqc.device import (
     gate_power_profile,
     logical_resources,
     physical_error_rate,
-    success_probability,
 )
+
+from cost_spec import success_probability
 
 
 def default_stack():

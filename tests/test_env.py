@@ -18,6 +18,8 @@ from meqc.env import MeqcEnv, build_observation, grant_mask, observation_length
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate, solve_baseline
 from meqc.workload import gen_scenario
 
+from cost_spec import qpu_saving
+
 # ``grant_mask`` has one rule (largest saving wins); cases carry its name
 ONE_RULE = pytest.mark.parametrize("rule", ["max_saving"])
 
@@ -107,8 +109,8 @@ class TestResolveAllocation:
         # same server, user 1 offloads a bigger payload => larger saving
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
         evaluator = ScenarioEvaluator(scenario)
-        save0 = evaluator.qpu_saving(0, 0, 0.0)
-        save1 = evaluator.qpu_saving(1, 0, 0.0)
+        save0 = qpu_saving(evaluator, 0, 0, 0.0)
+        save1 = qpu_saving(evaluator, 1, 0, 0.0)
         assert save1 > save0 > 0.0
         indicators = allocate(evaluator, [0, 0], [0.0, 0.0])
         assert indicators == (0, 1)
@@ -222,11 +224,23 @@ class TestStep:
         assert result.reward == pytest.approx(-expected, rel=1e-12)
 
     def test_complete_action_infeasible_grant_rejected(self):
-        scenario = craft_scenario(quotas=(0,), data_sizes=(1e3,))
-        env = MeqcEnv(scenario)
-        env.reset()
-        with pytest.raises(ValueError, match="infeasible"):
-            env.step(JointAction((0,), (0.0,), (1,)))
+        # step and total_cost validate a JointAction alike: both refuse a grant
+        # on an ineligible (user, server) pair, at ratio 1, or to a taken QPU
+        ineligible = craft_scenario(quotas=(0,), data_sizes=(1e3,))
+        eligible = craft_scenario(quotas=(54,), data_sizes=(1e3,))
+        pair = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
+        cases = (
+            (ineligible, JointAction((0,), (0.0,), (1,)), "infeasible"),
+            (eligible, JointAction((0,), (1.0,), (1,)), "infeasible"),
+            (pair, JointAction((0, 0), (0.0, 0.0), (1, 1)), "more than one QPU grant"),
+        )
+        for scenario, action, message in cases:
+            env = MeqcEnv(scenario)
+            env.reset()
+            with pytest.raises(ValueError, match=message):
+                env.step(action)
+            with pytest.raises(ValueError, match=message):
+                total_cost(scenario, action)
 
     def test_complete_action_grant_at_ratio_one_rejected(self):
         # a user at ratio 1 offloads nothing, so it cannot hold a QPU grant
@@ -275,7 +289,7 @@ def reference_allocation(evaluator, server_choice, local_ratio):
             continue
         winner = max(
             candidates,
-            key=lambda u: (evaluator.qpu_saving(u, server, local_ratio[u]), -u),
+            key=lambda u: (qpu_saving(evaluator, u, server, local_ratio[u]), -u),
         )
         indicators[winner] = 1
     return tuple(indicators)

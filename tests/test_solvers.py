@@ -9,7 +9,7 @@ import pytest
 
 import meqc.costs
 import meqc.env
-from meqc.costs import JointAction, ScenarioEvaluator, local_cost, total_cost
+from meqc.costs import JointAction, ScenarioEvaluator, total_cost
 from meqc.solvers import (
     BaselinePolicy,
     PolicyKind,
@@ -21,6 +21,7 @@ from meqc.solvers import (
 )
 from meqc.workload import gen_scenario
 
+from cost_spec import local_cost, qpu_saving, user_cost
 from test_acceptance import instance_set
 from test_env import craft_scenario
 
@@ -81,15 +82,15 @@ def reference_greedy(scenario):
         best = None
         for server in range(num_servers):
             for ratio in (0.0, 1.0):
-                cpu = evaluator.user_cost(u, server, ratio, use_qpu=False).cost
+                cpu = user_cost(evaluator, u, server, ratio, use_qpu=False).cost
                 if best is None or cpu < best[0]:
                     best = (cpu, server, ratio, 0)
                 if (
                     slot_free[server]
                     and evaluator.eligible[u][server]
-                    and evaluator.qpu_saving(u, server, ratio) > 0.0
+                    and qpu_saving(evaluator, u, server, ratio) > 0.0
                 ):
-                    qpu = evaluator.user_cost(u, server, ratio, use_qpu=True).cost
+                    qpu = user_cost(evaluator, u, server, ratio, use_qpu=True).cost
                     if qpu < best[0]:
                         best = (qpu, server, ratio, 1)
         _, servers[u], ratios[u], indicators[u] = best
@@ -163,7 +164,7 @@ class TestGreedy:
         for u, grant in enumerate(action.quantum_indicator):
             if grant:
                 e = action.server_choice[u]
-                assert evaluator.qpu_saving(u, e, action.local_ratio[u]) > 0
+                assert qpu_saving(evaluator, u, e, action.local_ratio[u]) > 0
 
 
 def reference_oracle(scenario, *, allow_quantum=True):
@@ -339,7 +340,7 @@ class TestExhaustive:
         evaluator = ScenarioEvaluator(scenario)
         action, cost = solve_exhaustive(scenario)
         candidates = [
-            evaluator.user_cost(0, 0, ratio, use_qpu=bool(grant)).cost
+            user_cost(evaluator, 0, 0, ratio, use_qpu=bool(grant)).cost
             for ratio in (0.0, 1.0)
             for grant in (0, 1)
         ]
@@ -396,11 +397,11 @@ def _grid_search(evaluator, grid):
     for u in range(num_users):
         for e in range(num_servers):
             grid_min[(u, e, 0)] = min(
-                evaluator.user_cost(u, e, float(r), use_qpu=False).cost for r in grid
+                user_cost(evaluator, u, e, float(r), use_qpu=False).cost for r in grid
             )
             if evaluator.eligible[u][e]:
                 grid_min[(u, e, 1)] = min(
-                    evaluator.user_cost(u, e, float(r), use_qpu=True).cost for r in grid
+                    user_cost(evaluator, u, e, float(r), use_qpu=True).cost for r in grid
                 )
     best = np.inf
     for assignment in itertools.product(range(num_servers), repeat=num_users):
