@@ -120,28 +120,32 @@ def _key_lines(text: str) -> dict[str, int]:
     """Map dotted key paths to 1-based line numbers of the YAML document.
 
     Keys are spelled as the parsed document holds them, so ``1:`` maps
-    from ``"1"`` and ``true:`` from ``"True"``.
+    from ``"1"`` and ``true:`` from ``"True"``.  Keys merged in with ``<<``
+    map to their line in the merged mapping, and a key present more than
+    once maps to the occurrence the parsed document keeps.
     """
+    constructor = yaml.constructor.SafeConstructor()
     try:
         root = yaml.compose(text)
     except yaml.YAMLError:
         return {}
-    construct = yaml.constructor.SafeConstructor().construct_object
     lines: dict[str, int] = {}
 
     def walk(node, prefix):
         if not isinstance(node, yaml.MappingNode):
             return
+        # inline ``<<`` merges in the constructor's order: merged keys
+        # first, each overridden by the ones after it
+        constructor.flatten_mapping(node)
         for key_node, value_node in node.value:
-            try:
-                key = construct(key_node)
-            except yaml.YAMLError:  # the merge key ``<<`` has no constructor
-                key = key_node.value
-            path = f"{prefix}{key}"
+            path = f"{prefix}{constructor.construct_object(key_node)}"
             lines[path] = key_node.start_mark.line + 1
             walk(value_node, path + ".")
 
-    walk(root, "")
+    try:
+        walk(root, "")
+    except yaml.YAMLError:
+        return {}
     return lines
 
 

@@ -198,13 +198,15 @@ class ScenarioEvaluator:
     ``rate`` (``[U, E]``), and per-server error suppression and QPU step
     time and step energy.  The task tables depend on the users' tasks too:
     per-user task vectors and the ``[U, E]`` ``success`` and ``eligible``
-    arrays.  ``with_tasks`` rebuilds only the task tables, for a scenario
-    whose tasks alone differ.  ``breakdown`` evaluates the formulas on any
-    batch; the tests hold every number it returns bit-identical to the
-    scalar reference in ``tests/cost_spec.py``.  ``check_action`` is the one
-    validation of a complete ``JointAction`` and ``candidates`` the one rule
-    for who may hold a QPU grant.  The scenario and tables are read-only;
-    one evaluator may be shared by concurrent readers.
+    arrays.  They are built in one place from per-user task columns: read
+    from the scenario on construction, or passed to ``with_tasks``, which
+    replaces every user's task without touching the fixed tables.  The
+    evaluator keeps tables, not the scenario.  ``breakdown`` evaluates the
+    formulas on any batch; the tests hold every number it returns
+    bit-identical to the scalar reference in ``tests/cost_spec.py``.
+    ``check_action`` is the one validation of a complete ``JointAction``
+    and ``candidates`` the one rule for who may hold a QPU grant.  The
+    tables are read-only; one evaluator may be shared by concurrent readers.
     """
 
     def __init__(self, scenario: Scenario):
@@ -267,47 +269,51 @@ class ScenarioEvaluator:
         self._step_time, self._step_energy = _column(
             [step[s.concat_level] for s in servers]
         ).T
-        self._load_tasks(scenario)
+        self._chip_energy = scenario.chip_energy_per_cycle
+        self._error_threshold = scenario.error_threshold
+        self._load_tasks(
+            _column([e.task.data_size for e in users]),
+            _column([e.task.cycles_per_byte for e in users]),
+            _column([e.quantum_task.data_size for e in users]),
+            _column([e.quantum_task.logical_qubits for e in users]),
+            _column([e.quantum_task.logical_depth for e in users]),
+        )
 
-    def _load_tasks(self, scenario: Scenario) -> None:
-        """Build the task tables of ``scenario`` and make it the scored one."""
-        self.scenario = scenario
-        users = scenario.users
-        self._data_size = _column([e.task.data_size for e in users])
-        self._cycles_per_byte = _column([e.task.cycles_per_byte for e in users])
-        self._q_data_size = _column([e.quantum_task.data_size for e in users])
-        self._logical_qubits = _column([e.quantum_task.logical_qubits for e in users])
-        depths = _column([e.quantum_task.logical_depth for e in users])
+    def _load_tasks(self, *columns: np.ndarray) -> None:
+        """Build the task tables from per-user task columns (see ``with_tasks``)."""
+        columns = [np.asarray(c, dtype=np.float64) for c in columns]
+        for column in columns:
+            if column.shape != (self.num_users,):
+                raise ValueError(
+                    f"expected {self.num_users} values per task column, got shape "
+                    f"{column.shape}"
+                )
+        (self._data_size, self._cycles_per_byte, self._q_data_size,
+         self._logical_qubits, depths) = columns
 
         # success_probability, clamped the way min(1, max(0, .)) clamps.
         locations = self._logical_qubits * depths
-        success = 1.0 - locations[:, None] * scenario.error_threshold * self._suppression
+        success = 1.0 - locations[:, None] * self._error_threshold * self._suppression
         success = np.where(success > 0.0, success, 0.0)
         self.success = np.where(success < 1.0, success, 1.0)
         fits = self._logical_qubits <= self._quota
         self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
 
-    def with_tasks(self, scenario: Scenario) -> ScenarioEvaluator:
-        """An evaluator of ``scenario``, which differs from this one's in its tasks only.
+    def with_tasks(
+        self, data_size, cycles_per_byte, quantum_data_size, logical_qubits, logical_depth
+    ) -> ScenarioEvaluator:
+        """An evaluator of this scenario with every user's task replaced.
 
-        The new evaluator shares this one's scenario-fixed tables and builds
-        only its task tables.  Raises ``ValueError`` unless ``scenario`` has
-        the same servers, user profiles, cryostat, qubit technology, error
-        threshold and chip energy as this evaluator's scenario.
+        Each argument is a per-user column of the field of the same name
+        (``quantum_data_size`` is ``QuantumTaskSpec.data_size``).  The new
+        evaluator shares this one's scenario-fixed tables and builds only
+        its task tables; this one is left as it was.  Raises ``ValueError``
+        unless every column holds one value per user.
         """
-        own = self.scenario
-        same = (
-            scenario.servers == own.servers
-            and [e.profile for e in scenario.users] == [e.profile for e in own.users]
-            and scenario.cryostat == own.cryostat
-            and scenario.qubit_tech == own.qubit_tech
-            and scenario.error_threshold == own.error_threshold
-            and scenario.chip_energy_per_cycle == own.chip_energy_per_cycle
-        )
-        if not same:
-            raise ValueError("scenario differs from the evaluator's in more than its tasks")
         evaluator = copy.copy(self)
-        evaluator._load_tasks(scenario)
+        evaluator._load_tasks(
+            data_size, cycles_per_byte, quantum_data_size, logical_qubits, logical_depth
+        )
         return evaluator
 
     def breakdown(self, servers, ratios, qpu, users=None) -> CostBreakdown:
@@ -321,7 +327,7 @@ class ScenarioEvaluator:
         if users is None:
             users = self.user_index
         ratios = np.asarray(ratios, dtype=np.float64)
-        chip = self.scenario.chip_energy_per_cycle
+        chip = self._chip_energy
         cycles = ratios * self._data_size[users] * self._cycles_per_byte[users]
         latency_local = cycles / self._f_local[users]
         energy_local = chip * cycles

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import JointAction, ScenarioEvaluator, sum_over_users
-from .workload import Scenario, redraw_tasks
+from .workload import TASK_SHAPES, Scenario, draw_tasks, scenario_with_tasks
 
 
 def build_observation(scenario: Scenario, user: int) -> np.ndarray:
@@ -103,9 +103,11 @@ class MeqcEnv:
 
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
-    tasks from the workload generator.  Observations depend only on the
-    scenario, so ``observations`` builds them on first request, once per
-    scenario; policies that do not read them never pay for them.
+    tasks from the workload generator.  A redrawn episode is two arrays,
+    the users' primitive exponents and data sizes, and scoring reads only
+    the evaluator's tables.  The episode's ``scenario`` and
+    ``observations`` are built from them on first read, once per episode;
+    policies that do not read them never pay for them.
     """
 
     def __init__(
@@ -120,13 +122,21 @@ class MeqcEnv:
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
-        self._base_evaluator = ScenarioEvaluator(scenario)
-        self._load(self._base_evaluator)
-
-    def _load(self, evaluator: ScenarioEvaluator) -> None:
-        self.evaluator = evaluator
-        self.scenario = evaluator.scenario
+        self._base_evaluator = self.evaluator = ScenarioEvaluator(scenario)
+        self._scenario = scenario
+        self._tasks = None
         self._observations = None
+
+    @property
+    def scenario(self) -> Scenario:
+        """The current episode's scenario, built on first read.
+
+        After a redraw it equals ``redraw_tasks(base_scenario, rng)`` with
+        the generator as ``reset`` found it.
+        """
+        if self._scenario is None:
+            self._scenario = scenario_with_tasks(self.base_scenario, *self._tasks)
+        return self._scenario
 
     def observations(self) -> list[np.ndarray]:
         """Every agent's observation of the current scenario, built once, read-only."""
@@ -141,12 +151,20 @@ class MeqcEnv:
     def reset(self) -> None:
         """Start a new episode; redraws tasks when configured to.
 
-        A redrawn episode reuses the base scenario's evaluator tables and
-        rebuilds only those that depend on the tasks.
+        A redraw takes the users' exponents and data sizes from
+        ``draw_tasks`` (the draws of ``redraw_tasks``) and refreshes only
+        the base evaluator's task tables with them; no per-user object is
+        built until ``scenario`` or ``observations`` is read.
         """
         if self.redraw:
-            scenario = redraw_tasks(self.base_scenario, self.rng)
-            self._load(self._base_evaluator.with_tasks(scenario))
+            exponents, data_sizes = draw_tasks(self.rng, self.num_users)
+            cycles_per_byte, logical_qubits, logical_depth = TASK_SHAPES[exponents].T
+            self.evaluator = self._base_evaluator.with_tasks(
+                data_sizes, cycles_per_byte, data_sizes, logical_qubits, logical_depth
+            )
+            self._tasks = (exponents, data_sizes)
+            self._scenario = None
+            self._observations = None
 
     def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:
         """Checked ``[B, U]`` server indices and ratios clamped to [0, 1]."""

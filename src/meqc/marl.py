@@ -136,6 +136,16 @@ def draw_actions(
     }
 
 
+def _net_layouts(obs_dim: int, num_servers: int, hidden: int) -> dict:
+    """``(sizes, out_scale)`` of each of an agent's networks, in draw order."""
+    return {
+        "pi_server": ((obs_dim, hidden, hidden, num_servers), 0.01),
+        "v_server": ((obs_dim, hidden, hidden, 1), 1.0),
+        "pi_ratio": ((obs_dim, hidden, hidden, 2), 0.01),
+        "v_ratio": ((obs_dim, hidden, hidden, 1), 1.0),
+    }
+
+
 class HybridAgent:
     """One user's policy and value networks."""
 
@@ -146,11 +156,24 @@ class HybridAgent:
         self.num_servers = num_servers
         self.hidden = hidden
         self.nets = {
-            "pi_server": Mlp((obs_dim, hidden, hidden, num_servers), rng, out_scale=0.01),
-            "v_server": Mlp((obs_dim, hidden, hidden, 1), rng),
-            "pi_ratio": Mlp((obs_dim, hidden, hidden, 2), rng, out_scale=0.01),
-            "v_ratio": Mlp((obs_dim, hidden, hidden, 1), rng),
+            name: Mlp(sizes, rng, out_scale=out_scale)
+            for name, (sizes, out_scale) in _net_layouts(obs_dim, num_servers, hidden).items()
         }
+
+    @classmethod
+    def from_params(
+        cls, obs_dim: int, num_servers: int, hidden: int, params: dict[str, np.ndarray]
+    ) -> HybridAgent:
+        """An agent holding copies of ``params`` (``flat_params`` form); nothing is drawn."""
+        agent = cls.__new__(cls)
+        agent.obs_dim = obs_dim
+        agent.num_servers = num_servers
+        agent.hidden = hidden
+        agent.nets = {
+            name: Mlp.from_params(sizes, params[name])
+            for name, (sizes, _) in _net_layouts(obs_dim, num_servers, hidden).items()
+        }
+        return agent
 
     def server_logits(self, obs):
         return self.nets["pi_server"].forward(obs)
@@ -507,15 +530,13 @@ def load_checkpoint(path: str | Path) -> list[HybridAgent]:
         obs_dim = int(data["obs_dim"])
         num_servers = int(data["num_servers"])
         hidden = int(data["hidden_units"])
-        rng = np.random.default_rng(0)  # immediately overwritten
-        agents = []
-        for i in range(num_agents):
-            agent = HybridAgent(obs_dim, num_servers, hidden, rng)
-            agent.set_flat_params(
-                {name: data[f"agent{i}.{name}"] for name in _NET_NAMES}
+        return [
+            HybridAgent.from_params(
+                obs_dim, num_servers, hidden,
+                {name: data[f"agent{i}.{name}"] for name in _NET_NAMES},
             )
-            agents.append(agent)
-    return agents
+            for i in range(num_agents)
+        ]
 
 
 class LearnedPolicy:

@@ -25,6 +25,25 @@ class Mlp:
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0):
+        self._allocate(sizes)
+        for i, w in enumerate(self.weights):
+            scale = 1.0 / np.sqrt(w.shape[0])
+            if i == len(self.weights) - 1:
+                scale *= out_scale
+            # the stream and values of rng.normal(0.0, scale, w.shape)
+            rng.standard_normal(out=w)
+            w *= scale
+
+    @classmethod
+    def from_params(cls, sizes, params: np.ndarray) -> Mlp:
+        """A network of ``sizes`` holding a copy of ``params``; nothing is drawn."""
+        net = cls.__new__(cls)
+        net._allocate(sizes)
+        net.set_flat_params(params)
+        return net
+
+    def _allocate(self, sizes) -> None:
+        """Zero ``params`` for ``sizes``, with ``weights``/``biases`` as its views."""
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
         self.sizes = tuple(int(s) for s in sizes)
@@ -34,13 +53,6 @@ class Mlp:
         layers = self.layers(self.params)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
-        for i, w in enumerate(self.weights):
-            scale = 1.0 / np.sqrt(w.shape[0])
-            if i == len(self.weights) - 1:
-                scale *= out_scale
-            # the stream and values of rng.normal(0.0, scale, w.shape)
-            rng.standard_normal(out=w)
-            w *= scale
 
     @property
     def num_params(self) -> int:

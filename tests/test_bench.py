@@ -70,6 +70,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"scenario.bananas \(line 3\)"):
             parse_config("scenario:\n  users: 4\n  bananas: 2\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("<<: {a: 1}\n", "a (line 1): unknown key"),
+            ("scenario:\n  <<: {bogus: 1}\n", "scenario.bogus (line 2): unknown key"),
+            ("base: &b {bogus: 1}\nscenario:\n  <<: *b\n",
+             "base (line 1): unknown key"),
+            ("episodes: 1\nscenario:\n  <<: [{users: 2}, {users: 3, bogus: 1}]\n",
+             "scenario.bogus (line 3): unknown key"),
+            # an explicit key wins over a merged one, and so does its line
+            ("episodes: 1\nscenario:\n  <<: {users: 2}\n  users: -1\n",
+             "scenario.users (line 4): must be"),
+            ("episodes: 1\nscenario:\n  users: -1\n  <<: {users: 2, servers: -2}\n",
+             "scenario.users (line 3): must be"),
+        ],
+        ids=["top", "nested", "alias", "sequence", "explicit_after", "explicit_before"],
+    )
+    def test_merged_key_reports_line(self, text, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("frobnicate: 1\n")

@@ -547,6 +547,22 @@ REFRESH_SHAPES = {
 }
 
 
+def task_columns(scenario):
+    """The per-user task columns ``ScenarioEvaluator.with_tasks`` takes."""
+    users = scenario.users
+    return (
+        [e.task.data_size for e in users],
+        [e.task.cycles_per_byte for e in users],
+        [e.quantum_task.data_size for e in users],
+        [e.quantum_task.logical_qubits for e in users],
+        [e.quantum_task.logical_depth for e in users],
+    )
+
+
+TASK_TABLES = ("success", "eligible", "_data_size", "_cycles_per_byte", "_q_data_size",
+               "_logical_qubits")
+
+
 class TestWithTasks:
     @pytest.mark.parametrize("name", sorted(REFRESH_SHAPES))
     def test_refresh_equals_full_build(self, name):
@@ -556,8 +572,9 @@ class TestWithTasks:
         rng = np.random.default_rng(3)
         for draw in range(3):
             redrawn = redraw_tasks(base, np.random.default_rng(draw))
-            refreshed, full = evaluator.with_tasks(redrawn), ScenarioEvaluator(redrawn)
-            assert refreshed.scenario is redrawn
+            refreshed = evaluator.with_tasks(*task_columns(redrawn))
+            full = ScenarioEvaluator(redrawn)
+            assert not hasattr(refreshed, "scenario")  # no scenario with stale tasks
             assert refreshed.rate is evaluator.rate  # fixed tables are shared
             for table in ("rate", "success", "eligible", "_step_time", "_step_energy",
                           "_data_size", "_cycles_per_byte", "_q_data_size",
@@ -575,29 +592,16 @@ class TestWithTasks:
     def test_refresh_leaves_source_untouched(self):
         base = gen_scenario(3, 3, seed=2)
         evaluator = ScenarioEvaluator(base)
-        success = evaluator.success.copy()
-        evaluator.with_tasks(redraw_tasks(base, np.random.default_rng(0)))
-        assert evaluator.scenario is base
-        assert bitwise_equal(evaluator.success, success)
+        tables = {name: getattr(evaluator, name).copy() for name in TASK_TABLES}
+        evaluator.with_tasks(*task_columns(redraw_tasks(base, np.random.default_rng(0))))
+        for name, table in tables.items():
+            assert bitwise_equal(getattr(evaluator, name), table), name
 
-    def test_rejects_more_than_new_tasks(self):
+    def test_rejects_columns_of_wrong_length(self):
         base = gen_scenario(3, 2, seed=2)
         evaluator = ScenarioEvaluator(base)
-        entry = base.users[1]
-        other_profile = dataclasses.replace(
-            base,
-            users=(base.users[0],
-                   dataclasses.replace(entry, profile=dataclasses.replace(
-                       entry.profile, tx_power=2 * entry.profile.tx_power)),
-                   base.users[2]),
-        )
-        other_servers = dataclasses.replace(
-            base, servers=tuple(dataclasses.replace(s, bandwidth=1e6) for s in base.servers)
-        )
-        other_device = dataclasses.replace(
-            base, qubit_tech=dataclasses.replace(base.qubit_tech, decoherence_time=1.0)
-        )
-        fewer_users = dataclasses.replace(base, users=base.users[:2])
-        for scenario in (other_profile, other_servers, other_device, fewer_users):
-            with pytest.raises(ValueError, match="more than its tasks"):
-                evaluator.with_tasks(scenario)
+        columns = task_columns(redraw_tasks(base, np.random.default_rng(0)))
+        for i in range(len(columns)):
+            for wrong in (columns[i][:2], columns[i] + columns[i][:1], [columns[i]]):
+                with pytest.raises(ValueError, match="3 values per task column"):
+                    evaluator.with_tasks(*columns[:i], wrong, *columns[i + 1:])

@@ -16,7 +16,7 @@ from meqc.costs import (
 )
 from meqc.env import MeqcEnv, build_observation, grant_mask, observation_length
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate, solve_baseline
-from meqc.workload import gen_scenario
+from meqc.workload import gen_scenario, redraw_tasks
 
 from cost_spec import qpu_saving
 
@@ -86,6 +86,41 @@ class TestObservations:
                 obs = build_observation(scenario, u)
                 assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
                 assert np.all(np.isfinite(obs))
+
+
+class TestRedrawnEpisode:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20)])
+    def test_scenario_built_on_read_equals_redraw(self, shape):
+        base = gen_scenario(*shape, seed=6)
+        env = MeqcEnv(base, redraw_tasks=True, rng=np.random.default_rng(11))
+        twin = np.random.default_rng(11)
+        decisions = np.random.default_rng(0)
+        for _ in range(20):
+            env.reset()
+            expected = redraw_tasks(base, twin)
+            assert env.rng.bit_generator.state == twin.bit_generator.state
+            assert env.scenario == expected
+            assert env.scenario is env.scenario  # built once per episode
+            full = ScenarioEvaluator(expected)
+            for table in ("success", "eligible", "_data_size", "_cycles_per_byte",
+                          "_q_data_size", "_logical_qubits"):
+                assert np.array_equal(getattr(env.evaluator, table), getattr(full, table))
+            for obs, u in zip(env.observations(), range(shape[0])):
+                assert np.array_equal(obs, build_observation(expected, u))
+            servers = decisions.integers(shape[1], size=(1, shape[0]))
+            ratios = decisions.random((1, shape[0]))
+            assert env.rewards(servers, ratios) == MeqcEnv(expected).rewards(servers, ratios)
+
+    def test_scenario_read_keeps_the_stream(self):
+        base = gen_scenario(4, 3, seed=6)
+        read, unread = (MeqcEnv(base, redraw_tasks=True, rng=np.random.default_rng(2))
+                        for _ in range(2))
+        for _ in range(5):
+            read.reset()
+            unread.reset()
+            read.scenario
+        assert read.scenario == unread.scenario
+        assert read.rng.bit_generator.state == unread.rng.bit_generator.state
 
 
 def allocate(evaluator, server_choice, local_ratio):

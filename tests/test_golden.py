@@ -1,23 +1,28 @@
-"""Byte-for-byte golden outputs: two small training runs, a sweep CSV and
-a hash of generated scenarios.
+"""Byte-for-byte golden outputs: two small training runs, a sweep CSV, an
+evaluation with redrawn tasks and a hash of generated scenarios.
 
 The files under ``tests/golden/`` pin the learning curves, a sha256 of
-every trained parameter vector, a sweep CSV and one sha256 over many
+every trained parameter vector, a sweep CSV, the evaluation statistics of
+baselines whose every episode draws fresh tasks, and one sha256 over many
 ``gen_scenario`` outputs, so refactors of the learner, environment,
 evaluator or scenario generator can show that no output moved.  After
 a deliberate change of results, regenerate them with
 ``python tests/test_golden.py`` and explain the change.
 """
 
+import csv
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from meqc.bench import emit_csv, parse_config, run_sweep
+from meqc.bench import _format_cell, emit_csv, parse_config, run_sweep
 from meqc.marl import TrainConfig, train, write_learning_curve
+from meqc.solvers import BaselinePolicy, EvalStats, PolicyKind, evaluate
 from meqc.workload import PIN_FIELDS, gen_scenario, scenario_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +61,9 @@ SWEEP_CONFIG = (
     "seeds: [0, 1]\n"
 )
 
+REDRAW_EVAL = dict(users=10, servers=10, seeds=(0, 1, 2), episodes=5,
+                   policies=("local", "random", "random_cloud", "greedy"))
+
 
 def train_outputs(name: str, workdir: Path) -> dict[str, bytes]:
     """The learning-curve CSV and per-network parameter hashes of one run."""
@@ -81,6 +89,32 @@ def sweep_output(workdir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes()}
 
 
+def redraw_eval_output(workdir: Path) -> dict[str, bytes]:
+    """``EvalStats`` of each (policy, seed) with fresh tasks every episode.
+
+    Cells are written as ``emit_csv`` writes them, floats at 12
+    significant digits.
+    """
+    run = REDRAW_EVAL
+    path = workdir / "eval_redraw_10x10.csv"
+    stat_names = [f.name for f in dataclasses.fields(EvalStats)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["policy", "seed", *stat_names])
+        for policy in run["policies"]:
+            for seed in run["seeds"]:
+                stats = evaluate(
+                    BaselinePolicy(PolicyKind(policy)),
+                    gen_scenario(run["users"], run["servers"], seed),
+                    run["episodes"],
+                    np.random.default_rng(seed),
+                    redraw_tasks=True,
+                )
+                cells = [getattr(stats, name) for name in stat_names]
+                writer.writerow([policy, seed, *map(_format_cell, cells)])
+    return {path.name: path.read_bytes()}
+
+
 def scenarios_output() -> dict[str, bytes]:
     """One sha256 over the JSON form of every (pins, shape, seed) scenario."""
     digest = hashlib.sha256()
@@ -103,6 +137,11 @@ def test_sweep_matches_golden(tmp_path):
         assert data == (GOLDEN / filename).read_bytes(), filename
 
 
+def test_redraw_eval_matches_golden(tmp_path):
+    for filename, data in redraw_eval_output(tmp_path).items():
+        assert data == (GOLDEN / filename).read_bytes(), filename
+
+
 def test_scenarios_match_golden():
     for filename, data in scenarios_output().items():
         assert data == (GOLDEN / filename).read_bytes(), filename
@@ -111,6 +150,7 @@ def test_scenarios_match_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     outputs = sweep_output(GOLDEN)
+    outputs.update(redraw_eval_output(GOLDEN))
     outputs.update(scenarios_output())
     for run_name in TRAIN_RUNS:
         outputs.update(train_outputs(run_name, GOLDEN))

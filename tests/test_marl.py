@@ -546,6 +546,25 @@ class TestCheckpoint:
                         a.nets[name].flat_params(), b.nets[name].flat_params()
                     )
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        scenario = gen_scenario(2, 3, seed=0)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=8, updates_per_epoch=1,
+                          batch_size=8, hidden_units=16)
+        agents = train(scenario, cfg, seed=9).agents
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, agents)
+        drawn = []  # Mlp.__init__ is what draws initial weights from normals
+        monkeypatch.setattr(Mlp, "__init__", lambda *args, **kwargs: drawn.append(args))
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        restored = load_checkpoint(path)
+        assert drawn == []
+        for a, b in zip(agents, restored, strict=True):
+            assert (a.obs_dim, a.num_servers, a.hidden) == (b.obs_dim, b.num_servers, b.hidden)
+            assert list(a.nets) == list(b.nets)
+            for name in a.nets:
+                assert a.nets[name].sizes == b.nets[name].sizes
+                assert np.array_equal(a.nets[name].params, b.nets[name].params)
+
     def test_schema_version_checked(self, tmp_path):
         scenario = gen_scenario(1, 1, seed=0)
         cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,

@@ -200,6 +200,18 @@ class TestParams:
         Adam(net, lr=0.01).step(net.backward(cache, np.ones(3)))
         assert not np.allclose(net.forward(x), before)
 
+    def test_from_params_copies_and_views(self):
+        source = Mlp((4, 6, 3), np.random.default_rng(9))
+        params = source.flat_params()
+        net = Mlp.from_params((4, 6, 3), params)
+        assert np.array_equal(net.params, params) and not np.shares_memory(net.params, params)
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+        x = np.random.default_rng(11).normal(size=4)
+        assert np.array_equal(net.forward(x), source.forward(x))
+        with pytest.raises(ValueError, match="parameters"):
+            Mlp.from_params((4, 6, 3), params[:-1])
+
 
 class TestOptimizers:
     def test_adam_zero_lr_is_identity(self):

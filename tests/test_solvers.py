@@ -19,7 +19,8 @@ from meqc.solvers import (
     solve_exhaustive,
     solve_greedy,
 )
-from meqc.workload import gen_scenario
+from meqc.costs import QuantumTaskSpec, TaskSpec
+from meqc.workload import ScenarioUser, gen_scenario
 
 from cost_spec import local_cost, qpu_saving, user_cost
 from test_acceptance import instance_set
@@ -474,13 +475,30 @@ class TestEvaluate:
         with_tasks = meqc.costs.ScenarioEvaluator.with_tasks
         monkeypatch.setattr(
             meqc.costs.ScenarioEvaluator, "with_tasks",
-            lambda self, scenario: refreshed.append(scenario) or with_tasks(self, scenario),
+            lambda self, *columns: refreshed.append(columns) or with_tasks(self, *columns),
         )
         evaluate(BaselinePolicy(PolicyKind.LOCAL), gen_scenario(4, 3, seed=5), 6,
                  np.random.default_rng(0), redraw_tasks=True)
         # one full build for the base scenario, then one task refresh per episode
         assert len(built) == 1
         assert len(refreshed) == 6
+
+    @pytest.mark.parametrize("kind", ["local", "random", "random_cloud", "greedy"])
+    def test_redrawn_episodes_build_user_objects_only_when_read(self, kind, monkeypatch):
+        scenario = gen_scenario(5, 3, seed=5)
+        built = []
+        for cls in (ScenarioUser, TaskSpec, QuantumTaskSpec):
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *args, _init=cls.__init__, **kwargs:
+                    built.append(type(self)) or _init(self, *args, **kwargs),
+            )
+        evaluate(BaselinePolicy(kind), scenario, 20, np.random.default_rng(0),
+                 redraw_tasks=True)
+        if kind == "greedy":  # solved on each episode's scenario
+            assert len(built) == 20 * 5 * 3
+        else:
+            assert built == []
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):

@@ -23,6 +23,7 @@ from meqc.workload import (
     _field_rngs,
     _uniform,
     compile_quantum,
+    draw_tasks,
     gen_scenario,
     load_scenario,
     redraw_tasks,
@@ -252,6 +253,116 @@ def reference_redraw_tasks(scenario, rng):
                          quantum_task=compile_quantum(params, task))
         )
     return dataclasses.replace(scenario, users=tuple(users))
+
+
+# 7 (the number of exponents) times this is 1 modulo 2**32, so a buffered
+# half word ``leftover * _INV7`` gives Lemire's product that low word
+_INV7 = pow(7, -1, 2**32)
+# buffer states: (has_uint32, uinteger); a consumed buffer keeps a stale word
+_BUFFERS = [(0, 0), (0, 0xDEADBEEF), (1, 0xDEADBEEF)]
+
+
+def _set_buffer(rng, has_uint32, uinteger):
+    state = rng.bit_generator.state
+    state.update(has_uint32=has_uint32, uinteger=uinteger)
+    rng.bit_generator.state = state
+
+
+def _plain(state):
+    """A bit generator state with arrays as lists, so states compare with ``==``."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _zero_word_ahead(rng, offset):
+    """Make the raw word ``offset`` draws ahead (0 = next) all zero bits.
+
+    A zero word gives two uint32s that Lemire's rule rejects, or the double
+    0.0.  PCG64 outputs ``rotr(hi ^ lo, hi >> 58)`` of its 128-bit state
+    after each step, so a state with ``hi == lo < 2**58`` outputs 0; the
+    generator is then stepped back ``offset + 1`` draws from it.
+    """
+    state = rng.bit_generator.state
+    state["state"]["state"] = (12345 << 64) | 12345
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(-(offset + 1))
+
+
+class TestDrawTasks:
+    """``draw_tasks`` against the scalar loop, including Lemire rejections."""
+
+    SHAPES = [(1, 1), (2, 2), (3, 2), (100, 20)]
+
+    @staticmethod
+    def assert_matches_reference(scenario, ours, theirs):
+        state = _plain(theirs.bit_generator.state)
+        redrawn = redraw_tasks(scenario, ours)
+        assert redrawn == reference_redraw_tasks(scenario, theirs), state
+        # the whole state: the 128-bit word, the buffer flag and the
+        # (possibly stale) buffered half word
+        assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state), state
+        return redrawn
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("leftover", range(7))
+    def test_buffered_word_rejected_below_threshold(self, shape, leftover):
+        scenario = gen_scenario(*shape, seed=4)
+        for seed in range(3):
+            ours, theirs, probe = (np.random.default_rng(seed) for _ in range(3))
+            for rng in (ours, theirs, probe):
+                _set_buffer(rng, 1, leftover * _INV7 % 2**32)
+            # numpy rejects a product whose low word is below 2**32 % 7 == 4:
+            # the redraw then takes a fresh raw word
+            before = probe.bit_generator.state["state"]
+            probe.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1)
+            assert (probe.bit_generator.state["state"] != before) == (leftover < 4)
+            self.assert_matches_reference(scenario, ours, theirs)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("buffer", _BUFFERS, ids=["fresh", "stale", "half_used"])
+    def test_zero_words_rejected_anywhere(self, shape, buffer):
+        scenario = gen_scenario(*shape, seed=4)
+        num_users = shape[0]
+        rejections = 0
+        for offset in range(8):
+            ours, theirs = np.random.default_rng(offset), np.random.default_rng(offset)
+            for rng in (ours, theirs):
+                _zero_word_ahead(rng, offset)
+                _set_buffer(rng, *buffer)
+            redrawn = self.assert_matches_reference(scenario, ours, theirs)
+            # the first num_users words are always read; a zero word that
+            # no data size took went to the integers, and was rejected
+            sizes = [entry.task.data_size for entry in redrawn.users]
+            rejections += offset < num_users and DATA_SIZE_RANGE[0] not in sizes
+        # one user with a buffered half word reads only its data size's word
+        assert rejections > 0 or (num_users, buffer[0]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+    )
+    @pytest.mark.parametrize("buffer", _BUFFERS[1:], ids=["stale", "half_used"])
+    def test_other_half_word_generators(self, bit_generator, buffer):
+        scenario = gen_scenario(3, 2, seed=4)
+        for seed in range(5):
+            ours = np.random.Generator(bit_generator(seed))
+            theirs = np.random.Generator(bit_generator(seed))
+            for rng in (ours, theirs):
+                _set_buffer(rng, *buffer)
+            self.assert_matches_reference(scenario, ours, theirs)
+
+    def test_generator_without_half_words_refused(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="MT19937"):
+            draw_tasks(rng, 3)
+
+    def test_columns(self):
+        exponents, data_sizes = draw_tasks(np.random.default_rng(0), 50)
+        assert exponents.shape == data_sizes.shape == (50,)
+        assert exponents.dtype.kind == "i" and data_sizes.dtype == np.float64
+        assert PRIMITIVE_EXPONENTS[0] <= exponents.min()
+        assert exponents.max() <= PRIMITIVE_EXPONENTS[1]
+        assert DATA_SIZE_RANGE[0] <= data_sizes.min() <= data_sizes.max() < DATA_SIZE_RANGE[1]
 
 
 class TestDrawsMatchNumpy:
