@@ -23,7 +23,7 @@ from .device import (
     logical_resources,
     physical_error_rate,
 )
-from .env import MeqcEnv, StepResult, build_observation
+from .env import MeqcEnv, StepResult
 from .marl import HybridAgent, LearnedPolicy, TrainConfig, gae, ppo_update, train
 from .solvers import (
     BaselinePolicy,

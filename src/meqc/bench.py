@@ -332,10 +332,10 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}") from exc
     obs_dim = observation_length(cfg.servers)
     if len(agents) != cfg.users or agents[0].obs_dim != obs_dim:
+        shape = f" with obs_dim {agents[0].obs_dim}" if agents else ""
         raise ConfigError(
-            f"checkpoint: {cfg.checkpoint} holds {len(agents)} agents with obs_dim "
-            f"{agents[0].obs_dim}, but the scenario has {cfg.users} users "
-            f"and obs_dim {obs_dim}"
+            f"checkpoint: {cfg.checkpoint} holds {len(agents)} agents{shape}, but the "
+            f"scenario has {cfg.users} users and obs_dim {obs_dim}"
         )
     return agents
 

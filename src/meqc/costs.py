@@ -197,11 +197,14 @@ class ScenarioEvaluator:
     profile vectors and qubit quotas, the per-(user, server) uplink
     ``rate`` (``[U, E]``), and per-server error suppression and QPU step
     time and step energy.  The task tables depend on the users' tasks too:
-    per-user task vectors and the ``[U, E]`` ``success`` and ``eligible``
-    arrays.  They are built in one place from per-user task columns: read
-    from the scenario on construction, or passed to ``with_tasks``, which
-    replaces every user's task without touching the fixed tables.  The
-    evaluator keeps tables, not the scenario.  ``breakdown`` evaluates the
+    the per-user task columns ``data_size``, ``cycles_per_byte``,
+    ``logical_qubits`` and ``logical_depth`` (and the quantum payload) and
+    the ``[U, E]`` ``success`` and ``eligible`` arrays.  They are built in
+    one place from per-user task columns: read from the scenario on
+    construction, or passed to ``with_tasks``, which replaces every user's
+    task without touching the fixed tables.  The evaluator keeps tables,
+    not the scenario, so it is all a ``MeqcEnv`` episode holds: solvers and
+    observations read their task numbers from it.  ``breakdown`` evaluates the
     formulas on any batch; the tests hold every number it returns
     bit-identical to the scalar reference in ``tests/cost_spec.py``.
     ``check_action`` is the one validation of a complete ``JointAction``
@@ -288,15 +291,15 @@ class ScenarioEvaluator:
                     f"expected {self.num_users} values per task column, got shape "
                     f"{column.shape}"
                 )
-        (self._data_size, self._cycles_per_byte, self._q_data_size,
-         self._logical_qubits, depths) = columns
+        (self.data_size, self.cycles_per_byte, self._q_data_size,
+         self.logical_qubits, self.logical_depth) = columns
 
         # success_probability, clamped the way min(1, max(0, .)) clamps.
-        locations = self._logical_qubits * depths
+        locations = self.logical_qubits * self.logical_depth
         success = 1.0 - locations[:, None] * self._error_threshold * self._suppression
         success = np.where(success > 0.0, success, 0.0)
         self.success = np.where(success < 1.0, success, 1.0)
-        fits = self._logical_qubits <= self._quota
+        fits = self.logical_qubits <= self._quota
         self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
 
     def with_tasks(
@@ -328,12 +331,12 @@ class ScenarioEvaluator:
             users = self.user_index
         ratios = np.asarray(ratios, dtype=np.float64)
         chip = self._chip_energy
-        cycles = ratios * self._data_size[users] * self._cycles_per_byte[users]
+        cycles = ratios * self.data_size[users] * self.cycles_per_byte[users]
         latency_local = cycles / self._f_local[users]
         energy_local = chip * cycles
 
         payload = (1.0 - ratios) * np.where(
-            qpu, self._q_data_size[users], self._data_size[users]
+            qpu, self._q_data_size[users], self.data_size[users]
         )
         bits = payload * BITS_PER_BYTE
         rate = self.rate[users, servers]
@@ -346,8 +349,8 @@ class ScenarioEvaluator:
         latency_uplink = bits / rate
         energy_uplink = self._tx_power[users] * latency_uplink
 
-        cycles_edge = payload * self._cycles_per_byte[users]
-        volume = payload * self._logical_qubits[users]
+        cycles_edge = payload * self.cycles_per_byte[users]
+        volume = payload * self.logical_qubits[users]
         latency_edge = np.where(
             qpu, volume * self._step_time[servers], cycles_edge / self._edge_cpu[users]
         )

@@ -19,32 +19,29 @@ from typing import Sequence
 import numpy as np
 
 from .costs import JointAction, ScenarioEvaluator, sum_over_users
-from .workload import TASK_SHAPES, Scenario, draw_tasks, scenario_with_tasks
+from .workload import TASK_SHAPES, Scenario, draw_tasks
 
 
-def build_observation(scenario: Scenario, user: int) -> np.ndarray:
-    """Per-user observation: local, edge and wireless blocks, scaled to [0, 1].
+def _observation_template(scenario: Scenario) -> np.ndarray:
+    """Every user's observation row with the task columns (1-4) left zero.
 
-    Layout (E servers): ``[f_local, data_size, cycles_per_byte,
-    logical_qubits, logical_depth, edge_cpu, qubit_quota, level_1..level_E,
-    tx_power, gain_1..gain_E]`` with each field divided by its fixed scale
-    constant.
+    The other fields depend on profiles and servers only, so a redraw
+    never changes them.  See ``MeqcEnv.observations`` for the layout.
     """
-    entry = scenario.users[user]
     scales = scenario.normalization
-    fields = [
-        entry.profile.f_local / scales.f_local,
-        entry.task.data_size / scales.data_size,
-        entry.task.cycles_per_byte / scales.cycles_per_byte,
-        entry.quantum_task.logical_qubits / scales.logical_qubits,
-        entry.quantum_task.logical_depth / scales.logical_depth,
-        entry.profile.edge_cpu / scales.edge_cpu,
-        entry.profile.logical_qubit_quota / scales.logical_qubit_quota,
-    ]
-    fields.extend(s.concat_level / scales.concat_level for s in scenario.servers)
-    fields.append(entry.profile.tx_power / scales.tx_power)
-    fields.extend(g / scales.channel_gain for g in entry.profile.channel_gains)
-    return np.asarray(fields, dtype=np.float64)
+    levels = [s.concat_level / scales.concat_level for s in scenario.servers]
+    return np.array([
+        [
+            profile.f_local / scales.f_local,
+            0.0, 0.0, 0.0, 0.0,
+            profile.edge_cpu / scales.edge_cpu,
+            profile.logical_qubit_quota / scales.logical_qubit_quota,
+            *levels,
+            profile.tx_power / scales.tx_power,
+            *(g / scales.channel_gain for g in profile.channel_gains),
+        ]
+        for profile in (entry.profile for entry in scenario.users)
+    ])
 
 
 def observation_length(num_servers: int) -> int:
@@ -103,11 +100,12 @@ class MeqcEnv:
 
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
-    tasks from the workload generator.  A redrawn episode is two arrays,
-    the users' primitive exponents and data sizes, and scoring reads only
-    the evaluator's tables.  The episode's ``scenario`` and
-    ``observations`` are built from them on first read, once per episode;
-    policies that do not read them never pay for them.
+    tasks from the workload generator.  ``evaluator`` is the episode's only
+    state: a redrawn episode is two arrays, the users' primitive exponents
+    and data sizes, which refresh the task tables of the base scenario's
+    evaluator.  Scoring, the greedy and oracle solvers and ``observations``
+    all read the episode from ``evaluator``; no per-user object is built
+    for it.
     """
 
     def __init__(
@@ -123,38 +121,43 @@ class MeqcEnv:
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
         self._base_evaluator = self.evaluator = ScenarioEvaluator(scenario)
-        self._scenario = scenario
-        self._tasks = None
+        self._template = None
         self._observations = None
 
-    @property
-    def scenario(self) -> Scenario:
-        """The current episode's scenario, built on first read.
+    def observations(self) -> np.ndarray:
+        """Every agent's observation: row ``u`` of one read-only ``[U, 8 + 2E]`` array.
 
-        After a redraw it equals ``redraw_tasks(base_scenario, rng)`` with
-        the generator as ``reset`` found it.
+        Row ``u`` is user ``u``'s local, edge and wireless conditions,
+        ``[f_local, data_size, cycles_per_byte, logical_qubits,
+        logical_depth, edge_cpu, qubit_quota, level_1..level_E, tx_power,
+        gain_1..gain_E]``, each field divided by its fixed scale constant
+        (``Scenario.normalization``).  The four task columns come from
+        ``evaluator``; the rest are taken from ``base_scenario`` on the
+        first read.  Built once per episode, on the first read.
         """
-        if self._scenario is None:
-            self._scenario = scenario_with_tasks(self.base_scenario, *self._tasks)
-        return self._scenario
-
-    def observations(self) -> list[np.ndarray]:
-        """Every agent's observation of the current scenario, built once, read-only."""
         if self._observations is None:
-            self._observations = [
-                build_observation(self.scenario, u) for u in range(self.num_users)
-            ]
-            for obs in self._observations:
-                obs.flags.writeable = False
-        return list(self._observations)
+            self._observations = self._make_observations()
+        return self._observations
+
+    def _make_observations(self) -> np.ndarray:
+        if self._template is None:
+            self._template = _observation_template(self.base_scenario)
+        scales = self.base_scenario.normalization
+        evaluator = self.evaluator
+        obs = self._template.copy()
+        obs[:, 1] = evaluator.data_size / scales.data_size
+        obs[:, 2] = evaluator.cycles_per_byte / scales.cycles_per_byte
+        obs[:, 3] = evaluator.logical_qubits / scales.logical_qubits
+        obs[:, 4] = evaluator.logical_depth / scales.logical_depth
+        obs.flags.writeable = False
+        return obs
 
     def reset(self) -> None:
         """Start a new episode; redraws tasks when configured to.
 
         A redraw takes the users' exponents and data sizes from
-        ``draw_tasks`` (the draws of ``redraw_tasks``) and refreshes only
-        the base evaluator's task tables with them; no per-user object is
-        built until ``scenario`` or ``observations`` is read.
+        ``draw_tasks`` and refreshes only the base evaluator's task tables
+        with them.
         """
         if self.redraw:
             exponents, data_sizes = draw_tasks(self.rng, self.num_users)
@@ -162,8 +165,6 @@ class MeqcEnv:
             self.evaluator = self._base_evaluator.with_tasks(
                 data_sizes, cycles_per_byte, data_sizes, logical_qubits, logical_depth
             )
-            self._tasks = (exponents, data_sizes)
-            self._scenario = None
             self._observations = None
 
     def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,9 @@ oracle is checked against live in the test suite.
 
 Policies act on a ``MeqcEnv``; the local and random baselines submit raw
 (server, ratio) pairs, so only ``env.grant_mask`` grants their QPUs.
+Greedy and the oracle are solved on a ``ScenarioEvaluator``: in an
+episode the environment's own ``env.evaluator``, and for the public
+``solve_*`` calls one evaluator built from the given scenario.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ def solve_baseline(
     would execute.
     """
     kind = PolicyKind(kind)
-    if kind is PolicyKind.GREEDY:
-        return solve_greedy(scenario)
-    if kind is PolicyKind.ORACLE:
-        return solve_exhaustive(scenario)[0]
+    if kind in (PolicyKind.GREEDY, PolicyKind.ORACLE):
+        return _solve(kind, ScenarioEvaluator(scenario))
     env = MeqcEnv(scenario)
     return env.step(_decisions(kind, env.num_users, env.num_servers, rng)).action
 
@@ -70,25 +71,30 @@ def _decisions(
     return [(server, 0.0) for server in servers]  # RANDOM_CLOUD
 
 
+def _solve(kind: PolicyKind, evaluator: ScenarioEvaluator) -> JointAction:
+    """Greedy's or the oracle's joint action on ``evaluator``."""
+    if kind is PolicyKind.GREEDY:
+        return _greedy(evaluator)
+    return _oracle(evaluator)[0]
+
+
 def solve_greedy(scenario: Scenario) -> JointAction:
     """Sequential marginal-cost minimization, heaviest workload first.
 
-    Users are visited in descending cycle count.  Each picks the server,
-    endpoint ratio and processing path that minimize its own cost given
-    the QPU slots consumed so far; a slot is consumed only when the QPU
-    path is feasible and strictly cheaper than the CPU path.  Options are
-    scanned server by server, ratio 0 before 1, CPU before QPU, and the
-    first minimum wins.
+    Users are visited in descending cycle count, ties in index order.  Each
+    picks the server, endpoint ratio and processing path that minimize its
+    own cost given the QPU slots consumed so far; a slot is consumed only
+    when the QPU path is feasible and strictly cheaper than the CPU path.
+    Options are scanned server by server, ratio 0 before 1, CPU before
+    QPU, and the first minimum wins.
     """
-    evaluator = ScenarioEvaluator(scenario)
+    return _greedy(ScenarioEvaluator(scenario))
+
+
+def _greedy(evaluator: ScenarioEvaluator) -> JointAction:
+    """``solve_greedy`` on a scenario's evaluator."""
     num_users = evaluator.num_users
-    order = sorted(
-        range(num_users),
-        key=lambda u: (
-            -scenario.users[u].task.data_size * scenario.users[u].task.cycles_per_byte,
-            u,
-        ),
-    )
+    order = np.argsort(-(evaluator.data_size * evaluator.cycles_per_byte), kind="stable")
     # [U, E, ratio, path] in scan order.  CPU comes before QPU at each
     # (server, ratio), so the first minimum is a QPU option only when that
     # is strictly cheaper, i.e. saves cost.
@@ -130,7 +136,13 @@ def solve_exhaustive(
     servers (0, 1, 0, 0, 0) and grants (1, 1, 0, 0, 0), where enumeration
     picked (0, 0, 0, 0, 1) and (0, 0, 0, 1, 1) at the same cost.
     """
-    evaluator = ScenarioEvaluator(scenario)
+    return _oracle(ScenarioEvaluator(scenario), allow_quantum=allow_quantum)
+
+
+def _oracle(
+    evaluator: ScenarioEvaluator, *, allow_quantum: bool = True
+) -> tuple[JointAction, float]:
+    """``solve_exhaustive`` on a scenario's evaluator."""
     users = evaluator.user_index
     endpoints = evaluator.endpoint_costs()
     local = endpoints[:, 0, 1, 0]  # nothing offloaded: the same at every server
@@ -206,19 +218,21 @@ class BaselinePolicy:
 
     The local and random baselines submit raw (server, ratio) pairs, the
     random ones redrawn on every step, and the environment grants the
-    QPUs.  Greedy and the oracle are solved once per scenario and submitted
-    as complete joint actions, so a solver's grant schedule is what runs.
+    QPUs.  Greedy and the oracle are solved on ``env.evaluator``, once per
+    evaluator (so once per episode under ``redraw_tasks``, else once), and
+    submitted as complete joint actions, so a solver's grant schedule is
+    what runs.
     """
 
     def __init__(self, kind: PolicyKind):
         self.kind = PolicyKind(kind)
-        self._solved: tuple[Scenario, JointAction] | None = None
+        self._solved: tuple[ScenarioEvaluator, JointAction] | None = None
 
     def act(self, env, rng):
         if self.kind not in (PolicyKind.GREEDY, PolicyKind.ORACLE):
             return _decisions(self.kind, env.num_users, env.num_servers, rng)
-        if self._solved is None or self._solved[0] is not env.scenario:
-            self._solved = (env.scenario, solve_baseline(self.kind, env.scenario, rng))
+        if self._solved is None or self._solved[0] is not env.evaluator:
+            self._solved = (env.evaluator, _solve(self.kind, env.evaluator))
         return self._solved[1]
 
 

@@ -20,7 +20,8 @@ Redrawn tasks come from one caller-owned generator instead: ``draw_tasks``
 returns a fresh primitive exponent and data size per user as two arrays,
 drawn from one block of raw words with exactly the values and generator
 state of numpy's per-user scalar draws, and ``TASK_SHAPES`` maps each
-exponent to the job's shape.  ``redraw_tasks`` makes the draw a scenario.
+exponent to the job's shape.  The environment feeds those columns to its
+evaluator; a redrawn episode never becomes a ``Scenario``.
 """
 
 from __future__ import annotations
@@ -267,27 +268,6 @@ def _task_shape(primitive_exponent: int) -> tuple[float, int, int]:
 TASK_SHAPES = np.array([_task_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[1] + 1)])
 
 
-def _task_users(profiles, exponents, data_sizes) -> tuple[ScenarioUser, ...]:
-    """A user per profile, with the generated render job of its exponent and size."""
-    cycles, qubits, depths = TASK_SHAPES[exponents].T
-    return tuple(
-        ScenarioUser(
-            profile=profile,
-            task=TaskSpec(data_size=size, cycles_per_byte=cycles_per_byte),
-            quantum_task=QuantumTaskSpec(
-                data_size=size, logical_qubits=width, logical_depth=depth
-            ),
-        )
-        for profile, size, cycles_per_byte, width, depth in zip(
-            profiles,
-            np.asarray(data_sizes, dtype=np.float64).tolist(),
-            cycles.tolist(),
-            qubits.astype(np.int64).tolist(),
-            depths.astype(np.int64).tolist(),
-        )
-    )
-
-
 def _pin(pins: dict | None, name: str):
     return None if pins is None else pins.get(name)
 
@@ -335,7 +315,7 @@ def gen_scenario(
     keys[n_user:, 2] = _F_LEVEL
     streams = _field_rngs(seed, keys)
 
-    profiles, exponents, data_sizes = [], [], []
+    users = []
     for _ in range(num_users):
         # zip stops at the end of user_tags before reading another stream
         rng = dict(zip(user_tags, streams))
@@ -360,7 +340,7 @@ def gen_scenario(
         if weight_latency is None:
             weight_latency = DEFAULT_WEIGHT_LATENCY
 
-        profiles.append(UserProfile(
+        profile = UserProfile(
             f_local=_choice(rng[_F_CPU_LOCAL], LOCAL_CPU_CHOICES),
             tx_power=_uniform(rng[_F_TX], TX_POWER_RANGE),
             weight_latency=float(weight_latency),
@@ -368,9 +348,16 @@ def gen_scenario(
             channel_gains=gains,
             edge_cpu=float(edge_cpu),
             logical_qubit_quota=int(sub_phys) // 91**sub_level,
+        )
+        size = _uniform(rng[_F_TASK], DATA_SIZE_RANGE)
+        cycles_per_byte, width, depth = TASK_SHAPES[prim].tolist()
+        users.append(ScenarioUser(
+            profile=profile,
+            task=TaskSpec(data_size=size, cycles_per_byte=cycles_per_byte),
+            quantum_task=QuantumTaskSpec(
+                data_size=size, logical_qubits=int(width), logical_depth=int(depth)
+            ),
         ))
-        exponents.append(prim)
-        data_sizes.append(_uniform(rng[_F_TASK], DATA_SIZE_RANGE))
 
     servers = tuple(
         ServerProfile(
@@ -387,7 +374,7 @@ def gen_scenario(
         tech = replace(tech, decoherence_time=float(decoherence))
 
     return Scenario(
-        users=_task_users(profiles, exponents, data_sizes),
+        users=tuple(users),
         servers=servers,
         cryostat=cryostat if cryostat is not None else CryostatConfig(),
         qubit_tech=tech,
@@ -491,22 +478,6 @@ def draw_tasks(rng: np.random.Generator, num_users: int) -> tuple[np.ndarray, np
     unit = (raw[doubles] >> _DOUBLE_SHIFT) * (1.0 / 9007199254740992.0)
     low, high = DATA_SIZE_RANGE
     return exponents, low + (high - low) * unit
-
-
-def scenario_with_tasks(scenario: Scenario, exponents, data_sizes) -> Scenario:
-    """``scenario`` with user ``u``'s job replaced by one of ``exponents[u]``, ``data_sizes[u]``."""
-    profiles = [entry.profile for entry in scenario.users]
-    return replace(scenario, users=_task_users(profiles, exponents, data_sizes))
-
-
-def redraw_tasks(scenario: Scenario, rng: np.random.Generator) -> Scenario:
-    """Fresh tasks for every user, keeping profiles and servers untouched.
-
-    Each user, in order, draws its primitive exponent and then its data size
-    from ``rng``; the draw is ``draw_tasks``, and ``MeqcEnv`` builds the same
-    scenario from it only when one is read.
-    """
-    return scenario_with_tasks(scenario, *draw_tasks(rng, len(scenario.users)))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -18,6 +18,7 @@ from meqc.bench import (
     run_sweep,
 )
 from meqc.cli import main
+from meqc.env import MeqcEnv
 from meqc.marl import TrainConfig, save_checkpoint, train
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import gen_scenario
@@ -318,15 +319,13 @@ class TestRunSweep:
         assert rows[0]["param"] == "none"
 
     def test_only_the_learned_policy_builds_observations(self, tmp_path, monkeypatch):
-        import meqc.env
-
         cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
                           batch_size=4, hidden_units=8)
         save_checkpoint(tmp_path / "agents.npz", train(gen_scenario(3, 2, seed=0), cfg, 0).agents)
         built = []
-        real = meqc.env.build_observation
+        build = MeqcEnv._make_observations
         monkeypatch.setattr(
-            meqc.env, "build_observation", lambda s, u: built.append(u) or real(s, u)
+            MeqcEnv, "_make_observations", lambda env: built.append(env) or build(env)
         )
         text = "scenario: {users: 3, servers: 2}\nepisodes: 2\n"
         run_grid(parse_config(text))  # every baseline
@@ -334,7 +333,7 @@ class TestRunSweep:
         run_grid(parse_config(
             text + f"policies: [trained]\ncheckpoint: {tmp_path / 'agents.npz'}\n"
         ))
-        assert built == [0, 1, 2]
+        assert len(built) == 1  # one scenario, two episodes
 
 
 class TestEmitCsv:
@@ -470,6 +469,25 @@ class TestCli:
         out = tmp_path / "eval.csv"
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
         assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_without_agents(self, tmp_path, capsys):
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, train(gen_scenario(2, 2, seed=0), cfg, seed=0).agents)
+        with np.load(path) as data:
+            arrays = dict(data)
+        with open(path, "wb") as fh:  # the same checkpoint, declaring no agents
+            np.savez(fh, **{**arrays, "num_agents": 0})
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"scenario: {{users: 2, servers: 2}}\n"
+            f"policies: [trained]\ncheckpoint: {path}\nepisodes: 1\n"
+        )
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
+        assert f"checkpoint: {path} holds 0 agents, but" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

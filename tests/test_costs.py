@@ -21,7 +21,7 @@ from meqc.costs import (
 )
 from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
 from meqc.device import physical_error_rate
-from meqc.workload import gen_scenario, redraw_tasks
+from meqc.workload import gen_scenario
 
 from cost_spec import (
     edge_classical_cost,
@@ -34,7 +34,8 @@ from cost_spec import (
     uplink_rate,
     user_cost,
 )
-from test_env import craft_scenario
+from test_env import TASK_TABLES, craft_scenario
+from test_workload import reference_redraw_tasks
 
 CHIP = 1e-11
 
@@ -559,10 +560,6 @@ def task_columns(scenario):
     )
 
 
-TASK_TABLES = ("success", "eligible", "_data_size", "_cycles_per_byte", "_q_data_size",
-               "_logical_qubits")
-
-
 class TestWithTasks:
     @pytest.mark.parametrize("name", sorted(REFRESH_SHAPES))
     def test_refresh_equals_full_build(self, name):
@@ -571,14 +568,15 @@ class TestWithTasks:
         evaluator = ScenarioEvaluator(base)
         rng = np.random.default_rng(3)
         for draw in range(3):
-            redrawn = redraw_tasks(base, np.random.default_rng(draw))
+            redrawn = reference_redraw_tasks(base, np.random.default_rng(draw))
             refreshed = evaluator.with_tasks(*task_columns(redrawn))
             full = ScenarioEvaluator(redrawn)
             assert not hasattr(refreshed, "scenario")  # no scenario with stale tasks
             assert refreshed.rate is evaluator.rate  # fixed tables are shared
             for table in ("rate", "success", "eligible", "_step_time", "_step_energy",
-                          "_data_size", "_cycles_per_byte", "_q_data_size",
-                          "_logical_qubits", "weight_latency", "weight_energy"):
+                          "data_size", "cycles_per_byte", "_q_data_size",
+                          "logical_qubits", "logical_depth", "weight_latency",
+                          "weight_energy"):
                 assert bitwise_equal(getattr(refreshed, table), getattr(full, table)), table
             assert bitwise_equal(refreshed.endpoint_costs(), full.endpoint_costs())
             servers = rng.integers(num_servers, size=(4, num_users))
@@ -593,14 +591,15 @@ class TestWithTasks:
         base = gen_scenario(3, 3, seed=2)
         evaluator = ScenarioEvaluator(base)
         tables = {name: getattr(evaluator, name).copy() for name in TASK_TABLES}
-        evaluator.with_tasks(*task_columns(redraw_tasks(base, np.random.default_rng(0))))
+        redrawn = reference_redraw_tasks(base, np.random.default_rng(0))
+        evaluator.with_tasks(*task_columns(redrawn))
         for name, table in tables.items():
             assert bitwise_equal(getattr(evaluator, name), table), name
 
     def test_rejects_columns_of_wrong_length(self):
         base = gen_scenario(3, 2, seed=2)
         evaluator = ScenarioEvaluator(base)
-        columns = task_columns(redraw_tasks(base, np.random.default_rng(0)))
+        columns = task_columns(reference_redraw_tasks(base, np.random.default_rng(0)))
         for i in range(len(columns)):
             for wrong in (columns[i][:2], columns[i] + columns[i][:1], [columns[i]]):
                 with pytest.raises(ValueError, match="3 values per task column"):

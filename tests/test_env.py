@@ -14,11 +14,12 @@ from meqc.costs import (
     UserProfile,
     total_cost,
 )
-from meqc.env import MeqcEnv, build_observation, grant_mask, observation_length
+from meqc.env import MeqcEnv, grant_mask, observation_length
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate, solve_baseline
-from meqc.workload import gen_scenario, redraw_tasks
+from meqc.workload import gen_scenario
 
 from cost_spec import qpu_saving
+from test_workload import reference_redraw_tasks
 
 # ``grant_mask`` has one rule (largest saving wins); cases carry its name
 ONE_RULE = pytest.mark.parametrize("rule", ["max_saving"])
@@ -55,11 +56,30 @@ def craft_scenario(num_servers=2, quotas=(54, 54), data_sizes=(1e3, 1e3),
     )
 
 
+def reference_observation(scenario, user: int) -> np.ndarray:
+    """User ``user``'s observation, read field by field from the scenario's objects."""
+    entry = scenario.users[user]
+    scales = scenario.normalization
+    fields = [
+        entry.profile.f_local / scales.f_local,
+        entry.task.data_size / scales.data_size,
+        entry.task.cycles_per_byte / scales.cycles_per_byte,
+        entry.quantum_task.logical_qubits / scales.logical_qubits,
+        entry.quantum_task.logical_depth / scales.logical_depth,
+        entry.profile.edge_cpu / scales.edge_cpu,
+        entry.profile.logical_qubit_quota / scales.logical_qubit_quota,
+    ]
+    fields.extend(s.concat_level / scales.concat_level for s in scenario.servers)
+    fields.append(entry.profile.tx_power / scales.tx_power)
+    fields.extend(g / scales.channel_gain for g in entry.profile.channel_gains)
+    return np.asarray(fields, dtype=np.float64)
+
+
 class TestObservations:
     def test_length(self):
-        scenario = gen_scenario(3, 3, seed=0)
-        obs = build_observation(scenario, 0)
-        assert len(obs) == observation_length(3) == 14
+        obs = MeqcEnv(gen_scenario(3, 3, seed=0)).observations()
+        assert obs.shape == (3, observation_length(3))
+        assert observation_length(3) == 14
 
     def test_reset_stable_without_redraw(self):
         env = MeqcEnv(gen_scenario(3, 3, seed=4))
@@ -81,45 +101,50 @@ class TestObservations:
 
     def test_normalized_fields_in_unit_interval(self):
         for seed in range(1000):
-            scenario = gen_scenario(2, 3, seed=seed)
-            for u in range(2):
-                obs = build_observation(scenario, u)
-                assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
-                assert np.all(np.isfinite(obs))
+            obs = MeqcEnv(gen_scenario(2, 3, seed=seed)).observations()
+            assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
+            assert np.all(np.isfinite(obs))
+
+
+# every table ``ScenarioEvaluator.with_tasks`` rebuilds
+TASK_TABLES = ("success", "eligible", "data_size", "cycles_per_byte", "_q_data_size",
+               "logical_qubits", "logical_depth")
 
 
 class TestRedrawnEpisode:
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20)])
-    def test_scenario_built_on_read_equals_redraw(self, shape):
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20), (10, 10)])
+    def test_episode_equals_reference_redraw(self, shape):
         base = gen_scenario(*shape, seed=6)
         env = MeqcEnv(base, redraw_tasks=True, rng=np.random.default_rng(11))
+        for u, obs in enumerate(env.observations()):  # before the first redraw
+            assert obs.tobytes() == reference_observation(base, u).tobytes()
         twin = np.random.default_rng(11)
         decisions = np.random.default_rng(0)
         for _ in range(20):
             env.reset()
-            expected = redraw_tasks(base, twin)
+            expected = reference_redraw_tasks(base, twin)
             assert env.rng.bit_generator.state == twin.bit_generator.state
-            assert env.scenario == expected
-            assert env.scenario is env.scenario  # built once per episode
             full = ScenarioEvaluator(expected)
-            for table in ("success", "eligible", "_data_size", "_cycles_per_byte",
-                          "_q_data_size", "_logical_qubits"):
+            for table in TASK_TABLES:
                 assert np.array_equal(getattr(env.evaluator, table), getattr(full, table))
-            for obs, u in zip(env.observations(), range(shape[0])):
-                assert np.array_equal(obs, build_observation(expected, u))
+            assert env.observations() is env.observations()  # built once per episode
+            for u, obs in enumerate(env.observations()):
+                assert obs.tobytes() == reference_observation(expected, u).tobytes()
             servers = decisions.integers(shape[1], size=(1, shape[0]))
             ratios = decisions.random((1, shape[0]))
             assert env.rewards(servers, ratios) == MeqcEnv(expected).rewards(servers, ratios)
 
-    def test_scenario_read_keeps_the_stream(self):
+    def test_observations_read_keeps_the_stream(self):
         base = gen_scenario(4, 3, seed=6)
         read, unread = (MeqcEnv(base, redraw_tasks=True, rng=np.random.default_rng(2))
                         for _ in range(2))
         for _ in range(5):
             read.reset()
             unread.reset()
-            read.scenario
-        assert read.scenario == unread.scenario
+            read.observations()
+        for table in TASK_TABLES:
+            assert np.array_equal(getattr(read.evaluator, table),
+                                  getattr(unread.evaluator, table))
         assert read.rng.bit_generator.state == unread.rng.bit_generator.state
 
 
@@ -424,12 +449,10 @@ class TestBatchedRewards:
         )
 
     def test_observations_built_once_per_scenario(self, monkeypatch):
-        import meqc.env
-
         calls = []
-        real = meqc.env.build_observation
+        build = MeqcEnv._make_observations
         monkeypatch.setattr(
-            meqc.env, "build_observation", lambda s, u: calls.append(u) or real(s, u)
+            MeqcEnv, "_make_observations", lambda env: calls.append(env) or build(env)
         )
         env = MeqcEnv(gen_scenario(3, 2, seed=0))
         env.reset()
@@ -437,10 +460,12 @@ class TestBatchedRewards:
         first = env.observations()
         env.reset()
         env.observations()
-        assert len(calls) == 3
+        assert len(calls) == 1
         with pytest.raises(ValueError):
             first[0][0] = 1.0  # shared between resets, so read-only
         redrawn = MeqcEnv(gen_scenario(3, 2, seed=0), redraw_tasks=True)
         redrawn.reset()
         redrawn.observations()
-        assert len(calls) == 3 + 3
+        redrawn.reset()
+        redrawn.observations()
+        assert len(calls) == 1 + 2  # once per redrawn episode

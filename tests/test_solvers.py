@@ -3,15 +3,17 @@
 import dataclasses
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 import meqc.costs
-import meqc.env
 from meqc.costs import JointAction, ScenarioEvaluator, total_cost
+from meqc.env import MeqcEnv
 from meqc.solvers import (
     BaselinePolicy,
+    EvalStats,
     PolicyKind,
     _max_weight_matching,
     evaluate,
@@ -20,11 +22,12 @@ from meqc.solvers import (
     solve_greedy,
 )
 from meqc.costs import QuantumTaskSpec, TaskSpec
-from meqc.workload import ScenarioUser, gen_scenario
+from meqc.workload import Scenario, ScenarioUser, gen_scenario
 
 from cost_spec import local_cost, qpu_saving, user_cost
 from test_acceptance import instance_set
 from test_env import craft_scenario
+from test_workload import reference_redraw_tasks
 
 
 def random_instance(rng):
@@ -460,13 +463,11 @@ class TestEvaluate:
     def test_random_baselines_build_one_evaluator(self, kind, monkeypatch):
         built = self.count_evaluators(monkeypatch)
         observed = []
-        monkeypatch.setattr(meqc.env, "build_observation",
-                            lambda scenario, user: observed.append(user))
+        monkeypatch.setattr(MeqcEnv, "_make_observations", observed.append)
         evaluate(BaselinePolicy(kind), gen_scenario(4, 3, seed=5), 10,
                  np.random.default_rng(0))
-        # the environment's evaluator; greedy and the oracle are solved once,
-        # on an evaluator of their own
-        assert len(built) == 1 + (kind in (PolicyKind.GREEDY, PolicyKind.ORACLE))
+        # the environment's evaluator; greedy and the oracle are solved on it
+        assert len(built) == 1
         assert observed == []  # no baseline reads an observation
 
     def test_redraw_builds_one_evaluator_per_episode(self, monkeypatch):
@@ -483,11 +484,11 @@ class TestEvaluate:
         assert len(built) == 1
         assert len(refreshed) == 6
 
-    @pytest.mark.parametrize("kind", ["local", "random", "random_cloud", "greedy"])
+    @pytest.mark.parametrize("kind", [k.value for k in PolicyKind])
     def test_redrawn_episodes_build_user_objects_only_when_read(self, kind, monkeypatch):
         scenario = gen_scenario(5, 3, seed=5)
         built = []
-        for cls in (ScenarioUser, TaskSpec, QuantumTaskSpec):
+        for cls in (Scenario, ScenarioUser, TaskSpec, QuantumTaskSpec):
             monkeypatch.setattr(
                 cls, "__init__",
                 lambda self, *args, _init=cls.__init__, **kwargs:
@@ -495,10 +496,33 @@ class TestEvaluate:
             )
         evaluate(BaselinePolicy(kind), scenario, 20, np.random.default_rng(0),
                  redraw_tasks=True)
-        if kind == "greedy":  # solved on each episode's scenario
-            assert len(built) == 20 * 5 * 3
-        else:
-            assert built == []
+        # greedy and the oracle are solved on each episode's evaluator
+        assert built == []
+
+    @pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.ORACLE])
+    def test_redrawn_solver_equals_reference_loop(self, kind):
+        """Each redrawn episode is solved and scored as its reference scenario would be."""
+        # slow CPUs keep the QPUs cheap for the redrawn jobs; 8 users contest 4 QPUs
+        episodes, users = 12, 8
+        base = craft_scenario(num_servers=4, quotas=(54,) * users, data_sizes=(1e3,) * users)
+        stats = evaluate(BaselinePolicy(kind), base, episodes, np.random.default_rng(5),
+                         redraw_tasks=True)
+        twin = np.random.default_rng(5)
+        results = []
+        for _ in range(episodes):
+            scenario = reference_redraw_tasks(base, twin)
+            results.append(MeqcEnv(scenario).step(solve_baseline(kind, scenario)))
+        costs = [-r.reward for r in results]
+        assert stats == EvalStats(
+            mean_cost=statistics.fmean(costs),
+            std_cost=statistics.pstdev(costs),
+            latency_cost=statistics.fmean(r.latency_cost for r in results),
+            energy_cost=statistics.fmean(r.energy_cost for r in results),
+            qpu_grant_rate=sum(sum(r.indicators) for r in results) / (episodes * users),
+            mean_success_prob=sum(sum(r.success_probs) / users for r in results) / episodes,
+            episodes=episodes,
+        )
+        assert 0.0 < stats.qpu_grant_rate < 1.0 and stats.std_cost > 0.0
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):

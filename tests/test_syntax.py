@@ -1,5 +1,6 @@
 """The sources stay valid Python 3.10, the oldest version ``pyproject.toml`` allows."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -47,3 +48,18 @@ def test_sources_compile_under_python_310(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("folder", ["src", "tests"])
+def test_sources_parse_as_python_310(folder):
+    """The 3.10 grammar, checked by the running interpreter's parser.
+
+    With ``feature_version`` the parser refuses syntax newer than 3.10,
+    such as ``except*``, so this check runs where no 3.10 interpreter is
+    installed; the compile above also catches what only a 3.10 compiler
+    refuses.
+    """
+    paths = sorted((ROOT / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from meqc.costs import TaskSpec
+from meqc.env import MeqcEnv
 from meqc.workload import (
     CHANNEL_GAIN_RANGE,
     DATA_SIZE_RANGE,
@@ -15,6 +16,7 @@ from meqc.workload import (
     LOCAL_CPU_CHOICES,
     PHYSICAL_QUBIT_RANGE,
     PRIMITIVE_EXPONENTS,
+    TASK_SHAPES,
     RayTracingParams,
     ScenarioUser,
     TX_POWER_RANGE,
@@ -26,7 +28,6 @@ from meqc.workload import (
     draw_tasks,
     gen_scenario,
     load_scenario,
-    redraw_tasks,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -211,14 +212,15 @@ class TestGenScenario:
 
 class TestRedrawTasks:
     def test_profiles_kept_tasks_changed(self):
-        scenario = gen_scenario(3, 2, seed=1)
-        redrawn = redraw_tasks(scenario, np.random.default_rng(99))
-        for before, after in zip(scenario.users, redrawn.users):
-            assert after.profile == before.profile
-        assert any(
-            after.task != before.task
-            for before, after in zip(scenario.users, redrawn.users)
-        )
+        env = MeqcEnv(gen_scenario(3, 2, seed=1), redraw_tasks=True,
+                      rng=np.random.default_rng(99))
+        base = env.evaluator
+        env.reset()
+        redrawn = env.evaluator
+        assert redrawn.rate is base.rate  # profile and server tables are kept
+        for table in ("weight_latency", "weight_energy", "_f_local", "_quota"):
+            assert getattr(redrawn, table) is getattr(base, table)
+        assert not np.array_equal(redrawn.data_size, base.data_size)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20)])
     @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half_used"])
@@ -230,12 +232,25 @@ class TestRedrawTasks:
                 # five uint32 draws leave half a uint64 in PCG64's buffer
                 ours.integers(0, 3, size=5)
                 theirs.integers(0, 3, size=5)
-            redrawn = redraw_tasks(scenario, ours)
-            assert redrawn == reference_redraw_tasks(scenario, theirs)
+            expected = reference_redraw_tasks(scenario, theirs)
+            assert_tasks_of(draw_tasks(ours, shape[0]), expected)
             assert ours.bit_generator.state == theirs.bit_generator.state
-            for entry in redrawn.users:
-                assert type(entry.task.data_size) is float
-                assert type(entry.quantum_task.logical_depth) is int
+
+
+def assert_tasks_of(drawn, scenario, message=None):
+    """``draw_tasks``' exponents and data sizes, through ``TASK_SHAPES``, are
+    exactly the tasks of ``scenario``'s users."""
+    exponents, data_sizes = drawn
+    got = [
+        (size, size, *shape)
+        for size, shape in zip(data_sizes.tolist(), TASK_SHAPES[exponents].tolist())
+    ]
+    want = [
+        (e.task.data_size, e.quantum_task.data_size, e.task.cycles_per_byte,
+         e.quantum_task.logical_qubits, e.quantum_task.logical_depth)
+        for e in scenario.users
+    ]
+    assert got == want, message
 
 
 def reference_redraw_tasks(scenario, rng):
@@ -296,13 +311,14 @@ class TestDrawTasks:
 
     @staticmethod
     def assert_matches_reference(scenario, ours, theirs):
+        """Data sizes ``draw_tasks`` draws from ``ours``, checked against the reference."""
         state = _plain(theirs.bit_generator.state)
-        redrawn = redraw_tasks(scenario, ours)
-        assert redrawn == reference_redraw_tasks(scenario, theirs), state
+        drawn = draw_tasks(ours, len(scenario.users))
+        assert_tasks_of(drawn, reference_redraw_tasks(scenario, theirs), state)
         # the whole state: the 128-bit word, the buffer flag and the
         # (possibly stale) buffered half word
         assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state), state
-        return redrawn
+        return drawn[1]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("leftover", range(7))
@@ -330,10 +346,9 @@ class TestDrawTasks:
             for rng in (ours, theirs):
                 _zero_word_ahead(rng, offset)
                 _set_buffer(rng, *buffer)
-            redrawn = self.assert_matches_reference(scenario, ours, theirs)
+            sizes = self.assert_matches_reference(scenario, ours, theirs)
             # the first num_users words are always read; a zero word that
             # no data size took went to the integers, and was rejected
-            sizes = [entry.task.data_size for entry in redrawn.users]
             rejections += offset < num_users and DATA_SIZE_RANGE[0] not in sizes
         # one user with a buffered half word reads only its data size's word
         assert rejections > 0 or (num_users, buffer[0]) == (1, 1)
