@@ -14,7 +14,6 @@ parallel rollouts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -79,20 +78,40 @@ def grant_mask(
     return grants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepResult:
     """Outcome of one decision slot.
 
     ``latency_cost`` and ``energy_cost`` are the latency- and
-    energy-weighted parts of the cost; they add up to ``-reward``.
+    energy-weighted parts of the cost; they add up to ``-reward``.  The
+    arrays are per user: the resolved ``servers``, ``ratios`` and
+    ``grants``, and the ``success`` probability at the chosen server.  Their
+    tuple and ``JointAction`` views are built when read.
     """
 
     reward: float
     latency_cost: float
     energy_cost: float
-    indicators: tuple[int, ...]
-    success_probs: tuple[float, ...]
-    action: JointAction
+    servers: np.ndarray
+    ratios: np.ndarray
+    grants: np.ndarray
+    success: np.ndarray
+
+    @property
+    def indicators(self) -> tuple[int, ...]:
+        return tuple(self.grants.astype(int).tolist())
+
+    @property
+    def success_probs(self) -> tuple[float, ...]:
+        return tuple(self.success.tolist())
+
+    @property
+    def action(self) -> JointAction:
+        return JointAction(
+            server_choice=tuple(self.servers.tolist()),
+            local_ratio=tuple(self.ratios.tolist()),
+            quantum_indicator=self.indicators,
+        )
 
 
 class MeqcEnv:
@@ -156,8 +175,8 @@ class MeqcEnv:
         """Start a new episode; redraws tasks when configured to.
 
         A redraw takes the users' exponents and data sizes from
-        ``draw_tasks`` and refreshes only the base evaluator's task tables
-        with them.
+        ``draw_tasks``, two numpy draws from ``rng``, and refreshes only the
+        base evaluator's task tables with them.
         """
         if self.redraw:
             exponents, data_sizes = draw_tasks(self.rng, self.num_users)
@@ -167,8 +186,8 @@ class MeqcEnv:
             )
             self._observations = None
 
-    def _decisions(self, servers, ratios) -> tuple[np.ndarray, np.ndarray]:
-        """Checked ``[B, U]`` server indices and ratios clamped to [0, 1]."""
+    def _resolve(self, servers, ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checked ``[B, U]`` server indices, ratios clamped to [0, 1], and QPU grants."""
         servers = np.asarray(servers).astype(np.int64, copy=False)
         ratios = np.asarray(ratios, dtype=np.float64)
         if servers.ndim != 2 or servers.shape[1] != self.num_users:
@@ -182,7 +201,8 @@ class MeqcEnv:
         self.evaluator.check_servers(servers)
         # min(1, max(0, r)) elementwise; NaN clamps to 0 as it does there
         ratios = np.where(ratios > 0.0, ratios, 0.0)
-        return servers, np.where(ratios < 1.0, ratios, 1.0)
+        ratios = np.where(ratios < 1.0, ratios, 1.0)
+        return servers, ratios, grant_mask(self.evaluator, servers, ratios)
 
     def rewards(self, servers, ratios) -> np.ndarray:
         """Shared reward of each of B joint decisions, ``servers``/``ratios`` ``[B, U]``.
@@ -190,14 +210,14 @@ class MeqcEnv:
         Row b gets exactly the reward ``step`` returns for the pairs
         ``zip(servers[b], ratios[b])``.
         """
-        servers, ratios = self._decisions(servers, ratios)
-        grants = grant_mask(self.evaluator, servers, ratios)
+        servers, ratios, grants = self._resolve(servers, ratios)
         return -sum_over_users(self.evaluator.breakdown(servers, ratios, grants).cost)
 
-    def step(self, actions: Sequence[tuple[int, float]] | JointAction) -> StepResult:
+    def step(self, actions: np.typing.ArrayLike | JointAction) -> StepResult:
         """Resolve one joint decision and return the shared reward.
 
-        Decentralized agents submit raw (server index, local ratio) pairs;
+        Decentralized agents submit raw (server index, local ratio) pairs,
+        a list of tuples or a ``[U, 2]`` array, read as one float array;
         ratios are clamped to [0, 1] and the QPU indicators are resolved by
         ``grant_mask``, exactly as ``rewards`` does for a batch.  A
         centralized solver may instead submit a complete ``JointAction``
@@ -207,30 +227,20 @@ class MeqcEnv:
         """
         evaluator = self.evaluator
         if isinstance(actions, JointAction):
-            action = actions
-            servers, ratios, grants = evaluator.check_action(action)
+            servers, ratios, grants = evaluator.check_action(actions)
         else:
-            if len(actions) != self.num_users:
-                raise ValueError(
-                    f"expected {self.num_users} actions, got {len(actions)}"
-                )
-            servers, ratios = self._decisions(
-                [[int(server) for server, _ in actions]],
-                [[float(ratio) for _, ratio in actions]],
-            )
-            grants = grant_mask(evaluator, servers, ratios)
+            pairs = np.asarray(actions, dtype=np.float64)
+            if pairs.shape != (self.num_users, 2):
+                raise ValueError(f"expected {self.num_users} actions, got shape {pairs.shape}")
+            servers, ratios, grants = self._resolve(pairs[None, :, 0], pairs[None, :, 1])
             servers, ratios, grants = servers[0], ratios[0], grants[0]
-            action = JointAction(
-                server_choice=tuple(servers.tolist()),
-                local_ratio=tuple(ratios.tolist()),
-                quantum_indicator=tuple(grants.astype(int).tolist()),
-            )
         b = evaluator.breakdown(servers, ratios, grants)
         return StepResult(
             reward=-float(sum_over_users(b.cost)),
             latency_cost=float(sum_over_users(evaluator.weight_latency * b.latency_total)),
             energy_cost=float(sum_over_users(evaluator.weight_energy * b.energy_total)),
-            indicators=action.quantum_indicator,
-            success_probs=tuple(evaluator.success[evaluator.user_index, servers].tolist()),
-            action=action,
+            servers=servers,
+            ratios=ratios,
+            grants=grants,
+            success=evaluator.success[evaluator.user_index, servers],
         )

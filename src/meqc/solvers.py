@@ -19,6 +19,7 @@ episode the environment's own ``env.evaluator``, and for the public
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -59,16 +60,17 @@ def solve_baseline(
 
 def _decisions(
     kind: PolicyKind, num_users: int, num_servers: int, rng: np.random.Generator | None
-) -> list[tuple[int, float]]:
-    """Raw (server, ratio) pair per user of the local and random baselines."""
+) -> np.ndarray:
+    """Raw (server, ratio) pair per user of the local and random baselines, ``[U, 2]``."""
     if kind is PolicyKind.LOCAL:
-        return [(0, 1.0)] * num_users
+        return np.tile([0.0, 1.0], (num_users, 1))
     if rng is None:
         raise ValueError(f"{kind.value} baseline needs an rng")
-    servers = rng.integers(0, num_servers, size=num_users).tolist()
+    pairs = np.zeros((num_users, 2))
+    pairs[:, 0] = rng.integers(0, num_servers, size=num_users)
     if kind is PolicyKind.RANDOM:
-        return list(zip(servers, rng.uniform(0.0, 1.0, size=num_users).tolist()))
-    return [(server, 0.0) for server in servers]  # RANDOM_CLOUD
+        pairs[:, 1] = rng.uniform(0.0, 1.0, size=num_users)
+    return pairs  # RANDOM_CLOUD offloads everything: ratio 0
 
 
 def _solve(kind: PolicyKind, evaluator: ScenarioEvaluator) -> JointAction:
@@ -202,26 +204,27 @@ def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
 class Policy(Protocol):
     """Anything that can pick a joint decision in an environment.
 
-    ``act`` returns either raw (server, local ratio) pairs, leaving QPU
-    arbitration to the environment, or a complete ``JointAction`` whose
-    grant schedule the environment honors.  A policy that needs the
-    agents' observations reads ``env.observations()``.
+    ``act`` returns either raw (server, local ratio) pairs, as a list of
+    tuples or a ``[U, 2]`` array, leaving QPU arbitration to the
+    environment, or a complete ``JointAction`` whose grant schedule the
+    environment honors.  A policy that needs the agents' observations reads
+    ``env.observations()``.
     """
 
     def act(
         self, env: MeqcEnv, rng: np.random.Generator
-    ) -> list[tuple[int, float]] | JointAction: ...
+    ) -> list[tuple[int, float]] | np.ndarray | JointAction: ...
 
 
 class BaselinePolicy:
     """Adapter that replays a baseline through the environment.
 
-    The local and random baselines submit raw (server, ratio) pairs, the
-    random ones redrawn on every step, and the environment grants the
-    QPUs.  Greedy and the oracle are solved on ``env.evaluator``, once per
-    evaluator (so once per episode under ``redraw_tasks``, else once), and
-    submitted as complete joint actions, so a solver's grant schedule is
-    what runs.
+    The local and random baselines submit their raw (server, ratio) pairs
+    as one ``[U, 2]`` array, the random ones redrawn on every step, and the
+    environment grants the QPUs.  Greedy and the oracle are solved on
+    ``env.evaluator``, once per evaluator (so once per episode under
+    ``redraw_tasks``, else once), and submitted as complete joint actions,
+    so a solver's grant schedule is what runs.
     """
 
     def __init__(self, kind: PolicyKind):
@@ -261,30 +264,33 @@ def evaluate(
 
     Latency/energy splits are the weighted component sums, so they add up
     to the mean cost.  The grant rate is the fraction of (episode, user)
-    pairs that actually ran on a QPU.
+    pairs that actually ran on a QPU.  Raises ``RuntimeError``, naming the
+    policy and the episode, as soon as an episode's cost is not finite.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    name = policy.kind.value if isinstance(policy, BaselinePolicy) else type(policy).__name__
     env = MeqcEnv(scenario, redraw_tasks=redraw_tasks, rng=rng)
-    costs = []
-    latency_parts = []
-    energy_parts = []
-    grants = 0
-    success_sum = 0.0
-    for _ in range(episodes):
+    results = []
+    for episode in range(episodes):
         env.reset()
         result = env.step(policy.act(env, rng))
-        costs.append(-result.reward)
-        latency_parts.append(result.latency_cost)
-        energy_parts.append(result.energy_cost)
-        grants += sum(result.indicators)
-        success_sum += sum(result.success_probs) / env.num_users
+        if not math.isfinite(result.reward):
+            raise RuntimeError(
+                f"policy {name}: episode {episode} has a non-finite cost {-result.reward}"
+            )
+        results.append(result)
+    costs = [-r.reward for r in results]
+    grants = np.array([r.grants for r in results])
+    success = np.array([r.success for r in results])
+    # each episode's mean over users, summed over episodes, both in index order
+    success_sum = sum_over_users(sum_over_users(success) / env.num_users)
     return EvalStats(
         mean_cost=statistics.fmean(costs),
-        std_cost=statistics.pstdev(costs) if len(costs) > 1 else 0.0,
-        latency_cost=statistics.fmean(latency_parts),
-        energy_cost=statistics.fmean(energy_parts),
-        qpu_grant_rate=grants / (episodes * env.num_users),
-        mean_success_prob=success_sum / episodes,
+        std_cost=statistics.pstdev(costs) if episodes > 1 else 0.0,
+        latency_cost=statistics.fmean(r.latency_cost for r in results),
+        energy_cost=statistics.fmean(r.energy_cost for r in results),
+        qpu_grant_rate=int(np.count_nonzero(grants)) / grants.size,
+        mean_success_prob=float(success_sum) / episodes,
         episodes=episodes,
     )

@@ -16,17 +16,15 @@ row of seed words to numpy's own ``PCG64``; the scheme and every drawn
 value are the same as building one ``SeedSequence`` per stream, and the
 tests check the words and generator states against numpy itself.
 
-Redrawn tasks come from one caller-owned generator instead: ``draw_tasks``
-returns a fresh primitive exponent and data size per user as two arrays,
-drawn from one block of raw words with exactly the values and generator
-state of numpy's per-user scalar draws, and ``TASK_SHAPES`` maps each
+Redrawn tasks come from one caller-owned generator of any kind instead:
+``draw_tasks`` returns a fresh primitive exponent and data size per user as
+two arrays, one vectorised numpy call each, and ``TASK_SHAPES`` maps each
 exponent to the job's shape.  The environment feeds those columns to its
 evaluator; a redrawn episode never becomes a ``Scenario``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -384,100 +382,18 @@ def gen_scenario(
     )
 
 
-# numpy draws an integer in [low, low + n) from one uint32 x as Lemire's
-# ``(x * n) >> 32``, and draws x again while ``(x * n) mod 2**32`` is below
-# ``2**32 mod n`` (Lemire 2019, "Fast Random Integer Generation in an
-# Interval", ACM TOMACS).
-_EXPONENT_COUNT = PRIMITIVE_EXPONENTS[1] - PRIMITIVE_EXPONENTS[0] + 1
-_LEMIRE_THRESHOLD = 2**32 % _EXPONENT_COUNT
-_LOW_WORD, _HIGH_SHIFT, _DOUBLE_SHIFT = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
-
-
-def _task_layout(counts: np.ndarray, buffered: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where the scalar draw loop reads its numbers in a block of raw words.
-
-    User ``u`` draws ``counts[u]`` uint32s, then one double.  A uint32 is
-    the buffered half word if there is one (``buffered`` is 1), else the
-    low half of a fresh raw word whose high half is then buffered; a double
-    takes a fresh word.  In the uint32 stream ``[buffer, low 0, high 0,
-    low 1, ...]`` of the block, returns the index of each user's last
-    uint32, the raw-word index of each user's double, and how many raw
-    words the loop reads.
-    """
-    num_users = len(counts)
-    ends = np.cumsum(counts)
-    last = ends - 1
-    # the t-th fresh uint32 is half t % 2 of fresh word t // 2, drawn by the
-    # user of the (t - t % 2)-th, after the doubles of every user before it
-    after = last - buffered
-    high = after % 2
-    owner = np.repeat(np.arange(num_users), counts)
-    word = owner[last - high] + after // 2
-    taken = np.where(after < 0, 0, 1 + 2 * word + high)
-    doubles = np.arange(num_users) + (np.maximum(ends - buffered, 0) + 1) // 2
-    words = num_users + (max(int(counts.sum()) - buffered, 0) + 1) // 2
-    return taken, doubles, words
-
-
-@functools.lru_cache(maxsize=16)
-def _plain_task_layout(num_users: int, buffered: int):
-    """``_task_layout`` of one uint32 per user, the draw without a rejection."""
-    taken, doubles, words = _task_layout(np.ones(num_users, dtype=np.int64), buffered)
-    taken.flags.writeable = doubles.flags.writeable = False
-    return taken, doubles, words
-
-
 def draw_tasks(rng: np.random.Generator, num_users: int) -> tuple[np.ndarray, np.ndarray]:
     """Primitive exponents and data sizes of ``num_users`` fresh render jobs.
 
-    The values and the generator's final state are exactly those of the
-    scalar loop that draws, user by user, ``rng.integers(low, high + 1)``
-    over ``PRIMITIVE_EXPONENTS`` and then ``rng.uniform(*DATA_SIZE_RANGE)``.
-    They come from one ``random_raw`` block laid out as that loop reads it:
-    integers from uint32 halves through the bit generator's half-word
-    buffer, with Lemire's bounded-integer rule, and doubles as
-    ``(raw >> 11) * 2**-53``.  A rejected uint32 (probability 4 in 2**32
-    per user) re-lays-out the later users on the words already drawn and
-    draws only the words still missing.  The bit generator must buffer half
-    words the way ``PCG64`` does.
+    Two vectorised draws from ``rng``, in this order:
+    ``rng.integers(low, high + 1, size=num_users)`` over
+    ``PRIMITIVE_EXPONENTS``, then ``num_users`` uniform data sizes over
+    ``DATA_SIZE_RANGE``.  Any ``Generator`` works.
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if "has_uint32" not in state:
-        raise TypeError(
-            f"{state['bit_generator']} does not buffer half words; use e.g. PCG64"
-        )
-    buffered = state["has_uint32"]
-    taken, doubles, words = _plain_task_layout(num_users, buffered)
-    raw = bitgen.random_raw(words)
-    counts = np.ones(num_users, dtype=np.int64)
-    while True:
-        halves = np.concatenate(
-            [[np.uint32(state["uinteger"])], raw.astype("<u8", copy=False).view("<u4")]
-        )
-        product = halves[taken] * np.uint64(_EXPONENT_COUNT)
-        rejected = np.flatnonzero(product & _LOW_WORD < _LEMIRE_THRESHOLD)
-        if len(rejected) == 0:
-            break
-        counts[rejected[0]] += 1
-        taken, doubles, words = _task_layout(counts, buffered)
-        raw = np.concatenate([raw, bitgen.random_raw(words - len(raw))])
-
-    # the loop leaves the high half of its last fresh uint32 word in the
-    # buffer, already consumed (stale) after an even number of fresh uint32s
-    total = int(counts.sum())
-    end_state = bitgen.state
-    if total > buffered:
-        end_state["has_uint32"] = (total - buffered) % 2
-        end_state["uinteger"] = int(halves[(int(taken[-1]) + 1) // 2 * 2])  # high half
-    else:
-        end_state["has_uint32"] = buffered - total
-    bitgen.state = end_state
-
-    exponents = PRIMITIVE_EXPONENTS[0] + (product >> _HIGH_SHIFT).astype(np.intp)
-    unit = (raw[doubles] >> _DOUBLE_SHIFT) * (1.0 / 9007199254740992.0)
-    low, high = DATA_SIZE_RANGE
-    return exponents, low + (high - low) * unit
+    exponents = rng.integers(
+        PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1, size=num_users
+    )
+    return exponents, _uniform(rng, DATA_SIZE_RANGE, num_users)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -490,6 +490,16 @@ class TestCli:
         assert f"checkpoint: {path} holds 0 agents, but" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_cost_fails_the_run(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("scenario: {chip_energy_per_cycle: 1.0e300}\n")
+        out = tmp_path / "eval.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["eval", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: policy local: episode 0 has a non-finite cost inf" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "parameter, value",
         [("edge_cpu", "-5"), ("weight_latency", "1.5"), ("decoherence_time", "0"),

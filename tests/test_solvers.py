@@ -499,21 +499,30 @@ class TestEvaluate:
         # greedy and the oracle are solved on each episode's evaluator
         assert built == []
 
-    @pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.ORACLE])
-    def test_redrawn_solver_equals_reference_loop(self, kind):
-        """Each redrawn episode is solved and scored as its reference scenario would be."""
-        # slow CPUs keep the QPUs cheap for the redrawn jobs; 8 users contest 4 QPUs
-        episodes, users = 12, 8
-        base = craft_scenario(num_servers=4, quotas=(54,) * users, data_sizes=(1e3,) * users)
-        stats = evaluate(BaselinePolicy(kind), base, episodes, np.random.default_rng(5),
-                         redraw_tasks=True)
-        twin = np.random.default_rng(5)
+    @staticmethod
+    def reference_stats(kind, base, episodes, twin):
+        """``EvalStats`` of a redrawn ``evaluate`` as a test-side loop on ``twin``.
+
+        The environment and the policy share one generator: each episode
+        draws its tasks first, then the random baselines their servers and
+        ratios.  Each episode is solved and scored as its reference scenario.
+        """
+        users, servers = len(base.users), len(base.servers)
         results = []
         for _ in range(episodes):
             scenario = reference_redraw_tasks(base, twin)
-            results.append(MeqcEnv(scenario).step(solve_baseline(kind, scenario)))
+            if kind in (PolicyKind.GREEDY, PolicyKind.ORACLE):
+                action = solve_baseline(kind, scenario)
+            elif kind is PolicyKind.LOCAL:
+                action = [(0, 1.0)] * users
+            else:
+                chosen = twin.integers(0, servers, size=users).tolist()
+                ratios = (twin.uniform(0.0, 1.0, size=users).tolist()
+                          if kind is PolicyKind.RANDOM else [0.0] * users)
+                action = list(zip(chosen, ratios))
+            results.append(MeqcEnv(scenario).step(action))
         costs = [-r.reward for r in results]
-        assert stats == EvalStats(
+        return EvalStats(
             mean_cost=statistics.fmean(costs),
             std_cost=statistics.pstdev(costs),
             latency_cost=statistics.fmean(r.latency_cost for r in results),
@@ -522,7 +531,68 @@ class TestEvaluate:
             mean_success_prob=sum(sum(r.success_probs) / users for r in results) / episodes,
             episodes=episodes,
         )
-        assert 0.0 < stats.qpu_grant_rate < 1.0 and stats.std_cost > 0.0
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_redrawn_solver_equals_reference_loop(self, kind):
+        """Each redrawn episode is solved and scored as its reference scenario would be."""
+        # slow CPUs keep the QPUs cheap for the redrawn jobs; 8 users contest 4 QPUs
+        episodes, users = 12, 8
+        base = craft_scenario(num_servers=4, quotas=(54,) * users, data_sizes=(1e3,) * users)
+        stats = evaluate(BaselinePolicy(kind), base, episodes, np.random.default_rng(5),
+                         redraw_tasks=True)
+        assert stats == self.reference_stats(kind, base, episodes, np.random.default_rng(5))
+        assert all(type(value) is float for value in dataclasses.astuple(stats)[:-1])
+        assert stats.std_cost > 0.0
+        if kind is PolicyKind.LOCAL:
+            assert stats.qpu_grant_rate == 0.0
+        else:
+            assert 0.0 < stats.qpu_grant_rate < 1.0
+
+    def test_redraw_on_any_generator(self):
+        """A redrawn evaluation runs on a generator without PCG64's half-word buffer."""
+        base = gen_scenario(4, 3, seed=2)
+        stats = evaluate(BaselinePolicy(PolicyKind.RANDOM), base, 6,
+                         np.random.Generator(np.random.MT19937(0)), redraw_tasks=True)
+        twin = np.random.Generator(np.random.MT19937(0))
+        assert stats == self.reference_stats(PolicyKind.RANDOM, base, 6, twin)
+        assert stats.std_cost > 0.0
+
+    @pytest.mark.parametrize("kind", ["local", "random", "random_cloud"])
+    def test_steps_build_no_joint_action(self, kind, monkeypatch):
+        built = []
+        init = meqc.costs.JointAction.__init__
+        monkeypatch.setattr(
+            meqc.costs.JointAction, "__init__",
+            lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs),
+        )
+        scenario = gen_scenario(5, 3, seed=5)
+        evaluate(BaselinePolicy(kind), scenario, 20, np.random.default_rng(0),
+                 redraw_tasks=True)
+        assert built == []
+        env = MeqcEnv(scenario)
+        result = env.step(BaselinePolicy(kind).act(env, np.random.default_rng(1)))
+        assert built == []
+        action = result.action
+        assert len(built) == 1
+        for accepted, resolved in zip(env.evaluator.check_action(action),
+                                      (result.servers, result.ratios, result.grants)):
+            assert np.array_equal(accepted, resolved)
+        assert env.step(action).reward == result.reward
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_non_finite_cost_raises(self, episodes):
+        class AllLocal:
+            def act(self, env, rng):
+                return [(0, 1.0)] * env.num_users
+
+        # the local energy overflows to inf
+        scenario = gen_scenario(3, 2, 0, chip_energy_per_cycle=1e300)
+        for policy, name in ((BaselinePolicy(PolicyKind.LOCAL), "local"),
+                             (BaselinePolicy(PolicyKind.GREEDY), "greedy"),
+                             (AllLocal(), "AllLocal")):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(RuntimeError, match=f"policy {name}: episode 0 .*inf"):
+                    evaluate(policy, scenario, episodes, np.random.default_rng(0))
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):
