@@ -224,7 +224,7 @@ class TestRedrawTasks:
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (100, 20)])
     @pytest.mark.parametrize("half_used", [False, True], ids=["fresh", "half_used"])
-    def test_matches_reference(self, shape, half_used):
+    def test_matches_scalar_reference(self, shape, half_used):
         scenario = gen_scenario(*shape, seed=4)
         for seed in range(5):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -291,6 +291,24 @@ class TestDrawTasks:
             assert np.array_equal(data_sizes, twin.uniform(*DATA_SIZE_RANGE, size=num_users))
             # the whole state, key arrays and half-word buffers included
             np.testing.assert_equal(ours.bit_generator.state, twin.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+    )
+    @pytest.mark.parametrize("buffer", [(0, 0xDEADBEEF), (1, 0xDEADBEEF)],
+                             ids=["stale", "half_used"])
+    def test_other_half_word_generators(self, bit_generator, buffer):
+        """A stale or half-used uint32 buffer is read as numpy reads it."""
+        scenario = gen_scenario(3, 2, seed=4)
+        for seed in range(5):
+            ours = np.random.Generator(bit_generator(seed))
+            theirs = np.random.Generator(bit_generator(seed))
+            for rng in (ours, theirs):
+                state = rng.bit_generator.state
+                state.update(has_uint32=buffer[0], uinteger=buffer[1])
+                rng.bit_generator.state = state
+            assert_tasks_of(draw_tasks(ours, 3), reference_redraw_tasks(scenario, theirs))
+            np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
     def test_columns(self):
         exponents, data_sizes = draw_tasks(np.random.default_rng(0), 50)
