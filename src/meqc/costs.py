@@ -197,16 +197,16 @@ class ScenarioEvaluator:
     profile vectors and qubit quotas, the per-(user, server) uplink
     ``rate`` (``[U, E]``), and per-server error suppression and QPU step
     time and step energy.  The task tables depend on the users' tasks too:
-    the per-user task columns ``data_size``, ``cycles_per_byte``,
-    ``logical_qubits`` and ``logical_depth`` (and the quantum payload) and
-    the ``[U, E]`` ``success`` and ``eligible`` arrays.  They are built in
-    one place from per-user task columns: read from the scenario on
-    construction, or passed to ``with_tasks``, which replaces every user's
-    task without touching the fixed tables.  The evaluator keeps tables,
-    not the scenario, so it is all a ``MeqcEnv`` episode holds: solvers and
-    observations read their task numbers from it.  ``breakdown`` evaluates the
-    formulas on any batch; the tests hold every number it returns
-    bit-identical to the scalar reference in ``tests/cost_spec.py``.
+    the task columns ``data_size``, ``cycles_per_byte``, ``logical_qubits``
+    and ``logical_depth`` (and the quantum payload), ``[U]``, and the
+    ``[U, E]`` ``success`` and ``eligible`` arrays.  They are built in one
+    place, from the scenario or from ``with_tasks`` columns, which may hold
+    B episodes' tasks: then the task columns lead with an episode axis, the
+    two arrays are None (``feasibility`` reads them at chosen servers) and
+    ``breakdown`` scores row b of a ``[B, U]`` batch on episode b.  Solvers
+    and observations read their task numbers from the evaluator's tables.
+    ``breakdown`` evaluates the formulas on any batch; the tests hold every
+    number it returns bit-identical to ``tests/cost_spec.py``.
     ``check_action`` is the one validation of a complete ``JointAction``
     and ``candidates`` the one rule for who may hold a QPU grant.  The
     tables are read-only; one evaluator may be shared by concurrent readers.
@@ -283,35 +283,31 @@ class ScenarioEvaluator:
         )
 
     def _load_tasks(self, *columns: np.ndarray) -> None:
-        """Build the task tables from per-user task columns (see ``with_tasks``)."""
+        """Build the task tables from task columns (see ``with_tasks``)."""
         columns = [np.asarray(c, dtype=np.float64) for c in columns]
-        for column in columns:
-            if column.shape != (self.num_users,):
-                raise ValueError(
-                    f"expected {self.num_users} values per task column, got shape "
-                    f"{column.shape}"
-                )
+        shapes = sorted({column.shape for column in columns})
+        if len(shapes) > 1 or shapes[0][-1:] != (self.num_users,):
+            raise ValueError(f"expected {self.num_users} values per task column, got shapes {shapes}")
         (self.data_size, self.cycles_per_byte, self._q_data_size,
          self.logical_qubits, self.logical_depth) = columns
 
-        # success_probability, clamped the way min(1, max(0, .)) clamps.
-        locations = self.logical_qubits * self.logical_depth
-        success = 1.0 - locations[:, None] * self._error_threshold * self._suppression
-        success = np.where(success > 0.0, success, 0.0)
-        self.success = np.where(success < 1.0, success, 1.0)
-        fits = self.logical_qubits <= self._quota
-        self.eligible = fits[:, None] & (self.success >= SUCCESS_THRESHOLD)
+        self._locations = self.logical_qubits * self.logical_depth
+        self._fits = self.logical_qubits <= self._quota
+        self.success = self.eligible = None  # a batch of episodes is read at its servers only
+        if self._locations.ndim == 1:  # one episode: [U, E] tables
+            tables = self.feasibility(np.arange(self.num_servers)[:, None])
+            self.success, self.eligible = (table.T for table in tables)
 
     def with_tasks(
         self, data_size, cycles_per_byte, quantum_data_size, logical_qubits, logical_depth
     ) -> ScenarioEvaluator:
         """An evaluator of this scenario with every user's task replaced.
 
-        Each argument is a per-user column of the field of the same name
-        (``quantum_data_size`` is ``QuantumTaskSpec.data_size``).  The new
-        evaluator shares this one's scenario-fixed tables and builds only
-        its task tables; this one is left as it was.  Raises ``ValueError``
-        unless every column holds one value per user.
+        Each argument is a ``[U]`` or ``[B, U]`` (B episodes) column of the
+        field of the same name (``quantum_data_size`` is
+        ``QuantumTaskSpec.data_size``).  The new evaluator shares this one's
+        fixed tables and builds only its task tables; this one is left as it
+        was.  Raises ``ValueError`` unless all columns have one such shape.
         """
         evaluator = copy.copy(self)
         evaluator._load_tasks(
@@ -319,25 +315,28 @@ class ScenarioEvaluator:
         )
         return evaluator
 
-    def breakdown(self, servers, ratios, qpu, users=None) -> CostBreakdown:
+    def breakdown(self, servers, ratios, qpu, users=None, episodes=None) -> CostBreakdown:
         """Cost components of a whole batch at once, as arrays.
 
         ``servers``, ``ratios`` and ``qpu`` (the QPU path flag) broadcast
-        against ``users``, which defaults to every user along the last
-        axis, so ``[B, U]`` arrays score B joint decisions.  Inputs are not
-        validated: servers must be in range and ratios in [0, 1].
+        against ``users``, which defaults to every user along the last axis,
+        so ``[B, U]`` arrays score B joint decisions; task tables with an
+        episode axis are read at ``[episodes, users]``, by default
+        ``[..., users]``.  Inputs are not validated: servers in range, ratios in [0, 1].
         """
         if users is None:
             users = self.user_index
         ratios = np.asarray(ratios, dtype=np.float64)
         chip = self._chip_energy
-        cycles = ratios * self.data_size[users] * self.cycles_per_byte[users]
+        index = users if self.data_size.ndim == 1 else (
+            (..., users) if episodes is None else (episodes, users))
+        data_size, cycles_per_byte, q_data_size, logical_qubits = (column[index] for column in (
+            self.data_size, self.cycles_per_byte, self._q_data_size, self.logical_qubits))
+        cycles = ratios * data_size * cycles_per_byte
         latency_local = cycles / self._f_local[users]
         energy_local = chip * cycles
 
-        payload = (1.0 - ratios) * np.where(
-            qpu, self._q_data_size[users], self.data_size[users]
-        )
+        payload = (1.0 - ratios) * np.where(qpu, q_data_size, data_size)
         bits = payload * BITS_PER_BYTE
         rate = self.rate[users, servers]
         if self._dead_links:
@@ -349,8 +348,8 @@ class ScenarioEvaluator:
         latency_uplink = bits / rate
         energy_uplink = self._tx_power[users] * latency_uplink
 
-        cycles_edge = payload * self.cycles_per_byte[users]
-        volume = payload * self.logical_qubits[users]
+        cycles_edge = payload * cycles_per_byte
+        volume = payload * logical_qubits
         latency_edge = np.where(
             qpu, volume * self._step_time[servers], cycles_edge / self._edge_cpu[users]
         )
@@ -396,14 +395,23 @@ class ScenarioEvaluator:
         costs[:, :, 1] = cost[:, -1:, :1]
         return costs
 
-    def savings(self, servers, ratios, users=None) -> np.ndarray:
-        """CPU-path cost minus QPU-path cost, elementwise (see ``breakdown``)."""
-        cpu = self.breakdown(servers, ratios, False, users=users).cost
-        return cpu - self.breakdown(servers, ratios, True, users=users).cost
+    def savings(self, servers, ratios, users=None, episodes=None) -> np.ndarray:
+        """CPU-path cost minus QPU-path cost, elementwise (see ``breakdown``), in one call."""
+        paths = _PATHS.reshape((2,) + (1,) * np.broadcast(servers, ratios, users, episodes).ndim)
+        cost = self.breakdown(servers, ratios, paths, users=users, episodes=episodes).cost
+        return cost[0] - cost[1]
+
+    def feasibility(self, servers) -> tuple[np.ndarray, np.ndarray]:
+        """Success probability and QPU eligibility of each user's task at ``servers`` ``[..., U]``."""
+        # success_probability, clamped the way min(1, max(0, .)) clamps.
+        success = 1.0 - self._locations * self._error_threshold * self._suppression[servers]
+        success = np.where(success > 0.0, success, 0.0)
+        success = np.where(success < 1.0, success, 1.0)
+        return success, self._fits & (success >= SUCCESS_THRESHOLD)
 
     def check_servers(self, servers: np.ndarray) -> None:
-        """Raise unless every entry of ``servers`` (last axis: users) is a server index."""
-        bad = (servers < 0) | (servers >= self.num_servers)
+        """Raise unless every entry of ``servers`` (users last) is an integral server index."""
+        bad = ~((servers >= 0) & (servers < self.num_servers) & (servers == np.trunc(servers)))
         if bad.any():
             u = int(np.nonzero(bad)[-1][0])
             raise ValueError(f"user {u} picked unknown server {servers[bad].flat[0]}")
@@ -414,7 +422,7 @@ class ScenarioEvaluator:
         ``servers`` and ``ratios`` are arrays with users along the last
         axis; ``servers`` must hold valid server indices.
         """
-        return self.eligible[self.user_index, servers] & (ratios < 1.0)
+        return self.feasibility(servers)[1] & (ratios < 1.0)
 
     def check_action(self, action: JointAction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The servers, ratios and grants of a complete joint action, validated.

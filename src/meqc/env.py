@@ -68,7 +68,7 @@ def grant_mask(
     chosen = servers[rows, users]
     # one contest per (row, server); sort each contest's candidates by rank
     contest = rows * evaluator.num_servers + chosen
-    saving = evaluator.savings(chosen, ratios[rows, users], users=users)
+    saving = evaluator.savings(chosen, ratios[rows, users], users=users, episodes=rows)
     order = np.lexsort((users, -saving, contest))
     contest = contest[order]
     first = np.ones(len(order), dtype=bool)
@@ -86,7 +86,8 @@ class StepResult:
     energy-weighted parts of the cost; they add up to ``-reward``.  The
     arrays are per user: the resolved ``servers``, ``ratios`` and
     ``grants``, and the ``success`` probability at the chosen server.  Their
-    tuple and ``JointAction`` views are built when read.
+    tuple and ``JointAction`` views are built when read.  ``MeqcEnv.score``
+    returns one for B slots, every field with a leading batch axis.
     """
 
     reward: float
@@ -119,12 +120,12 @@ class MeqcEnv:
 
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
-    tasks from the workload generator.  ``evaluator`` is the episode's only
-    state: a redrawn episode is two arrays, the users' primitive exponents
-    and data sizes, which refresh the task tables of the base scenario's
-    evaluator.  Scoring, the greedy and oracle solvers and ``observations``
-    all read the episode from ``evaluator``; no per-user object is built
-    for it.
+    tasks from the workload generator: two arrays, ``tasks``, the users'
+    primitive exponents and data sizes.  ``evaluator``, the base evaluator
+    with those task tables, is built on first read; greedy, the oracle and
+    ``observations`` read the episode from it.  ``score`` is the one
+    scoring path: ``step`` is its batch of one, ``rewards`` its reward
+    column, and ``evaluate`` scores all its episodes in one batch.
     """
 
     def __init__(
@@ -139,9 +140,23 @@ class MeqcEnv:
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
         self.num_users = len(scenario.users)
         self.num_servers = len(scenario.servers)
-        self._base_evaluator = self.evaluator = ScenarioEvaluator(scenario)
+        self._base_evaluator = self._evaluator = ScenarioEvaluator(scenario)
+        self.tasks: tuple[np.ndarray, np.ndarray] | None = None
         self._template = None
         self._observations = None
+
+    @property
+    def evaluator(self) -> ScenarioEvaluator:
+        """The episode's evaluator; a redrawn episode's is built on first read."""
+        if self._evaluator is None:
+            self._evaluator = self._with_tasks(*self.tasks)
+        return self._evaluator
+
+    def _with_tasks(self, exponents, data_sizes) -> ScenarioEvaluator:
+        """The base evaluator with drawn tasks (see ``draw_tasks``), ``[..., U]`` each."""
+        cycles_per_byte, logical_qubits, logical_depth = TASK_SHAPES.T[:, exponents]
+        columns = (data_sizes, cycles_per_byte, data_sizes, logical_qubits, logical_depth)
+        return self._base_evaluator.with_tasks(*columns)
 
     def observations(self) -> np.ndarray:
         """Every agent's observation: row ``u`` of one read-only ``[U, 8 + 2E]`` array.
@@ -174,73 +189,71 @@ class MeqcEnv:
     def reset(self) -> None:
         """Start a new episode; redraws tasks when configured to.
 
-        A redraw takes the users' exponents and data sizes from
-        ``draw_tasks``, two numpy draws from ``rng``, and refreshes only the
-        base evaluator's task tables with them.
+        A redraw sets ``tasks`` to the users' exponents and data sizes from
+        ``draw_tasks``, two numpy draws from ``rng``, and nothing more: the
+        episode's ``evaluator`` and observations are built when first read.
         """
         if self.redraw:
-            exponents, data_sizes = draw_tasks(self.rng, self.num_users)
-            cycles_per_byte, logical_qubits, logical_depth = TASK_SHAPES[exponents].T
-            self.evaluator = self._base_evaluator.with_tasks(
-                data_sizes, cycles_per_byte, data_sizes, logical_qubits, logical_depth
-            )
-            self._observations = None
+            self.tasks = draw_tasks(self.rng, self.num_users)
+            self._evaluator = self._observations = None
 
-    def _resolve(self, servers, ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Checked ``[B, U]`` server indices, ratios clamped to [0, 1], and QPU grants."""
-        servers = np.asarray(servers).astype(np.int64, copy=False)
-        ratios = np.asarray(ratios, dtype=np.float64)
+    def check(self, action) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Servers, ratios and grants of one joint decision, checked in this episode.
+
+        A ``JointAction`` must pass ``check_action``; raw (server, ratio) pairs,
+        tuples or a ``[U, 2]`` array, are read as floats, with grants None.
+        """
+        if isinstance(action, JointAction):
+            return self.evaluator.check_action(action)
+        pairs = np.asarray(action, dtype=np.float64)
+        if pairs.shape != (self.num_users, 2):
+            raise ValueError(f"expected {self.num_users} actions, got shape {pairs.shape}")
+        return pairs[:, 0], pairs[:, 1], None
+
+    def score(self, servers, ratios, grants=None, tasks=None) -> StepResult:
+        """Resolve and score B joint decisions, ``servers``/``ratios`` ``[B, U]``, in one pass.
+
+        Servers must be server indices; ratios are clamped to [0, 1].  Row b
+        keeps ``grants[b]`` (a ``check``-ed joint action's) unless it is None;
+        raw rows get ``grant_mask``'s.  ``tasks[b]`` is row b's redrawn
+        episode; without ``tasks`` every row is scored on ``evaluator``.  Each
+        field of the result has a leading batch axis.
+        """
+        evaluator = self._with_tasks(*map(np.stack, zip(*tasks))) if tasks else self.evaluator
+        servers, ratios = np.asarray(servers), np.asarray(ratios, dtype=np.float64)
         if servers.ndim != 2 or servers.shape[1] != self.num_users:
-            raise ValueError(
-                f"expected {self.num_users} actions per row, got shape {servers.shape}"
-            )
+            raise ValueError(f"expected {self.num_users} actions per row, got shape {servers.shape}")
         if ratios.shape != servers.shape:
-            raise ValueError(
-                f"ratios shape {ratios.shape} != servers shape {servers.shape}"
-            )
-        self.evaluator.check_servers(servers)
+            raise ValueError(f"ratios shape {ratios.shape} != servers shape {servers.shape}")
+        evaluator.check_servers(servers)  # before the cast, which would hide a NaN
+        servers = servers.astype(np.int64, copy=False)
         # min(1, max(0, r)) elementwise; NaN clamps to 0 as it does there
         ratios = np.where(ratios > 0.0, ratios, 0.0)
         ratios = np.where(ratios < 1.0, ratios, 1.0)
-        return servers, ratios, grant_mask(self.evaluator, servers, ratios)
+        raw = np.array([g is None for g in grants or [None] * len(servers)])
+        granted = np.zeros(servers.shape, dtype=bool)
+        if not raw.all():
+            granted[~raw] = [g for g in grants if g is not None]
+        if raw.any():  # only raw rows contend: a user at ratio 1 never does
+            granted |= grant_mask(evaluator, servers, np.where(raw[:, None], ratios, 1.0))
+        b = evaluator.breakdown(servers, ratios, granted)
+        return StepResult(
+            -sum_over_users(b.cost),
+            sum_over_users(evaluator.weight_latency * b.latency_total),
+            sum_over_users(evaluator.weight_energy * b.energy_total),
+            servers, ratios, granted, evaluator.feasibility(servers)[0],
+        )
 
     def rewards(self, servers, ratios) -> np.ndarray:
-        """Shared reward of each of B joint decisions, ``servers``/``ratios`` ``[B, U]``.
-
-        Row b gets exactly the reward ``step`` returns for the pairs
-        ``zip(servers[b], ratios[b])``.
-        """
-        servers, ratios, grants = self._resolve(servers, ratios)
-        return -sum_over_users(self.evaluator.breakdown(servers, ratios, grants).cost)
+        """Shared rewards of B raw joint decisions ``[B, U]``: ``score``'s reward column."""
+        return self.score(servers, ratios).reward
 
     def step(self, actions: np.typing.ArrayLike | JointAction) -> StepResult:
-        """Resolve one joint decision and return the shared reward.
+        """Resolve one joint decision (see ``check``) and return the shared reward.
 
-        Decentralized agents submit raw (server index, local ratio) pairs,
-        a list of tuples or a ``[U, 2]`` array, read as one float array;
-        ratios are clamped to [0, 1] and the QPU indicators are resolved by
-        ``grant_mask``, exactly as ``rewards`` does for a batch.  A
-        centralized solver may instead submit a complete ``JointAction``
-        whose grant schedule is honored once
-        ``ScenarioEvaluator.check_action`` accepts it, the validation
-        ``total_cost`` shares.
+        Raw pairs get their QPU grants from ``grant_mask``; a ``JointAction``'s
+        grant schedule is honored.  ``score`` scores it as a batch of one.
         """
-        evaluator = self.evaluator
-        if isinstance(actions, JointAction):
-            servers, ratios, grants = evaluator.check_action(actions)
-        else:
-            pairs = np.asarray(actions, dtype=np.float64)
-            if pairs.shape != (self.num_users, 2):
-                raise ValueError(f"expected {self.num_users} actions, got shape {pairs.shape}")
-            servers, ratios, grants = self._resolve(pairs[None, :, 0], pairs[None, :, 1])
-            servers, ratios, grants = servers[0], ratios[0], grants[0]
-        b = evaluator.breakdown(servers, ratios, grants)
-        return StepResult(
-            reward=-float(sum_over_users(b.cost)),
-            latency_cost=float(sum_over_users(evaluator.weight_latency * b.latency_total)),
-            energy_cost=float(sum_over_users(evaluator.weight_energy * b.energy_total)),
-            servers=servers,
-            ratios=ratios,
-            grants=grants,
-            success=evaluator.success[evaluator.user_index, servers],
-        )
+        batch = self.score(*([column] for column in self.check(actions)))
+        reward, latency, energy, *arrays = (field[0] for field in vars(batch).values())
+        return StepResult(float(reward), float(latency), float(energy), *arrays)

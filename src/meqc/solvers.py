@@ -219,12 +219,12 @@ class Policy(Protocol):
 class BaselinePolicy:
     """Adapter that replays a baseline through the environment.
 
-    The local and random baselines submit their raw (server, ratio) pairs
-    as one ``[U, 2]`` array, the random ones redrawn on every step, and the
-    environment grants the QPUs.  Greedy and the oracle are solved on
-    ``env.evaluator``, once per evaluator (so once per episode under
-    ``redraw_tasks``, else once), and submitted as complete joint actions,
-    so a solver's grant schedule is what runs.
+    The local and random baselines submit raw (server, ratio) pairs as one
+    ``[U, 2]`` array, the random ones redrawn every step, for the
+    environment to grant; they never read ``env.evaluator``, so a redrawn
+    episode builds none.  Greedy and the oracle are solved on it once per
+    evaluator (per episode under ``redraw_tasks``, else once) and submit
+    complete joint actions, so a solver's grant schedule is what runs.
     """
 
     def __init__(self, kind: PolicyKind):
@@ -262,35 +262,36 @@ def evaluate(
 ) -> EvalStats:
     """Run ``policy`` for ``episodes`` decision slots and aggregate costs.
 
-    Latency/energy splits are the weighted component sums, so they add up
-    to the mean cost.  The grant rate is the fraction of (episode, user)
-    pairs that actually ran on a QPU.  Raises ``RuntimeError``, naming the
-    policy and the episode, as soon as an episode's cost is not finite.
+    Each episode resets the environment (which draws any tasks from ``rng``
+    first) and the policy acts, checked by ``env.check``; one ``env.score``
+    batch then scores every episode as ``env.step`` would.  Latency/energy
+    splits are the weighted component sums, so they add up to the mean
+    cost.  The grant rate is the fraction of (episode, user) pairs that ran
+    on a QPU.  Raises ``RuntimeError``, naming the policy and the first
+    such episode, if an episode's cost is not finite.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     name = policy.kind.value if isinstance(policy, BaselinePolicy) else type(policy).__name__
     env = MeqcEnv(scenario, redraw_tasks=redraw_tasks, rng=rng)
-    results = []
-    for episode in range(episodes):
+    decisions, tasks = [], []
+    for _ in range(episodes):
         env.reset()
-        result = env.step(policy.act(env, rng))
-        if not math.isfinite(result.reward):
-            raise RuntimeError(
-                f"policy {name}: episode {episode} has a non-finite cost {-result.reward}"
-            )
-        results.append(result)
-    costs = [-r.reward for r in results]
-    grants = np.array([r.grants for r in results])
-    success = np.array([r.success for r in results])
+        decisions.append(env.check(policy.act(env, rng)))
+        tasks.append(env.tasks)
+    result = env.score(*zip(*decisions), tasks if redraw_tasks else None)
+    costs = (-result.reward).tolist()
+    for episode, cost in enumerate(costs):
+        if not math.isfinite(cost):
+            raise RuntimeError(f"policy {name}: episode {episode} has a non-finite cost {cost}")
     # each episode's mean over users, summed over episodes, both in index order
-    success_sum = sum_over_users(sum_over_users(success) / env.num_users)
+    success_sum = sum_over_users(sum_over_users(result.success) / env.num_users)
     return EvalStats(
         mean_cost=statistics.fmean(costs),
         std_cost=statistics.pstdev(costs) if episodes > 1 else 0.0,
-        latency_cost=statistics.fmean(r.latency_cost for r in results),
-        energy_cost=statistics.fmean(r.energy_cost for r in results),
-        qpu_grant_rate=int(np.count_nonzero(grants)) / grants.size,
+        latency_cost=statistics.fmean(result.latency_cost.tolist()),
+        energy_cost=statistics.fmean(result.energy_cost.tolist()),
+        qpu_grant_rate=int(np.count_nonzero(result.grants)) / result.grants.size,
         mean_success_prob=float(success_sum) / episodes,
         episodes=episodes,
     )

@@ -604,3 +604,34 @@ class TestWithTasks:
             for wrong in (columns[i][:2], columns[i] + columns[i][:1], [columns[i]]):
                 with pytest.raises(ValueError, match="3 values per task column"):
                     evaluator.with_tasks(*columns[:i], wrong, *columns[i + 1:])
+
+    @pytest.mark.parametrize("name", ["3x3_decoherence", "100x20_decoherence"])
+    def test_episode_axis_scores_each_episode(self, name):
+        """``[B, U]`` columns score row b exactly as episode b's own evaluator does."""
+        num_users, num_servers, pins = REFRESH_SHAPES[name]
+        base = gen_scenario(num_users, num_servers, seed=7, pins=pins)
+        episodes = [reference_redraw_tasks(base, np.random.default_rng(draw)) for draw in range(4)]
+        batch = ScenarioEvaluator(base).with_tasks(
+            *(np.stack(column) for column in zip(*map(task_columns, episodes))))
+        assert batch.success is None and batch.eligible is None
+        rng = np.random.default_rng(3)
+        servers = rng.integers(num_servers, size=(4, num_users))
+        ratios = rng.random((4, num_users))
+        qpu = rng.random((4, num_users)) < 0.5
+        scored = batch.breakdown(servers, ratios, qpu)
+        success, eligible = batch.feasibility(servers)
+        for b, scenario in enumerate(episodes):
+            full = ScenarioEvaluator(scenario)
+            for field in ("cost", "latency_uplink", "energy_edge_qpu"):
+                assert bitwise_equal(getattr(scored, field)[b],
+                                     getattr(full.breakdown(servers[b], ratios[b], qpu[b]), field))
+            users = np.arange(num_users)
+            assert bitwise_equal(success[b], full.success[users, servers[b]])
+            assert bitwise_equal(eligible[b], full.eligible[users, servers[b]])
+            assert bitwise_equal(batch.candidates(servers, ratios)[b],
+                                 full.candidates(servers[b], ratios[b]))
+        rows, users = np.nonzero(ratios < 0.7)
+        assert bitwise_equal(
+            batch.savings(servers[rows, users], ratios[rows, users], users, episodes=rows),
+            np.array([ScenarioEvaluator(episodes[r]).savings(servers[r, u], ratios[r, u], users=u)
+                      for r, u in zip(rows, users)]))

@@ -1,6 +1,7 @@
 """Environment tests: observation layout, QPU arbitration and reward wiring."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ class TestStep:
         with pytest.raises(ValueError, match="unknown server"):
             env.step([(5, 0.5)])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1.5])
+    def test_non_index_server_refused_without_warning(self, value):
+        env = MeqcEnv(gen_scenario(2, 2, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"user 0 picked unknown server {value}$"):
+                env.step([(value, 0.5), (0, 0.5)])
+            with pytest.raises(ValueError, match=f"user 0 picked unknown server {value}$"):
+                env.step(np.array([[value, 0.5], [1, 0.5]]))
+
     def test_complete_action_grants_honored(self):
         scenario = craft_scenario(quotas=(54,), data_sizes=(1e3,))
         env = MeqcEnv(scenario)
@@ -432,6 +443,16 @@ class TestBatchedRewards:
             env.rewards([[0, 1, 0]], [[0.5, 0.5, 0.5]])
         with pytest.raises(ValueError, match="user 1 picked unknown server 2"):
             env.rewards([[0, 1], [0, 2]], [[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.5])
+    def test_batch_refuses_non_index_servers_without_warning(self, value):
+        env = MeqcEnv(gen_scenario(2, 2, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"user 1 picked unknown server {value}$"):
+                env.rewards([[0, 1], [1, value]], [[0.5, 0.5], [0.5, 0.5]])
+            # integral floats are indices
+            assert env.rewards([[0.0, 1.0]], [[0.5, 0.5]]) == env.rewards([[0, 1]], [[0.5, 0.5]])
 
     def test_step_splits_cost_into_weighted_parts(self):
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))

@@ -11,6 +11,7 @@ import pytest
 import meqc.costs
 from meqc.costs import JointAction, ScenarioEvaluator, total_cost
 from meqc.env import MeqcEnv
+from meqc.marl import LearnedPolicy, TrainConfig, train
 from meqc.solvers import (
     BaselinePolicy,
     EvalStats,
@@ -470,19 +471,47 @@ class TestEvaluate:
         assert len(built) == 1
         assert observed == []  # no baseline reads an observation
 
-    def test_redraw_builds_one_evaluator_per_episode(self, monkeypatch):
-        built = self.count_evaluators(monkeypatch)
-        refreshed = []
-        with_tasks = meqc.costs.ScenarioEvaluator.with_tasks
-        monkeypatch.setattr(
-            meqc.costs.ScenarioEvaluator, "with_tasks",
-            lambda self, *columns: refreshed.append(columns) or with_tasks(self, *columns),
-        )
-        evaluate(BaselinePolicy(PolicyKind.LOCAL), gen_scenario(4, 3, seed=5), 6,
-                 np.random.default_rng(0), redraw_tasks=True)
-        # one full build for the base scenario, then one task refresh per episode
-        assert len(built) == 1
-        assert len(refreshed) == 6
+    @staticmethod
+    def contested_base():
+        """Slow CPUs keep the QPUs cheap for redrawn jobs; 8 users contest 4 QPUs."""
+        return craft_scenario(num_servers=4, quotas=(54,) * 8, data_sizes=(1e3,) * 8)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names) -> dict:
+        """Count calls of the named ``ScenarioEvaluator`` methods."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(self, *args, _name=name, _method=getattr(ScenarioEvaluator, name), **kw):
+                calls[_name] += 1
+                return _method(self, *args, **kw)
+            monkeypatch.setattr(meqc.costs.ScenarioEvaluator, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["local", "random", "random_cloud"])
+    def test_redraw_scores_in_one_batch(self, kind, monkeypatch):
+        """Kernel calls do not grow with the episodes; one task-table build serves them all."""
+        scenario = self.contested_base()
+        counts = []
+        for episodes in (2, 20):
+            calls = self.count_calls(monkeypatch, "breakdown", "with_tasks")
+            evaluate(BaselinePolicy(kind), scenario, episodes, np.random.default_rng(0),
+                     redraw_tasks=True)
+            assert calls["with_tasks"] == 1
+            counts.append(calls["breakdown"])
+        # one scoring pass, plus one saving pass where some user may hold a QPU
+        assert counts[0] == counts[1] == (1 if kind == "local" else 2)
+
+    @pytest.mark.parametrize("kind", ["greedy", "oracle"])
+    def test_redrawn_solvers_solve_each_episode(self, kind, monkeypatch):
+        calls = self.count_calls(monkeypatch, "with_tasks")
+        solved = []
+        solve = meqc.solvers._solve
+        monkeypatch.setattr(meqc.solvers, "_solve",
+                            lambda k, evaluator: solved.append(evaluator) or solve(k, evaluator))
+        evaluate(BaselinePolicy(kind), gen_scenario(4, 3, seed=5), 6, np.random.default_rng(0),
+                 redraw_tasks=True)
+        assert len({id(evaluator) for evaluator in solved}) == len(solved) == 6
+        assert calls["with_tasks"] == 6 + 1  # one per episode, then the scoring batch
 
     @pytest.mark.parametrize("kind", [k.value for k in PolicyKind])
     def test_redrawn_episodes_build_user_objects_only_when_read(self, kind, monkeypatch):
@@ -500,27 +529,32 @@ class TestEvaluate:
         assert built == []
 
     @staticmethod
-    def reference_stats(kind, base, episodes, twin):
-        """``EvalStats`` of a redrawn ``evaluate`` as a test-side loop on ``twin``.
+    def reference_stats(policy, base, episodes, twin, redraw=True):
+        """``EvalStats`` of an ``evaluate`` run as a test-side loop of single steps on ``twin``.
 
         The environment and the policy share one generator: each episode
-        draws its tasks first, then the random baselines their servers and
-        ratios.  Each episode is solved and scored as its reference scenario.
+        draws its tasks first (with ``redraw``), then the policy its own
+        draws.  Each episode is acted on and stepped in a fresh environment
+        on its reference scenario.  A ``PolicyKind``'s actions are built here
+        from the baseline definitions; any other policy acts itself.
         """
         users, servers = len(base.users), len(base.servers)
         results = []
         for _ in range(episodes):
-            scenario = reference_redraw_tasks(base, twin)
-            if kind in (PolicyKind.GREEDY, PolicyKind.ORACLE):
-                action = solve_baseline(kind, scenario)
-            elif kind is PolicyKind.LOCAL:
+            scenario = reference_redraw_tasks(base, twin) if redraw else base
+            env = MeqcEnv(scenario)
+            if not isinstance(policy, PolicyKind):
+                action = policy.act(env, twin)
+            elif policy in (PolicyKind.GREEDY, PolicyKind.ORACLE):
+                action = solve_baseline(policy, scenario)
+            elif policy is PolicyKind.LOCAL:
                 action = [(0, 1.0)] * users
             else:
                 chosen = twin.integers(0, servers, size=users).tolist()
                 ratios = (twin.uniform(0.0, 1.0, size=users).tolist()
-                          if kind is PolicyKind.RANDOM else [0.0] * users)
+                          if policy is PolicyKind.RANDOM else [0.0] * users)
                 action = list(zip(chosen, ratios))
-            results.append(MeqcEnv(scenario).step(action))
+            results.append(env.step(action))
         costs = [-r.reward for r in results]
         return EvalStats(
             mean_cost=statistics.fmean(costs),
@@ -535,9 +569,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind", list(PolicyKind))
     def test_redrawn_solver_equals_reference_loop(self, kind):
         """Each redrawn episode is solved and scored as its reference scenario would be."""
-        # slow CPUs keep the QPUs cheap for the redrawn jobs; 8 users contest 4 QPUs
-        episodes, users = 12, 8
-        base = craft_scenario(num_servers=4, quotas=(54,) * users, data_sizes=(1e3,) * users)
+        episodes, base = 12, self.contested_base()
         stats = evaluate(BaselinePolicy(kind), base, episodes, np.random.default_rng(5),
                          redraw_tasks=True)
         assert stats == self.reference_stats(kind, base, episodes, np.random.default_rng(5))
@@ -556,6 +588,50 @@ class TestEvaluate:
         twin = np.random.Generator(np.random.MT19937(0))
         assert stats == self.reference_stats(PolicyKind.RANDOM, base, 6, twin)
         assert stats.std_cost > 0.0
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_solver_equals_reference_loop(self, kind):
+        """Without redraws too, the one batch scores each episode as its own step would."""
+        base = self.contested_base()
+        stats = evaluate(BaselinePolicy(kind), base, 12, np.random.default_rng(5))
+        assert stats == self.reference_stats(kind, base, 12, np.random.default_rng(5),
+                                             redraw=False)
+        assert (stats.std_cost > 0.0) == (kind in (PolicyKind.RANDOM, PolicyKind.RANDOM_CLOUD))
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+    def test_learned_policy_equals_reference_loop(self, redraw):
+        base = self.contested_base()
+        cfg = TrainConfig(epochs=1, steps_per_epoch=16, batch_size=16, hidden_units=8)
+        policy = LearnedPolicy(train(base, cfg, seed=0).agents)
+        stats = evaluate(policy, base, 8, np.random.default_rng(5), redraw_tasks=redraw)
+        assert stats == self.reference_stats(policy, base, 8, np.random.default_rng(5),
+                                             redraw=redraw)
+        assert (stats.std_cost > 0.0) == redraw
+
+    class Mixed:
+        """Cycles through greedy's joint action, an ungranted full offload and random pairs."""
+
+        def __init__(self):
+            self.episode = -1
+
+        def act(self, env, rng):
+            self.episode += 1
+            if self.episode % 3 == 0:
+                return BaselinePolicy(PolicyKind.GREEDY).act(env, rng)
+            if self.episode % 3 == 1:
+                # arbitration would grant some of these users; as given, none runs on a QPU
+                servers = rng.integers(0, env.num_servers, size=env.num_users).tolist()
+                return JointAction(tuple(servers), (0.0,) * env.num_users, (0,) * env.num_users)
+            return BaselinePolicy(PolicyKind.RANDOM).act(env, rng)
+
+    @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+    def test_mixed_actions_equal_reference_loop(self, redraw):
+        """Joint actions keep their grants and raw rows are arbitrated, in one batch."""
+        base = self.contested_base()
+        stats = evaluate(self.Mixed(), base, 12, np.random.default_rng(5), redraw_tasks=redraw)
+        assert stats == self.reference_stats(self.Mixed(), base, 12, np.random.default_rng(5),
+                                             redraw=redraw)
+        assert 0.0 < stats.qpu_grant_rate < 1.0
 
     @pytest.mark.parametrize("kind", ["local", "random", "random_cloud"])
     def test_steps_build_no_joint_action(self, kind, monkeypatch):
@@ -593,6 +669,39 @@ class TestEvaluate:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(RuntimeError, match=f"policy {name}: episode 0 .*inf"):
                     evaluate(policy, scenario, episodes, np.random.default_rng(0))
+
+    def test_non_finite_cost_names_the_first_bad_episode(self):
+        class OffloadIn:
+            """All local, except full offload in the given episodes."""
+
+            def __init__(self, offloading):
+                self.offloading, self.episode = offloading, -1
+
+            def act(self, env, rng):
+                self.episode += 1
+                return [(0, 0.0 if self.episode in self.offloading else 1.0)] * env.num_users
+
+        # no link carries data in finite time, so an offloading episode costs inf
+        scenario = gen_scenario(3, 2, 0, bandwidth=1e-300)
+        assert math.isfinite(evaluate(OffloadIn(()), scenario, 5, np.random.default_rng(0)).mean_cost)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="policy OffloadIn: episode 2 .*inf"):
+                evaluate(OffloadIn({2, 4}), scenario, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("server", [2, -1, float("nan"), float("inf"), 0.5])
+    def test_bad_server_in_a_later_episode_raises(self, server):
+        class BadIn:
+            def __init__(self):
+                self.episode = -1
+
+            def act(self, env, rng):
+                self.episode += 1
+                return [(server if self.episode == 3 else 0, 0.5)] * env.num_users
+
+        for redraw in (False, True):
+            with pytest.raises(ValueError, match=f"user 0 picked unknown server {server}"):
+                evaluate(BadIn(), gen_scenario(2, 2, seed=0), 5, np.random.default_rng(0),
+                         redraw_tasks=redraw)
 
     def test_oracle_not_worse_than_greedy_in_mean(self):
         for seed in range(10):
