@@ -240,12 +240,15 @@ def gae(
     steps = len(rewards)
     if len(values) != steps + 1:
         raise ValueError("values must have one more entry than rewards")
-    advantages = np.empty(steps)
+    # Python floats: numpy's IEEE operations in its order, without per-step scalar boxing
+    reward_list, value_list = rewards.tolist(), values.tolist()
+    backward = []
     acc = 0.0
     for t in range(steps - 1, -1, -1):
-        delta = rewards[t] + discount * values[t + 1] - values[t]
+        delta = reward_list[t] + discount * value_list[t + 1] - value_list[t]
         acc = delta + discount * lam * acc
-        advantages[t] = acc
+        backward.append(acc)
+    advantages = np.array(backward[::-1])
     return advantages, advantages + values[:-1]
 
 

@@ -9,12 +9,13 @@ derived from ``(seed, entity kind, entity index, field tag)``, so adding
 users or servers never perturbs existing draws and a single field can be
 pinned (for sweeps) without disturbing anything else.
 
-A stream is ``default_rng(SeedSequence(seed, spawn_key=key))`` seeded
-from numpy's documented ``SeedSequence`` hash.  ``gen_scenario`` runs
-that hash once, vectorised over all of a scenario's keys, and hands each
-row of seed words to numpy's own ``PCG64``; the scheme and every drawn
-value are the same as building one ``SeedSequence`` per stream, and the
-tests check the words and generator states against numpy itself.
+A stream is ``default_rng(SeedSequence(seed, spawn_key=key))``.
+``gen_scenario`` builds none: it replays numpy's ``SeedSequence`` hash,
+``PCG64`` seeding and XSL-RR outputs in arrays over all of a scenario's
+streams at once, then reads doubles and bounded integers (Lemire's
+multiply-shift) from the outputs as ``Generator`` does.  The tests hold
+every word, output and draw to numpy itself, so a numpy change to its
+generators fails them rather than moving a scenario.
 
 Redrawn tasks come from one caller-owned generator of any kind instead:
 ``draw_tasks`` returns a fresh primitive exponent and data size per user as
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -73,15 +73,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-
-class _Words(np.random.bit_generator.ISeedSequence):
-    """Seed sequence that hands ``PCG64`` its precomputed four uint64 state words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+# numpy's PCG64: a 128-bit LCG with this multiplier and XSL-RR output
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(_MASK32)
 
 
 def _seed_words(seed) -> list[int]:
@@ -114,16 +108,14 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _field_rngs(seed: int, keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """``default_rng(SeedSequence(seed, spawn_key=k))`` for each row ``k`` of ``keys``.
+def _state_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=k).generate_state(4, np.uint64)`` of each row ``k``.
 
     ``keys`` is an ``[N, 3]`` table of ``(entity, index, tag)`` entries,
-    each below ``2**32``.  This is ``SeedSequence``'s entropy mix and
-    ``generate_state(4, np.uint64)`` in numpy's order.  The seed words are
+    each below ``2**32``; the result is ``[N, 4]`` uint64.  This is
+    ``SeedSequence``'s entropy mix in numpy's order.  The seed words are
     the same for every stream, so they are mixed once; each key word is
-    then mixed into ``[4, N]`` pool words at once.  numpy's ``PCG64``
-    seeds from each stream's row of state words; generators are built as
-    the iterator is read, so only the streams in use are held.
+    then mixed into ``[4, N]`` pool words at once.
     """
     words = _seed_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
@@ -152,8 +144,62 @@ def _field_rngs(seed: int, keys: np.ndarray) -> Iterator[np.random.Generator]:
     # generate_state(4, np.uint64): eight uint32 words cycled from the pool
     consts = np.array(_hash_consts(_INIT_B, _MULT_B, 9), dtype=np.uint32)[:, None]
     state = _hashmix(np.tile(pool, (2, 1)), consts[:-1], consts[1:])
-    state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
-    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in state)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _pcg64_raw(words: np.ndarray, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Output ``steps[i] >= 1`` of numpy's ``PCG64`` seeded from ``words[rows[i]]``.
+
+    A row is ``(initstate hi, lo, initseq hi, lo)``; ``PCG64`` seeds
+    ``inc = initseq << 1 | 1``, ``state = (inc + initstate) * M + inc`` and
+    steps ``state = state * M + inc`` before each XSL-RR output, so output
+    ``s`` reads ``initstate * M**(s+1) + inc * (1 + M + ... + M**(s+1))``
+    mod ``2**128``.  Both products run on stacked (hi, lo) uint64 arrays,
+    which wrap silently (numpy scalar products would warn).
+    """
+    jumps, power, total = [], _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(int(steps.max()) + 1):
+        jumps.append([power >> 64, total >> 64, power % 2**64, total % 2**64])
+        power = power * _PCG_MULT % 2**128
+        total = (total + power) % 2**128
+    bh, bl = np.array(jumps, dtype=np.uint64).T.reshape(2, 2, -1)[:, :, steps]
+    w = words[rows].T  # fancy indexing copies, so w is ours to write
+    w[2] = w[2] << 1 | w[3] >> 63
+    w[3] = w[3] << 1 | 1
+    ah, al = w[0::2], w[1::2]  # (initstate, inc)
+    a1, a0, b1, b0 = al >> 32, al & _LOW32, bl >> 32, bl & _LOW32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = (t & _LOW32) + a0 * b1
+    hi = a1 * b1 + (t >> 32) + (u >> 32) + ah * bl + al * bh
+    lo = al * bl
+    lo_sum = lo[0] + lo[1]
+    hi = hi[0] + hi[1] + (lo_sum < lo[0])
+    x, rot = hi ^ lo_sum, hi >> 58  # XSL-RR
+    return x >> rot | x << (-rot & 63)
+
+
+def _uniform_raw(raw: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """``Generator.uniform(*bounds)`` of each output: ``random()`` is its top 53 bits."""
+    lo, hi = bounds
+    return lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
+
+
+def _integers(seed: int, keys: np.ndarray, raw: np.ndarray, low, high) -> np.ndarray:
+    """``integers(low, high + 1)`` of the fresh streams ``keys`` of ``seed``,
+    from their first outputs ``raw``.
+
+    numpy's Lemire multiply-shift over ``n = high - low + 1 < 2**32``
+    values is ``low + (low32(raw) * n >> 32)``, rejected when
+    ``low32(raw) * n mod 2**32 < 2**32 mod n`` (one in 2.4 million over
+    ``PHYSICAL_QUBIT_RANGE``); numpy's own generator redraws those streams.
+    """
+    n = high - low + 1
+    m = (raw & _LOW32).astype(np.int64) * n
+    values = low + (m >> 32)
+    for i in np.flatnonzero((m & _MASK32) < (1 << 32) % n).tolist():
+        stream = np.random.SeedSequence(seed, spawn_key=keys[i].tolist())
+        values[i] = np.random.Generator(np.random.PCG64(stream)).integers(low[i], high[i] + 1)
+    return values
 
 
 @dataclass(frozen=True)
@@ -243,11 +289,6 @@ def _uniform(rng: np.random.Generator, bounds: tuple[float, float], size=None):
     return lo + (hi - lo) * rng.random(size)
 
 
-def _choice(rng: np.random.Generator, choices: tuple):
-    """``rng.choice(choices)``: the same value and generator state, cheaper."""
-    return choices[rng.integers(len(choices))]
-
-
 def _cycles_per_byte(params: RayTracingParams) -> float:
     return float(params.rays_per_primitive * 2**params.primitive_exponent)
 
@@ -264,10 +305,6 @@ def _task_shape(primitive_exponent: int) -> tuple[float, int, int]:
 # is ``(cycles_per_byte, logical_qubits, logical_depth)`` over ``2**pb``
 # primitives, as float64 (every entry is an exact integer).
 TASK_SHAPES = np.array([_task_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[1] + 1)])
-
-
-def _pin(pins: dict | None, name: str):
-    return None if pins is None else pins.get(name)
 
 
 def gen_scenario(
@@ -295,78 +332,77 @@ def gen_scenario(
         unknown = set(pins) - set(PIN_FIELDS)
         if unknown:
             raise ValueError(f"unknown pinned fields: {sorted(unknown)}")
+    pins = {name: value for name, value in (pins or {}).items() if value is not None}
+    edge_cpu, sub_phys = pins.get("edge_cpu"), pins.get("physical_qubits")
+    weight_latency = float(pins.get("weight_latency", DEFAULT_WEIGHT_LATENCY))
 
-    # one stream per (user, field) in user_tags, then one per server
-    user_tags = [_F_PRIM, _F_TASK, _F_GAIN, _F_CPU_LOCAL, _F_TX, _F_SUB_LEVEL]
-    if _pin(pins, "edge_cpu") is None:
-        user_tags.append(_F_CPU_EDGE)
-    if _pin(pins, "physical_qubits") is None:
-        user_tags.append(_F_SUB_PHYS)
-    per_user = len(user_tags)
-    n_user = num_users * per_user
+    # (tag, low, high) of each user's bounded draws, then the servers' level;
+    # a choice draws its index
+    bounded = [
+        (_F_PRIM, *PRIMITIVE_EXPONENTS),
+        (_F_CPU_LOCAL, 0, len(LOCAL_CPU_CHOICES) - 1),
+        (_F_SUB_LEVEL, CONCAT_LEVELS[0], CONCAT_LEVELS[-1]),
+    ]
+    if edge_cpu is None:
+        bounded.append((_F_CPU_EDGE, 0, len(EDGE_CPU_CHOICES) - 1))
+    if sub_phys is None:
+        bounded.append((_F_SUB_PHYS, *PHYSICAL_QUBIT_RANGE))
+    tags, low, high = zip(*bounded, (_F_LEVEL, CONCAT_LEVELS[0], CONCAT_LEVELS[-1]))
+    tags = (_F_GAIN, _F_TASK, _F_TX, *tags[:-1])
+
+    # one stream per (field, user), field by field, then one per server
+    n_user = num_users * len(tags)
     keys = np.empty((n_user + num_servers, 3), dtype=np.int64)
     keys[:n_user, 0] = _USER
-    keys[:n_user, 1] = np.repeat(np.arange(num_users), per_user)
-    keys[:n_user, 2] = np.tile(user_tags, num_users)
-    keys[n_user:, 0] = _SERVER
+    keys[:n_user, 1] = np.arange(n_user) % num_users
+    keys[:n_user, 2] = np.repeat(tags, num_users)
+    keys[n_user:] = _SERVER, 0, _F_LEVEL
     keys[n_user:, 1] = np.arange(num_servers)
-    keys[n_user:, 2] = _F_LEVEL
-    streams = _field_rngs(seed, keys)
+
+    # num_servers outputs of each gain stream, then the first of every other
+    n_gain, n_float = num_users * num_servers, (num_servers + 2) * num_users
+    gain_rows, gain_steps = np.divmod(np.arange(n_gain), num_servers)
+    rows = np.concatenate([gain_rows, np.arange(num_users, len(keys))])
+    steps = np.concatenate([gain_steps + 1, np.ones(len(keys) - num_users, dtype=np.int64)])
+    raw = _pcg64_raw(_state_words(seed, keys), rows, steps)
+
+    gains = _uniform_raw(raw[:n_gain], CHANNEL_GAIN_RANGE).reshape(num_users, num_servers)
+    sizes = _uniform_raw(raw[n_gain:n_gain + num_users], DATA_SIZE_RANGE).tolist()
+    tx_powers = _uniform_raw(raw[n_gain + num_users:n_float], TX_POWER_RANGE).tolist()
+    low, high = np.repeat([low, high], [num_users] * (len(low) - 1) + [num_servers], axis=1)
+    ints = _integers(seed, keys[3 * num_users:], raw[n_float:], low, high)
+    columns = dict(zip(tags[3:], ints[:-num_servers].reshape(-1, num_users).tolist()))
+    edge_cpus = ([edge_cpu] * num_users if edge_cpu is not None
+                 else [EDGE_CPU_CHOICES[i] for i in columns[_F_CPU_EDGE]])
 
     users = []
-    for _ in range(num_users):
-        # zip stops at the end of user_tags before reading another stream
-        rng = dict(zip(user_tags, streams))
-        prim = int(
-            rng[_F_PRIM].integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1)
-        )
-        gains = tuple(_uniform(rng[_F_GAIN], CHANNEL_GAIN_RANGE, num_servers).tolist())
-        edge_cpu = _pin(pins, "edge_cpu")
-        if edge_cpu is None:
-            edge_cpu = _choice(rng[_F_CPU_EDGE], EDGE_CPU_CHOICES)
-        sub_phys = _pin(pins, "physical_qubits")
-        if sub_phys is None:
-            sub_phys = int(
-                rng[_F_SUB_PHYS].integers(
-                    PHYSICAL_QUBIT_RANGE[0], PHYSICAL_QUBIT_RANGE[1] + 1
-                )
-            )
-        sub_level = int(
-            rng[_F_SUB_LEVEL].integers(CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1)
-        )
-        weight_latency = _pin(pins, "weight_latency")
-        if weight_latency is None:
-            weight_latency = DEFAULT_WEIGHT_LATENCY
-
-        profile = UserProfile(
-            f_local=_choice(rng[_F_CPU_LOCAL], LOCAL_CPU_CHOICES),
-            tx_power=_uniform(rng[_F_TX], TX_POWER_RANGE),
-            weight_latency=float(weight_latency),
-            weight_energy=1.0 - float(weight_latency),
-            channel_gains=gains,
-            edge_cpu=float(edge_cpu),
-            logical_qubit_quota=int(sub_phys) // 91**sub_level,
-        )
-        size = _uniform(rng[_F_TASK], DATA_SIZE_RANGE)
-        cycles_per_byte, width, depth = TASK_SHAPES[prim].tolist()
+    for (gain_row, size, tx_power, (cycles_per_byte, width, depth),
+         local_cpu, sub_level, edge, phys) in zip(
+        gains.tolist(), sizes, tx_powers, TASK_SHAPES[columns[_F_PRIM]].tolist(),
+        columns[_F_CPU_LOCAL], columns[_F_SUB_LEVEL], edge_cpus,
+        columns.get(_F_SUB_PHYS, [sub_phys] * num_users),
+    ):
         users.append(ScenarioUser(
-            profile=profile,
+            profile=UserProfile(
+                f_local=LOCAL_CPU_CHOICES[local_cpu],
+                tx_power=tx_power,
+                weight_latency=weight_latency,
+                weight_energy=1.0 - weight_latency,
+                channel_gains=tuple(gain_row),
+                edge_cpu=float(edge),
+                logical_qubit_quota=int(phys) // 91**sub_level,
+            ),
             task=TaskSpec(data_size=size, cycles_per_byte=cycles_per_byte),
             quantum_task=QuantumTaskSpec(
                 data_size=size, logical_qubits=int(width), logical_depth=int(depth)
             ),
         ))
-
     servers = tuple(
-        ServerProfile(
-            noise_power=noise_power,
-            bandwidth=bandwidth,
-            concat_level=int(rng.integers(CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1)),
-        )
-        for rng in streams
+        ServerProfile(noise_power=noise_power, bandwidth=bandwidth, concat_level=level)
+        for level in ints[-num_servers:].tolist()
     )
 
-    decoherence = _pin(pins, "decoherence_time")
+    decoherence = pins.get("decoherence_time")
     tech = qubit_tech if qubit_tech is not None else QubitTech()
     if decoherence is not None:
         tech = replace(tech, decoherence_time=float(decoherence))

@@ -44,7 +44,31 @@ def discounted_advantage_oracle(rewards, values, discount, lam):
     return out
 
 
+def reference_gae(rewards, values, discount, lam):
+    """GAE's backward loop on numpy scalars, writing each step into an array."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    advantages = np.empty(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        delta = rewards[t] + discount * values[t + 1] - values[t]
+        acc = delta + discount * lam * acc
+        advantages[t] = acc
+    return advantages, advantages + values[:-1]
+
+
 class TestGae:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 500])
+    def test_bitwise_equal_to_reference_loop(self, steps):
+        rng = np.random.default_rng(steps)
+        for lam in (0.0, 0.5, 0.95, 1.0):
+            rewards = rng.normal(scale=1e3, size=steps)
+            values = rng.normal(size=steps + 1)
+            ours = gae(rewards, values, 0.99, lam)
+            for got, want in zip(ours, reference_gae(rewards, values, 0.99, lam)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_lambda_zero_is_td_error(self):
         rewards = np.array([1.0, 2.0, -1.0])
         values = np.array([0.5, 0.2, 0.1, 0.4])

@@ -7,23 +7,42 @@ import math
 import numpy as np
 import pytest
 
-from meqc.costs import TaskSpec
+from meqc.costs import ServerProfile, TaskSpec, UserProfile
+from meqc.device import CryostatConfig, QubitTech
 from meqc.env import MeqcEnv
 from meqc.workload import (
     CHANNEL_GAIN_RANGE,
+    CONCAT_LEVELS,
     DATA_SIZE_RANGE,
+    DEFAULT_BANDWIDTH,
+    DEFAULT_NOISE_POWER,
+    DEFAULT_WEIGHT_LATENCY,
     EDGE_CPU_CHOICES,
     LOCAL_CPU_CHOICES,
     PHYSICAL_QUBIT_RANGE,
     PRIMITIVE_EXPONENTS,
     TASK_SHAPES,
     RayTracingParams,
+    Scenario,
     ScenarioUser,
     TX_POWER_RANGE,
-    _choice,
+    _F_CPU_EDGE,
+    _F_CPU_LOCAL,
+    _F_GAIN,
+    _F_LEVEL,
+    _F_PRIM,
+    _F_SUB_LEVEL,
+    _F_SUB_PHYS,
+    _F_TASK,
+    _F_TX,
+    _SERVER,
+    _USER,
     _cycles_per_byte,
-    _field_rngs,
+    _integers,
+    _pcg64_raw,
+    _state_words,
     _uniform,
+    _uniform_raw,
     compile_quantum,
     draw_tasks,
     gen_scenario,
@@ -111,16 +130,82 @@ def stream_keys() -> np.ndarray:
     return np.concatenate([np.array(grid), random])
 
 
+def replayed_outputs(seed, keys, count):
+    """``[N, count]`` first outputs of each key's stream, from the array replay."""
+    n = len(keys)
+    rows = np.repeat(np.arange(n), count)
+    steps = np.tile(np.arange(1, count + 1), n)
+    return _pcg64_raw(_state_words(seed, keys), rows, steps).reshape(n, count)
+
+
+# every bounded range gen_scenario draws: a choice draws its index
+BOUNDED_RANGES = (
+    PRIMITIVE_EXPONENTS,
+    (0, len(LOCAL_CPU_CHOICES) - 1),
+    (CONCAT_LEVELS[0], CONCAT_LEVELS[-1]),
+    PHYSICAL_QUBIT_RANGE,
+)
+
+
 class TestFieldStreams:
+    """The array replay of ``SeedSequence`` and ``PCG64`` is numpy's, draw for draw."""
+
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_words_and_states_match_numpy(self, seed):
         keys = stream_keys()
-        rngs = list(_field_rngs(seed, keys))
-        assert len(rngs) == len(keys)
-        for key, rng in zip(keys.tolist(), rngs):
-            words = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
-            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), words)
-            assert rng.bit_generator.state == field_rng(seed, *key).bit_generator.state
+        words = _state_words(seed, keys)
+        assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+        for key, row in zip(keys.tolist(), words):
+            want = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_outputs_and_draws_match_numpy(self, seed):
+        keys = stream_keys()
+        raw = replayed_outputs(seed, keys, 5)
+        unit = _uniform_raw(raw, (0.0, 1.0))
+        gains = _uniform_raw(raw, CHANNEL_GAIN_RANGE)
+        draws = [
+            _integers(seed, keys, raw[:, 0], np.full(len(keys), low), np.full(len(keys), high))
+            for low, high in BOUNDED_RANGES
+        ]
+        for i, key in enumerate(keys.tolist()):
+            assert np.array_equal(field_rng(seed, *key).bit_generator.random_raw(5), raw[i])
+            assert field_rng(seed, *key).random(5).tobytes() == unit[i].tobytes()
+            want = field_rng(seed, *key).uniform(*CHANNEL_GAIN_RANGE, 5)
+            assert want.tobytes() == gains[i].tobytes()
+            for (low, high), drawn in zip(BOUNDED_RANGES, draws):
+                assert drawn[i] == field_rng(seed, *key).integers(low, high + 1)
+
+    def test_jumps_past_one_step(self):
+        """Outputs far along a stream, as many servers draw from each gain stream."""
+        keys = stream_keys()[::40]
+        raw = replayed_outputs(7, keys, 300)
+        for key, row in zip(keys.tolist(), raw):
+            assert np.array_equal(field_rng(7, *key).bit_generator.random_raw(300), row)
+
+    def test_rejected_draws_match_numpy(self, monkeypatch):
+        """numpy rejects these two first draws over ``PHYSICAL_QUBIT_RANGE``
+        and retries; only they build a generator."""
+        keys = np.array([(_USER, 921540, _F_SUB_PHYS), (_USER, 1995455, _F_SUB_PHYS)])
+        raw = replayed_outputs(0, keys, 1)[:, 0]
+        n = PHYSICAL_QUBIT_RANGE[1] - PHYSICAL_QUBIT_RANGE[0] + 1
+        low_words = (raw & 0xFFFFFFFF).astype(np.int64)
+        assert ((low_words * n) % 2**32 < 2**32 % n).all()
+        assert (PHYSICAL_QUBIT_RANGE[0] + (low_words * n >> 32)).tolist() == [1989, 3826]
+
+        built = count_pcg64(monkeypatch)
+        drawn = _integers(0, keys, raw, *(np.full(2, b) for b in PHYSICAL_QUBIT_RANGE))
+        assert len(built) == 2
+        want = [field_rng(0, *key).integers(PHYSICAL_QUBIT_RANGE[0], PHYSICAL_QUBIT_RANGE[1] + 1)
+                for key in keys.tolist()]
+        assert drawn.tolist() == want == [4638, 2603]
+
+    @pytest.mark.parametrize("shape", [(100, 20), (10, 10)])
+    def test_gen_scenario_builds_no_generator(self, monkeypatch, shape):
+        built = count_pcg64(monkeypatch)
+        gen_scenario(*shape, seed=0)
+        assert built == []
 
     def test_bad_seeds_fail_like_numpy(self):
         with pytest.raises(ValueError):
@@ -130,6 +215,109 @@ class TestFieldStreams:
 
     def test_numpy_integer_seed_gives_same_scenario(self):
         assert gen_scenario(4, 3, seed=np.int64(7)) == gen_scenario(4, 3, seed=7)
+
+
+def count_pcg64(monkeypatch) -> list:
+    """Record every ``np.random.PCG64`` built from here on."""
+    built, real = [], np.random.PCG64
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    return built
+
+
+def reference_gen_scenario(num_users, num_servers, seed, pins=None):
+    """The per-stream loop: one ``default_rng(SeedSequence(seed, spawn_key=key))``
+    per (entity, index, field), drawn with numpy's own calls."""
+    pins = pins or {}
+    weight_latency = float(pins.get("weight_latency", DEFAULT_WEIGHT_LATENCY))
+    users = []
+    for u in range(num_users):
+        def rng(tag):
+            return field_rng(seed, _USER, u, tag)
+
+        prim = int(rng(_F_PRIM).integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1))
+        gains = tuple(rng(_F_GAIN).uniform(*CHANNEL_GAIN_RANGE, num_servers).tolist())
+        edge_cpu = pins.get("edge_cpu")
+        if edge_cpu is None:
+            edge_cpu = rng(_F_CPU_EDGE).choice(EDGE_CPU_CHOICES)
+        sub_phys = pins.get("physical_qubits")
+        if sub_phys is None:
+            sub_phys = int(rng(_F_SUB_PHYS).integers(
+                PHYSICAL_QUBIT_RANGE[0], PHYSICAL_QUBIT_RANGE[1] + 1))
+        sub_level = int(rng(_F_SUB_LEVEL).integers(CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1))
+        profile = UserProfile(
+            f_local=float(rng(_F_CPU_LOCAL).choice(LOCAL_CPU_CHOICES)),
+            tx_power=rng(_F_TX).uniform(*TX_POWER_RANGE),
+            weight_latency=weight_latency,
+            weight_energy=1.0 - weight_latency,
+            channel_gains=gains,
+            edge_cpu=float(edge_cpu),
+            logical_qubit_quota=sub_phys // 91**sub_level,
+        )
+        params = RayTracingParams(primitive_exponent=prim)
+        task = TaskSpec(data_size=rng(_F_TASK).uniform(*DATA_SIZE_RANGE),
+                        cycles_per_byte=_cycles_per_byte(params))
+        users.append(ScenarioUser(profile=profile, task=task,
+                                  quantum_task=compile_quantum(params, task)))
+    servers = tuple(
+        ServerProfile(
+            noise_power=DEFAULT_NOISE_POWER,
+            bandwidth=DEFAULT_BANDWIDTH,
+            concat_level=int(field_rng(seed, _SERVER, e, _F_LEVEL).integers(
+                CONCAT_LEVELS[0], CONCAT_LEVELS[-1] + 1)),
+        )
+        for e in range(num_servers)
+    )
+    tech = QubitTech()
+    if "decoherence_time" in pins:
+        tech = dataclasses.replace(tech, decoherence_time=float(pins["decoherence_time"]))
+    return Scenario(users=tuple(users), servers=servers, cryostat=CryostatConfig(),
+                    qubit_tech=tech, rng_seed=seed)
+
+
+REFERENCE_PINS = (
+    None,
+    {"edge_cpu": 12.5e9},
+    {"physical_qubits": 4000, "weight_latency": 0.3},
+    {"decoherence_time": 5e-3},
+)
+
+
+def assert_equals_reference(num_users, num_servers, seed, pins):
+    ours = gen_scenario(num_users, num_servers, seed, pins=pins)
+    theirs = reference_gen_scenario(num_users, num_servers, seed, pins)
+    assert ours == theirs
+    assert repr(ours) == repr(theirs)  # the same types, not only equal values
+
+
+class TestEqualsReferenceLoop:
+    @pytest.mark.parametrize(
+        "pins", REFERENCE_PINS, ids=["none", "edge", "phys_weight", "decoherence"]
+    )
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (7, 4), (10, 10), (100, 20)])
+    def test_stream_seeds(self, shape, pins):
+        for seed in STREAM_SEEDS:
+            assert_equals_reference(*shape, seed, pins)
+
+    def test_random_seeds_and_shapes(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**130),
+            num_users=st.integers(1, 20),
+            num_servers=st.integers(1, 20),
+            pins=st.sampled_from(REFERENCE_PINS),
+        )
+        def check(seed, num_users, num_servers, pins):
+            assert_equals_reference(num_users, num_servers, seed, pins)
+
+        check()
 
 
 class TestGenScenario:
@@ -339,10 +527,14 @@ class TestDrawsMatchNumpy:
 
     @pytest.mark.parametrize("choices", [LOCAL_CPU_CHOICES, EDGE_CPU_CHOICES])
     def test_choice(self, choices):
+        """A choice is read as the chosen index: ``choices[integers(0, len)]``."""
+        keys = np.array([(_USER, u, _F_CPU_LOCAL) for u in range(3)])
+        last = np.full(len(keys), len(choices) - 1)
         for seed in self.SEEDS:
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _choice(ours, choices) == theirs.choice(choices)
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            raw = replayed_outputs(seed, keys, 1)[:, 0]
+            drawn = _integers(seed, keys, raw, np.zeros_like(last), last).tolist()
+            ours = [choices[i] for i in drawn]
+            assert ours == [field_rng(seed, *key).choice(choices) for key in keys.tolist()]
 
 
 class TestSerialization:
