@@ -167,6 +167,25 @@ def _number(key, value, lines, kind=float):
     return value if kind is int and isinstance(value, int) else kind(number)
 
 
+def _section(doc: dict, name: str, known, lines) -> dict:
+    """The ``name`` mapping of ``doc`` with only ``known`` keys; absent or YAML null is empty."""
+    section = doc.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        _fail(name, lines, "must be a mapping")
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        _fail(f"{name}.{unknown[0]}", lines, "unknown key")
+    return section
+
+
+def _path(key, value, lines) -> str:
+    if value is None or str(value) == "":
+        _fail(key, lines, f"must be a non-empty path, got {value!r}")
+    return str(value)
+
+
 def _positive(key, value, lines, kind=float):
     value = _number(key, value, lines, kind)
     if value <= 0:
@@ -197,13 +216,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
 
-    scenario = doc.get("scenario") or {}
-    if not isinstance(scenario, dict):
-        _fail("scenario", lines, "must be a mapping")
-    for key, value in scenario.items():
+    for key, value in _section(doc, "scenario", _SCENARIO_KEYS, lines).items():
         path = f"scenario.{key}"
-        if key not in _SCENARIO_KEYS:
-            _fail(path, lines, "unknown key")
         if key == "weight_latency":
             value = _number(path, value, lines)
             if not 0.0 <= value <= 1.0:
@@ -212,15 +226,10 @@ def parse_config(text: str) -> ExperimentConfig:
             value = _positive(path, value, lines, _SCENARIO_KEYS[key])
         cfg = replace(cfg, **{key: value})
 
-    device = doc.get("device") or {}
-    if not isinstance(device, dict):
-        _fail("device", lines, "must be a mapping")
     cryostat_kwargs = {}
     tech_kwargs = {}
-    for key, value in device.items():
+    for key, value in _section(doc, "device", _DEVICE_KEYS, lines).items():
         path = f"device.{key}"
-        if key not in _DEVICE_KEYS:
-            _fail(path, lines, "unknown key")
         section, field_name = _DEVICE_KEYS[key]
         kind = int if key == "num_stages" else float
         value = _positive(path, value, lines, kind)
@@ -233,13 +242,8 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         _fail("device", lines, str(exc))
 
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            _fail("sweep", lines, "must be a mapping")
-        unknown = [key for key in sweep if key not in ("parameter", "values")]
-        if unknown:
-            _fail(f"sweep.{unknown[0]}", lines, "unknown key")
+    if doc.get("sweep") is not None:
+        sweep = _section(doc, "sweep", ("parameter", "values"), lines)
         parameter = sweep.get("parameter")
         if parameter not in PIN_FIELDS:
             _fail("sweep.parameter", lines, f"must be one of {PIN_FIELDS}")
@@ -275,16 +279,11 @@ def parse_config(text: str) -> ExperimentConfig:
             _fail("seeds", lines, "entries must be >= 0")
         cfg = replace(cfg, seeds=seeds)
     if "output" in doc:
-        cfg = replace(cfg, output=str(doc["output"]))
-    if "checkpoint" in doc:
-        cfg = replace(cfg, checkpoint=str(doc["checkpoint"]))
+        cfg = replace(cfg, output=_path("output", doc["output"], lines))
+    if doc.get("checkpoint") is not None:
+        cfg = replace(cfg, checkpoint=_path("checkpoint", doc["checkpoint"], lines))
 
-    train = doc.get("train") or {}
-    if not isinstance(train, dict):
-        _fail("train", lines, "must be a mapping")
-    unknown = [key for key in train if key not in _TRAIN_KINDS]
-    if unknown:
-        _fail(f"train.{unknown[0]}", lines, "unknown key")
+    train = _section(doc, "train", _TRAIN_KINDS, lines)
     for key, value in train.items():
         kind = _TRAIN_KINDS[key]
         if kind in (int, float):

@@ -39,8 +39,12 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         cfg = parse_config(path.read_text(encoding="utf-8"))
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         cfg = replace(cfg, seeds=(args.seed,))
     if getattr(args, "out", None) is not None:
+        if not args.out:
+            raise ConfigError("--out: must be a non-empty path")
         cfg = replace(cfg, output=args.out)
     return cfg
 

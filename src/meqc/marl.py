@@ -6,9 +6,11 @@ local ratio, each with its own value network.  Rollouts come from the
 shared environment (team reward), advantages from generalized advantage
 estimation against each head's critic, and updates from the clipped
 surrogate objective.  An agent's observation is fixed within a training
-epoch, so its networks run once per epoch in the rollout, the whole
-epoch's actions come from one batched draw, and each update runs every
-network forward and backward on that one observation row, fed the
+epoch, so its networks run once per epoch in the rollout and the epoch
+is one table of ``[T, U]`` columns: one batched draw of every agent's
+actions, and one ``gae`` pass over all 2U heads (each critic's baseline
+is constant).  Each update indexes every column once, and runs every
+network forward and backward on its agent's one observation row, fed the
 per-sample gradients summed over the minibatch.  All numerics run on the
 hand-rolled ``nn.Mlp``; every optimizer of a run writes its gradients and
 step scratch into one shared buffer array.
@@ -31,6 +33,9 @@ CHECKPOINT_SCHEMA_VERSION = 1
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _NET_NAMES = ("pi_server", "v_server", "pi_ratio", "v_ratio")
+# one learning-curve row per epoch: its mean per-step cost, then the
+# epoch means of the ``UpdateStats`` fields named after it
+CURVE_COLUMNS = ("epoch", "mean_cost", "policy_loss", "value_loss", "entropy")
 
 
 class TrainingError(RuntimeError):
@@ -229,26 +234,31 @@ def _logsumexp(x):
 def gae(
     rewards: np.ndarray, values: np.ndarray, discount: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation.
+    """Generalized advantage estimation over one or more heads sharing ``rewards``.
 
-    ``values`` must hold one entry per step plus the bootstrap value of
-    the state after the last step.  Returns (advantages, returns) where
-    returns are advantages plus the value baseline.
+    ``values`` is ``[T+1]`` or ``[T+1, ...]``: one entry per step plus the
+    bootstrap value of the state after the last step, each trailing
+    column one head's baseline.  Returns (advantages, returns) shaped like
+    ``values[:-1]``, where returns are advantages plus the baseline.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     steps = len(rewards)
     if len(values) != steps + 1:
         raise ValueError("values must have one more entry than rewards")
+    step_rewards = rewards.reshape((steps,) + (1,) * (values.ndim - 1))
+    deltas = step_rewards + discount * values[1:] - values[:-1]
     # Python floats: numpy's IEEE operations in its order, without per-step scalar boxing
-    reward_list, value_list = rewards.tolist(), values.tolist()
-    backward = []
-    acc = 0.0
-    for t in range(steps - 1, -1, -1):
-        delta = reward_list[t] + discount * value_list[t + 1] - value_list[t]
-        acc = delta + discount * lam * acc
-        backward.append(acc)
-    advantages = np.array(backward[::-1])
+    decay = discount * lam
+    per_head = []
+    for column in deltas.reshape(steps, values[0].size).T.tolist():
+        backward = []
+        acc = 0.0
+        for delta in reversed(column):
+            acc = delta + decay * acc
+            backward.append(acc)
+        per_head.append(backward[::-1])
+    advantages = np.array(per_head).T.reshape(deltas.shape)
     return advantages, advantages + values[:-1]
 
 
@@ -348,23 +358,6 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     return stats
 
 
-def _rollout_columns(
-    heads: PolicyHeads, actions: dict[str, np.ndarray], rewards: np.ndarray, cfg: TrainConfig
-) -> dict[str, np.ndarray]:
-    """One agent's epoch as PPO batch columns indexed by step (all but ``obs``).
-
-    The observation, hence each critic's value, is the same at every step
-    and after the last, so each GAE baseline is a constant vector.
-    """
-    cols = dict(actions)
-    for head, value in zip(("server", "ratio"), heads.values):
-        baseline = np.full(len(rewards) + 1, value)
-        cols[f"adv_{head}"], cols[f"ret_{head}"] = gae(
-            rewards, baseline, cfg.discount, cfg.gae_lambda
-        )
-    return cols
-
-
 def _update_buffers(agent: HybridAgent) -> np.ndarray:
     """Gradient row and optimizer scratch pair sized to ``agent``'s largest network.
 
@@ -441,10 +434,13 @@ def train(
         heads = [agent.heads(o) for agent, o in zip(agents, obs)]
         actions = draw_actions(heads, cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
-        rollouts = [
-            _rollout_columns(h, {key: col[:, u] for key, col in actions.items()}, rewards, cfg)
-            for u, h in enumerate(heads)
-        ]
+        # each critic's value is the same at every step and after the last
+        values = np.array([h.values for h in heads]).T  # [2, U]: (server, ratio) x agent
+        baselines = np.broadcast_to(values, (cfg.steps_per_epoch + 1, *values.shape))
+        advantages, returns = gae(rewards, baselines, cfg.discount, cfg.gae_lambda)
+        rollout = dict(actions)
+        for i, head in enumerate(("server", "ratio")):
+            rollout[f"adv_{head}"], rollout[f"ret_{head}"] = advantages[:, i], returns[:, i]
 
         stats: list[UpdateStats] = []
         try:
@@ -454,10 +450,11 @@ def train(
                     size=min(cfg.batch_size, cfg.steps_per_epoch),
                     replace=False,
                 )
-                for agent, opts, o, cols in zip(agents, optimizers, obs, rollouts):
-                    batch = {key: col[idx] for key, col in cols.items()}
-                    batch["obs"] = o
-                    stats.append(ppo_update(agent, opts, batch, cfg))
+                batch = {key: col[idx] for key, col in rollout.items()}
+                for u, (agent, opts, o) in enumerate(zip(agents, optimizers, obs)):
+                    agent_batch = {key: col[:, u] for key, col in batch.items()}
+                    agent_batch["obs"] = o
+                    stats.append(ppo_update(agent, opts, agent_batch, cfg))
             bad = [u for u, agent in enumerate(agents) if not agent.params_finite()]
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
@@ -470,15 +467,8 @@ def train(
         if last_good is not None:
             last_good = [agent.flat_params() for agent in agents]
 
-        result.curve.append(
-            {
-                "epoch": epoch,
-                "mean_cost": float(-rewards.mean()),
-                "policy_loss": float(np.mean([s.policy_loss for s in stats])),
-                "value_loss": float(np.mean([s.value_loss for s in stats])),
-                "entropy": float(np.mean([s.entropy for s in stats])),
-            }
-        )
+        means = [float(np.mean([getattr(s, name) for s in stats])) for name in CURVE_COLUMNS[2:]]
+        result.curve.append(dict(zip(CURVE_COLUMNS, [epoch, float(-rewards.mean()), *means])))
 
     if curve_path is not None:
         write_learning_curve(curve_path, result.curve)
@@ -490,17 +480,9 @@ def train(
 def write_learning_curve(path: str | Path, curve: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "mean_cost", "policy_loss", "value_loss", "entropy"])
+        writer.writerow(CURVE_COLUMNS)
         for row in curve:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(row["mean_cost"]),
-                    repr(row["policy_loss"]),
-                    repr(row["value_loss"]),
-                    repr(row["entropy"]),
-                ]
-            )
+            writer.writerow([repr(row[name]) for name in CURVE_COLUMNS])
 
 
 def save_checkpoint(path: str | Path, agents: list[HybridAgent]) -> None:

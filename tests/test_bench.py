@@ -158,6 +158,50 @@ class TestParseConfig:
         assert main(["eval", "--config", str(config)]) == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("episodes: 1\nscenario: []\n", "scenario (line 2): must be a mapping"),
+            ("episodes: 1\nscenario: 0\n", "scenario (line 2): must be a mapping"),
+            ("device: false\n", "device (line 1): must be a mapping"),
+            ("train: ''\n", "train (line 1): must be a mapping"),
+            ("train: []\n", "train (line 1): must be a mapping"),
+            ("sweep: []\n", "sweep (line 1): must be a mapping"),
+            ("sweep: {}\n", "sweep.parameter"),
+            ("device: {bananas: 1, decoherence_time: 1.0e-3}\n",
+             "device.bananas (line 1): unknown key"),
+        ],
+        ids=["scenario_list", "scenario_0", "device_false", "train_empty_string",
+             "train_list", "sweep_list", "sweep_empty_mapping", "device_unknown"],
+    )
+    def test_section_must_be_a_mapping(self, text, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+
+    def test_null_sections_are_empty(self):
+        cfg = parse_config("scenario:\ndevice:\nsweep:\ntrain:\ncheckpoint:\n")
+        assert cfg == parse_config("")
+        assert cfg.checkpoint is None
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("episodes: 1\noutput:\n", "output (line 2): must be a non-empty path"),
+            ("output: ''\n", "output (line 1): must be a non-empty path"),
+            ("episodes: 1\ncheckpoint: ''\n", "checkpoint (line 2): must be a non-empty path"),
+        ],
+        ids=["output_null", "output_empty", "checkpoint_empty"],
+    )
+    def test_paths_must_be_non_empty(self, text, where, tmp_path, monkeypatch, capsys):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.yaml").write_text(text)
+        for verb in ("eval", "train"):
+            assert main([verb, "--config", "cfg.yaml"]) == 2
+            assert where in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_integral_float_accepted_as_int(self):
         cfg = parse_config("scenario: {users: 3.0}\ntrain: {epochs: 2.0}\n")
         assert cfg.users == 3 and isinstance(cfg.users, int)
@@ -422,6 +466,27 @@ class TestCli:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert (tmp_path / "agents.npz").exists()
         assert out.read_text().startswith("epoch,")
+
+    def test_train_with_null_checkpoint_writes_only_the_curve(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.yaml").write_text(
+            "scenario: {users: 1, servers: 1}\ncheckpoint:\n"
+            "train: {epochs: 1, steps_per_epoch: 8, updates_per_epoch: 1, "
+            "batch_size: 8, hidden_units: 8}\n"
+        )
+        assert main(["train", "--config", "cfg.yaml", "--out", "curve.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "curve.csv"]
+
+    @pytest.mark.parametrize("verb", ["gen", "eval", "train", "sweep"])
+    def test_negative_seed_override_is_config_error(self, verb, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, "--seed", "-1", "--out", "out.csv"]) == 2
+        assert "config error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_override_is_config_error(self, capsys):
+        assert main(["eval", "--out", ""]) == 2
+        assert "config error: --out: must be a non-empty path" in capsys.readouterr().err
 
     def test_train_then_eval_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

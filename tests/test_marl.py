@@ -106,6 +106,23 @@ class TestGae:
         with pytest.raises(ValueError):
             gae(np.zeros(3), np.zeros(3), 0.9, 0.5)
 
+    @pytest.mark.parametrize("steps", [0, 1, 32, 500])
+    @pytest.mark.parametrize("heads_shape", [(1,), (5,), (2, 3)], ids=["1", "5", "2x3"])
+    def test_heads_bitwise_equal_to_one_call_per_head(self, steps, heads_shape):
+        rng = np.random.default_rng(steps)
+        rewards = rng.normal(scale=1e3, size=steps)
+        values = rng.normal(size=(steps + 1, *heads_shape))
+        for discount in (0.0, 0.95, 1.0):
+            for lam in (0.0, 0.95, 1.0):
+                adv, ret = gae(rewards, values, discount, lam)
+                assert adv.shape == ret.shape == values[:-1].shape
+                assert adv.dtype == ret.dtype == np.float64
+                for head in np.ndindex(*heads_shape):
+                    column = (slice(None), *head)
+                    want = reference_gae(rewards, values[column], discount, lam)
+                    assert adv[column].tobytes() == want[0].tobytes()
+                    assert ret[column].tobytes() == want[1].tobytes()
+
 
 def draw_one(agent, obs, n, rng):
     """``n`` actions of one agent at ``obs``, as per-sample columns."""
@@ -437,6 +454,19 @@ class TestTrain:
         assert counts["rollout"] == 4 * agents * cfg.epochs
         assert counts["update"] == 4 * agents * cfg.epochs * cfg.updates_per_epoch
 
+    def test_one_gae_call_per_epoch(self, monkeypatch):
+        shapes = []
+        real_gae = marl.gae
+
+        def counting_gae(rewards, values, discount, lam):
+            shapes.append(np.shape(values))
+            return real_gae(rewards, values, discount, lam)
+
+        monkeypatch.setattr(marl, "gae", counting_gae)
+        cfg = self.smoke_config()
+        train(gen_scenario(3, 2, seed=0), cfg, seed=0)
+        assert shapes == [(cfg.steps_per_epoch + 1, 2, 3)] * cfg.epochs
+
     @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
     def test_epoch_scored_in_one_batch(self, monkeypatch, redraw):
         calls = {"step": 0, "rewards": []}
@@ -546,6 +576,11 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "epoch,mean_cost,policy_loss,value_loss,entropy"
         assert len(lines) == 4
+
+    def test_curve_rows_follow_curve_columns(self):
+        result = train(gen_scenario(2, 2, seed=3), self.smoke_config(), seed=1)
+        assert [list(row) for row in result.curve] == [list(marl.CURVE_COLUMNS)] * 3
+        assert [row["epoch"] for row in result.curve] == [0, 1, 2]
 
 
 class TestCheckpoint:
