@@ -181,9 +181,9 @@ def _section(doc: dict, name: str, known, lines) -> dict:
 
 
 def _path(key, value, lines) -> str:
-    if value is None or str(value) == "":
+    if not isinstance(value, str) or not value:
         _fail(key, lines, f"must be a non-empty path, got {value!r}")
-    return str(value)
+    return value
 
 
 def _positive(key, value, lines, kind=float):

@@ -185,7 +185,7 @@ _PATHS = np.array([False, True])
 
 
 def _column(values) -> np.ndarray:
-    return np.array(values, dtype=np.float64)
+    return np.asarray(values, dtype=np.float64)
 
 
 class ScenarioEvaluator:
@@ -213,29 +213,23 @@ class ScenarioEvaluator:
     """
 
     def __init__(self, scenario: Scenario):
-        users, servers = scenario.users, scenario.servers
-        self.num_users = len(users)
+        users, servers = scenario.columns, scenario.servers
+        self.num_users = len(users.f_local)
         self.num_servers = len(servers)
-        for u, entry in enumerate(users):
-            if len(entry.profile.channel_gains) != self.num_servers:
-                raise ValueError(
-                    f"user {u} has {len(entry.profile.channel_gains)} channel gains "
-                    f"for {self.num_servers} servers"
-                )
 
         self.user_index = np.arange(self.num_users)
-        self._f_local = _column([e.profile.f_local for e in users])
-        self._tx_power = _column([e.profile.tx_power for e in users])
-        self._edge_cpu = _column([e.profile.edge_cpu for e in users])
-        self.weight_latency = _column([e.profile.weight_latency for e in users])
-        self.weight_energy = _column([e.profile.weight_energy for e in users])
-        self._quota = np.array([e.profile.logical_qubit_quota for e in users])
+        self._f_local = _column(users.f_local)
+        self._tx_power = _column(users.tx_power)
+        self._edge_cpu = _column(users.edge_cpu)
+        self.weight_latency = _column(users.weight_latency)
+        self.weight_energy = _column(users.weight_energy)
+        self._quota = users.logical_qubit_quota
 
         # uplink_rate: bandwidth * log2(1 + tx * gain / noise).  math.log2
         # rather than np.log2, whose SIMD variants may round differently.
         snr = (
             self._tx_power[:, None]
-            * _column([e.profile.channel_gains for e in users])
+            * _column(users.channel_gains)
             / _column([s.noise_power for s in servers])
         )
         log_terms = list(map(math.log2, (1.0 + snr).ravel().tolist()))
@@ -275,11 +269,11 @@ class ScenarioEvaluator:
         self._chip_energy = scenario.chip_energy_per_cycle
         self._error_threshold = scenario.error_threshold
         self._load_tasks(
-            _column([e.task.data_size for e in users]),
-            _column([e.task.cycles_per_byte for e in users]),
-            _column([e.quantum_task.data_size for e in users]),
-            _column([e.quantum_task.logical_qubits for e in users]),
-            _column([e.quantum_task.logical_depth for e in users]),
+            users.data_size,
+            users.cycles_per_byte,
+            users.quantum_data_size,
+            users.logical_qubits,
+            users.logical_depth,
         )
 
     def _load_tasks(self, *columns: np.ndarray) -> None:

@@ -27,20 +27,16 @@ def _observation_template(scenario: Scenario) -> np.ndarray:
     The other fields depend on profiles and servers only, so a redraw
     never changes them.  See ``MeqcEnv.observations`` for the layout.
     """
-    scales = scenario.normalization
-    levels = [s.concat_level / scales.concat_level for s in scenario.servers]
-    return np.array([
-        [
-            profile.f_local / scales.f_local,
-            0.0, 0.0, 0.0, 0.0,
-            profile.edge_cpu / scales.edge_cpu,
-            profile.logical_qubit_quota / scales.logical_qubit_quota,
-            *levels,
-            profile.tx_power / scales.tx_power,
-            *(g / scales.channel_gain for g in profile.channel_gains),
-        ]
-        for profile in (entry.profile for entry in scenario.users)
-    ])
+    users, scales = scenario.columns, scenario.normalization
+    num_servers = len(scenario.servers)
+    obs = np.zeros((len(users.f_local), observation_length(num_servers)))
+    obs[:, 0] = users.f_local / scales.f_local
+    obs[:, 5] = users.edge_cpu / scales.edge_cpu
+    obs[:, 6] = users.logical_qubit_quota / scales.logical_qubit_quota
+    obs[:, 7:7 + num_servers] = [s.concat_level / scales.concat_level for s in scenario.servers]
+    obs[:, 7 + num_servers] = users.tx_power / scales.tx_power
+    obs[:, 8 + num_servers:] = users.channel_gains / scales.channel_gain
+    return obs
 
 
 def observation_length(num_servers: int) -> int:
@@ -138,9 +134,9 @@ class MeqcEnv:
         self.base_scenario = scenario
         self.redraw = redraw_tasks
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
-        self.num_users = len(scenario.users)
-        self.num_servers = len(scenario.servers)
         self._base_evaluator = self._evaluator = ScenarioEvaluator(scenario)
+        self.num_users = self._base_evaluator.num_users
+        self.num_servers = self._base_evaluator.num_servers
         self.tasks: tuple[np.ndarray, np.ndarray] | None = None
         self._template = None
         self._observations = None

@@ -17,6 +17,10 @@ multiply-shift) from the outputs as ``Generator`` does.  The tests hold
 every word, output and draw to numpy itself, so a numpy change to its
 generators fails them rather than moving a scenario.
 
+The draws go straight into a scenario's ``UserColumns``, one array per
+user field, which is the only form in which a scenario stores its users;
+its tuple of per-user objects is built only when ``Scenario.users`` is read.
+
 Redrawn tasks come from one caller-owned generator of any kind instead:
 ``draw_tasks`` returns a fresh primitive exponent and data size per user as
 two arrays, one vectorised numpy call each, and ``TASK_SHAPES`` maps each
@@ -29,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,9 +252,89 @@ class ScenarioUser:
     quantum_task: QuantumTaskSpec
 
 
+@dataclass(frozen=True, eq=False)
+class UserColumns:
+    """Every user of a scenario as one read-only column per field.
+
+    The fields are ``UserProfile``'s, then ``TaskSpec``'s, then
+    ``QuantumTaskSpec``'s (whose ``data_size`` is ``quantum_data_size``),
+    in that order.  Each is a ``[U]`` array, except the ``[U, E]``
+    ``channel_gains``.  Construction applies those classes' checks to whole
+    columns, with the same comparisons and messages.
+    """
+
+    f_local: np.ndarray
+    tx_power: np.ndarray
+    weight_latency: np.ndarray
+    weight_energy: np.ndarray
+    channel_gains: np.ndarray
+    edge_cpu: np.ndarray
+    logical_qubit_quota: np.ndarray
+    data_size: np.ndarray
+    cycles_per_byte: np.ndarray
+    quantum_data_size: np.ndarray
+    logical_qubits: np.ndarray
+    logical_depth: np.ndarray
+
+    def __post_init__(self):
+        weights = np.concatenate([self.weight_latency, self.weight_energy])
+        rules = (
+            (self.f_local <= 0.0, "f_local must be > 0"),
+            (self.tx_power <= 0.0, "tx_power must be > 0"),
+            (~((0.0 <= weights) & (weights <= 1.0)), "weights must lie in [0, 1]"),
+            (self.channel_gains <= 0.0, "channel gains must be > 0"),
+            (self.edge_cpu <= 0.0, "edge_cpu must be > 0"),
+            (self.logical_qubit_quota < 0, "logical_qubit_quota must be >= 0"),
+            ((self.data_size <= 0.0) | (self.cycles_per_byte <= 0.0),
+             "data_size and cycles_per_byte must be > 0"),
+            (self.quantum_data_size <= 0.0, "data_size must be > 0"),
+            ((self.logical_qubits <= 0) | (self.logical_depth <= 0),
+             "logical_qubits and logical_depth must be > 0"),
+        )
+        for bad, message in rules:
+            if bad.any():
+                raise ValueError(message)
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    @classmethod
+    def from_users(cls, users, num_servers: int) -> UserColumns:
+        """The columns of ``ScenarioUser`` objects with ``num_servers`` channel gains each."""
+        for u, entry in enumerate(users):
+            if len(entry.profile.channel_gains) != num_servers:
+                raise ValueError(
+                    f"user {u} has {len(entry.profile.channel_gains)} channel gains "
+                    f"for {num_servers} servers"
+                )
+        rows = [
+            (p.f_local, p.tx_power, p.weight_latency, p.weight_energy, p.channel_gains,
+             p.edge_cpu, p.logical_qubit_quota, t.data_size, t.cycles_per_byte,
+             q.data_size, q.logical_qubits, q.logical_depth)
+            for p, t, q in ((e.profile, e.task, e.quantum_task) for e in users)
+        ]
+        return cls(*map(np.array, zip(*rows)))
+
+    def to_users(self) -> tuple[ScenarioUser, ...]:
+        """One ``ScenarioUser`` per row, holding Python scalars and a tuple of gains."""
+        return tuple(
+            ScenarioUser(
+                profile=UserProfile(*row[:4], tuple(row[4]), *row[5:7]),
+                task=TaskSpec(*row[7:9]),
+                quantum_task=QuantumTaskSpec(*row[9:]),
+            )
+            for row in zip(*(column.tolist() for column in vars(self).values()))
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A complete offloading instance: users, servers and device physics."""
+    """A complete offloading instance: users, servers and device physics.
+
+    ``columns`` is the one stored form of the users.  A scenario built from
+    ``ScenarioUser`` objects keeps that tuple as ``users``; one built by
+    ``from_columns`` (as ``gen_scenario`` does) builds it on the first read
+    of ``users``.  Equality, ``repr`` and hashing read ``users``.
+    """
 
     users: tuple[ScenarioUser, ...]
     servers: tuple[ServerProfile, ...]
@@ -260,10 +344,26 @@ class Scenario:
     chip_energy_per_cycle: float = DEFAULT_CHIP_ENERGY
     error_threshold: float = DEFAULT_ERROR_THRESHOLD
     normalization: ObservationScales = ObservationScales()
+    columns: UserColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.users or not self.servers:
             raise ValueError("scenario needs at least one user and one server")
+        object.__setattr__(self, "columns", UserColumns.from_users(self.users, len(self.servers)))
+
+    @classmethod
+    def from_columns(cls, columns: UserColumns, **fields) -> Scenario:
+        """A scenario of ``columns``' users; ``fields`` are every other init field."""
+        scenario = cls.__new__(cls)
+        scenario.__dict__.update(fields, columns=columns)
+        return scenario
+
+    def __getattr__(self, name):
+        # only the ``users`` of a ``from_columns`` scenario is ever missing
+        if name != "users":
+            raise AttributeError(name)
+        object.__setattr__(self, "users", self.columns.to_users())
+        return self.users
 
 
 def compile_quantum(params: RayTracingParams, task: TaskSpec) -> QuantumTaskSpec:
@@ -324,7 +424,8 @@ def gen_scenario(
 
     ``pins`` maps a field name from ``PIN_FIELDS`` to a fixed value; the
     pinned field replaces its draw while every other stream is untouched,
-    which is what parameter sweeps rely on.
+    which is what parameter sweeps rely on.  The draws become the users'
+    ``UserColumns`` directly; no per-user object is built.
     """
     if num_users < 1 or num_servers < 1:
         raise ValueError("need at least one user and one server")
@@ -367,36 +468,32 @@ def gen_scenario(
     raw = _pcg64_raw(_state_words(seed, keys), rows, steps)
 
     gains = _uniform_raw(raw[:n_gain], CHANNEL_GAIN_RANGE).reshape(num_users, num_servers)
-    sizes = _uniform_raw(raw[n_gain:n_gain + num_users], DATA_SIZE_RANGE).tolist()
-    tx_powers = _uniform_raw(raw[n_gain + num_users:n_float], TX_POWER_RANGE).tolist()
+    sizes = _uniform_raw(raw[n_gain:n_gain + num_users], DATA_SIZE_RANGE)
     low, high = np.repeat([low, high], [num_users] * (len(low) - 1) + [num_servers], axis=1)
     ints = _integers(seed, keys[3 * num_users:], raw[n_float:], low, high)
-    columns = dict(zip(tags[3:], ints[:-num_servers].reshape(-1, num_users).tolist()))
-    edge_cpus = ([edge_cpu] * num_users if edge_cpu is not None
-                 else [EDGE_CPU_CHOICES[i] for i in columns[_F_CPU_EDGE]])
+    draws = dict(zip(tags[3:], ints[:-num_servers].reshape(-1, num_users)))
+    levels = draws[_F_SUB_LEVEL]
+    if sub_phys is None:
+        quota = draws[_F_SUB_PHYS] // 91**levels
+    else:  # a pinned allotment may exceed int64: keep its quotas Python ints
+        quota = np.array([int(sub_phys) // 91**level for level in CONCAT_LEVELS])[levels - 1]
+    cycles_per_byte, width, depth = TASK_SHAPES[draws[_F_PRIM]].T
 
-    users = []
-    for (gain_row, size, tx_power, (cycles_per_byte, width, depth),
-         local_cpu, sub_level, edge, phys) in zip(
-        gains.tolist(), sizes, tx_powers, TASK_SHAPES[columns[_F_PRIM]].tolist(),
-        columns[_F_CPU_LOCAL], columns[_F_SUB_LEVEL], edge_cpus,
-        columns.get(_F_SUB_PHYS, [sub_phys] * num_users),
-    ):
-        users.append(ScenarioUser(
-            profile=UserProfile(
-                f_local=LOCAL_CPU_CHOICES[local_cpu],
-                tx_power=tx_power,
-                weight_latency=weight_latency,
-                weight_energy=1.0 - weight_latency,
-                channel_gains=tuple(gain_row),
-                edge_cpu=float(edge),
-                logical_qubit_quota=int(phys) // 91**sub_level,
-            ),
-            task=TaskSpec(data_size=size, cycles_per_byte=cycles_per_byte),
-            quantum_task=QuantumTaskSpec(
-                data_size=size, logical_qubits=int(width), logical_depth=int(depth)
-            ),
-        ))
+    columns = UserColumns(
+        f_local=np.array(LOCAL_CPU_CHOICES)[draws[_F_CPU_LOCAL]],
+        tx_power=_uniform_raw(raw[n_gain + num_users:n_float], TX_POWER_RANGE),
+        weight_latency=np.full(num_users, weight_latency),
+        weight_energy=np.full(num_users, 1.0 - weight_latency),
+        channel_gains=gains,
+        edge_cpu=(np.full(num_users, float(edge_cpu)) if edge_cpu is not None
+                  else np.array(EDGE_CPU_CHOICES)[draws[_F_CPU_EDGE]]),
+        logical_qubit_quota=quota,
+        data_size=sizes,
+        cycles_per_byte=cycles_per_byte,
+        quantum_data_size=sizes,
+        logical_qubits=width.astype(np.int64),
+        logical_depth=depth.astype(np.int64),
+    )
     servers = tuple(
         ServerProfile(noise_power=noise_power, bandwidth=bandwidth, concat_level=level)
         for level in ints[-num_servers:].tolist()
@@ -407,14 +504,15 @@ def gen_scenario(
     if decoherence is not None:
         tech = replace(tech, decoherence_time=float(decoherence))
 
-    return Scenario(
-        users=tuple(users),
+    return Scenario.from_columns(
+        columns,
         servers=servers,
         cryostat=cryostat if cryostat is not None else CryostatConfig(),
         qubit_tech=tech,
         rng_seed=seed,
         chip_energy_per_cycle=chip_energy_per_cycle,
         error_threshold=error_threshold,
+        normalization=ObservationScales(),
     )
 
 

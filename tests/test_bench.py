@@ -189,8 +189,14 @@ class TestParseConfig:
             ("episodes: 1\noutput:\n", "output (line 2): must be a non-empty path"),
             ("output: ''\n", "output (line 1): must be a non-empty path"),
             ("episodes: 1\ncheckpoint: ''\n", "checkpoint (line 2): must be a non-empty path"),
+            ("output: [a, b]\n", "output (line 1): must be a non-empty path, got ['a', 'b']"),
+            ("episodes: 1\ncheckpoint: {x: 1}\n",
+             "checkpoint (line 2): must be a non-empty path, got {'x': 1}"),
+            ("output: true\n", "output (line 1): must be a non-empty path, got True"),
+            ("output: 5\n", "output (line 1): must be a non-empty path, got 5"),
         ],
-        ids=["output_null", "output_empty", "checkpoint_empty"],
+        ids=["output_null", "output_empty", "checkpoint_empty", "output_list",
+             "checkpoint_mapping", "output_bool", "output_int"],
     )
     def test_paths_must_be_non_empty(self, text, where, tmp_path, monkeypatch, capsys):
         with pytest.raises(ConfigError, match=re.escape(where)):

@@ -1,0 +1,167 @@
+"""A scenario's users are columns: generation and scoring build no per-user
+object, object-built scenarios give the same tables, and the column checks
+are the per-user classes' checks."""
+
+import dataclasses
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from meqc.costs import QuantumTaskSpec, ScenarioEvaluator, TaskSpec, UserProfile
+from meqc.env import MeqcEnv, _observation_template
+from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
+from meqc.workload import ScenarioUser, gen_scenario, scenario_from_dict, scenario_to_dict
+
+from test_workload import REFERENCE_PINS
+
+PIN_IDS = ["none", "edge", "phys_weight", "decoherence"]
+
+# every table an evaluator builds from a scenario, user columns first
+TABLES = (
+    "_f_local", "_tx_power", "_edge_cpu", "weight_latency", "weight_energy", "_quota",
+    "rate", "data_size", "cycles_per_byte", "_q_data_size", "logical_qubits",
+    "logical_depth", "success", "eligible", "_suppression", "_step_time", "_step_energy",
+)
+
+
+def count_inits(monkeypatch, *classes) -> list:
+    """Record the class of every instance of ``classes`` built from here on."""
+    built = []
+    for cls in classes:
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *args, _init=cls.__init__, **kwargs:
+                built.append(type(self)) or _init(self, *args, **kwargs),
+        )
+    return built
+
+
+def assert_identical(ours: np.ndarray, theirs: np.ndarray):
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_generate_and_score_build_no_user_objects(monkeypatch):
+    built = count_inits(monkeypatch, UserProfile, TaskSpec, QuantumTaskSpec, ScenarioUser)
+    scenario = gen_scenario(100, 20, seed=3)
+    ScenarioEvaluator(scenario)
+    MeqcEnv(scenario).observations()
+    for kind in PolicyKind:
+        for redraw in (False, True):
+            evaluate(BaselinePolicy(kind), scenario, 2, np.random.default_rng(0),
+                     redraw_tasks=redraw)
+    assert built == []
+
+    users = scenario.users  # the view is built on the first read, once
+    assert len(users) == 100
+    counts = {UserProfile: 100, TaskSpec: 100, QuantumTaskSpec: 100, ScenarioUser: 100}
+    assert Counter(built) == counts
+    assert scenario.users is users
+    assert len(built) == 400
+
+
+def test_object_built_scenario_keeps_its_tuple():
+    users = gen_scenario(3, 2, seed=1).users
+    scenario = dataclasses.replace(gen_scenario(3, 2, seed=1), users=users)
+    assert scenario.users is users
+    assert scenario == gen_scenario(3, 2, seed=1)
+    assert hash(scenario) == hash(gen_scenario(3, 2, seed=1))
+    assert repr(scenario) == repr(gen_scenario(3, 2, seed=1))
+
+
+@pytest.mark.parametrize("pins", REFERENCE_PINS, ids=PIN_IDS)
+@pytest.mark.parametrize("shape", [(1, 1), (7, 4), (100, 20)], ids=["1x1", "7x4", "100x20"])
+def test_generated_and_object_built_twins_share_tables(shape, pins):
+    scenario = gen_scenario(*shape, seed=11, pins=pins)
+    twin = scenario_from_dict(scenario_to_dict(scenario))
+    assert twin == scenario and twin.users is not scenario.users
+    ours, theirs = ScenarioEvaluator(scenario), ScenarioEvaluator(twin)
+    for name in TABLES:
+        assert_identical(getattr(ours, name), getattr(theirs, name))
+    assert_identical(_observation_template(scenario), _observation_template(twin))
+
+
+def test_pinned_allotment_beyond_int64_keeps_exact_quotas():
+    phys = 10**30
+    scenario = gen_scenario(4, 2, seed=0, pins={"physical_qubits": phys})
+    quotas = scenario.columns.logical_qubit_quota.tolist()
+    assert all(isinstance(q, int) for q in quotas)
+    assert set(quotas) <= {phys // 91, phys // 91**2, phys // 91**3}
+    assert scenario == scenario_from_dict(scenario_to_dict(scenario))
+
+
+NAN, INF = math.nan, math.inf
+
+# (column, ScenarioUser part, field of that part, values its check refuses,
+# values it accepts); the checks are ``<=``/``<`` tests, so NaN passes all
+# but the weights'
+RULES = [
+    ("f_local", "profile", "f_local", [0.0, -1.0], [1e-300, NAN, INF]),
+    ("tx_power", "profile", "tx_power", [0.0, -1e-3], [1e-300, NAN]),
+    ("weight_latency", "profile", "weight_latency", [-0.1, 1.5, NAN, -INF], [0.0, 1.0]),
+    ("weight_energy", "profile", "weight_energy", [-1e-12, 1.0 + 1e-12, NAN], [0.0, 1.0]),
+    ("channel_gains", "profile", "channel_gains", [0.0, -2.0], [1e-300, NAN, INF]),
+    ("edge_cpu", "profile", "edge_cpu", [0.0, -5e9], [1e-300, NAN]),
+    ("logical_qubit_quota", "profile", "logical_qubit_quota", [-1], [0, 10**6]),
+    ("data_size", "task", "data_size", [0.0, -1.0], [1e-300, NAN]),
+    ("cycles_per_byte", "task", "cycles_per_byte", [0.0, -3.0], [1e-300, NAN]),
+    ("quantum_data_size", "quantum_task", "data_size", [0.0, -1.0], [1e-300, NAN]),
+    ("logical_qubits", "quantum_task", "logical_qubits", [0, -4], [1]),
+    ("logical_depth", "quantum_task", "logical_depth", [0, -4], [1]),
+]
+
+
+def outcome(build):
+    """The message of the ``ValueError`` that ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("column, part, name, refused, accepted", RULES,
+                         ids=[rule[0] for rule in RULES])
+def test_column_checks_match_object_checks(column, part, name, refused, accepted):
+    scenario = gen_scenario(3, 2, seed=4)
+    entry, columns = scenario.users[1], scenario.columns
+
+    def with_object(value):
+        obj = getattr(entry, part)
+        if name == "channel_gains":
+            value = (obj.channel_gains[0], value)
+        return dataclasses.replace(obj, **{name: value})
+
+    def with_column(value):
+        values = getattr(columns, column).copy()
+        values[(1, 1) if values.ndim == 2 else 1] = value  # as ``with_object`` sets it
+        return dataclasses.replace(columns, **{column: values})
+
+    for value in refused:
+        message = outcome(lambda: with_object(value))
+        assert message is not None
+        assert outcome(lambda: with_column(value)) == message
+    for value in accepted:
+        assert outcome(lambda: with_object(value)) is None
+        assert outcome(lambda: with_column(value)) is None
+
+
+def test_gains_row_of_wrong_length_names_user_and_servers():
+    scenario = gen_scenario(2, 3, seed=0)
+    entry = scenario.users[1]
+    short = dataclasses.replace(
+        entry, profile=dataclasses.replace(entry.profile, channel_gains=(6.0,))
+    )
+    with pytest.raises(ValueError, match=r"^user 1 has 1 channel gains for 3 servers$"):
+        ScenarioEvaluator(dataclasses.replace(scenario, users=(scenario.users[0], short)))
+
+
+def test_columns_are_read_only():
+    scenario = gen_scenario(3, 2, seed=4)
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.columns.f_local[0] = 1.0
+    evaluator = ScenarioEvaluator(scenario)
+    with pytest.raises(ValueError, match="read-only"):
+        evaluator.weight_latency[0] = 1.0
