@@ -14,6 +14,7 @@ import math
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 
 import numpy as np
 import yaml
@@ -77,41 +78,42 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
 
 
-# key -> (target dataclass field, converter); nested sections listed below.
-_SCENARIO_KEYS = {
-    "users": int,
-    "servers": int,
-    "noise_power": float,
-    "bandwidth": float,
-    "chip_energy_per_cycle": float,
-    "error_threshold": float,
-    "weight_latency": float,
+# Every numeric scenario/device key and every sweep parameter: (section, field
+# it sets as a dotted ``ExperimentConfig`` path, domain).  The field's default
+# gives the key's kind; the sweep-only pins have no section or field and are
+# floats.  A sweep value is checked as a set value of its key.
+_POSITIVE = (lambda v: v > 0, "> 0")
+_SETTINGS = {
+    "users": ("scenario", "users", _POSITIVE),
+    "servers": ("scenario", "servers", _POSITIVE),
+    "noise_power": ("scenario", "noise_power", _POSITIVE),
+    "bandwidth": ("scenario", "bandwidth", _POSITIVE),
+    "chip_energy_per_cycle": ("scenario", "chip_energy_per_cycle", _POSITIVE),
+    "error_threshold": ("scenario", "error_threshold", _POSITIVE),
+    "weight_latency": ("scenario", "weight_latency", (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    "decoherence_time": ("device", "qubit_tech.decoherence_time", _POSITIVE),
+    "frequency": ("device", "qubit_tech.frequency", _POSITIVE),
+    "tau_1qb": ("device", "qubit_tech.tau_1qb", _POSITIVE),
+    "tau_2qb": ("device", "qubit_tech.tau_2qb", _POSITIVE),
+    "tau_meas": ("device", "qubit_tech.tau_meas", _POSITIVE),
+    "tau_step": ("device", "qubit_tech.tau_step", _POSITIVE),
+    "attenuation_db": ("device", "cryostat.total_attenuation_db", _POSITIVE),
+    "num_stages": ("device", "cryostat.num_stages", _POSITIVE),
+    "qubit_temperature": ("device", "cryostat.t_qubit", _POSITIVE),
+    "generation_temperature": ("device", "cryostat.t_gen", _POSITIVE),
+    "heat_gen": ("device", "cryostat.heat_gen", _POSITIVE),
+    "heat_hemt": ("device", "cryostat.heat_hemt", _POSITIVE),
+    "heat_para": ("device", "cryostat.heat_para", _POSITIVE),
+    "t_hemt": ("device", "cryostat.t_hemt", _POSITIVE),
+    "t_para": ("device", "cryostat.t_para", _POSITIVE),
+    "edge_cpu": (None, None, _POSITIVE),
+    "physical_qubits": (None, None, (lambda v: v >= 0.0 and v.is_integer(), "an integer >= 0")),
 }
-_DEVICE_KEYS = {
-    "decoherence_time": ("qubit_tech", "decoherence_time"),
-    "frequency": ("qubit_tech", "frequency"),
-    "tau_1qb": ("qubit_tech", "tau_1qb"),
-    "tau_2qb": ("qubit_tech", "tau_2qb"),
-    "tau_meas": ("qubit_tech", "tau_meas"),
-    "tau_step": ("qubit_tech", "tau_step"),
-    "attenuation_db": ("cryostat", "total_attenuation_db"),
-    "num_stages": ("cryostat", "num_stages"),
-    "qubit_temperature": ("cryostat", "t_qubit"),
-    "generation_temperature": ("cryostat", "t_gen"),
-    "heat_gen": ("cryostat", "heat_gen"),
-    "heat_hemt": ("cryostat", "heat_hemt"),
-    "heat_para": ("cryostat", "heat_para"),
-    "t_hemt": ("cryostat", "t_hemt"),
-    "t_para": ("cryostat", "t_para"),
+_KINDS = {
+    key: type(reduce(getattr, path.split("."), ExperimentConfig())) if path else float
+    for key, (_, path, _) in _SETTINGS.items()
 }
 _TRAIN_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
-# Domain of each pinnable field, as (test, description) for sweep values.
-_PIN_DOMAINS = {
-    "edge_cpu": (lambda v: v > 0.0, "> 0"),
-    "physical_qubits": (lambda v: v >= 0.0 and v.is_integer(), "an integer >= 0"),
-    "decoherence_time": (lambda v: v > 0.0, "> 0"),
-    "weight_latency": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-}
 _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
 
@@ -155,8 +157,11 @@ def _fail(key, lines: dict[str, int], message: str):
     raise ConfigError(f"{key}{at}: {message}")
 
 
-def _number(key, value, lines, kind=float):
-    """``value`` as a finite ``kind``; booleans and non-integral ints are rejected."""
+def _number(key, value, lines, kind=float, domain=None, subject=""):
+    """``value`` as a finite ``kind`` inside ``domain``, a (test, description) pair, if given.
+
+    Booleans and non-integral ints are rejected; ``subject`` leads a domain failure.
+    """
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
@@ -164,7 +169,10 @@ def _number(key, value, lines, kind=float):
     if not math.isfinite(number) or (kind is int and not number.is_integer()):
         wanted = "an integer" if kind is int else "a finite number"
         _fail(key, lines, f"expected {wanted}, got {value!r}")
-    return value if kind is int and isinstance(value, int) else kind(number)
+    value = value if kind is int and isinstance(value, int) else kind(number)
+    if domain is not None and not domain[0](value):
+        _fail(key, lines, f"{subject}must be {domain[1]}, got {value}")
+    return value
 
 
 def _section(doc: dict, name: str, known, lines) -> dict:
@@ -183,13 +191,6 @@ def _section(doc: dict, name: str, known, lines) -> dict:
 def _path(key, value, lines) -> str:
     if not isinstance(value, str) or not value:
         _fail(key, lines, f"must be a non-empty path, got {value!r}")
-    return value
-
-
-def _positive(key, value, lines, kind=float):
-    value = _number(key, value, lines, kind)
-    if value <= 0:
-        _fail(key, lines, f"must be > 0, got {value}")
     return value
 
 
@@ -216,31 +217,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig()
 
-    for key, value in _section(doc, "scenario", _SCENARIO_KEYS, lines).items():
-        path = f"scenario.{key}"
-        if key == "weight_latency":
-            value = _number(path, value, lines)
-            if not 0.0 <= value <= 1.0:
-                _fail(path, lines, f"must lie in [0, 1], got {value}")
-        else:
-            value = _positive(path, value, lines, _SCENARIO_KEYS[key])
-        cfg = replace(cfg, **{key: value})
-
-    cryostat_kwargs = {}
-    tech_kwargs = {}
-    for key, value in _section(doc, "device", _DEVICE_KEYS, lines).items():
-        path = f"device.{key}"
-        section, field_name = _DEVICE_KEYS[key]
-        kind = int if key == "num_stages" else float
-        value = _positive(path, value, lines, kind)
-        (cryostat_kwargs if section == "cryostat" else tech_kwargs)[field_name] = value
+    top, nested = {}, {"cryostat": {}, "qubit_tech": {}}
+    for section in ("scenario", "device"):
+        known = [key for key, (owner, _, _) in _SETTINGS.items() if owner == section]
+        for key, value in _section(doc, section, known, lines).items():
+            _, path, domain = _SETTINGS[key]
+            value = _number(f"{section}.{key}", value, lines, _KINDS[key], domain)
+            owner, _, name = path.rpartition(".")
+            (nested[owner] if owner else top)[name] = value
     try:
-        if cryostat_kwargs:
-            cfg = replace(cfg, cryostat=replace(cfg.cryostat, **cryostat_kwargs))
-        if tech_kwargs:
-            cfg = replace(cfg, qubit_tech=replace(cfg.qubit_tech, **tech_kwargs))
+        top.update({owner: replace(getattr(cfg, owner), **kw) for owner, kw in nested.items()})
     except ValueError as exc:
         _fail("device", lines, str(exc))
+    cfg = replace(cfg, **top)
 
     if doc.get("sweep") is not None:
         sweep = _section(doc, "sweep", ("parameter", "values"), lines)
@@ -250,11 +239,10 @@ def parse_config(text: str) -> ExperimentConfig:
         values = sweep.get("values")
         if not isinstance(values, list) or not values:
             _fail("sweep.values", lines, "must be a non-empty list")
-        values = tuple(_number("sweep.values", v, lines) for v in values)
-        in_domain, domain = _PIN_DOMAINS[parameter]
-        for value in values:
-            if not in_domain(value):
-                _fail("sweep.values", lines, f"{parameter} must be {domain}, got {value}")
+        domain, kind = _SETTINGS[parameter][2], _KINDS[parameter]
+        values = tuple(
+            _number("sweep.values", v, lines, kind, domain, f"{parameter} ") for v in values
+        )
         cfg = replace(cfg, sweep_parameter=parameter, sweep_values=values)
 
     if "policies" in doc:
@@ -267,9 +255,9 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg = replace(cfg, policies=tuple(policies))
 
     if "episodes" in doc:
-        cfg = replace(cfg, episodes=_positive("episodes", doc["episodes"], lines, int))
+        cfg = replace(cfg, episodes=_number("episodes", doc["episodes"], lines, int, _POSITIVE))
     if "workers" in doc:
-        cfg = replace(cfg, workers=_positive("workers", doc["workers"], lines, int))
+        cfg = replace(cfg, workers=_number("workers", doc["workers"], lines, int, _POSITIVE))
     if "seeds" in doc:
         seeds = doc["seeds"]
         if not isinstance(seeds, list) or not seeds:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .device import (
+    CONCAT_LEVELS,
     cryostat_stages,
     error_suppression,
     gate_power_profile,
@@ -110,7 +111,7 @@ class ServerProfile:
             raise ValueError("noise_power must be > 0")
         if self.bandwidth <= 0.0:
             raise ValueError("bandwidth must be > 0")
-        if self.concat_level not in (1, 2, 3):
+        if self.concat_level not in CONCAT_LEVELS:
             raise ValueError(f"concat_level must be 1, 2 or 3, got {self.concat_level}")
 
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 HBAR = 1.054571817e-34  # J*s
 BOLTZMANN = 1.380649e-23  # J/K
 
-# Physical qubits per logical qubit at concatenation level k is 91**k; the
-# per-step physical gate counts are fixed rationals of 64**k.
-_PHYS_PER_LOGICAL_BASE = 91
+# The supported concatenation levels k.  A logical qubit at level k is
+# PHYS_PER_LOGICAL**k physical qubits; the per-step physical gate counts are
+# fixed rationals of 64**k.
+CONCAT_LEVELS = (1, 2, 3)
+PHYS_PER_LOGICAL = 91
 _GATES_1QB_FRACTION = 28.0 / 185.0
 _GATES_2QB_FRACTION = 64.0 / 185.0
 _GATES_MEAS_FRACTION = 28.0 / 185.0
-
-SUPPORTED_LEVELS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -184,12 +184,12 @@ class LogicalResources:
 
 def logical_resources(level: int) -> LogicalResources:
     """Concatenated-code overhead at level k in {1, 2, 3}."""
-    if level not in SUPPORTED_LEVELS:
+    if level not in CONCAT_LEVELS:
         raise ValueError(f"unsupported concatenation level {level}; expected 1, 2 or 3")
     scale = 64.0**level
     return LogicalResources(
         level=level,
-        phys_per_logical=_PHYS_PER_LOGICAL_BASE**level,
+        phys_per_logical=PHYS_PER_LOGICAL**level,
         n_1qb=_GATES_1QB_FRACTION * scale,
         n_2qb=_GATES_2QB_FRACTION * scale,
         n_meas=_GATES_MEAS_FRACTION * scale,

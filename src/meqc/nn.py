@@ -159,19 +159,17 @@ class _Optimizer:
         self.step(self.net.backward(cache, upstream, out=self.grad))
 
 
+# Adam's moment decay rates and denominator guard, Kingma & Ba's defaults
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(_Optimizer):
     """Adam (Kingma & Ba) over the flat parameter vector of one ``Mlp``."""
 
-    def __init__(
-        self, net: Mlp, lr: float, beta1=0.9, beta2=0.999, eps=1e-8,
-        buffers: np.ndarray | None = None,
-    ):
+    def __init__(self, net: Mlp, lr: float, buffers: np.ndarray | None = None):
         super().__init__(net, lr, buffers)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        # written now, not calloc'd: the first ``m *= beta1`` would read the
+        # written now, not calloc'd: the first ``m *= _BETA1`` would read the
         # kernel's zero page and then fault again on the write
         self.m = np.full(net.num_params, 0.0)
         self.v = np.full(net.num_params, 0.0)
@@ -179,22 +177,22 @@ class Adam(_Optimizer):
     def step(self, grad: np.ndarray) -> None:
         """Apply one descent step along ``grad`` (layout from ``Mlp.backward``)."""
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - _BETA1**self.t
+        correct2 = 1.0 - _BETA2**self.t
         m, v, a, b = self.m, self.v, self._scratch, self._scratch2
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m *= _BETA1
+        np.multiply(grad, 1.0 - _BETA1, out=a)
         m += a
-        v *= self.beta2
+        v *= _BETA2
         np.square(grad, out=a)
-        a *= 1.0 - self.beta2
+        a *= 1.0 - _BETA2
         v += a
         # params -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
         np.divide(m, correct1, out=a)
         a *= self.lr
         np.divide(v, correct2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _EPS
         a /= b
         self.net.params -= a
 

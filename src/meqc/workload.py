@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import QuantumTaskSpec, ServerProfile, TaskSpec, UserProfile
-from .device import CryostatConfig, QubitTech
+from .device import CONCAT_LEVELS, PHYS_PER_LOGICAL, CryostatConfig, QubitTech
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +51,6 @@ TX_POWER_RANGE = (0.01e-3, 0.2e-3)  # W
 LOCAL_CPU_CHOICES = (1e9, 2e9, 3e9)
 EDGE_CPU_CHOICES = (10e9, 15e9, 20e9)
 PHYSICAL_QUBIT_RANGE = (1000, 5000)  # inclusive
-CONCAT_LEVELS = (1, 2, 3)
 DEFAULT_WEIGHT_LATENCY = 0.5
 DEFAULT_BANDWIDTH = 20e6
 DEFAULT_NOISE_POWER = 1e-6
@@ -237,7 +236,7 @@ class ObservationScales:
     logical_qubits: float = PRIMITIVE_EXPONENTS[1] + 2 * DEFAULT_COORD_BITS + 5
     logical_depth: float = 6460.0
     edge_cpu: float = EDGE_CPU_CHOICES[-1]
-    logical_qubit_quota: float = PHYSICAL_QUBIT_RANGE[1] // 91
+    logical_qubit_quota: float = PHYSICAL_QUBIT_RANGE[1] // PHYS_PER_LOGICAL
     concat_level: float = CONCAT_LEVELS[-1]
     tx_power: float = TX_POWER_RANGE[1]
     channel_gain: float = CHANNEL_GAIN_RANGE[1]
@@ -347,19 +346,32 @@ class Scenario:
     columns: UserColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.users or not self.servers:
-            raise ValueError("scenario needs at least one user and one server")
-        object.__setattr__(self, "columns", UserColumns.from_users(self.users, len(self.servers)))
+        if self.users and self.servers:  # else ``_check_shape`` names what is missing
+            columns = UserColumns.from_users(self.users, len(self.servers))
+            object.__setattr__(self, "columns", columns)
+        self._check_shape()
 
     @classmethod
     def from_columns(cls, columns: UserColumns, **fields) -> Scenario:
         """A scenario of ``columns``' users; ``fields`` are every other init field."""
         scenario = cls.__new__(cls)
         scenario.__dict__.update(fields, columns=columns)
+        scenario._check_shape()
         return scenario
 
+    def _check_shape(self):
+        """At least one user and one server; ``[U]`` columns and ``[U, E]`` gains."""
+        columns = getattr(self, "columns", None)
+        num_users = 0 if columns is None else len(columns.f_local)
+        if not num_users or not self.servers:
+            raise ValueError("scenario needs at least one user and one server")
+        for name, column in vars(columns).items():
+            shape = (num_users, len(self.servers)) if name == "channel_gains" else (num_users,)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+
     def __getattr__(self, name):
-        # only the ``users`` of a ``from_columns`` scenario is ever missing
+        # a ``from_columns`` scenario builds ``users`` here; nothing else is built
         if name != "users":
             raise AttributeError(name)
         object.__setattr__(self, "users", self.columns.to_users())
@@ -474,9 +486,9 @@ def gen_scenario(
     draws = dict(zip(tags[3:], ints[:-num_servers].reshape(-1, num_users)))
     levels = draws[_F_SUB_LEVEL]
     if sub_phys is None:
-        quota = draws[_F_SUB_PHYS] // 91**levels
+        quota = draws[_F_SUB_PHYS] // PHYS_PER_LOGICAL**levels
     else:  # a pinned allotment may exceed int64: keep its quotas Python ints
-        quota = np.array([int(sub_phys) // 91**level for level in CONCAT_LEVELS])[levels - 1]
+        quota = np.array([int(sub_phys) // PHYS_PER_LOGICAL**k for k in CONCAT_LEVELS])[levels - 1]
     cycles_per_byte, width, depth = TASK_SHAPES[draws[_F_PRIM]].T
 
     columns = UserColumns(

@@ -12,7 +12,13 @@ import pytest
 from meqc.costs import QuantumTaskSpec, ScenarioEvaluator, TaskSpec, UserProfile
 from meqc.env import MeqcEnv, _observation_template
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
-from meqc.workload import ScenarioUser, gen_scenario, scenario_from_dict, scenario_to_dict
+from meqc.workload import (
+    Scenario,
+    ScenarioUser,
+    gen_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 from test_workload import REFERENCE_PINS
 
@@ -156,6 +162,33 @@ def test_gains_row_of_wrong_length_names_user_and_servers():
     )
     with pytest.raises(ValueError, match=r"^user 1 has 1 channel gains for 3 servers$"):
         ScenarioEvaluator(dataclasses.replace(scenario, users=(scenario.users[0], short)))
+
+
+# misfit -> (the changed columns, the servers kept, the message)
+MISFITS = {
+    "gains_for_one_server": (
+        lambda c: dataclasses.replace(c, channel_gains=c.channel_gains[:, :1]), 3,
+        r"^channel_gains has shape \(3, 1\), expected \(3, 3\)$",
+    ),
+    "no_servers": (lambda c: c, 0, r"^scenario needs at least one user and one server$"),
+    "short_tx_power": (
+        lambda c: dataclasses.replace(c, tx_power=c.tx_power[:2]), 3,
+        r"^tx_power has shape \(2,\), expected \(3,\)$",
+    ),
+}
+
+
+@pytest.mark.parametrize("misfit, servers, message", MISFITS.values(), ids=MISFITS)
+def test_from_columns_checks_the_scenario_shape(misfit, servers, message):
+    scenario = gen_scenario(3, 3, seed=0)
+    fields = {
+        f.name: getattr(scenario, f.name)
+        for f in dataclasses.fields(Scenario)
+        if f.init and f.name != "users"
+    }
+    fields["servers"] = scenario.servers[:servers]
+    with pytest.raises(ValueError, match=message):
+        Scenario.from_columns(misfit(scenario.columns), **fields)
 
 
 def test_columns_are_read_only():
