@@ -68,7 +68,7 @@ class ExperimentConfig:
     cryostat: CryostatConfig = CryostatConfig()
     qubit_tech: QubitTech = QubitTech()
     sweep_parameter: str | None = None
-    sweep_values: tuple[float, ...] = ()
+    sweep_values: tuple[float | int, ...] = ()
     policies: tuple[str, ...] = ("local", "random", "random_cloud", "greedy", "oracle")
     episodes: int = 10
     seeds: tuple[int, ...] = (0,)
@@ -81,8 +81,11 @@ class ExperimentConfig:
 # Every numeric scenario/device key and every sweep parameter: (section, field
 # it sets as a dotted ``ExperimentConfig`` path, domain).  The field's default
 # gives the key's kind; the sweep-only pins have no section or field and are
-# floats.  A sweep value is checked as a set value of its key.
+# floats, except the physical-qubit allotment: an integer, kept exact, since
+# ``gen_scenario`` takes any Python int.  A sweep value is checked as a set
+# value of its key.
 _POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 _SETTINGS = {
     "users": ("scenario", "users", _POSITIVE),
     "servers": ("scenario", "servers", _POSITIVE),
@@ -97,22 +100,22 @@ _SETTINGS = {
     "tau_2qb": ("device", "qubit_tech.tau_2qb", _POSITIVE),
     "tau_meas": ("device", "qubit_tech.tau_meas", _POSITIVE),
     "tau_step": ("device", "qubit_tech.tau_step", _POSITIVE),
-    "attenuation_db": ("device", "cryostat.total_attenuation_db", _POSITIVE),
-    "num_stages": ("device", "cryostat.num_stages", _POSITIVE),
+    "attenuation_db": ("device", "cryostat.total_attenuation_db", _AT_LEAST_0),
+    "num_stages": ("device", "cryostat.num_stages", (lambda v: v >= 2, ">= 2")),
     "qubit_temperature": ("device", "cryostat.t_qubit", _POSITIVE),
     "generation_temperature": ("device", "cryostat.t_gen", _POSITIVE),
-    "heat_gen": ("device", "cryostat.heat_gen", _POSITIVE),
-    "heat_hemt": ("device", "cryostat.heat_hemt", _POSITIVE),
-    "heat_para": ("device", "cryostat.heat_para", _POSITIVE),
+    "heat_gen": ("device", "cryostat.heat_gen", _AT_LEAST_0),
+    "heat_hemt": ("device", "cryostat.heat_hemt", _AT_LEAST_0),
+    "heat_para": ("device", "cryostat.heat_para", _AT_LEAST_0),
     "t_hemt": ("device", "cryostat.t_hemt", _POSITIVE),
     "t_para": ("device", "cryostat.t_para", _POSITIVE),
     "edge_cpu": (None, None, _POSITIVE),
-    "physical_qubits": (None, None, (lambda v: v >= 0.0 and v.is_integer(), "an integer >= 0")),
+    "physical_qubits": (None, None, _AT_LEAST_0),
 }
 _KINDS = {
     key: type(reduce(getattr, path.split("."), ExperimentConfig())) if path else float
     for key, (_, path, _) in _SETTINGS.items()
-}
+} | {"physical_qubits": int}
 _TRAIN_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
@@ -160,7 +163,8 @@ def _fail(key, lines: dict[str, int], message: str):
 def _number(key, value, lines, kind=float, domain=None, subject=""):
     """``value`` as a finite ``kind`` inside ``domain``, a (test, description) pair, if given.
 
-    Booleans and non-integral ints are rejected; ``subject`` leads a domain failure.
+    Booleans are rejected, and so are non-integral numbers if ``kind`` is
+    int, which keeps a Python int exact; ``subject`` leads every failure.
     """
     try:
         number = math.nan if isinstance(value, bool) else float(value)
@@ -168,7 +172,7 @@ def _number(key, value, lines, kind=float, domain=None, subject=""):
         number = math.nan
     if not math.isfinite(number) or (kind is int and not number.is_integer()):
         wanted = "an integer" if kind is int else "a finite number"
-        _fail(key, lines, f"expected {wanted}, got {value!r}")
+        _fail(key, lines, f"{subject}must be {wanted}, got {value!r}")
     value = value if kind is int and isinstance(value, int) else kind(number)
     if domain is not None and not domain[0](value):
         _fail(key, lines, f"{subject}must be {domain[1]}, got {value}")

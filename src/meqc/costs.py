@@ -12,6 +12,7 @@ is the model; the scalar form of each formula lives in the test suite
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
@@ -20,6 +21,9 @@ import numpy as np
 
 from .device import (
     CONCAT_LEVELS,
+    CryostatConfig,
+    GatePowerProfile,
+    QubitTech,
     cryostat_stages,
     error_suppression,
     gate_power_profile,
@@ -189,6 +193,19 @@ def _column(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=32)
+def _device_physics(cryostat: CryostatConfig, tech: QubitTech) -> tuple[float, GatePowerProfile]:
+    """The physical error rate and gate powers of one device, computed once per device.
+
+    Both arguments are frozen and the results immutable, so every evaluator
+    of a device may share them.  A device whose physics raises is never
+    cached, so it raises on every evaluator build.
+    """
+    return physical_error_rate(cryostat, tech), gate_power_profile(
+        cryostat, tech, cryostat_stages(cryostat)
+    )
+
+
 class ScenarioEvaluator:
     """Scores actions against one scenario.
 
@@ -239,23 +256,15 @@ class ScenarioEvaluator:
         )
         self._dead_links = not (self.rate > 0.0).all()
 
-        error_rate = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
-        self._suppression = _column(
-            [
-                error_suppression(s.concat_level, error_rate, scenario.error_threshold)
-                for s in servers
-            ]
-        )
-
-        # edge_quantum_cost's per-step time and energy, per server.
+        # Suppression and the per-step time and energy of edge_quantum_cost,
+        # per concatenation level in use, then per server.
         tech = scenario.qubit_tech
-        powers = gate_power_profile(
-            scenario.cryostat, tech, cryostat_stages(scenario.cryostat)
-        )
-        step = {}
+        error_rate, powers = _device_physics(scenario.cryostat, tech)
+        per_level = {}
         for level in {s.concat_level for s in servers}:
             res = logical_resources(level)
-            step[level] = (
+            per_level[level] = (
+                error_suppression(level, error_rate, scenario.error_threshold),
                 tech.tau_1qb * res.n_1qb
                 + tech.tau_2qb * res.n_2qb
                 + tech.tau_meas * res.n_meas,
@@ -264,8 +273,8 @@ class ScenarioEvaluator:
                 + powers.e_meas * res.n_meas
                 + powers.e_qubit * res.phys_per_logical,
             )
-        self._step_time, self._step_energy = _column(
-            [step[s.concat_level] for s in servers]
+        self._suppression, self._step_time, self._step_energy = _column(
+            [per_level[s.concat_level] for s in servers]
         ).T
         self._chip_energy = scenario.chip_energy_per_cycle
         self._error_threshold = scenario.error_threshold

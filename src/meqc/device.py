@@ -11,6 +11,7 @@ and safe to call from any number of workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 # CODATA values.
@@ -49,7 +50,9 @@ class CryostatConfig:
     t_para: float = 4.0
 
     def __post_init__(self):
-        if self.num_stages < 2:
+        # an int, not an equal float: stages are counted, and equal configs
+        # share their physics (``costs`` computes it once per device)
+        if operator.index(self.num_stages) < 2:
             raise ValueError(f"num_stages must be >= 2, got {self.num_stages}")
         if not 0.0 < self.t_qubit < self.t_gen:
             raise ValueError(

@@ -169,8 +169,11 @@ def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:
     column per row, so any row may stay unmatched; zero-weight pairs are
     not returned.  Rows are matched in index order, a numpy pass per step.
     Among equally short paths a free column (lowest index first) ends the
-    search, so a row with nothing to gain stops after one step.
+    search, so a row with nothing to gain stops after one step.  With no
+    positive weight at all every pair would be dropped, so none is searched.
     """
+    if not (weights > 0.0).any():
+        return []
     num_rows = len(weights)
     padded = np.hstack([weights, np.zeros((num_rows, num_rows))])
     width = padded.shape[1]

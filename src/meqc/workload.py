@@ -30,6 +30,7 @@ evaluator; a redrawn episode never becomes a ``Scenario``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -150,6 +151,23 @@ def _state_words(seed: int, keys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
+@functools.lru_cache(maxsize=8)
+def _pcg64_jumps(count: int) -> np.ndarray:
+    """``M**(s+1)`` and ``1 + M + ... + M**(s+1)`` mod ``2**128`` for ``s < count``.
+
+    Rows are the powers' high words, the sums' high words, then the two low
+    words, ``[4, count]`` uint64; read-only, as every caller shares it.
+    """
+    jumps, power, total = [], _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(count):
+        jumps.append([power >> 64, total >> 64, power % 2**64, total % 2**64])
+        power = power * _PCG_MULT % 2**128
+        total = (total + power) % 2**128
+    table = np.array(jumps, dtype=np.uint64).T.copy()
+    table.flags.writeable = False
+    return table
+
+
 def _pcg64_raw(words: np.ndarray, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Output ``steps[i] >= 1`` of numpy's ``PCG64`` seeded from ``words[rows[i]]``.
 
@@ -160,13 +178,8 @@ def _pcg64_raw(words: np.ndarray, rows: np.ndarray, steps: np.ndarray) -> np.nda
     mod ``2**128``.  Both products run on stacked (hi, lo) uint64 arrays,
     which wrap silently (numpy scalar products would warn).
     """
-    jumps, power, total = [], _PCG_MULT, 1 + _PCG_MULT
-    for _ in range(int(steps.max()) + 1):
-        jumps.append([power >> 64, total >> 64, power % 2**64, total % 2**64])
-        power = power * _PCG_MULT % 2**128
-        total = (total + power) % 2**128
-    bh, bl = np.array(jumps, dtype=np.uint64).T.reshape(2, 2, -1)[:, :, steps]
-    w = words[rows].T  # fancy indexing copies, so w is ours to write
+    bh, bl = _pcg64_jumps(int(steps.max()) + 1).take(steps, axis=1).reshape(2, 2, -1)
+    w = words.T.take(rows, axis=1)  # a contiguous copy, ours to write
     w[2] = w[2] << 1 | w[3] >> 63
     w[3] = w[3] << 1 | 1
     ah, al = w[0::2], w[1::2]  # (initstate, inc)

@@ -144,7 +144,7 @@ class TestParseConfig:
             ("train: {1: 2, x: 3}\n", "train.1 (line 1): unknown key"),
             ("episodes: 1\ntrain: {epochs: 0}\n", "train (line 2): epochs must be >= 1"),
             ("episodes: 1\ndevice: {num_stages: 1}\n",
-             "device (line 2): num_stages must be >= 2, got 1"),
+             "device.num_stages (line 2): must be >= 2, got 1"),
         ],
         ids=["weight_latency_abc", "epochs_x", "users_2.7", "episodes_true", "seeds_1.7",
              "decoherence_time_nan", "top_mixed_keys", "sweep_mixed_keys",
@@ -212,6 +212,23 @@ class TestParseConfig:
         cfg = parse_config("scenario: {users: 3.0}\ntrain: {epochs: 2.0}\n")
         assert cfg.users == 3 and isinstance(cfg.users, int)
         assert cfg.train.epochs == 2 and isinstance(cfg.train.epochs, int)
+
+    @pytest.mark.parametrize("key, field", [
+        ("attenuation_db", "total_attenuation_db"), ("heat_gen", "heat_gen"),
+        ("heat_hemt", "heat_hemt"), ("heat_para", "heat_para")])
+    def test_device_zero_is_in_the_model_domain(self, key, field):
+        assert getattr(parse_config(f"device: {{{key}: 0}}\n").cryostat, field) == 0.0
+        with pytest.raises(ConfigError, match=re.escape(f"device.{key} (line 1): must be >= 0")):
+            parse_config(f"device: {{{key}: -1.0e-9}}\n")
+
+    def test_swept_allotment_stays_an_exact_int(self):
+        cfg = parse_config(
+            "scenario: {users: 2, servers: 2}\npolicies: [local]\nepisodes: 1\n"
+            "sweep: {parameter: physical_qubits, values: [9007199254740993, 4000.0]}\n"
+        )
+        assert cfg.sweep_values == (2**53 + 1, 4000)
+        assert [type(v) for v in cfg.sweep_values] == [int, int]
+        assert [row["value"] for row in run_sweep(cfg)] == [4000.0, 2.0**53]
 
     def test_configs_are_frozen_and_hashable(self):
         # A mutable TrainConfig cannot be a dataclass default on Python 3.11+,
@@ -599,6 +616,16 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert load_csv(out)[0]["qpu_grant_rate"] == 0.0
+
+    def test_unattenuated_line_runs(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 2, servers: 2}\ndevice: {attenuation_db: 0}\n"
+            "policies: [oracle]\nepisodes: 1\n"
+        )
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
+        assert len(load_csv(out)) == 1
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "bad.yaml"

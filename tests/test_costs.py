@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import meqc.costs
 from meqc.costs import (
     CostBreakdown,
     JointAction,
@@ -20,7 +21,7 @@ from meqc.costs import (
     total_cost,
 )
 from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
-from meqc.device import physical_error_rate
+from meqc.device import error_suppression, physical_error_rate
 from meqc.workload import gen_scenario
 
 from cost_spec import (
@@ -635,3 +636,75 @@ class TestWithTasks:
             batch.savings(servers[rows, users], ratios[rows, users], users, episodes=rows),
             np.array([ScenarioEvaluator(episodes[r]).savings(servers[r, u], ratios[r, u], users=u)
                       for r, u in zip(rows, users)]))
+
+
+# The default device, one with no line attenuation or heat loads, and one
+# that changes every cryostat and qubit field.
+DEVICES = {
+    "default": (CryostatConfig(), QubitTech()),
+    "bare_line": (
+        CryostatConfig(total_attenuation_db=0.0, num_stages=3, heat_gen=0.0, heat_hemt=0.0,
+                       heat_para=0.0),
+        QubitTech(frequency=4.5e9, decoherence_time=5e-4, tau_1qb=20e-9, tau_2qb=80e-9,
+                  tau_meas=300e-9, tau_step=120e-9),
+    ),
+    "deep_chain": (
+        CryostatConfig(total_attenuation_db=70.0, num_stages=8, t_qubit=0.02, t_gen=290.0,
+                       heat_gen=3e-5, heat_hemt=1e-4, t_hemt=40.0, heat_para=2e-8, t_para=3.0),
+        QubitTech(frequency=7e9, decoherence_time=3e-3, tau_1qb=10e-9, tau_2qb=200e-9,
+                  tau_meas=50e-9, tau_step=60e-9),
+    ),
+}
+
+
+class TestDevicePhysics:
+    """The evaluator computes each device's physics once and reads it exactly."""
+
+    @pytest.mark.parametrize("name", sorted(DEVICES))
+    def test_server_tables_match_device_calls(self, name):
+        cryostat, tech = DEVICES[name]
+        # nine servers at seed 3 use all three concatenation levels
+        scenario = gen_scenario(2, 9, seed=3, cryostat=cryostat, qubit_tech=tech)
+        assert {s.concat_level for s in scenario.servers} == {1, 2, 3}
+        evaluator = ScenarioEvaluator(scenario)
+        error_rate = physical_error_rate(cryostat, tech)
+        powers = gate_power_profile(cryostat, tech, cryostat_stages(cryostat))
+        # one byte of a one-qubit task at ratio 0 costs one QPU step
+        unit = QuantumTaskSpec(data_size=1.0, logical_qubits=1, logical_depth=1)
+        profile = scenario.users[0].profile
+        for e, server in enumerate(scenario.servers):
+            level = server.concat_level
+            assert evaluator._suppression[e] == error_suppression(
+                level, error_rate, scenario.error_threshold)
+            step = edge_quantum_cost(
+                profile, server, e, unit, 0.0, logical_resources(level), powers, tech)
+            assert evaluator._step_time[e] == step.latency_edge_qpu
+            assert evaluator._step_energy[e] == step.energy_edge_qpu
+
+    def test_one_device_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(cryostat, tech):
+            calls.append((cryostat, tech))
+            return physical_error_rate(cryostat, tech)
+
+        monkeypatch.setattr(meqc.costs, "physical_error_rate", counted)
+        meqc.costs._device_physics.cache_clear()
+        cryostat, tech = DEVICES["deep_chain"]
+        for seed in range(5):
+            scenario = gen_scenario(3, 2, seed=seed, cryostat=cryostat, qubit_tech=tech)
+            ScenarioEvaluator(scenario)
+        assert calls == [(cryostat, tech)]
+
+    def test_failing_device_fails_every_build(self):
+        # 10**(1e6 / 10) overflows the attenuation chain
+        scenario = gen_scenario(2, 2, seed=0, cryostat=CryostatConfig(total_attenuation_db=1e6))
+        for _ in range(3):
+            with pytest.raises(OverflowError):
+                ScenarioEvaluator(scenario)
+
+    def test_stage_count_must_be_an_int(self):
+        # an equal float would share the physics of the int count
+        with pytest.raises(TypeError):
+            CryostatConfig(num_stages=5.0)
+        assert CryostatConfig(num_stages=np.int64(5)) == CryostatConfig()

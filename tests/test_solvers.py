@@ -23,6 +23,7 @@ from meqc.solvers import (
     solve_greedy,
 )
 from meqc.costs import QuantumTaskSpec, TaskSpec
+from meqc.device import QubitTech
 from meqc.workload import Scenario, ScenarioUser, gen_scenario
 
 from cost_spec import local_cost, qpu_saving, user_cost
@@ -256,7 +257,35 @@ def crafted_instance(rng, distinct_servers=True):
     ))
 
 
+# Gates 10**4 times faster than the default device's, for users who weigh
+# latency alone: there the QPU path pays and the oracle's matching grants.
+QPU_PAYS_TECH = dataclasses.replace(QubitTech(), **{
+    name: getattr(QubitTech(), name) * 1e-4
+    for name in ("tau_1qb", "tau_2qb", "tau_meas", "tau_step")
+})
+
+
+def qpu_pays_instance(seed, num_users=5, num_servers=4):
+    return gen_scenario(num_users, num_servers, seed, pins={"weight_latency": 1.0},
+                        qubit_tech=QPU_PAYS_TECH)
+
+
+def first_granting_instances(count):
+    """The generated QPU-pays instances of the first ``count`` seeds whose oracle grants."""
+    instances = (qpu_pays_instance(seed) for seed in itertools.count())
+    return list(itertools.islice(
+        (s for s in instances if any(solve_exhaustive(s)[0].quantum_indicator)), count))
+
+
 class TestOracleMatchesReference:
+    def test_generated_instances_where_the_qpu_pays(self):
+        contested = 0
+        for scenario in first_granting_instances(12):
+            action, cost = solve_exhaustive(scenario)
+            assert (action, cost) == reference_oracle(scenario)
+            contested += sum(action.quantum_indicator) > 1
+        assert contested >= 2
+
     def test_acceptance_instances(self):
         for scenario in instance_set():
             assert solve_exhaustive(scenario) == reference_oracle(scenario)
@@ -337,6 +366,35 @@ class TestMaxWeightMatching:
                 assert sum(weights[r, c] for r, c in pairs) == pytest.approx(
                     best, rel=1e-12, abs=1e-12
                 )
+
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (4, 7), (9, 3)])
+    def test_zero_weights_match_nothing(self, rows, cols):
+        assert _max_weight_matching(np.zeros((rows, cols))) == []
+
+
+class TestOracleSearchesOnlyPositiveSavings:
+    """Deterministic guard on the oracle's work: no timing, only call counts."""
+
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        # each step of an augmenting search picks its column with one np.lexsort
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        return calls
+
+    def test_zero_saving_solve_never_searches(self, monkeypatch):
+        scenario = gen_scenario(7, 4, seed=0)
+        calls = self.count_searches(monkeypatch)
+        action, _ = solve_exhaustive(scenario)
+        assert not any(action.quantum_indicator)  # no positive saving to match
+        assert calls == []
+
+    def test_granting_solve_searches(self, monkeypatch):
+        scenario = first_granting_instances(1)[0]
+        calls = self.count_searches(monkeypatch)
+        solve_exhaustive(scenario)
+        assert len(calls) >= len(scenario.servers)  # one search per server at least
 
 
 class TestExhaustive:
