@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -121,6 +122,18 @@ _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, also reading as floats the YAML 1.2 floats that
+    YAML 1.1 reads as strings: ``6.0e9``, ``1e-3`` and ``-.5``."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+)$"),
+    list("-+.0123456789"),
+)
+
+
 def _key_lines(text: str) -> dict[str, int]:
     """Map dotted key paths to 1-based line numbers of the YAML document.
 
@@ -131,7 +144,7 @@ def _key_lines(text: str) -> dict[str, int]:
     """
     constructor = yaml.constructor.SafeConstructor()
     try:
-        root = yaml.compose(text)
+        root = yaml.compose(text, Loader=_Loader)
     except yaml.YAMLError:
         return {}
     lines: dict[str, int] = {}
@@ -163,12 +176,15 @@ def _fail(key, lines: dict[str, int], message: str):
 def _number(key, value, lines, kind=float, domain=None, subject=""):
     """``value`` as a finite ``kind`` inside ``domain``, a (test, description) pair, if given.
 
-    Booleans are rejected, and so are non-integral numbers if ``kind`` is
-    int, which keeps a Python int exact; ``subject`` leads every failure.
+    Only YAML numbers pass: booleans and strings are rejected, and so are
+    non-integral numbers if ``kind`` is int, which keeps a Python int
+    exact; ``subject`` leads every failure.
     """
     try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        number = math.nan if isinstance(value, (bool, str)) else float(value)
+    except OverflowError:
+        _fail(key, lines, f"{subject}is too large, got {value!r}")
+    except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number) or (kind is int and not number.is_integer()):
         wanted = "an integer" if kind is int else "a finite number"
@@ -206,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
     document yields the full default configuration.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if doc is None:
@@ -275,18 +291,18 @@ def parse_config(text: str) -> ExperimentConfig:
     if doc.get("checkpoint") is not None:
         cfg = replace(cfg, checkpoint=_path("checkpoint", doc["checkpoint"], lines))
 
-    train = _section(doc, "train", _TRAIN_KINDS, lines)
-    for key, value in train.items():
+    # one key at a time, in document order: ``TrainConfig`` has no rule
+    # across fields, so a refusal belongs to the key just applied
+    for key, value in _section(doc, "train", _TRAIN_KINDS, lines).items():
         kind = _TRAIN_KINDS[key]
         if kind in (int, float):
-            train[key] = _number(f"train.{key}", value, lines, kind)
+            value = _number(f"train.{key}", value, lines, kind)
         elif not isinstance(value, kind):
             _fail(f"train.{key}", lines, f"expected a {kind.__name__}, got {value!r}")
-    if train:
         try:
-            cfg = replace(cfg, train=replace(cfg.train, **train))
+            cfg = replace(cfg, train=replace(cfg.train, **{key: value}))
         except ValueError as exc:
-            _fail("train", lines, str(exc))
+            _fail(f"train.{key}", lines, str(exc))
 
     if "trained" in cfg.policies and cfg.checkpoint is None:
         _fail("policies", lines, "policy 'trained' needs a checkpoint path")

@@ -48,7 +48,8 @@ class UserProfile:
     ``channel_gains[e]`` is the unitless uplink gain toward server ``e``.
     ``edge_cpu`` is the cycles/s the user has subscribed on any edge
     server, ``logical_qubit_quota`` the subscribed number of logical
-    qubits.
+    qubits.  This record, ``TaskSpec`` and ``QuantumTaskSpec`` are plain
+    data: a scenario built from them checks them as ``UserColumns``.
     """
 
     f_local: float
@@ -59,21 +60,6 @@ class UserProfile:
     edge_cpu: float
     logical_qubit_quota: int
 
-    def __post_init__(self):
-        if self.f_local <= 0.0:
-            raise ValueError("f_local must be > 0")
-        if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be > 0")
-        for w in (self.weight_latency, self.weight_energy):
-            if not 0.0 <= w <= 1.0:
-                raise ValueError("weights must lie in [0, 1]")
-        if any(g <= 0.0 for g in self.channel_gains):
-            raise ValueError("channel gains must be > 0")
-        if self.edge_cpu <= 0.0:
-            raise ValueError("edge_cpu must be > 0")
-        if self.logical_qubit_quota < 0:
-            raise ValueError("logical_qubit_quota must be >= 0")
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -81,10 +67,6 @@ class TaskSpec:
 
     data_size: float
     cycles_per_byte: float
-
-    def __post_init__(self):
-        if self.data_size <= 0.0 or self.cycles_per_byte <= 0.0:
-            raise ValueError("data_size and cycles_per_byte must be > 0")
 
 
 @dataclass(frozen=True)
@@ -94,12 +76,6 @@ class QuantumTaskSpec:
     data_size: float
     logical_qubits: int
     logical_depth: int
-
-    def __post_init__(self):
-        if self.data_size <= 0.0:
-            raise ValueError("data_size must be > 0")
-        if self.logical_qubits <= 0 or self.logical_depth <= 0:
-            raise ValueError("logical_qubits and logical_depth must be > 0")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ oracle is checked against live in the test suite.
 
 Policies act on a ``MeqcEnv``; the local and random baselines submit raw
 (server, ratio) pairs, so only ``env.grant_mask`` grants their QPUs.
-Greedy and the oracle are solved on a ``ScenarioEvaluator``: in an
-episode the environment's own ``env.evaluator``, and for the public
-``solve_*`` calls one evaluator built from the given scenario.
+Greedy and the oracle are solved on a ``ScenarioEvaluator``: the
+environment's own ``env.evaluator``, and for ``solve_greedy`` and
+``solve_exhaustive`` one evaluator built from the given scenario.
+``solve_baseline`` steps every kind through a fresh ``MeqcEnv``.
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ def solve_baseline(
 
     local: keep everything on-device.  random: uniform server and uniform
     ratio per user.  random_cloud: uniform server, full offload.  greedy:
-    see ``solve_greedy``.  The first three are stepped through a
-    ``MeqcEnv``, so the returned action carries exactly the grants that
-    would execute.
+    see ``solve_greedy``; oracle: see ``solve_exhaustive``.  Every kind is
+    stepped through a ``MeqcEnv`` as its ``BaselinePolicy``, so the
+    returned action carries exactly the grants that would execute.
     """
-    kind = PolicyKind(kind)
-    if kind in (PolicyKind.GREEDY, PolicyKind.ORACLE):
-        return _solve(kind, ScenarioEvaluator(scenario))
     env = MeqcEnv(scenario)
-    return env.step(_decisions(kind, env.num_users, env.num_servers, rng)).action
+    return env.step(BaselinePolicy(kind).act(env, rng)).action
 
 
 def _decisions(
@@ -71,13 +69,6 @@ def _decisions(
     if kind is PolicyKind.RANDOM:
         pairs[:, 1] = rng.uniform(0.0, 1.0, size=num_users)
     return pairs  # RANDOM_CLOUD offloads everything: ratio 0
-
-
-def _solve(kind: PolicyKind, evaluator: ScenarioEvaluator) -> JointAction:
-    """Greedy's or the oracle's joint action on ``evaluator``."""
-    if kind is PolicyKind.GREEDY:
-        return _greedy(evaluator)
-    return _oracle(evaluator)[0]
 
 
 def solve_greedy(scenario: Scenario) -> JointAction:
@@ -238,7 +229,11 @@ class BaselinePolicy:
         if self.kind not in (PolicyKind.GREEDY, PolicyKind.ORACLE):
             return _decisions(self.kind, env.num_users, env.num_servers, rng)
         if self._solved is None or self._solved[0] is not env.evaluator:
-            self._solved = (env.evaluator, _solve(self.kind, env.evaluator))
+            if self.kind is PolicyKind.GREEDY:
+                action = _greedy(env.evaluator)
+            else:
+                action = _oracle(env.evaluator)[0]
+            self._solved = (env.evaluator, action)
         return self._solved[1]
 
 

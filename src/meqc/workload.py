@@ -271,8 +271,8 @@ class UserColumns:
     The fields are ``UserProfile``'s, then ``TaskSpec``'s, then
     ``QuantumTaskSpec``'s (whose ``data_size`` is ``quantum_data_size``),
     in that order.  Each is a ``[U]`` array, except the ``[U, E]``
-    ``channel_gains``.  Construction applies those classes' checks to whole
-    columns, with the same comparisons and messages.
+    ``channel_gains``.  Construction checks every per-user rule on whole
+    columns; no other code states those rules.
     """
 
     f_local: np.ndarray

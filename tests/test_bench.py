@@ -142,7 +142,7 @@ class TestParseConfig:
             ("sweep: {1: 2, x: 3, parameter: edge_cpu, values: [1.0e9]}\n",
              "sweep.1 (line 1): unknown key"),
             ("train: {1: 2, x: 3}\n", "train.1 (line 1): unknown key"),
-            ("episodes: 1\ntrain: {epochs: 0}\n", "train (line 2): epochs must be >= 1"),
+            ("episodes: 1\ntrain:\n  epochs: 0\n", "train.epochs (line 3): epochs must be >= 1"),
             ("episodes: 1\ndevice: {num_stages: 1}\n",
              "device.num_stages (line 2): must be >= 2, got 1"),
         ],
@@ -229,6 +229,72 @@ class TestParseConfig:
         assert cfg.sweep_values == (2**53 + 1, 4000)
         assert [type(v) for v in cfg.sweep_values] == [int, int]
         assert [row["value"] for row in run_sweep(cfg)] == [4000.0, 2.0**53]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('episodes: 1\nscenario: {users: "10"}\n',
+             "scenario.users (line 2): must be an integer, got '10'"),
+            ("episodes: 1\nscenario:\n  bandwidth: '2.0e7'\n",
+             "scenario.bandwidth (line 3): must be a finite number, got '2.0e7'"),
+            ("episodes: 1\nscenario: {bandwidth: 2_0e6}\n",
+             "scenario.bandwidth (line 2): must be a finite number, got '2_0e6'"),
+            ('episodes: "3"\n', "episodes (line 1): must be an integer, got '3'"),
+            ("episodes: 1\ntrain:\n  learning_rate: '0.01'\n",
+             "train.learning_rate (line 3): must be a finite number, got '0.01'"),
+            ('sweep: {parameter: edge_cpu, values: ["1.0e9"]}\n',
+             "sweep.values (line 1): edge_cpu must be a finite number, got '1.0e9'"),
+            ("episodes: 1\noutput: 1e3\n", "output (line 2): must be a non-empty path, got 1000.0"),
+        ],
+        ids=["users", "bandwidth", "underscored", "episodes", "learning_rate", "sweep_value",
+             "output_number"],
+    )
+    def test_quoted_numbers_rejected_with_key_and_line(self, text, where, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        assert main(["eval", "--config", str(config)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_yaml_1_2_floats_are_numbers(self):
+        cfg = parse_config(
+            "scenario: {bandwidth: 2.0e7, weight_latency: +.25}\n"
+            "device:\n  frequency: 6.0e9\n  decoherence_time: 1e-3\n"
+            "train: {learning_rate: 5E-4}\n"
+        )
+        values = (cfg.bandwidth, cfg.weight_latency, cfg.qubit_tech.frequency,
+                  cfg.qubit_tech.decoherence_time, cfg.train.learning_rate)
+        assert values == (2e7, 0.25, 6e9, 1e-3, 5e-4)
+        assert all(type(v) is float for v in values)
+        assert parse_config("scenario: {users: 1e1}\n").users == 10
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("train:\n  batch_size: 4\n  epochs: 0\n", "train.epochs (line 3): epochs must be >= 1"),
+            ("train:\n  discount: 1.5\n  epochs: 2\n",
+             "train.discount (line 2): discount must lie in [0, 1]"),
+            ("train: {optimizer: rms}\n", "train.optimizer (line 1): unknown optimizer 'rms'"),
+        ],
+        ids=["epochs", "discount", "optimizer"],
+    )
+    def test_train_errors_name_their_key(self, text, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("sweep: {parameter: physical_qubits, values: [1%s]}\n" % ("0" * 400),
+             "sweep.values (line 1): physical_qubits is too large, got 1000"),
+            ("episodes: 1%s\n" % ("0" * 400), "episodes (line 1): is too large, got 1000"),
+        ],
+        ids=["sweep_value", "episodes"],
+    )
+    def test_integer_beyond_float_range_is_too_large(self, text, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
 
     def test_configs_are_frozen_and_hashable(self):
         # A mutable TrainConfig cannot be a dataclass default on Python 3.11+,

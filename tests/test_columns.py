@@ -1,6 +1,7 @@
 """A scenario's users are columns: generation and scoring build no per-user
 object, object-built scenarios give the same tables, and the column checks
-are the per-user classes' checks."""
+are the only per-user checks: the records hold any value, and every route
+to a scenario refuses what the columns refuse."""
 
 import dataclasses
 import math
@@ -15,6 +16,7 @@ from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import (
     Scenario,
     ScenarioUser,
+    UserColumns,
     gen_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -131,27 +133,70 @@ def outcome(build):
 @pytest.mark.parametrize("column, part, name, refused, accepted", RULES,
                          ids=[rule[0] for rule in RULES])
 def test_column_checks_match_object_checks(column, part, name, refused, accepted):
+    """A scenario built from records, or loaded from its dict, refuses
+    exactly what its columns refuse, with the columns' message."""
     scenario = gen_scenario(3, 2, seed=4)
     entry, columns = scenario.users[1], scenario.columns
+
+    def with_column(value):
+        values = getattr(columns, column).copy()
+        values[(1, 1) if values.ndim == 2 else 1] = value  # user 1, server 1
+        return dataclasses.replace(columns, **{column: values})
 
     def with_object(value):
         obj = getattr(entry, part)
         if name == "channel_gains":
             value = (obj.channel_gains[0], value)
-        return dataclasses.replace(obj, **{name: value})
+        changed = dataclasses.replace(entry, **{part: dataclasses.replace(obj, **{name: value})})
+        return dataclasses.replace(scenario, users=(scenario.users[0], changed, scenario.users[2]))
 
-    def with_column(value):
-        values = getattr(columns, column).copy()
-        values[(1, 1) if values.ndim == 2 else 1] = value  # as ``with_object`` sets it
-        return dataclasses.replace(columns, **{column: values})
+    def loaded(value):
+        doc = scenario_to_dict(scenario)
+        record = doc["users"][1][part]
+        if name == "channel_gains":
+            record[name][1] = value
+        else:
+            record[name] = value
+        return scenario_from_dict(doc)
 
     for value in refused:
-        message = outcome(lambda: with_object(value))
+        message = outcome(lambda: with_column(value))
         assert message is not None
-        assert outcome(lambda: with_column(value)) == message
+        assert outcome(lambda: with_object(value)) == message
+        assert outcome(lambda: loaded(value)) == message
     for value in accepted:
-        assert outcome(lambda: with_object(value)) is None
-        assert outcome(lambda: with_column(value)) is None
+        for build in (with_column, with_object, loaded):
+            assert outcome(lambda: build(value)) is None
+
+
+def test_bare_records_hold_refused_values():
+    entry = gen_scenario(1, 1, seed=4).users[0]
+    for _, part, name, refused, _ in RULES:
+        value = (refused[0],) if name == "channel_gains" else refused[0]
+        record = dataclasses.replace(getattr(entry, part), **{name: value})
+        assert getattr(record, name) is value
+
+
+def count_column_checks(monkeypatch) -> list:
+    """Record every run of ``UserColumns.__post_init__`` from here on."""
+    runs, check = [], UserColumns.__post_init__
+    monkeypatch.setattr(UserColumns, "__post_init__", lambda self: runs.append(1) or check(self))
+    return runs
+
+
+def test_scenario_of_records_checks_them_once(monkeypatch):
+    scenario = gen_scenario(100, 20, seed=3)
+    users = scenario.users
+    runs = count_column_checks(monkeypatch)
+    assert dataclasses.replace(scenario, users=users) == scenario
+    assert len(runs) == 1
+
+
+def test_users_view_runs_no_check(monkeypatch):
+    scenario = gen_scenario(100, 20, seed=3)
+    runs = count_column_checks(monkeypatch)
+    assert len(scenario.users) == 100
+    assert runs == []
 
 
 def test_gains_row_of_wrong_length_names_user_and_servers():

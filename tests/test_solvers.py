@@ -16,6 +16,7 @@ from meqc.solvers import (
     BaselinePolicy,
     EvalStats,
     PolicyKind,
+    _decisions,
     _max_weight_matching,
     evaluate,
     solve_baseline,
@@ -66,6 +67,37 @@ class TestBaselines:
     def test_random_needs_rng(self):
         with pytest.raises(ValueError):
             solve_baseline(PolicyKind.RANDOM, gen_scenario(1, 1, seed=0))
+
+    def test_every_kind_steps_as_its_own_route(self):
+        """``solve_baseline`` gives each kind's direct action: greedy's and the
+        oracle's on a fresh evaluator, the others' raw pairs stepped through
+        an environment.  Seed rule: 5x4 instances of seeds 0-59 on the default
+        device and on one where the QPU pays (latency only, gates 1e4 times
+        faster); a random kind draws from ``default_rng(seed)`` on both routes.
+        """
+        tech = QubitTech()
+        fast = dataclasses.replace(tech, **{
+            name: getattr(tech, name) * 1e-4
+            for name in ("tau_1qb", "tau_2qb", "tau_meas", "tau_step")
+        })
+        devices = {"default": ({}, tech), "qpu_pays": ({"weight_latency": 1.0}, fast)}
+        grants = dict.fromkeys(PolicyKind, 0)
+        for device, (pins, qubit_tech) in devices.items():
+            for seed in range(60):
+                scenario = gen_scenario(5, 4, seed, pins=pins, qubit_tech=qubit_tech)
+                for kind in PolicyKind:
+                    if kind is PolicyKind.GREEDY:
+                        expected = solve_greedy(scenario)
+                    elif kind is PolicyKind.ORACLE:
+                        expected = solve_exhaustive(scenario)[0]
+                    else:
+                        pairs = _decisions(kind, 5, 4, np.random.default_rng(seed))
+                        expected = MeqcEnv(scenario).step(pairs).action
+                    action = solve_baseline(kind, scenario, np.random.default_rng(seed))
+                    assert action == expected, (device, seed, kind)
+                    grants[kind] += sum(action.quantum_indicator)
+        # every kind but local is compared on actions that hold grants
+        assert all(grants[kind] for kind in PolicyKind if kind is not PolicyKind.LOCAL)
 
 
 def reference_greedy(scenario):
@@ -563,9 +595,10 @@ class TestEvaluate:
     def test_redrawn_solvers_solve_each_episode(self, kind, monkeypatch):
         calls = self.count_calls(monkeypatch, "with_tasks")
         solved = []
-        solve = meqc.solvers._solve
-        monkeypatch.setattr(meqc.solvers, "_solve",
-                            lambda k, evaluator: solved.append(evaluator) or solve(k, evaluator))
+        name = "_greedy" if kind == "greedy" else "_oracle"
+        solve = getattr(meqc.solvers, name)
+        monkeypatch.setattr(meqc.solvers, name,
+                            lambda evaluator: solved.append(evaluator) or solve(evaluator))
         evaluate(BaselinePolicy(kind), gen_scenario(4, 3, seed=5), 6, np.random.default_rng(0),
                  redraw_tasks=True)
         assert len({id(evaluator) for evaluator in solved}) == len(solved) == 6
