@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs: two small training runs, a sweep CSV, an
+"""Byte-for-byte golden outputs: three training runs, a sweep CSV, an
 evaluation with redrawn tasks and a hash of generated scenarios.
 
 The files under ``tests/golden/`` pin the learning curves, a sha256 of
@@ -28,6 +28,11 @@ from meqc.workload import PIN_FIELDS, gen_scenario, scenario_to_dict
 GOLDEN = Path(__file__).parent / "golden"
 
 TRAIN_RUNS = {
+    # the shape of the ``train_3x3`` benchmark and acceptance criterion 8
+    "train_adam_3x3": dict(
+        users=3, servers=3, scenario_seed=0, seed=0,
+        cfg=TrainConfig(epochs=2, steps_per_epoch=500, hidden_units=256),
+    ),
     "train_redraw": dict(
         users=3, servers=2, scenario_seed=4, seed=1,
         cfg=TrainConfig(epochs=3, steps_per_epoch=32, updates_per_epoch=2,
