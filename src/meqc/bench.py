@@ -122,16 +122,41 @@ _TOP_KEYS = {"scenario", "device", "sweep", "policies", "episodes", "seeds",
              "output", "checkpoint", "workers", "train"}
 
 
+_INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+
+
 class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, also reading as floats the YAML 1.2 floats that
-    YAML 1.1 reads as strings: ``6.0e9``, ``1e-3`` and ``-.5``."""
+    """PyYAML's safe loader, reading numbers as YAML 1.2's core schema does.
+
+    Ints are decimal (``010`` is ten), ``0o`` octal or ``0x`` hex; floats
+    include ``6.0e9``, ``1e-3`` and ``-.5``, which YAML 1.1 reads as
+    strings.  YAML 1.1's sexagesimal (``1:30``), underscored (``2_0.0``)
+    and ``0b`` forms stay strings, so ``_number`` refuses them.
+    """
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT_TAG, _FLOAT_TAG)]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
+
+
+def _construct_int(loader, node) -> int:
+    value = loader.construct_scalar(node)
+    return int(value, 0) if value[:2] in ("0o", "0x") else int(value)
 
 
 _Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+)$"),
+    _INT_TAG, re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$"), list("-+0123456789")
+)
+_Loader.add_implicit_resolver(
+    _FLOAT_TAG,
+    re.compile(
+        r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+        r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
+    ),
     list("-+.0123456789"),
 )
+_Loader.add_constructor(_INT_TAG, _construct_int)
 
 
 def _key_lines(text: str) -> dict[str, int]:
@@ -142,7 +167,7 @@ def _key_lines(text: str) -> dict[str, int]:
     map to their line in the merged mapping, and a key present more than
     once maps to the occurrence the parsed document keeps.
     """
-    constructor = yaml.constructor.SafeConstructor()
+    constructor = _Loader("")
     try:
         root = yaml.compose(text, Loader=_Loader)
     except yaml.YAMLError:

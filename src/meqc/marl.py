@@ -12,8 +12,10 @@ actions, and one ``gae`` pass over all 2U heads (each critic's baseline
 is constant).  Each update indexes every column once, and runs every
 network forward and backward on its agent's one observation row, fed the
 per-sample gradients summed over the minibatch.  All numerics run on the
-hand-rolled ``nn.Mlp``; every optimizer of a run writes its gradients and
-step scratch into one shared buffer array.
+hand-rolled ``nn.Mlp``.  A run lives in two blocks: every network of every
+agent is a view of one parameter block, row ``u`` for agent ``u``, and
+every optimizer's moments, gradient row and step scratch are views of one
+optimizer-state block, which is freed when ``train`` returns.
 """
 
 from __future__ import annotations
@@ -152,16 +154,20 @@ def _net_layouts(obs_dim: int, num_servers: int, hidden: int) -> dict:
 
 
 class HybridAgent:
-    """One user's policy and value networks."""
+    """One user's policy and value networks.
 
-    def __init__(
-        self, obs_dim: int, num_servers: int, hidden: int, rng: np.random.Generator
-    ):
-        self.obs_dim = obs_dim
-        self.num_servers = num_servers
-        self.hidden = hidden
+    ``params`` holds the parameters of all four networks, one after another
+    in ``_NET_NAMES`` order, and each network's ``params`` is a view of it.
+    A caller-owned ``params`` vector, such as a row of a run's parameter
+    block, is overwritten with the drawn networks; otherwise the agent
+    allocates its own.
+    """
+
+    def __init__(self, obs_dim: int, num_servers: int, hidden: int, rng: np.random.Generator,
+                 params: np.ndarray | None = None):
+        views = self._allocate(obs_dim, num_servers, hidden, params)
         self.nets = {
-            name: Mlp(sizes, rng, out_scale=out_scale)
+            name: Mlp(sizes, rng, out_scale=out_scale, params=views[name])
             for name, (sizes, out_scale) in _net_layouts(obs_dim, num_servers, hidden).items()
         }
 
@@ -171,14 +177,40 @@ class HybridAgent:
     ) -> HybridAgent:
         """An agent holding copies of ``params`` (``flat_params`` form); nothing is drawn."""
         agent = cls.__new__(cls)
-        agent.obs_dim = obs_dim
-        agent.num_servers = num_servers
-        agent.hidden = hidden
+        views = agent._allocate(obs_dim, num_servers, hidden, None)
         agent.nets = {
-            name: Mlp.from_params(sizes, params[name])
+            name: Mlp.from_params(sizes, params[name], out=views[name])
             for name, (sizes, _) in _net_layouts(obs_dim, num_servers, hidden).items()
         }
         return agent
+
+    @staticmethod
+    def param_count(obs_dim: int, num_servers: int, hidden: int) -> int:
+        """Length of an agent's ``params``: the sum over its networks."""
+        layouts = _net_layouts(obs_dim, num_servers, hidden).values()
+        return sum(Mlp.param_count(sizes) for sizes, _ in layouts)
+
+    def _allocate(self, obs_dim, num_servers, hidden, params) -> dict[str, np.ndarray]:
+        """Set the shape and ``params`` (zeros when omitted); return its per-network views."""
+        self.obs_dim = obs_dim
+        self.num_servers = num_servers
+        self.hidden = hidden
+        if params is None:
+            params = np.zeros(self.param_count(obs_dim, num_servers, hidden))
+        self.params = params
+        return self.split(params)
+
+    def split(self, array: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-network views of ``array``'s last axis, laid out like ``params``."""
+        views = {}
+        offset = 0
+        for name, (sizes, _) in _net_layouts(self.obs_dim, self.num_servers, self.hidden).items():
+            count = Mlp.param_count(sizes)
+            views[name] = array[..., offset : offset + count]
+            offset += count
+        if array.shape[-1] != offset:
+            raise ValueError(f"expected {offset} parameters per agent, got {array.shape[-1]}")
+        return views
 
     def server_logits(self, obs):
         return self.nets["pi_server"].forward(obs)
@@ -221,9 +253,6 @@ class HybridAgent:
     def set_flat_params(self, params: dict[str, np.ndarray]) -> None:
         for name, vec in params.items():
             self.nets[name].set_flat_params(vec)
-
-    def params_finite(self) -> bool:
-        return all(np.isfinite(net.params).all() for net in self.nets.values())
 
 
 def _logsumexp(x):
@@ -358,26 +387,34 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     return stats
 
 
-def _update_buffers(agent: HybridAgent) -> np.ndarray:
-    """Gradient row and optimizer scratch pair sized to ``agent``'s largest network.
+def _make_optimizers(agents: list[HybridAgent], cfg: TrainConfig) -> list[dict]:
+    """One optimizer per network of every agent, all state in one fresh block.
 
-    Updates run one network at a time, so every network of every agent of
-    this shape can share them.
+    Updates run one network at a time, so every network of every agent
+    shares one gradient row and step scratch pair, sized to the largest
+    network.  Adam's moments follow as ``[U, 2, P]``: each agent's ``m``
+    and ``v`` rows, laid out like its ``params``.  This block stays apart
+    from the parameter block, so the agents a run returns keep none of it.
     """
-    return np.empty((3, max(net.num_params for net in agent.nets.values())))
-
-
-def _make_optimizers(
-    agent: HybridAgent, cfg: TrainConfig, buffers: np.ndarray | None = None
-) -> dict:
-    """One optimizer per network, all on ``buffers`` (the agent's own when omitted)."""
-    maker = Adam if cfg.optimizer == "adam" else Sgd
-    if buffers is None:
-        buffers = _update_buffers(agent)
-    return {
-        name: maker(agent.nets[name], cfg.learning_rate, buffers=buffers)
-        for name in _NET_NAMES
-    }
+    width = max(net.num_params for net in agents[0].nets.values())
+    count = agents[0].params.size
+    adam = cfg.optimizer == "adam"
+    state = np.zeros(3 * width + (2 * len(agents) * count if adam else 0))
+    buffers = state[: 3 * width].reshape(3, width)
+    if not adam:
+        return [
+            {name: Sgd(net, cfg.learning_rate, buffers=buffers)
+             for name, net in agent.nets.items()}
+            for agent in agents
+        ]
+    optimizers = []
+    for agent, moments in zip(agents, state[3 * width :].reshape(len(agents), 2, count)):
+        views = agent.split(moments)
+        optimizers.append({
+            name: Adam(net, cfg.learning_rate, buffers=buffers, moments=views[name])
+            for name, net in agent.nets.items()
+        })
+    return optimizers
 
 
 @dataclass
@@ -414,17 +451,22 @@ def train(
         rng=np.random.default_rng(env_ss),
     )
     obs_dim = observation_length(env.num_servers)
+    # the run's parameter block: agent u's networks are views of row u
+    params = np.zeros(
+        (env.num_users, HybridAgent.param_count(obs_dim, env.num_servers, cfg.hidden_units))
+    )
     agents = [
-        HybridAgent(obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss))
-        for ss in agents_ss.spawn(env.num_users)
+        HybridAgent(
+            obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss), params=row
+        )
+        for ss, row in zip(agents_ss.spawn(env.num_users), params)
     ]
-    buffers = _update_buffers(agents[0])
-    optimizers = [_make_optimizers(agent, cfg, buffers) for agent in agents]
+    optimizers = _make_optimizers(agents, cfg)
     sample_rng = np.random.default_rng(sample_ss)
     batch_rng = np.random.default_rng(batch_ss)
 
     result = TrainResult(agents=agents)
-    last_good = None if checkpoint_path is None else [agent.flat_params() for agent in agents]
+    last_good = None if checkpoint_path is None else params.copy()
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
         # values are fixed for the epoch: evaluate them once, draw the whole
@@ -455,17 +497,19 @@ def train(
                     agent_batch = {key: col[:, u] for key, col in batch.items()}
                     agent_batch["obs"] = o
                     stats.append(ppo_update(agent, opts, agent_batch, cfg))
-            bad = [u for u, agent in enumerate(agents) if not agent.params_finite()]
+            # a row is finite iff its extremes are, as min and max propagate
+            # NaN; np.isfinite(params) would add a block-sized temporary
+            finite = np.isfinite(params.min(axis=1)) & np.isfinite(params.max(axis=1))
+            bad = np.flatnonzero(~finite).tolist()
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
         except TrainingError:
             if last_good is not None:
-                for agent, params in zip(agents, last_good):
-                    agent.set_flat_params(params)
+                params[:] = last_good
                 save_checkpoint(checkpoint_path, agents)
             raise
         if last_good is not None:
-            last_good = [agent.flat_params() for agent in agents]
+            last_good[:] = params
 
         means = [float(np.mean([getattr(s, name) for s in stats])) for name in CURVE_COLUMNS[2:]]
         result.curve.append(dict(zip(CURVE_COLUMNS, [epoch, float(-rewards.mean()), *means])))

@@ -269,6 +269,33 @@ class TestParseConfig:
         assert all(type(v) is float for v in values)
         assert parse_config("scenario: {users: 1e1}\n").users == 10
 
+    def test_yaml_1_2_ints_are_decimal(self):
+        cfg = parse_config("episodes: 010\nscenario: {users: 0o17, servers: 0x1F}\n")
+        assert (cfg.episodes, cfg.users, cfg.servers) == (10, 15, 31)
+        with pytest.raises(ConfigError, match=re.escape("10 (line 1): unknown key")):
+            parse_config("010: 3\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("episodes: 1:30\n", "episodes (line 1): must be an integer, got '1:30'"),
+            ("episodes: 1\nscenario:\n  bandwidth: 1:30.5\n",
+             "scenario.bandwidth (line 3): must be a finite number, got '1:30.5'"),
+            ("episodes: 1\nscenario: {bandwidth: 2_0.0}\n",
+             "scenario.bandwidth (line 2): must be a finite number, got '2_0.0'"),
+            ("episodes: 1\nscenario: {users: 0b11}\n",
+             "scenario.users (line 2): must be an integer, got '0b11'"),
+        ],
+        ids=["sexagesimal_int", "sexagesimal_float", "underscored_float", "binary_int"],
+    )
+    def test_yaml_1_1_number_forms_rejected(self, text, where, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        assert main(["eval", "--config", str(config)]) == 2
+        assert where in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, where",
         [

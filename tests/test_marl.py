@@ -239,7 +239,7 @@ class TestPpoUpdate:
                                rng=np.random.default_rng(1))
         logits = agent.server_logits(obs)
         before = logits[1] - _lse(logits)
-        ppo_update(agent, _make_optimizers(agent, cfg), batch, cfg)
+        ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
         logits = agent.server_logits(obs)
         assert logits[1] - _lse(logits) > before
 
@@ -254,7 +254,7 @@ class TestPpoUpdate:
         # ratio = exp(logp_new - logp_old) = 1 + 2*eps > 1 + eps, advantage > 0
         batch["logp_server"] = batch["logp_server"] - np.log(1 + 2 * cfg.clip_epsilon)
         before = agent.nets["pi_server"].flat_params()
-        ppo_update(agent, _make_optimizers(agent, cfg), batch, cfg)
+        ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
         assert np.array_equal(agent.nets["pi_server"].flat_params(), before)
 
     def test_two_armed_bandit_concentrates(self):
@@ -264,7 +264,7 @@ class TestPpoUpdate:
             learning_rate=0.01, entropy_coef=0.001, normalize_advantages=True,
             discount=0.0, gae_lambda=0.0, optimizer="adam",
         )
-        opts = _make_optimizers(agent, cfg)
+        opts = _make_optimizers([agent], cfg)[0]
         obs = np.ones(2)
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -294,7 +294,7 @@ class TestPpoUpdate:
                                rng=np.random.default_rng(3))
         batch["adv_server"] = np.full(32, np.nan)
         with pytest.raises(TrainingError, match="non-finite"):
-            ppo_update(agent, _make_optimizers(agent, cfg), batch, cfg)
+            ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
 
 
 def reference_ppo_update(agent, optimizers, batch, cfg):
@@ -390,8 +390,8 @@ class TestOneRowUpdate:
         batch = perturbed_batch(agents[0], obs, n, seed=10 * num_servers + n)
         tiled = dict(batch, obs=np.tile(obs, (n, 1)))
         before = agents[0].flat_params()
-        ref = reference_ppo_update(agents[0], _make_optimizers(agents[0], cfg), tiled, cfg)
-        got = ppo_update(agents[1], _make_optimizers(agents[1], cfg), batch, cfg)
+        ref = reference_ppo_update(agents[0], _make_optimizers([agents[0]], cfg)[0], tiled, cfg)
+        got = ppo_update(agents[1], _make_optimizers([agents[1]], cfg)[0], batch, cfg)
         for name, vec in agents[0].flat_params().items():
             if n > 1 and (num_servers > 1 or name != "pi_server"):
                 assert not np.array_equal(vec, before[name]), name
@@ -408,7 +408,7 @@ class TestOneRowUpdate:
         agent = HybridAgent(obs_dim=5, num_servers=1, hidden=16, rng=np.random.default_rng(3))
         obs = np.full(5, 0.3)
         before = agent.nets["pi_server"].flat_params()
-        opts = _make_optimizers(agent, cfg)
+        opts = _make_optimizers([agent], cfg)[0]
         for seed in range(5):
             ppo_update(agent, opts, perturbed_batch(agent, obs, 128, seed), cfg)
         assert np.array_equal(agent.nets["pi_server"].flat_params(), before)
@@ -581,6 +581,123 @@ class TestTrain:
         result = train(gen_scenario(2, 2, seed=3), self.smoke_config(), seed=1)
         assert [list(row) for row in result.curve] == [list(marl.CURVE_COLUMNS)] * 3
         assert [row["epoch"] for row in result.curve] == [0, 1, 2]
+
+
+class TestMemoryBlocks:
+    """A run keeps its parameters in one block and its optimizer state in another."""
+
+    users, servers, hidden = 3, 2, 8
+
+    def run(self, monkeypatch, optimizer="adam"):
+        """Train briefly; return the result and every optimizer the run updated with."""
+        seen = []
+        real_update = marl.ppo_update
+
+        def recording_update(agent, optimizers, batch, cfg):
+            seen.extend(optimizers.values())
+            return real_update(agent, optimizers, batch, cfg)
+
+        monkeypatch.setattr(marl, "ppo_update", recording_update)
+        cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1, batch_size=8,
+                          hidden_units=self.hidden, optimizer=optimizer)
+        result = train(gen_scenario(self.users, self.servers, seed=0), cfg, seed=3)
+        return result, list({id(opt): opt for opt in seen}.values())
+
+    def test_networks_are_rows_of_one_parameter_block(self, monkeypatch):
+        result, _ = self.run(monkeypatch)
+        agent0 = result.agents[0]
+        size = HybridAgent.param_count(agent0.obs_dim, self.servers, self.hidden)
+        block = agent0.params.base
+        assert block.shape == (self.users, size)
+        # nothing but parameters: a returned result pins no optimizer state
+        assert block.nbytes == self.users * size * 8
+        for u, agent in enumerate(result.agents):
+            assert agent.params.base is block and np.shares_memory(agent.params, block[u])
+            offset = 0
+            for name, net in zip(marl._NET_NAMES, agent.nets.values(), strict=True):
+                assert net is agent.nets[name] and net.params.base is block
+                assert np.shares_memory(net.params, block[u, offset : offset + net.num_params])
+                offset += net.num_params
+            assert offset == size
+
+    def test_optimizer_state_shares_another_block(self, monkeypatch):
+        result, optimizers = self.run(monkeypatch)
+        params = result.agents[0].params.base
+        assert len(optimizers) == 4 * self.users
+        state = optimizers[0].m.base
+        assert state is not None and not np.shares_memory(state, params)
+        start = state.__array_interface__["data"][0]
+        cover = np.zeros(state.size, dtype=int)
+        for opt in optimizers:
+            assert opt.grad.base is state
+            for moment in (opt.m, opt.v):
+                assert moment.base is state and moment.size == opt.net.num_params
+                offset = (moment.__array_interface__["data"][0] - start) // 8
+                cover[offset : offset + moment.size] += 1
+        assert cover.max() == 1  # no two moments overlap
+        assert cover.sum() == 2 * params.size
+
+    def test_sgd_run_has_no_moments(self, monkeypatch):
+        result, optimizers = self.run(monkeypatch, optimizer="sgd")
+        widest = max(net.num_params for net in result.agents[0].nets.values())
+        assert {opt.grad.base.shape for opt in optimizers} == {(3 * widest,)}
+
+    def test_copies_leave_the_block(self, monkeypatch, tmp_path):
+        result, _ = self.run(monkeypatch)
+        agents = result.agents
+        block = agents[0].params.base
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, agents)
+        for agent, restored in zip(agents, load_checkpoint(path), strict=True):
+            assert restored.params.tobytes() == agent.params.tobytes()
+            assert not np.shares_memory(restored.params, block)
+        copies = [
+            HybridAgent.from_params(a.obs_dim, a.num_servers, a.hidden, a.flat_params())
+            for a in agents
+        ]
+        for agent, copy in zip(agents, copies, strict=True):
+            assert copy.params.tobytes() == agent.params.tobytes()
+            assert not np.shares_memory(copy.params, block)
+            for net in copy.nets.values():
+                assert net.params.base is copy.params
+        before = block.copy()
+        agents[1].set_flat_params({name: np.zeros(net.num_params)
+                                   for name, net in agents[1].nets.items()})
+        assert not block[1].any()
+        assert np.array_equal(block[[0, 2]], before[[0, 2]])
+        for agent, copy in zip(agents[::2], copies[::2]):
+            assert copy.params.tobytes() == agent.params.tobytes()
+        assert copies[1].params.tobytes() == before[1].tobytes()
+
+    def test_finiteness_check_names_each_bad_row(self, monkeypatch):
+        real_update = marl.ppo_update
+        poison = {1: np.inf, 2: -np.inf}
+        calls = []
+
+        def poisoning_update(agent, optimizers, batch, cfg):
+            stats = real_update(agent, optimizers, batch, cfg)
+            if len(calls) in poison:
+                agent.nets["pi_ratio"].biases[0][0] = poison[len(calls)]
+            calls.append(agent)
+            return stats
+
+        monkeypatch.setattr(marl, "ppo_update", poisoning_update)
+        cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1, batch_size=8,
+                          hidden_units=self.hidden)
+        with pytest.raises(TrainingError, match=r"non-finite parameters for agents \[1, 2\]"):
+            train(gen_scenario(self.users, self.servers, seed=0), cfg, seed=3)
+        assert len(calls) == self.users
+
+    def test_agent_draws_into_a_caller_vector_as_into_its_own(self):
+        own = HybridAgent(obs_dim=5, num_servers=2, hidden=8, rng=np.random.default_rng(4))
+        vec = np.full(own.params.size, 7.0)  # biases must come out zero all the same
+        placed = HybridAgent(obs_dim=5, num_servers=2, hidden=8,
+                             rng=np.random.default_rng(4), params=vec)
+        assert placed.params is vec
+        assert vec.tobytes() == own.params.tobytes()
+        with pytest.raises(ValueError, match="parameters per agent"):
+            HybridAgent(obs_dim=5, num_servers=2, hidden=8, rng=np.random.default_rng(4),
+                        params=np.zeros(own.params.size + 1))
 
 
 class TestCheckpoint:

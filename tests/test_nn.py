@@ -213,6 +213,36 @@ class TestParams:
             Mlp.from_params((4, 6, 3), params[:-1])
 
 
+    def test_caller_owned_params(self):
+        own = Mlp((4, 6, 3), np.random.default_rng(9), out_scale=0.5)
+        block = np.full((2, own.num_params), 7.0)  # biases must come out zero
+        net = Mlp((4, 6, 3), np.random.default_rng(9), out_scale=0.5, params=block[1])
+        assert net.params.base is block
+        assert block[1].tobytes() == own.params.tobytes()
+        assert (block[0] == 7.0).all()
+        copy = Mlp.from_params((4, 6, 3), own.params, out=block[0])
+        assert block[0].tobytes() == own.params.tobytes() and copy.params.base is block
+        for bad in (np.zeros(own.num_params + 1), np.zeros(own.num_params, dtype=np.float32),
+                    np.zeros(2 * own.num_params)[::2]):
+            with pytest.raises(ValueError, match="contiguous float64 vector"):
+                Mlp((4, 6, 3), np.random.default_rng(9), params=bad)
+
+    def test_adam_moments_in_caller_block(self):
+        nets = [Mlp((3, 4, 2), np.random.default_rng(seed)) for seed in (12, 12)]
+        state = np.zeros((2, nets[0].num_params + 5))
+        opts = [Adam(nets[0], lr=0.01), Adam(nets[1], lr=0.01, moments=state[:, 5:])]
+        assert opts[1].m.base is state and opts[1].v.base is state
+        x = np.ones((2, 3))
+        for _ in range(3):
+            for net, opt in zip(nets, opts):
+                _, cache = net.forward_cached(x)
+                opt.descend(cache, np.ones((2, 2)))
+        assert nets[0].params.tobytes() == nets[1].params.tobytes()
+        assert state[1, 5:].tobytes() == opts[0].v.tobytes() and not state[:, :5].any()
+        with pytest.raises(ValueError, match="moments"):
+            Adam(nets[0], lr=0.01, moments=state)
+
+
 class TestOptimizers:
     def test_adam_zero_lr_is_identity(self):
         net = Mlp((3, 4, 2), np.random.default_rng(12))
