@@ -408,8 +408,8 @@ def run_grid(cfg: ExperimentConfig, param: str | None = None, values=(0.0,)) -> 
     value, rows labelled ``param`` "none".
 
     Each (value, seed) scenario is generated once and shared by every
-    policy.  Rows come back sorted regardless of worker scheduling, so
-    output is deterministic.
+    policy, and with it the one evaluator it builds.  Rows come back
+    sorted regardless of worker scheduling, so output is deterministic.
     """
     agents = _trained_agents(cfg)
     grid = [

@@ -22,7 +22,6 @@ import numpy as np
 from .device import (
     CONCAT_LEVELS,
     CryostatConfig,
-    GatePowerProfile,
     QubitTech,
     cryostat_stages,
     error_suppression,
@@ -165,45 +164,80 @@ _FIELDS = tuple(f.name for f in fields(CostBreakdown))
 _PATHS = np.array([False, True])
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
 def _column(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
+    """``values`` as a read-only float64 array; a writeable array passed in is copied first."""
+    column = np.asarray(values, dtype=np.float64)
+    if not column.flags.writeable:
+        return column
+    return _frozen(column.copy() if column is values else column)
 
 
 @functools.lru_cache(maxsize=32)
-def _device_physics(cryostat: CryostatConfig, tech: QubitTech) -> tuple[float, GatePowerProfile]:
-    """The physical error rate and gate powers of one device, computed once per device.
+def _device_physics(
+    cryostat: CryostatConfig, tech: QubitTech, error_threshold: float
+) -> dict[int, tuple[float, float, float]]:
+    """Each concatenation level's error suppression, QPU step time and step energy.
 
-    Both arguments are frozen and the results immutable, so every evaluator
-    of a device may share them.  A device whose physics raises is never
-    cached, so it raises on every evaluator build.
+    Computed once per device and error threshold: the arguments are frozen,
+    and every evaluator that shares them shares the table, which no one
+    changes.  The step costs are those of ``edge_quantum_cost``.  A level
+    whose suppression overflows is left out, so only a build that uses it
+    raises; physics that raises is never cached, so it raises on every build.
     """
-    return physical_error_rate(cryostat, tech), gate_power_profile(
-        cryostat, tech, cryostat_stages(cryostat)
-    )
+    error_rate = physical_error_rate(cryostat, tech)
+    powers = gate_power_profile(cryostat, tech, cryostat_stages(cryostat))
+    table = {}
+    for level in CONCAT_LEVELS:
+        try:
+            suppression = error_suppression(level, error_rate, error_threshold)
+        except OverflowError:
+            continue
+        res = logical_resources(level)
+        table[level] = (
+            suppression,
+            tech.tau_1qb * res.n_1qb + tech.tau_2qb * res.n_2qb + tech.tau_meas * res.n_meas,
+            powers.e_1qb * res.n_1qb
+            + powers.e_2qb * res.n_2qb
+            + powers.e_meas * res.n_meas
+            + powers.e_qubit * res.phys_per_logical,
+        )
+    return table
 
 
 class ScenarioEvaluator:
     """Scores actions against one scenario.
 
     Construction turns the scenario into numpy tables of every
-    ratio-independent factor of the cost formulas.  The scenario-fixed
-    tables depend on profiles, servers and device physics only: per-user
-    profile vectors and qubit quotas, the per-(user, server) uplink
-    ``rate`` (``[U, E]``), and per-server error suppression and QPU step
-    time and step energy.  The task tables depend on the users' tasks too:
-    the task columns ``data_size``, ``cycles_per_byte``, ``logical_qubits``
-    and ``logical_depth`` (and the quantum payload), ``[U]``, and the
-    ``[U, E]`` ``success`` and ``eligible`` arrays.  They are built in one
-    place, from the scenario or from ``with_tasks`` columns, which may hold
-    B episodes' tasks: then the task columns lead with an episode axis, the
-    two arrays are None (``feasibility`` reads them at chosen servers) and
-    ``breakdown`` scores row b of a ``[B, U]`` batch on episode b.  Solvers
+    ratio-independent factor of the cost formulas.  A scenario never
+    changes, so ``Scenario.evaluator`` builds its evaluator once, on first
+    read, and every solver and environment of the scenario shares it;
+    calling ``ScenarioEvaluator(scenario)`` builds a fresh one.  The
+    scenario-fixed tables depend on profiles, servers and device physics
+    only: per-user profile vectors and qubit quotas, the per-(user,
+    server) uplink ``rate`` (``[U, E]``), and per-server error suppression
+    and QPU step time and step energy.  The task tables depend on the
+    users' tasks too: the task columns ``data_size``, ``cycles_per_byte``,
+    ``logical_qubits`` and ``logical_depth`` (and the quantum payload),
+    ``[U]``, and the ``[U, E]`` ``success`` and ``eligible`` arrays.  They
+    are built in one place, from the scenario or from ``with_tasks``
+    columns, which may hold B episodes' tasks: then the task columns lead
+    with an episode axis, the two arrays are None (``feasibility`` reads
+    them at chosen servers) and ``breakdown`` scores row b of a ``[B, U]``
+    batch on episode b.  Solvers
     and observations read their task numbers from the evaluator's tables.
     ``breakdown`` evaluates the formulas on any batch; the tests hold every
     number it returns bit-identical to ``tests/cost_spec.py``.
     ``check_action`` is the one validation of a complete ``JointAction``
-    and ``candidates`` the one rule for who may hold a QPU grant.  The
-    tables are read-only; one evaluator may be shared by concurrent readers.
+    and ``candidates`` the one rule for who may hold a QPU grant.  Every
+    table is read-only, a ``with_tasks`` evaluator's too, and none aliases
+    a writeable array of the caller's, so sharing an evaluator is safe,
+    concurrent readers included.
     """
 
     def __init__(self, scenario: Scenario):
@@ -211,47 +245,35 @@ class ScenarioEvaluator:
         self.num_users = len(users.f_local)
         self.num_servers = len(servers)
 
-        self.user_index = np.arange(self.num_users)
+        self.user_index = _frozen(np.arange(self.num_users))
         self._f_local = _column(users.f_local)
         self._tx_power = _column(users.tx_power)
         self._edge_cpu = _column(users.edge_cpu)
         self.weight_latency = _column(users.weight_latency)
         self.weight_energy = _column(users.weight_energy)
-        self._quota = users.logical_qubit_quota
+        self._quota = _column(users.logical_qubit_quota)
+
+        # Per server: noise power and bandwidth, then the error suppression
+        # and the per-step time and energy of edge_quantum_cost.
+        levels = _device_physics(scenario.cryostat, scenario.qubit_tech, scenario.error_threshold)
+        try:
+            rows = [(s.noise_power, s.bandwidth, *levels[s.concat_level]) for s in servers]
+        except KeyError as missing:  # this level's suppression overflows: raise it here
+            error_suppression(
+                missing.args[0],
+                physical_error_rate(scenario.cryostat, scenario.qubit_tech),
+                scenario.error_threshold,
+            )
+        noise, bandwidth, self._suppression, self._step_time, self._step_energy = _frozen(
+            np.array(rows, dtype=np.float64)
+        ).T
 
         # uplink_rate: bandwidth * log2(1 + tx * gain / noise).  math.log2
         # rather than np.log2, whose SIMD variants may round differently.
-        snr = (
-            self._tx_power[:, None]
-            * _column(users.channel_gains)
-            / _column([s.noise_power for s in servers])
-        )
+        snr = self._tx_power[:, None] * _column(users.channel_gains) / noise
         log_terms = list(map(math.log2, (1.0 + snr).ravel().tolist()))
-        self.rate = _column([s.bandwidth for s in servers]) * _column(log_terms).reshape(
-            snr.shape
-        )
-        self._dead_links = not (self.rate > 0.0).all()
-
-        # Suppression and the per-step time and energy of edge_quantum_cost,
-        # per concatenation level in use, then per server.
-        tech = scenario.qubit_tech
-        error_rate, powers = _device_physics(scenario.cryostat, tech)
-        per_level = {}
-        for level in {s.concat_level for s in servers}:
-            res = logical_resources(level)
-            per_level[level] = (
-                error_suppression(level, error_rate, scenario.error_threshold),
-                tech.tau_1qb * res.n_1qb
-                + tech.tau_2qb * res.n_2qb
-                + tech.tau_meas * res.n_meas,
-                powers.e_1qb * res.n_1qb
-                + powers.e_2qb * res.n_2qb
-                + powers.e_meas * res.n_meas
-                + powers.e_qubit * res.phys_per_logical,
-            )
-        self._suppression, self._step_time, self._step_energy = _column(
-            [per_level[s.concat_level] for s in servers]
-        ).T
+        self.rate = _frozen(bandwidth * np.array(log_terms).reshape(snr.shape))
+        self._dead_links = not self.rate.min() > 0.0  # a NaN rate is dead too
         self._chip_energy = scenario.chip_energy_per_cycle
         self._error_threshold = scenario.error_threshold
         self._load_tasks(
@@ -264,19 +286,21 @@ class ScenarioEvaluator:
 
     def _load_tasks(self, *columns: np.ndarray) -> None:
         """Build the task tables from task columns (see ``with_tasks``)."""
-        columns = [np.asarray(c, dtype=np.float64) for c in columns]
-        shapes = sorted({column.shape for column in columns})
-        if len(shapes) > 1 or shapes[0][-1:] != (self.num_users,):
-            raise ValueError(f"expected {self.num_users} values per task column, got shapes {shapes}")
+        columns = [_column(c) for c in columns]
+        shapes = {column.shape for column in columns}
+        if len(shapes) > 1 or columns[0].shape[-1:] != (self.num_users,):
+            raise ValueError(
+                f"expected {self.num_users} values per task column, got shapes {sorted(shapes)}"
+            )
         (self.data_size, self.cycles_per_byte, self._q_data_size,
          self.logical_qubits, self.logical_depth) = columns
 
-        self._locations = self.logical_qubits * self.logical_depth
-        self._fits = self.logical_qubits <= self._quota
+        self._locations = _frozen(self.logical_qubits * self.logical_depth)
+        self._fits = _frozen(self.logical_qubits <= self._quota)
         self.success = self.eligible = None  # a batch of episodes is read at its servers only
         if self._locations.ndim == 1:  # one episode: [U, E] tables
-            tables = self.feasibility(np.arange(self.num_servers)[:, None])
-            self.success, self.eligible = (table.T for table in tables)
+            tables = self.feasibility(np.s_[:, None])  # every server, as an [E, 1] column
+            self.success, self.eligible = (_frozen(table).T for table in tables)
 
     def with_tasks(
         self, data_size, cycles_per_byte, quantum_data_size, logical_qubits, logical_depth
@@ -303,6 +327,27 @@ class ScenarioEvaluator:
         so ``[B, U]`` arrays score B joint decisions; task tables with an
         episode axis are read at ``[episodes, users]``, by default
         ``[..., users]``.  Inputs are not validated: servers in range, ratios in [0, 1].
+        """
+        cost, (latency_local, latency_uplink, latency_edge), (
+            energy_local, energy_uplink, energy_edge) = self._cost_terms(
+                servers, ratios, qpu, users, episodes)
+        return CostBreakdown(
+            latency_local=latency_local,
+            latency_uplink=latency_uplink,
+            latency_edge_cpu=np.where(qpu, 0.0, latency_edge),
+            latency_edge_qpu=np.where(qpu, latency_edge, 0.0),
+            energy_local=energy_local,
+            energy_uplink=energy_uplink,
+            energy_edge_cpu=np.where(qpu, 0.0, energy_edge),
+            energy_edge_qpu=np.where(qpu, energy_edge, 0.0),
+            cost=cost,
+        )
+
+    def _cost_terms(self, servers, ratios, qpu, users, episodes) -> tuple[np.ndarray, ...]:
+        """``breakdown``'s cost, then its (local, uplink, edge) latencies and energies.
+
+        Each edge term is on the path ``qpu`` chooses.  ``endpoint_costs``
+        needs the cost alone, so it skips splitting them by path.
         """
         if users is None:
             users = self.user_index
@@ -339,17 +384,8 @@ class ScenarioEvaluator:
         cost = (w_lat * latency_local + w_en * energy_local) + (
             w_lat * (latency_uplink + latency_edge) + w_en * (energy_uplink + energy_edge)
         )
-        return CostBreakdown(
-            latency_local=latency_local,
-            latency_uplink=latency_uplink,
-            latency_edge_cpu=np.where(qpu, 0.0, latency_edge),
-            latency_edge_qpu=np.where(qpu, latency_edge, 0.0),
-            energy_local=energy_local,
-            energy_uplink=energy_uplink,
-            energy_edge_cpu=np.where(qpu, 0.0, energy_edge),
-            energy_edge_qpu=np.where(qpu, energy_edge, 0.0),
-            cost=cost,
-        )
+        return cost, (latency_local, latency_uplink, latency_edge), (
+            energy_local, energy_uplink, energy_edge)
 
     def endpoint_costs(self) -> np.ndarray:
         """Cost of every user at every server, ratio 0 or 1, CPU or QPU path.
@@ -364,12 +400,13 @@ class ScenarioEvaluator:
         # evaluated once (at server 0, CPU path) and broadcast.
         columns = np.arange(self.num_servers + 1)
         ratio_one = columns == self.num_servers
-        cost = self.breakdown(
+        cost = self._cost_terms(
             np.where(ratio_one, 0, columns)[:, None],
             np.where(ratio_one, 1.0, 0.0)[:, None],
             _PATHS,
-            users=self.user_index[:, None, None],
-        ).cost
+            self.user_index[:, None, None],
+            None,
+        )[0]
         costs = np.empty((self.num_users, self.num_servers, 2, 2))
         costs[:, :, 0] = cost[:, :-1]
         costs[:, :, 1] = cost[:, -1:, :1]
@@ -436,7 +473,7 @@ def total_cost(
     The action is validated by ``ScenarioEvaluator.check_action``, as
     ``MeqcEnv.step`` validates it, so both refuse the same grants.
     """
-    evaluator = ScenarioEvaluator(scenario)
+    evaluator = scenario.evaluator
     b = evaluator.breakdown(*evaluator.check_action(action))
     columns = [getattr(b, name).tolist() for name in _FIELDS]
     breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))

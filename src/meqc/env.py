@@ -117,9 +117,12 @@ class MeqcEnv:
     Each step is one decision slot: transitions are stateless unless
     ``redraw_tasks`` is set, in which case every ``reset`` draws fresh
     tasks from the workload generator: two arrays, ``tasks``, the users'
-    primitive exponents and data sizes.  ``evaluator``, the base evaluator
-    with those task tables, is built on first read; greedy, the oracle and
-    ``observations`` read the episode from it.  ``score`` is the one
+    primitive exponents and data sizes.  The base evaluator is the
+    scenario's own ``Scenario.evaluator``, built once per scenario and
+    shared with every other environment and solver of it.  ``evaluator``
+    is the base evaluator, or in a redrawn episode the base evaluator with
+    that episode's task tables, built on first read; greedy, the oracle
+    and ``observations`` read the episode from it.  ``score`` is the one
     scoring path: ``step`` is its batch of one, ``rewards`` its reward
     column, and ``evaluate`` scores all its episodes in one batch.
     """
@@ -134,9 +137,9 @@ class MeqcEnv:
         self.base_scenario = scenario
         self.redraw = redraw_tasks
         self.rng = rng if rng is not None else np.random.default_rng(scenario.rng_seed)
-        self._base_evaluator = self._evaluator = ScenarioEvaluator(scenario)
-        self.num_users = self._base_evaluator.num_users
-        self.num_servers = self._base_evaluator.num_servers
+        self._evaluator = scenario.evaluator
+        self.num_users = self._evaluator.num_users
+        self.num_servers = self._evaluator.num_servers
         self.tasks: tuple[np.ndarray, np.ndarray] | None = None
         self._template = None
         self._observations = None
@@ -149,10 +152,17 @@ class MeqcEnv:
         return self._evaluator
 
     def _with_tasks(self, exponents, data_sizes) -> ScenarioEvaluator:
-        """The base evaluator with drawn tasks (see ``draw_tasks``), ``[..., U]`` each."""
-        cycles_per_byte, logical_qubits, logical_depth = TASK_SHAPES.T[:, exponents]
+        """The base evaluator with drawn tasks (see ``draw_tasks``), ``[..., U]`` each.
+
+        ``data_sizes`` is the environment's own array: it is made read-only,
+        and the evaluator shares it rather than copying it.
+        """
+        shapes = TASK_SHAPES.T[:, exponents]
+        for column in (shapes, data_sizes):
+            column.setflags(write=False)
+        cycles_per_byte, logical_qubits, logical_depth = shapes
         columns = (data_sizes, cycles_per_byte, data_sizes, logical_qubits, logical_depth)
-        return self._base_evaluator.with_tasks(*columns)
+        return self.base_scenario.evaluator.with_tasks(*columns)
 
     def observations(self) -> np.ndarray:
         """Every agent's observation: row ``u`` of one read-only ``[U, 8 + 2E]`` array.

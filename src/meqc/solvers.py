@@ -14,8 +14,10 @@ Policies act on a ``MeqcEnv``; the local and random baselines submit raw
 (server, ratio) pairs, so only ``env.grant_mask`` grants their QPUs.
 Greedy and the oracle are solved on a ``ScenarioEvaluator``: the
 environment's own ``env.evaluator``, and for ``solve_greedy`` and
-``solve_exhaustive`` one evaluator built from the given scenario.
-``solve_baseline`` steps every kind through a fresh ``MeqcEnv``.
+``solve_exhaustive`` the scenario's ``Scenario.evaluator``.  A scenario
+builds that evaluator once, on first use, so every solver, environment
+and policy run on one scenario shares its tables.  ``solve_baseline``
+steps every kind through a fresh ``MeqcEnv`` of the scenario.
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ def _decisions(
     kind: PolicyKind, num_users: int, num_servers: int, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Raw (server, ratio) pair per user of the local and random baselines, ``[U, 2]``."""
+    pairs = np.zeros((num_users, 2))
     if kind is PolicyKind.LOCAL:
-        return np.tile([0.0, 1.0], (num_users, 1))
+        pairs[:, 1] = 1.0  # server 0, nothing offloaded
+        return pairs
     if rng is None:
         raise ValueError(f"{kind.value} baseline needs an rng")
-    pairs = np.zeros((num_users, 2))
     pairs[:, 0] = rng.integers(0, num_servers, size=num_users)
     if kind is PolicyKind.RANDOM:
         pairs[:, 1] = rng.uniform(0.0, 1.0, size=num_users)
@@ -81,7 +84,7 @@ def solve_greedy(scenario: Scenario) -> JointAction:
     Options are scanned server by server, ratio 0 before 1, CPU before
     QPU, and the first minimum wins.
     """
-    return _greedy(ScenarioEvaluator(scenario))
+    return _greedy(scenario.evaluator)
 
 
 def _greedy(evaluator: ScenarioEvaluator) -> JointAction:
@@ -129,7 +132,7 @@ def solve_exhaustive(
     servers (0, 1, 0, 0, 0) and grants (1, 1, 0, 0, 0), where enumeration
     picked (0, 0, 0, 0, 1) and (0, 0, 0, 1, 1) at the same cost.
     """
-    return _oracle(ScenarioEvaluator(scenario), allow_quantum=allow_quantum)
+    return _oracle(scenario.evaluator, allow_quantum=allow_quantum)
 
 
 def _oracle(
@@ -286,10 +289,34 @@ def evaluate(
     success_sum = sum_over_users(sum_over_users(result.success) / env.num_users)
     return EvalStats(
         mean_cost=statistics.fmean(costs),
-        std_cost=statistics.pstdev(costs) if episodes > 1 else 0.0,
+        std_cost=_pstdev(costs) if episodes > 1 else 0.0,
         latency_cost=statistics.fmean(result.latency_cost.tolist()),
         energy_cost=statistics.fmean(result.energy_cost.tolist()),
         qpu_grant_rate=int(np.count_nonzero(result.grants)) / result.grants.size,
         mean_success_prob=float(success_sum) / episodes,
         episodes=episodes,
     )
+
+
+def _pstdev(values: list[float]) -> float:
+    """``statistics.pstdev`` of finite floats, bit for bit, in integer arithmetic.
+
+    Each value is ``n / 2**k`` over one common ``k``, so the population
+    variance is exactly ``(N * sum(n**2) - sum(n)**2) / (N**2 * 4**k)``.
+    Its square root is rounded once, correctly, as CPython 3.11 rounds it:
+    an integer root at 109 bits, rounded to odd, then one division.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    shift = max(denominator for _, denominator in ratios).bit_length() - 1
+    scaled = [n << (shift - d.bit_length() + 1) for n, d in ratios]
+    count = len(scaled)
+    numerator = count * sum(n * n for n in scaled) - sum(scaled) ** 2
+    denominator = count * count << 2 * shift
+    q = (numerator.bit_length() - denominator.bit_length() - 109) // 2
+    if q >= 0:
+        denominator <<= 2 * q
+    else:
+        numerator <<= -2 * q
+    root = math.isqrt(numerator // denominator)
+    root |= root * root * denominator != numerator  # round to odd: an inexact root ends in 1
+    return float(root << q) if q >= 0 else root / (1 << -q)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import QuantumTaskSpec, ServerProfile, TaskSpec, UserProfile
+from .costs import QuantumTaskSpec, ScenarioEvaluator, ServerProfile, TaskSpec, UserProfile
 from .device import CONCAT_LEVELS, PHYS_PER_LOGICAL, CryostatConfig, QubitTech
 
 SCHEMA_VERSION = 1
@@ -382,6 +382,24 @@ class Scenario:
             shape = (num_users, len(self.servers)) if name == "channel_gains" else (num_users,)
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+
+    @functools.cached_property
+    def evaluator(self) -> ScenarioEvaluator:
+        """This scenario's ``ScenarioEvaluator``, built on the first read and kept.
+
+        The scenario is immutable, so its tables are too: every solver and
+        environment of it reads this one evaluator, whose tables live as
+        long as the scenario.  A build that raises keeps nothing, so it
+        raises again on the next read.  ``dataclasses.replace`` makes a new
+        scenario, with a new evaluator.
+        """
+        return ScenarioEvaluator(self)
+
+    def __getstate__(self):
+        # copies and pickles carry the data, not the cached tables
+        state = dict(self.__dict__)
+        state.pop("evaluator", None)
+        return state
 
     def __getattr__(self, name):
         # a ``from_columns`` scenario builds ``users`` here; nothing else is built

@@ -240,6 +240,22 @@ def test_columns_are_read_only():
     scenario = gen_scenario(3, 2, seed=4)
     with pytest.raises(ValueError, match="read-only"):
         scenario.columns.f_local[0] = 1.0
-    evaluator = ScenarioEvaluator(scenario)
-    with pytest.raises(ValueError, match="read-only"):
-        evaluator.weight_latency[0] = 1.0
+    # the evaluator a scenario shares, a fresh one, and one-episode and batch task evaluators
+    tasks = [np.array([5e8, 6e8, 7e8]), np.full(3, 96.0), np.array([5e8, 6e8, 7e8]),
+             np.array([20, 21, 22]), np.array([30, 31, 32])]
+    evaluators = [scenario.evaluator, ScenarioEvaluator(scenario),
+                  scenario.evaluator.with_tasks(*tasks),
+                  scenario.evaluator.with_tasks(*(np.stack([c, c]) for c in tasks))]
+    for evaluator in evaluators:
+        names = ["user_index", "_locations", "_fits", *TABLES]
+        if evaluator.success is None:  # a batch reads feasibility at chosen servers
+            names = [name for name in names if name not in ("success", "eligible")]
+        for name in names:
+            table = getattr(evaluator, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+    for column in tasks:  # a caller's arrays are neither frozen nor aliased
+        assert column.flags.writeable
+        column[0] = 1
+    assert evaluators[2].data_size[0] == evaluators[2]._q_data_size[0] == 5e8
+    assert evaluators[2].logical_qubits[0] == 20

@@ -703,6 +703,20 @@ class TestDevicePhysics:
             with pytest.raises(OverflowError):
                 ScenarioEvaluator(scenario)
 
+    def test_overflowing_suppression_fails_only_where_used(self):
+        # at this threshold level 3's suppression overflows, level 2's does not
+        base = gen_scenario(3, 2, seed=0, error_threshold=1e-60)
+        for levels, fails in (((1, 2), False), ((2, 3), True)):
+            servers = tuple(dataclasses.replace(s, concat_level=level)
+                            for s, level in zip(base.servers, levels))
+            scenario = dataclasses.replace(base, servers=servers)
+            for _ in range(2):
+                if fails:
+                    with pytest.raises(OverflowError):
+                        ScenarioEvaluator(scenario)
+                else:
+                    assert np.isfinite(ScenarioEvaluator(scenario)._suppression).all()
+
     def test_stage_count_must_be_an_int(self):
         # an equal float would share the physics of the int count
         with pytest.raises(TypeError):

@@ -100,6 +100,16 @@ class TestObservations:
         second = env.observations()
         assert any(not np.array_equal(a, b) for a, b in zip(first, second))
 
+    def test_redrawn_tables_share_the_drawn_sizes(self):
+        env = MeqcEnv(gen_scenario(3, 3, seed=4), redraw_tasks=True,
+                      rng=np.random.default_rng(0))
+        env.reset()
+        sizes = env.tasks[1]
+        assert env.evaluator.data_size is env.evaluator._q_data_size is sizes
+        assert not sizes.flags.writeable
+        batch = env.score(np.zeros((2, 3)), np.zeros((2, 3)), tasks=[env.tasks] * 2)
+        assert batch.reward[0] == batch.reward[1] == env.step(np.zeros((3, 2))).reward
+
     def test_normalized_fields_in_unit_interval(self):
         for seed in range(1000):
             obs = MeqcEnv(gen_scenario(2, 3, seed=seed)).observations()

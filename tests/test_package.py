@@ -1,6 +1,8 @@
 """What ``import meqc`` costs: the package loads numpy and nothing else from
-outside the standard library (the CLI's YAML parser loads with ``meqc.bench``)."""
+outside the standard library (the CLI's YAML parser loads with ``meqc.bench``).
+And where its source builds cost tables: in one place only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +28,25 @@ def test_import_loads_no_third_party_module_but_numpy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.split() == ["numpy"]
+
+
+def evaluator_builds(node, owners=()):
+    """The class/function path of every ``ScenarioEvaluator(...)`` call under ``node``."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        owners += (node.name,)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) == "ScenarioEvaluator":
+            yield ".".join(owners)
+    for child in ast.iter_child_nodes(node):
+        yield from evaluator_builds(child, owners)
+
+
+def test_one_place_builds_an_evaluator():
+    """Only ``Scenario.evaluator`` builds an evaluator; every other reader shares it."""
+    builds = [
+        (path.name, owner)
+        for path in sorted((SRC / "meqc").glob("*.py"))
+        for owner in evaluator_builds(ast.parse(path.read_text()))
+    ]
+    assert builds == [("workload.py", "Scenario.evaluator")]

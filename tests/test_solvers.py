@@ -1,9 +1,12 @@
 """Solver tests: baseline semantics, greedy bookkeeping, oracle optimality."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -18,14 +21,15 @@ from meqc.solvers import (
     PolicyKind,
     _decisions,
     _max_weight_matching,
+    _pstdev,
     evaluate,
     solve_baseline,
     solve_exhaustive,
     solve_greedy,
 )
 from meqc.costs import QuantumTaskSpec, TaskSpec
-from meqc.device import QubitTech
-from meqc.workload import Scenario, ScenarioUser, gen_scenario
+from meqc.device import CryostatConfig, QubitTech
+from meqc.workload import Scenario, ScenarioUser, gen_scenario, scenario_to_dict
 
 from cost_spec import local_cost, qpu_saving, user_cost
 from test_acceptance import instance_set
@@ -49,6 +53,12 @@ class TestBaselines:
             for e in scenario.users
         )
         assert total_cost(scenario, action)[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_local_decisions(self):
+        pairs = _decisions(PolicyKind.LOCAL, 5, 3, None)
+        expected = np.tile([0.0, 1.0], (5, 1))
+        assert pairs.dtype == expected.dtype and pairs.shape == expected.shape
+        assert pairs.tobytes() == expected.tobytes()
 
     def test_random_cloud_full_offload(self):
         scenario = gen_scenario(5, 3, seed=1)
@@ -560,6 +570,81 @@ class TestEvaluate:
         # the environment's evaluator; greedy and the oracle are solved on it
         assert len(built) == 1
         assert observed == []  # no baseline reads an observation
+
+    def test_one_evaluator_per_scenario(self, monkeypatch):
+        built = self.count_evaluators(monkeypatch)
+        scenario = gen_scenario(4, 3, seed=5)
+        for kind in PolicyKind:
+            evaluate(BaselinePolicy(kind), scenario, 3, np.random.default_rng(0))
+        action = solve_greedy(scenario)
+        solve_exhaustive(scenario)
+        solve_baseline(PolicyKind.RANDOM, scenario, np.random.default_rng(1))
+        total_cost(scenario, action)
+        assert built == [scenario]
+        assert scenario.evaluator is scenario.evaluator
+
+        twin = dataclasses.replace(scenario, rng_seed=scenario.rng_seed + 1)
+        assert twin.evaluator is not scenario.evaluator
+        assert len(built) == 2
+
+    def test_redraws_leave_the_scenario_evaluator(self):
+        scenario = gen_scenario(4, 3, seed=5)
+        for kind in PolicyKind:
+            evaluate(BaselinePolicy(kind), scenario, 3, np.random.default_rng(0),
+                     redraw_tasks=True)
+        assert scenario.evaluator.data_size.tobytes() == scenario.columns.data_size.tobytes()
+        assert scenario.evaluator.eligible is not None
+
+    def test_failing_build_is_not_kept(self, monkeypatch):
+        built = self.count_evaluators(monkeypatch)
+        # 10**(1e6 / 10) overflows the attenuation chain
+        scenario = gen_scenario(2, 2, seed=0, cryostat=CryostatConfig(total_attenuation_db=1e6))
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                scenario.evaluator
+        assert len(built) == 2
+        assert "evaluator" not in vars(scenario)
+
+    def test_copies_carry_no_evaluator(self):
+        scenario = gen_scenario(4, 3, seed=5)
+        before = scenario_to_dict(scenario)
+        scenario.evaluator
+        assert scenario_to_dict(scenario) == before
+        for twin in (copy.copy(scenario), copy.deepcopy(scenario),
+                     pickle.loads(pickle.dumps(scenario))):
+            assert twin == scenario and hash(twin) == hash(scenario)
+            assert scenario_to_dict(twin) == before
+            assert "evaluator" not in vars(twin)
+            assert twin.evaluator is not scenario.evaluator
+            assert not twin.evaluator.rate.flags.writeable
+        assert "evaluator" in vars(scenario)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's pstdev rounds twice")
+    def test_pstdev_equals_statistics(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        scales = st.sampled_from([1.0, 1e-300, 5e-324, 1e300, 1e5])
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            values=st.one_of(
+                st.lists(finite, min_size=2, max_size=40),
+                st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40).flatmap(
+                    lambda xs: scales.map(lambda scale: [x * scale for x in xs])),
+                st.tuples(finite, st.lists(st.integers(-3, 3), min_size=2, max_size=40)).map(
+                    lambda pair: [pair[0] + k * math.ulp(pair[0]) for k in pair[1]]),
+                st.tuples(finite, st.integers(2, 40)).map(lambda pair: [pair[0]] * pair[1]),
+            )
+        )
+        def check(values):
+            hypothesis.assume(all(map(math.isfinite, values)))  # a near-equal list may overflow
+            assert _pstdev(values) == statistics.pstdev(values)
+            assert type(_pstdev(values)) is float
+
+        check()
+        assert _pstdev([3.25] * 20) == 0.0
+        assert _pstdev([5e-324, 0.0]) == statistics.pstdev([5e-324, 0.0])
 
     @staticmethod
     def contested_base():
