@@ -4,12 +4,8 @@ carrying both CPUs and cryogenic quantum processors."""
 from .costs import (
     CostBreakdown,
     JointAction,
-    QuantumTaskSpec,
     ScenarioEvaluator,
     ServerProfile,
-    TaskSpec,
-    UserProfile,
-    total_cost,
 )
 from .device import (
     CryostatConfig,
@@ -35,9 +31,7 @@ from .solvers import (
     solve_greedy,
 )
 from .workload import (
-    RayTracingParams,
     Scenario,
-    compile_quantum,
     gen_scenario,
     load_scenario,
     save_scenario,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,43 +41,6 @@ BITS_PER_BYTE = 8.0
 
 
 @dataclass(frozen=True)
-class UserProfile:
-    """One mobile user: hardware, radio and subscribed edge resources.
-
-    ``channel_gains[e]`` is the unitless uplink gain toward server ``e``.
-    ``edge_cpu`` is the cycles/s the user has subscribed on any edge
-    server, ``logical_qubit_quota`` the subscribed number of logical
-    qubits.  This record, ``TaskSpec`` and ``QuantumTaskSpec`` are plain
-    data: a scenario built from them checks them as ``UserColumns``.
-    """
-
-    f_local: float
-    tx_power: float
-    weight_latency: float
-    weight_energy: float
-    channel_gains: tuple[float, ...]
-    edge_cpu: float
-    logical_qubit_quota: int
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A classical task: payload bytes and CPU cycles needed per byte."""
-
-    data_size: float
-    cycles_per_byte: float
-
-
-@dataclass(frozen=True)
-class QuantumTaskSpec:
-    """The compiled quantum form of a task: circuit width and depth."""
-
-    data_size: float
-    logical_qubits: int
-    logical_depth: int
-
-
-@dataclass(frozen=True)
 class ServerProfile:
     """One edge server: radio parameters and its error-correction level."""
 
@@ -86,10 +49,11 @@ class ServerProfile:
     concat_level: int = 1
 
     def __post_init__(self):
-        if self.noise_power <= 0.0:
-            raise ValueError("noise_power must be > 0")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be > 0")
+        # stated so that NaN fails them
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be finite and > 0")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and > 0")
         if self.concat_level not in CONCAT_LEVELS:
             raise ValueError(f"concat_level must be 1, 2 or 3, got {self.concat_level}")
 
@@ -160,7 +124,6 @@ def sum_over_users(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=-1)[..., -1]
 
 
-_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 _PATHS = np.array([False, True])
 
 
@@ -308,8 +271,7 @@ class ScenarioEvaluator:
         """An evaluator of this scenario with every user's task replaced.
 
         Each argument is a ``[U]`` or ``[B, U]`` (B episodes) column of the
-        field of the same name (``quantum_data_size`` is
-        ``QuantumTaskSpec.data_size``).  The new evaluator shares this one's
+        ``UserColumns`` field of the same name.  The new evaluator shares this one's
         fixed tables and builds only its task tables; this one is left as it
         was.  Raises ``ValueError`` unless all columns have one such shape.
         """
@@ -463,18 +425,3 @@ class ScenarioEvaluator:
         if (np.bincount(servers[grants], minlength=self.num_servers) > 1).any():
             raise ValueError("more than one QPU grant on a single server")
         return servers, ratios, grants
-
-
-def total_cost(
-    scenario: Scenario, action: JointAction
-) -> tuple[float, tuple[CostBreakdown, ...]]:
-    """System cost of ``action`` on ``scenario`` plus per-user breakdowns.
-
-    The action is validated by ``ScenarioEvaluator.check_action``, as
-    ``MeqcEnv.step`` validates it, so both refuse the same grants.
-    """
-    evaluator = scenario.evaluator
-    b = evaluator.breakdown(*evaluator.check_action(action))
-    columns = [getattr(b, name).tolist() for name in _FIELDS]
-    breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))
-    return float(sum_over_users(b.cost)), breakdowns

@@ -82,7 +82,7 @@ class StepResult:
     energy-weighted parts of the cost; they add up to ``-reward``.  The
     arrays are per user: the resolved ``servers``, ``ratios`` and
     ``grants``, and the ``success`` probability at the chosen server.  Their
-    tuple and ``JointAction`` views are built when read.  ``MeqcEnv.score``
+    ``JointAction`` view is built when read.  ``MeqcEnv.score``
     returns one for B slots, every field with a leading batch axis.
     """
 
@@ -95,19 +95,11 @@ class StepResult:
     success: np.ndarray
 
     @property
-    def indicators(self) -> tuple[int, ...]:
-        return tuple(self.grants.astype(int).tolist())
-
-    @property
-    def success_probs(self) -> tuple[float, ...]:
-        return tuple(self.success.tolist())
-
-    @property
     def action(self) -> JointAction:
         return JointAction(
             server_choice=tuple(self.servers.tolist()),
             local_ratio=tuple(self.ratios.tolist()),
-            quantum_indicator=self.indicators,
+            quantum_indicator=tuple(self.grants.astype(int).tolist()),
         )
 
 

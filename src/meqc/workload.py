@@ -18,8 +18,7 @@ every word, output and draw to numpy itself, so a numpy change to its
 generators fails them rather than moving a scenario.
 
 The draws go straight into a scenario's ``UserColumns``, one array per
-user field, which is the only form in which a scenario stores its users;
-its tuple of per-user objects is built only when ``Scenario.users`` is read.
+user field; a scenario's users take no other form.
 
 Redrawn tasks come from one caller-owned generator of any kind instead:
 ``draw_tasks`` returns a fresh primitive exponent and data size per user as
@@ -34,12 +33,12 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .costs import QuantumTaskSpec, ScenarioEvaluator, ServerProfile, TaskSpec, UserProfile
+from .costs import ScenarioEvaluator, ServerProfile
 from .device import CONCAT_LEVELS, PHYS_PER_LOGICAL, CryostatConfig, QubitTech
 
 SCHEMA_VERSION = 1
@@ -219,27 +218,6 @@ def _integers(seed: int, keys: np.ndarray, raw: np.ndarray, low, high) -> np.nda
 
 
 @dataclass(frozen=True)
-class RayTracingParams:
-    """Shape of one render job before compilation.
-
-    ``primitive_exponent`` sets the scene size ``2**primitive_exponent``;
-    ``coord_bits`` is the fixed-point width of one intersection
-    coordinate.  Range limits of the generator are enforced at draw time,
-    not here, so hand-built corner cases stay constructible.
-    """
-
-    primitive_exponent: int
-    coord_bits: int = DEFAULT_COORD_BITS
-    rays_per_primitive: int = RAYS_PER_PRIMITIVE
-
-    def __post_init__(self):
-        if self.primitive_exponent < 0 or self.coord_bits < 0:
-            raise ValueError("primitive_exponent and coord_bits must be >= 0")
-        if self.rays_per_primitive < 1:
-            raise ValueError("rays_per_primitive must be >= 1")
-
-
-@dataclass(frozen=True)
 class ObservationScales:
     """Fixed per-field constants that map raw observation values into [0, 1]."""
 
@@ -255,24 +233,16 @@ class ObservationScales:
     channel_gain: float = CHANNEL_GAIN_RANGE[1]
 
 
-@dataclass(frozen=True)
-class ScenarioUser:
-    """One generated user: profile plus its classical and quantum task."""
-
-    profile: UserProfile
-    task: TaskSpec
-    quantum_task: QuantumTaskSpec
-
-
 @dataclass(frozen=True, eq=False)
 class UserColumns:
     """Every user of a scenario as one read-only column per field.
 
-    The fields are ``UserProfile``'s, then ``TaskSpec``'s, then
-    ``QuantumTaskSpec``'s (whose ``data_size`` is ``quantum_data_size``),
-    in that order.  Each is a ``[U]`` array, except the ``[U, E]``
-    ``channel_gains``.  Construction checks every per-user rule on whole
-    columns; no other code states those rules.
+    The fields are a user's profile, classical task and quantum task, in
+    the order of a scenario file's records (``_USER_KEYS``).  Each is a
+    ``[U]`` array, except the ``[U, E]`` ``channel_gains``.  Construction
+    checks every per-user rule on whole columns; no other code states those
+    rules.  Equality and hashing compare values: an int column equals the
+    equal float one.
     """
 
     f_local: np.ndarray
@@ -289,66 +259,53 @@ class UserColumns:
     logical_depth: np.ndarray
 
     def __post_init__(self):
+        # each rule states what must hold, so NaN fails it; the last ones refuse
+        # ±inf in float columns (an object column holds exact Python-int quotas)
         weights = np.concatenate([self.weight_latency, self.weight_energy])
         rules = (
-            (self.f_local <= 0.0, "f_local must be > 0"),
-            (self.tx_power <= 0.0, "tx_power must be > 0"),
-            (~((0.0 <= weights) & (weights <= 1.0)), "weights must lie in [0, 1]"),
-            (self.channel_gains <= 0.0, "channel gains must be > 0"),
-            (self.edge_cpu <= 0.0, "edge_cpu must be > 0"),
-            (self.logical_qubit_quota < 0, "logical_qubit_quota must be >= 0"),
-            ((self.data_size <= 0.0) | (self.cycles_per_byte <= 0.0),
+            (self.f_local > 0.0, "f_local must be > 0"),
+            (self.tx_power > 0.0, "tx_power must be > 0"),
+            ((0.0 <= weights) & (weights <= 1.0), "weights must lie in [0, 1]"),
+            (self.channel_gains > 0.0, "channel gains must be > 0"),
+            (self.edge_cpu > 0.0, "edge_cpu must be > 0"),
+            (self.logical_qubit_quota >= 0, "logical_qubit_quota must be >= 0"),
+            ((self.data_size > 0.0) & (self.cycles_per_byte > 0.0),
              "data_size and cycles_per_byte must be > 0"),
-            (self.quantum_data_size <= 0.0, "data_size must be > 0"),
-            ((self.logical_qubits <= 0) | (self.logical_depth <= 0),
+            (self.quantum_data_size > 0.0, "data_size must be > 0"),
+            ((self.logical_qubits > 0) & (self.logical_depth > 0),
              "logical_qubits and logical_depth must be > 0"),
+            *((np.isfinite(column), f"{name} must be finite")
+              for name, column in vars(self).items() if column.dtype.kind == "f"),
         )
-        for bad, message in rules:
-            if bad.any():
+        for holds, message in rules:
+            if not holds.all():
                 raise ValueError(message)
         for column in vars(self).values():
             column.flags.writeable = False
 
-    @classmethod
-    def from_users(cls, users, num_servers: int) -> UserColumns:
-        """The columns of ``ScenarioUser`` objects with ``num_servers`` channel gains each."""
-        for u, entry in enumerate(users):
-            if len(entry.profile.channel_gains) != num_servers:
-                raise ValueError(
-                    f"user {u} has {len(entry.profile.channel_gains)} channel gains "
-                    f"for {num_servers} servers"
-                )
-        rows = [
-            (p.f_local, p.tx_power, p.weight_latency, p.weight_energy, p.channel_gains,
-             p.edge_cpu, p.logical_qubit_quota, t.data_size, t.cycles_per_byte,
-             q.data_size, q.logical_qubits, q.logical_depth)
-            for p, t, q in ((e.profile, e.task, e.quantum_task) for e in users)
-        ]
-        return cls(*map(np.array, zip(*rows)))
+    def __eq__(self, other):
+        if not isinstance(other, UserColumns):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
-    def to_users(self) -> tuple[ScenarioUser, ...]:
-        """One ``ScenarioUser`` per row, holding Python scalars and a tuple of gains."""
-        return tuple(
-            ScenarioUser(
-                profile=UserProfile(*row[:4], tuple(row[4]), *row[5:7]),
-                task=TaskSpec(*row[7:9]),
-                quantum_task=QuantumTaskSpec(*row[9:]),
-            )
-            for row in zip(*(column.tolist() for column in vars(self).values()))
-        )
+    def __hash__(self):
+        # Python scalars hash an int as the equal float, as ``__eq__`` compares
+        return hash(tuple(tuple(column.ravel().tolist()) for column in vars(self).values()))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which checks and freezes
+        return UserColumns, tuple(vars(self).values())
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A complete offloading instance: users, servers and device physics.
 
-    ``columns`` is the one stored form of the users.  A scenario built from
-    ``ScenarioUser`` objects keeps that tuple as ``users``; one built by
-    ``from_columns`` (as ``gen_scenario`` does) builds it on the first read
-    of ``users``.  Equality, ``repr`` and hashing read ``users``.
+    ``columns`` holds the users.  Equality and hashing compare every field
+    by value, the columns included.
     """
 
-    users: tuple[ScenarioUser, ...]
+    columns: UserColumns
     servers: tuple[ServerProfile, ...]
     cryostat: CryostatConfig
     qubit_tech: QubitTech
@@ -356,29 +313,13 @@ class Scenario:
     chip_energy_per_cycle: float = DEFAULT_CHIP_ENERGY
     error_threshold: float = DEFAULT_ERROR_THRESHOLD
     normalization: ObservationScales = ObservationScales()
-    columns: UserColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.users and self.servers:  # else ``_check_shape`` names what is missing
-            columns = UserColumns.from_users(self.users, len(self.servers))
-            object.__setattr__(self, "columns", columns)
-        self._check_shape()
-
-    @classmethod
-    def from_columns(cls, columns: UserColumns, **fields) -> Scenario:
-        """A scenario of ``columns``' users; ``fields`` are every other init field."""
-        scenario = cls.__new__(cls)
-        scenario.__dict__.update(fields, columns=columns)
-        scenario._check_shape()
-        return scenario
-
-    def _check_shape(self):
         """At least one user and one server; ``[U]`` columns and ``[U, E]`` gains."""
-        columns = getattr(self, "columns", None)
-        num_users = 0 if columns is None else len(columns.f_local)
+        num_users = len(self.columns.f_local)
         if not num_users or not self.servers:
             raise ValueError("scenario needs at least one user and one server")
-        for name, column in vars(columns).items():
+        for name, column in vars(self.columns).items():
             shape = (num_users, len(self.servers)) if name == "channel_gains" else (num_users,)
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
@@ -395,35 +336,9 @@ class Scenario:
         """
         return ScenarioEvaluator(self)
 
-    def __getstate__(self):
-        # copies and pickles carry the data, not the cached tables
-        state = dict(self.__dict__)
-        state.pop("evaluator", None)
-        return state
-
-    def __getattr__(self, name):
-        # a ``from_columns`` scenario builds ``users`` here; nothing else is built
-        if name != "users":
-            raise AttributeError(name)
-        object.__setattr__(self, "users", self.columns.to_users())
-        return self.users
-
-
-def compile_quantum(params: RayTracingParams, task: TaskSpec) -> QuantumTaskSpec:
-    """Quantum footprint of a render job.
-
-    The search circuit needs ``pb + 2*cb + 5`` qubits (primitive register,
-    two coordinate registers, bookkeeping) and its depth is the register
-    preparation plus the optimal number of search iterations over the
-    ``2**width`` joint states.
-    """
-    width = params.primitive_exponent + 2 * params.coord_bits + 5
-    iterations = math.floor(math.pi / 4.0 * math.sqrt(2.0**width))
-    return QuantumTaskSpec(
-        data_size=task.data_size,
-        logical_qubits=width,
-        logical_depth=3 * params.primitive_exponent + iterations,
-    )
+    def __reduce__(self):
+        # copies and pickles rebuild from the fields, without the cached tables
+        return Scenario, tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float], size=None):
@@ -432,22 +347,24 @@ def _uniform(rng: np.random.Generator, bounds: tuple[float, float], size=None):
     return lo + (hi - lo) * rng.random(size)
 
 
-def _cycles_per_byte(params: RayTracingParams) -> float:
-    return float(params.rays_per_primitive * 2**params.primitive_exponent)
+def _job_shape(primitive_exponent: int) -> tuple[int, int, int]:
+    """``(cycles_per_byte, logical_qubits, logical_depth)`` of a render job over
+    ``2**pb`` primitives.
 
-
-def _task_shape(primitive_exponent: int) -> tuple[float, int, int]:
-    """``(cycles_per_byte, logical_qubits, logical_depth)`` of a generated render job."""
-    params = RayTracingParams(primitive_exponent=primitive_exponent)
-    cycles_per_byte = _cycles_per_byte(params)
-    qtask = compile_quantum(params, TaskSpec(DATA_SIZE_RANGE[0], cycles_per_byte))
-    return cycles_per_byte, qtask.logical_qubits, qtask.logical_depth
+    Classically it costs ``RAYS_PER_PRIMITIVE * 2**pb`` cycles per byte.  Its
+    quantum search circuit needs ``pb + 2*cb + 5`` qubits (primitive
+    register, two coordinate registers of ``cb = DEFAULT_COORD_BITS`` bits,
+    bookkeeping) and its depth is the register preparation plus the optimal
+    number of search iterations over the ``2**width`` joint states.
+    """
+    width = primitive_exponent + 2 * DEFAULT_COORD_BITS + 5
+    iterations = math.floor(math.pi / 4.0 * math.sqrt(2.0**width))
+    return RAYS_PER_PRIMITIVE * 2**primitive_exponent, width, 3 * primitive_exponent + iterations
 
 
 # A generated job's shape depends on its primitive exponent alone: row ``pb``
-# is ``(cycles_per_byte, logical_qubits, logical_depth)`` over ``2**pb``
-# primitives, as float64 (every entry is an exact integer).
-TASK_SHAPES = np.array([_task_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[1] + 1)])
+# is ``_job_shape(pb)`` as float64 (every entry is an exact integer).
+TASK_SHAPES = np.array([_job_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[1] + 1)], dtype=float)
 
 
 def gen_scenario(
@@ -467,8 +384,7 @@ def gen_scenario(
 
     ``pins`` maps a field name from ``PIN_FIELDS`` to a fixed value; the
     pinned field replaces its draw while every other stream is untouched,
-    which is what parameter sweeps rely on.  The draws become the users'
-    ``UserColumns`` directly; no per-user object is built.
+    which is what parameter sweeps rely on.
     """
     if num_users < 1 or num_servers < 1:
         raise ValueError("need at least one user and one server")
@@ -547,7 +463,7 @@ def gen_scenario(
     if decoherence is not None:
         tech = replace(tech, decoherence_time=float(decoherence))
 
-    return Scenario.from_columns(
+    return Scenario(
         columns,
         servers=servers,
         cryostat=cryostat if cryostat is not None else CryostatConfig(),
@@ -555,7 +471,6 @@ def gen_scenario(
         rng_seed=seed,
         chip_energy_per_cycle=chip_energy_per_cycle,
         error_threshold=error_threshold,
-        normalization=ObservationScales(),
     )
 
 
@@ -573,24 +488,34 @@ def draw_tasks(rng: np.random.Generator, num_users: int) -> tuple[np.ndarray, np
     return exponents, _uniform(rng, DATA_SIZE_RANGE, num_users)
 
 
+# A user's record in a scenario file: its parts and their keys, which are the
+# ``UserColumns`` fields in order (the quantum task's ``data_size`` is
+# ``quantum_data_size``).
+_USER_KEYS = {
+    "profile": ("f_local", "tx_power", "weight_latency", "weight_energy", "channel_gains",
+                "edge_cpu", "logical_qubit_quota"),
+    "task": ("data_size", "cycles_per_byte"),
+    "quantum_task": ("data_size", "logical_qubits", "logical_depth"),
+}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Plain-dict form of a scenario (JSON-compatible, round-trip stable)."""
+    """Plain-dict form of a scenario (JSON-compatible, round-trip stable).
+
+    A user's values are its columns' Python scalars: a file's ``1000`` is
+    written back as ``1000`` in an int column and as ``1000.0`` in a float one.
+    """
+    users = []
+    for row in zip(*(column.tolist() for column in vars(scenario.columns).values())):
+        values = iter(row)
+        users.append({part: {key: next(values) for key in keys}
+                      for part, keys in _USER_KEYS.items()})
     return {
         "schema_version": SCHEMA_VERSION,
         "rng_seed": scenario.rng_seed,
         "chip_energy_per_cycle": scenario.chip_energy_per_cycle,
         "error_threshold": scenario.error_threshold,
-        "users": [
-            {
-                "profile": {
-                    **asdict(entry.profile),
-                    "channel_gains": list(entry.profile.channel_gains),
-                },
-                "task": asdict(entry.task),
-                "quantum_task": asdict(entry.quantum_task),
-            }
-            for entry in scenario.users
-        ],
+        "users": users,
         "servers": [asdict(s) for s in scenario.servers],
         "device": {
             "cryostat": asdict(scenario.cryostat),
@@ -605,22 +530,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version!r}")
-    users = tuple(
-        ScenarioUser(
-            profile=UserProfile(
-                **{
-                    **entry["profile"],
-                    "channel_gains": tuple(entry["profile"]["channel_gains"]),
-                }
-            ),
-            task=TaskSpec(**entry["task"]),
-            quantum_task=QuantumTaskSpec(**entry["quantum_task"]),
-        )
-        for entry in doc["users"]
-    )
+    servers = tuple(ServerProfile(**s) for s in doc["servers"])
+    records = doc["users"]
+    for u, record in enumerate(records):
+        for part, keys in _USER_KEYS.items():
+            if set(record.get(part, ())) != set(keys):
+                raise ValueError(f"user {u} {part} needs exactly the keys {', '.join(keys)}")
+        gains = record["profile"]["channel_gains"]
+        if len(gains) != len(servers):
+            raise ValueError(f"user {u} has {len(gains)} channel gains for {len(servers)} servers")
+    columns = UserColumns(*(
+        np.array([record[part][key] for record in records])
+        for part, keys in _USER_KEYS.items() for key in keys
+    ))
     return Scenario(
-        users=users,
-        servers=tuple(ServerProfile(**s) for s in doc["servers"]),
+        columns,
+        servers=servers,
         cryostat=CryostatConfig(**doc["device"]["cryostat"]),
         qubit_tech=QubitTech(**doc["device"]["qubit_tech"]),
         rng_seed=doc["rng_seed"],

@@ -2,9 +2,12 @@
 
 Each function computes one user's cost term, one scalar at a time, in the
 operation order of ``ScenarioEvaluator``; the tests compare the kernel to
-these with ``==``.  No code in ``meqc`` calls them.  ``user_cost`` and
-``qpu_saving`` are one-user views of the kernel itself, for tests that
-score a single (user, server, ratio) choice.
+these with ``==``.  No code in ``meqc`` calls them.  Their inputs are one
+user's records: ``UserProfile``, ``TaskSpec`` and ``QuantumTaskSpec``, plain
+data that ``records_of`` reads from a scenario's columns and
+``user_columns`` turns back into columns.  ``user_cost``, ``qpu_saving``
+and ``total_cost`` are views of the kernel itself, for tests that score a
+single (user, server, ratio) choice or a whole joint action.
 """
 
 from __future__ import annotations
@@ -12,16 +15,71 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 from meqc.costs import (
     BITS_PER_BYTE,
     SUCCESS_THRESHOLD,
     CostBreakdown,
-    QuantumTaskSpec,
+    JointAction,
     ServerProfile,
-    TaskSpec,
-    UserProfile,
+    sum_over_users,
 )
 from meqc.device import GatePowerProfile, LogicalResources, QubitTech, error_suppression
+from meqc.workload import Scenario, UserColumns
+
+
+@dataclasses.dataclass(frozen=True)
+class UserProfile:
+    """One mobile user: hardware, radio and subscribed edge resources.
+
+    ``channel_gains[e]`` is the unitless uplink gain toward server ``e``.
+    ``edge_cpu`` is the cycles/s the user has subscribed on any edge
+    server, ``logical_qubit_quota`` the subscribed number of logical
+    qubits.  The three records check nothing: ``UserColumns`` does.
+    """
+
+    f_local: float
+    tx_power: float
+    weight_latency: float
+    weight_energy: float
+    channel_gains: tuple[float, ...]
+    edge_cpu: float
+    logical_qubit_quota: int
+
+
+@dataclasses.dataclass(frozen=True)
+class TaskSpec:
+    """A classical task: payload bytes and CPU cycles needed per byte."""
+
+    data_size: float
+    cycles_per_byte: float
+
+
+@dataclasses.dataclass(frozen=True)
+class QuantumTaskSpec:
+    """The compiled quantum form of a task: circuit width and depth."""
+
+    data_size: float
+    logical_qubits: int
+    logical_depth: int
+
+
+def user_columns(users) -> UserColumns:
+    """The ``UserColumns`` of ``(UserProfile, TaskSpec, QuantumTaskSpec)`` triples."""
+    astuple = dataclasses.astuple
+    rows = [(*astuple(profile), *astuple(task), *astuple(qtask)) for profile, task, qtask in users]
+    return UserColumns(*map(np.array, zip(*rows)))
+
+
+def records_of(scenario: Scenario) -> list[tuple[UserProfile, TaskSpec, QuantumTaskSpec]]:
+    """Each user's records, holding Python scalars and a tuple of gains."""
+    rows = zip(*(column.tolist() for column in vars(scenario.columns).values()))
+    return [
+        (UserProfile(*row[:4], tuple(row[4]), *row[5:7]), TaskSpec(*row[7:9]),
+         QuantumTaskSpec(*row[9:]))
+        for row in rows
+    ]
 
 
 def uplink_rate(user: UserProfile, server: ServerProfile, target: int) -> float:
@@ -161,14 +219,30 @@ def quantum_feasible(
     return 1 if (fits and reliable) else 0
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(CostBreakdown))
+
+
 def user_cost(evaluator, u: int, server: int, local_ratio: float, use_qpu: bool) -> CostBreakdown:
     """The kernel's cost of user ``u`` splitting its task toward ``server``, as floats."""
     b = evaluator.breakdown(server, local_ratio, bool(use_qpu), users=u)
-    return CostBreakdown(
-        *(float(getattr(b, f.name)) for f in dataclasses.fields(CostBreakdown))
-    )
+    return CostBreakdown(*(float(getattr(b, name)) for name in _FIELDS))
 
 
 def qpu_saving(evaluator, u: int, server: int, local_ratio: float) -> float:
     """The kernel's saving of running user ``u``'s offloaded share on the QPU."""
     return float(evaluator.savings(server, local_ratio, users=u))
+
+
+def total_cost(
+    scenario: Scenario, action: JointAction
+) -> tuple[float, tuple[CostBreakdown, ...]]:
+    """System cost of ``action`` on ``scenario`` plus per-user breakdowns.
+
+    The action is validated by ``ScenarioEvaluator.check_action``, as
+    ``MeqcEnv.step`` validates it, so both refuse the same grants.
+    """
+    evaluator = scenario.evaluator
+    b = evaluator.breakdown(*evaluator.check_action(action))
+    columns = [getattr(b, name).tolist() for name in _FIELDS]
+    breakdowns = tuple(CostBreakdown(*row) for row in zip(*columns))
+    return float(sum_over_users(b.cost)), breakdowns

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from meqc.bench import emit_csv, parse_config, run_sweep
-from meqc.costs import QuantumTaskSpec, ScenarioEvaluator, total_cost
+from meqc.costs import ScenarioEvaluator
 from meqc.device import (
     CryostatConfig,
     QubitTech,
@@ -35,10 +35,9 @@ from meqc.solvers import (
     solve_baseline,
     solve_exhaustive,
 )
-from meqc.workload import RayTracingParams, compile_quantum, gen_scenario
-from meqc.costs import TaskSpec
+from meqc.workload import TASK_SHAPES, gen_scenario
 
-from cost_spec import success_probability, user_cost
+from cost_spec import QuantumTaskSpec, success_probability, total_cost, user_cost
 
 
 def _passed(criterion, detail):
@@ -62,9 +61,9 @@ def test_criterion_1_resource_counts():
     widths = []
     depths = {}
     for pb in range(3, 10):
-        qtask = compile_quantum(RayTracingParams(pb, coord_bits=6), TaskSpec(1e8, 1.0))
-        widths.append(qtask.logical_qubits)
-        depths[pb] = qtask.logical_depth
+        _, width, depth = map(int, TASK_SHAPES[pb])
+        widths.append(width)
+        depths[pb] = depth
     assert widths == list(range(20, 27))
     assert depths[3] == 813
     # the published top depth is 6560; the compilation formula gives 6460
@@ -109,9 +108,9 @@ def test_criterion_3_device_physics_properties():
     err = physical_error_rate(CryostatConfig(), tech)
     assert err < 2e-4
     for pb in range(3, 10):
-        qtask = compile_quantum(RayTracingParams(pb), TaskSpec(1e8, 1.0))
-        p1 = success_probability(qtask.logical_qubits, qtask.logical_depth, 1, err, 2e-4)
-        p2 = success_probability(qtask.logical_qubits, qtask.logical_depth, 2, err, 2e-4)
+        _, width, depth = map(int, TASK_SHAPES[pb])
+        p1 = success_probability(width, depth, 1, err, 2e-4)
+        p2 = success_probability(width, depth, 2, err, 2e-4)
         assert p2 > p1
 
     # high-precision occupation oracle
@@ -404,8 +403,8 @@ def test_criterion_9c_decoherence_sweep():
     qtask = QuantumTaskSpec(data_size=160e6, logical_qubits=20, logical_depth=813)
     cryo = CryostatConfig()
     energies = []
-    from meqc.costs import ServerProfile, UserProfile
-    from cost_spec import edge_quantum_cost
+    from meqc.costs import ServerProfile
+    from cost_spec import UserProfile, edge_quantum_cost
 
     user = UserProfile(
         f_local=2e9, tx_power=1e-4, weight_latency=0.5, weight_energy=0.5,

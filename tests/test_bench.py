@@ -338,14 +338,14 @@ class TestBuildScenario:
             "device:\n  decoherence_time: 4.0e-3\n"
         )
         scenario = build_scenario(cfg, seed=1)
-        assert len(scenario.users) == 3
+        assert len(scenario.columns.f_local) == 3
         assert scenario.servers[0].noise_power == 2e-6
         assert scenario.qubit_tech.decoherence_time == 4e-3
 
     def test_pins_override_generation(self):
         cfg = parse_config("scenario:\n  users: 2\n  servers: 2\n")
         scenario = build_scenario(cfg, seed=0, pins={"edge_cpu": 11e9})
-        assert all(e.profile.edge_cpu == 11e9 for e in scenario.users)
+        assert scenario.columns.edge_cpu.tolist() == [11e9, 11e9]
 
 
 def tiny_sweep_config(**extra):

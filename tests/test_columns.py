@@ -1,27 +1,28 @@
-"""A scenario's users are columns: generation and scoring build no per-user
-object, object-built scenarios give the same tables, and the column checks
-are the only per-user checks: the records hold any value, and every route
-to a scenario refuses what the columns refuse."""
+"""A scenario's users are columns: generation builds one ``UserColumns`` and
+scoring none, scenarios loaded or built from records give the same tables,
+and the column checks are the only per-user checks: every route to a
+scenario refuses what the columns refuse."""
 
+import copy
 import dataclasses
 import math
-from collections import Counter
+import pickle
 
 import numpy as np
 import pytest
 
-from meqc.costs import QuantumTaskSpec, ScenarioEvaluator, TaskSpec, UserProfile
+from meqc.costs import ScenarioEvaluator, ServerProfile
 from meqc.env import MeqcEnv, _observation_template
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import (
     Scenario,
-    ScenarioUser,
     UserColumns,
     gen_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
 
+from cost_spec import records_of, user_columns
 from test_workload import REFERENCE_PINS
 
 PIN_IDS = ["none", "edge", "phys_weight", "decoherence"]
@@ -52,43 +53,31 @@ def assert_identical(ours: np.ndarray, theirs: np.ndarray):
 
 
 def test_generate_and_score_build_no_user_objects(monkeypatch):
-    built = count_inits(monkeypatch, UserProfile, TaskSpec, QuantumTaskSpec, ScenarioUser)
+    built = count_inits(monkeypatch, Scenario, UserColumns)
     scenario = gen_scenario(100, 20, seed=3)
+    assert built == [UserColumns, Scenario]
     ScenarioEvaluator(scenario)
     MeqcEnv(scenario).observations()
     for kind in PolicyKind:
         for redraw in (False, True):
             evaluate(BaselinePolicy(kind), scenario, 2, np.random.default_rng(0),
                      redraw_tasks=redraw)
-    assert built == []
-
-    users = scenario.users  # the view is built on the first read, once
-    assert len(users) == 100
-    counts = {UserProfile: 100, TaskSpec: 100, QuantumTaskSpec: 100, ScenarioUser: 100}
-    assert Counter(built) == counts
-    assert scenario.users is users
-    assert len(built) == 400
-
-
-def test_object_built_scenario_keeps_its_tuple():
-    users = gen_scenario(3, 2, seed=1).users
-    scenario = dataclasses.replace(gen_scenario(3, 2, seed=1), users=users)
-    assert scenario.users is users
-    assert scenario == gen_scenario(3, 2, seed=1)
-    assert hash(scenario) == hash(gen_scenario(3, 2, seed=1))
-    assert repr(scenario) == repr(gen_scenario(3, 2, seed=1))
+    assert built == [UserColumns, Scenario]
 
 
 @pytest.mark.parametrize("pins", REFERENCE_PINS, ids=PIN_IDS)
 @pytest.mark.parametrize("shape", [(1, 1), (7, 4), (100, 20)], ids=["1x1", "7x4", "100x20"])
 def test_generated_and_object_built_twins_share_tables(shape, pins):
     scenario = gen_scenario(*shape, seed=11, pins=pins)
-    twin = scenario_from_dict(scenario_to_dict(scenario))
-    assert twin == scenario and twin.users is not scenario.users
-    ours, theirs = ScenarioEvaluator(scenario), ScenarioEvaluator(twin)
-    for name in TABLES:
-        assert_identical(getattr(ours, name), getattr(theirs, name))
-    assert_identical(_observation_template(scenario), _observation_template(twin))
+    loaded = scenario_from_dict(scenario_to_dict(scenario))
+    built = dataclasses.replace(scenario, columns=user_columns(records_of(scenario)))
+    for twin in (loaded, built):
+        assert twin == scenario and twin.columns is not scenario.columns
+        assert hash(twin) == hash(scenario) and repr(twin) == repr(scenario)
+        ours, theirs = ScenarioEvaluator(scenario), ScenarioEvaluator(twin)
+        for name in TABLES:
+            assert_identical(getattr(ours, name), getattr(theirs, name))
+        assert_identical(_observation_template(scenario), _observation_template(twin))
 
 
 def test_pinned_allotment_beyond_int64_keeps_exact_quotas():
@@ -102,20 +91,19 @@ def test_pinned_allotment_beyond_int64_keeps_exact_quotas():
 
 NAN, INF = math.nan, math.inf
 
-# (column, ScenarioUser part, field of that part, values its check refuses,
-# values it accepts); the checks are ``<=``/``<`` tests, so NaN passes all
-# but the weights'
+# (column, user record, field of that record, values its check refuses,
+# values it accepts); every check refuses NaN, and every float column ±inf
 RULES = [
-    ("f_local", "profile", "f_local", [0.0, -1.0], [1e-300, NAN, INF]),
-    ("tx_power", "profile", "tx_power", [0.0, -1e-3], [1e-300, NAN]),
+    ("f_local", "profile", "f_local", [0.0, -1.0, NAN, INF], [1e-300, 1e300]),
+    ("tx_power", "profile", "tx_power", [0.0, -1e-3, NAN, INF], [1e-300]),
     ("weight_latency", "profile", "weight_latency", [-0.1, 1.5, NAN, -INF], [0.0, 1.0]),
-    ("weight_energy", "profile", "weight_energy", [-1e-12, 1.0 + 1e-12, NAN], [0.0, 1.0]),
-    ("channel_gains", "profile", "channel_gains", [0.0, -2.0], [1e-300, NAN, INF]),
-    ("edge_cpu", "profile", "edge_cpu", [0.0, -5e9], [1e-300, NAN]),
+    ("weight_energy", "profile", "weight_energy", [-1e-12, 1.0 + 1e-12, NAN, INF], [0.0, 1.0]),
+    ("channel_gains", "profile", "channel_gains", [0.0, -2.0, NAN, INF], [1e-300, 1e300]),
+    ("edge_cpu", "profile", "edge_cpu", [0.0, -5e9, NAN, INF], [1e-300]),
     ("logical_qubit_quota", "profile", "logical_qubit_quota", [-1], [0, 10**6]),
-    ("data_size", "task", "data_size", [0.0, -1.0], [1e-300, NAN]),
-    ("cycles_per_byte", "task", "cycles_per_byte", [0.0, -3.0], [1e-300, NAN]),
-    ("quantum_data_size", "quantum_task", "data_size", [0.0, -1.0], [1e-300, NAN]),
+    ("data_size", "task", "data_size", [0.0, -1.0, NAN, INF], [1e-300]),
+    ("cycles_per_byte", "task", "cycles_per_byte", [0.0, -3.0, NAN, INF], [1e-300]),
+    ("quantum_data_size", "quantum_task", "data_size", [0.0, -1.0, NAN, -INF, INF], [1e-300]),
     ("logical_qubits", "quantum_task", "logical_qubits", [0, -4], [1]),
     ("logical_depth", "quantum_task", "logical_depth", [0, -4], [1]),
 ]
@@ -136,7 +124,8 @@ def test_column_checks_match_object_checks(column, part, name, refused, accepted
     """A scenario built from records, or loaded from its dict, refuses
     exactly what its columns refuse, with the columns' message."""
     scenario = gen_scenario(3, 2, seed=4)
-    entry, columns = scenario.users[1], scenario.columns
+    records, columns = records_of(scenario), scenario.columns
+    parts = ("profile", "task", "quantum_task")
 
     def with_column(value):
         values = getattr(columns, column).copy()
@@ -144,11 +133,13 @@ def test_column_checks_match_object_checks(column, part, name, refused, accepted
         return dataclasses.replace(columns, **{column: values})
 
     def with_object(value):
-        obj = getattr(entry, part)
+        changed = list(records[1])
+        obj = changed[parts.index(part)]
         if name == "channel_gains":
             value = (obj.channel_gains[0], value)
-        changed = dataclasses.replace(entry, **{part: dataclasses.replace(obj, **{name: value})})
-        return dataclasses.replace(scenario, users=(scenario.users[0], changed, scenario.users[2]))
+        changed[parts.index(part)] = dataclasses.replace(obj, **{name: value})
+        return dataclasses.replace(
+            scenario, columns=user_columns([records[0], changed, records[2]]))
 
     def loaded(value):
         doc = scenario_to_dict(scenario)
@@ -169,12 +160,22 @@ def test_column_checks_match_object_checks(column, part, name, refused, accepted
             assert outcome(lambda: build(value)) is None
 
 
-def test_bare_records_hold_refused_values():
-    entry = gen_scenario(1, 1, seed=4).users[0]
-    for _, part, name, refused, _ in RULES:
-        value = (refused[0],) if name == "channel_gains" else refused[0]
-        record = dataclasses.replace(getattr(entry, part), **{name: value})
-        assert getattr(record, name) is value
+def test_non_finite_values_name_their_column():
+    columns = gen_scenario(3, 2, seed=4).columns
+    for name in ("f_local", "tx_power", "channel_gains", "edge_cpu", "data_size",
+                 "cycles_per_byte", "quantum_data_size"):
+        values = getattr(columns, name).copy()
+        values.flat[-1] = INF
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            dataclasses.replace(columns, **{name: values})
+
+
+@pytest.mark.parametrize("field", ["noise_power", "bandwidth"])
+def test_servers_refuse_non_finite_values(field):
+    for value in (0.0, -1.0, NAN, INF, -INF):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0$"):
+            ServerProfile(**{field: value})
+    assert getattr(ServerProfile(**{field: 1e-300}), field) == 1e-300
 
 
 def count_column_checks(monkeypatch) -> list:
@@ -186,27 +187,19 @@ def count_column_checks(monkeypatch) -> list:
 
 def test_scenario_of_records_checks_them_once(monkeypatch):
     scenario = gen_scenario(100, 20, seed=3)
-    users = scenario.users
+    records = records_of(scenario)
     runs = count_column_checks(monkeypatch)
-    assert dataclasses.replace(scenario, users=users) == scenario
+    assert dataclasses.replace(scenario, columns=user_columns(records)) == scenario
     assert len(runs) == 1
-
-
-def test_users_view_runs_no_check(monkeypatch):
-    scenario = gen_scenario(100, 20, seed=3)
-    runs = count_column_checks(monkeypatch)
-    assert len(scenario.users) == 100
-    assert runs == []
+    assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+    assert len(runs) == 2
 
 
 def test_gains_row_of_wrong_length_names_user_and_servers():
-    scenario = gen_scenario(2, 3, seed=0)
-    entry = scenario.users[1]
-    short = dataclasses.replace(
-        entry, profile=dataclasses.replace(entry.profile, channel_gains=(6.0,))
-    )
+    doc = scenario_to_dict(gen_scenario(2, 3, seed=0))
+    doc["users"][1]["profile"]["channel_gains"] = [6.0]
     with pytest.raises(ValueError, match=r"^user 1 has 1 channel gains for 3 servers$"):
-        ScenarioEvaluator(dataclasses.replace(scenario, users=(scenario.users[0], short)))
+        scenario_from_dict(doc)
 
 
 # misfit -> (the changed columns, the servers kept, the message)
@@ -226,20 +219,23 @@ MISFITS = {
 @pytest.mark.parametrize("misfit, servers, message", MISFITS.values(), ids=MISFITS)
 def test_from_columns_checks_the_scenario_shape(misfit, servers, message):
     scenario = gen_scenario(3, 3, seed=0)
-    fields = {
-        f.name: getattr(scenario, f.name)
-        for f in dataclasses.fields(Scenario)
-        if f.init and f.name != "users"
-    }
+    fields = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(Scenario)}
+    fields["columns"] = misfit(scenario.columns)
     fields["servers"] = scenario.servers[:servers]
     with pytest.raises(ValueError, match=message):
-        Scenario.from_columns(misfit(scenario.columns), **fields)
+        Scenario(**fields)
 
 
 def test_columns_are_read_only():
     scenario = gen_scenario(3, 2, seed=4)
     with pytest.raises(ValueError, match="read-only"):
         scenario.columns.f_local[0] = 1.0
+    # a copy or pickle of the columns, alone or in their scenario, is rebuilt read-only
+    for twin in (copy.copy(scenario.columns), copy.deepcopy(scenario.columns),
+                 pickle.loads(pickle.dumps(scenario.columns)),
+                 copy.deepcopy(scenario).columns, pickle.loads(pickle.dumps(scenario)).columns):
+        assert twin == scenario.columns and hash(twin) == hash(scenario.columns)
+        assert not any(column.flags.writeable for column in vars(twin).values())
     # the evaluator a scenario shares, a fresh one, and one-episode and batch task evaluators
     tasks = [np.array([5e8, 6e8, 7e8]), np.full(3, 96.0), np.array([5e8, 6e8, 7e8]),
              np.array([20, 21, 22]), np.array([30, 31, 32])]
@@ -259,3 +255,20 @@ def test_columns_are_read_only():
         column[0] = 1
     assert evaluators[2].data_size[0] == evaluators[2]._q_data_size[0] == 5e8
     assert evaluators[2].logical_qubits[0] == 20
+
+
+def test_equality_and_hash_compare_values_not_dtypes():
+    """An int column equals, and hashes as, the equal float column."""
+    scenario = gen_scenario(3, 2, seed=4, pins={"physical_qubits": 4000})
+    columns = scenario.columns
+    as_floats = dataclasses.replace(columns, logical_qubits=columns.logical_qubits.astype(float),
+                                    logical_qubit_quota=columns.logical_qubit_quota.astype(float))
+    as_objects = dataclasses.replace(columns, logical_qubit_quota=np.array(
+        columns.logical_qubit_quota.tolist(), dtype=object))
+    for twin in (as_floats, as_objects):
+        assert twin == columns and hash(twin) == hash(columns)
+        assert dataclasses.replace(scenario, columns=twin) == scenario
+    changed = columns.data_size.copy()
+    changed[2] += 1.0
+    assert dataclasses.replace(columns, data_size=changed) != columns
+    assert columns.__eq__(columns.data_size) is NotImplemented  # only columns equal columns

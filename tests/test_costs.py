@@ -12,27 +12,29 @@ import meqc.costs
 from meqc.costs import (
     CostBreakdown,
     JointAction,
-    QuantumTaskSpec,
     ScenarioEvaluator,
     ServerProfile,
-    TaskSpec,
-    UserProfile,
     sum_over_users,
-    total_cost,
 )
 from meqc.device import QubitTech, gate_power_profile, cryostat_stages, CryostatConfig, logical_resources
 from meqc.device import error_suppression, physical_error_rate
 from meqc.workload import gen_scenario
 
 from cost_spec import (
+    QuantumTaskSpec,
+    TaskSpec,
+    UserProfile,
     edge_classical_cost,
     edge_quantum_cost,
     local_cost,
     qpu_saving,
     quantum_feasible,
     success_probability,
+    records_of,
+    total_cost,
     transmission_cost,
     uplink_rate,
+    user_columns,
     user_cost,
 )
 from test_env import TASK_TABLES, craft_scenario
@@ -211,8 +213,7 @@ def hand_cost(scenario, action):
     total = 0.0
     stages = cryostat_stages(scenario.cryostat)
     powers = gate_power_profile(scenario.cryostat, scenario.qubit_tech, stages)
-    for u, entry in enumerate(scenario.users):
-        prof, task, qtask = entry.profile, entry.task, entry.quantum_task
+    for u, (prof, task, qtask) in enumerate(records_of(scenario)):
         e = action.server_choice[u]
         ratio = action.local_ratio[u]
         server = scenario.servers[e]
@@ -248,8 +249,8 @@ class TestTotalCost:
         action = JointAction((0,) * 4, (1.0,) * 4, (0,) * 4)
         cost, breakdowns = total_cost(scenario, action)
         expected = sum(
-            local_cost(e.profile, e.task, 1.0, scenario.chip_energy_per_cycle).cost
-            for e in scenario.users
+            local_cost(profile, task, 1.0, scenario.chip_energy_per_cycle).cost
+            for profile, task, _ in records_of(scenario)
         )
         assert cost == pytest.approx(expected, rel=1e-12)
         assert all(b.latency_uplink == 0.0 for b in breakdowns)
@@ -258,11 +259,11 @@ class TestTotalCost:
         scenario = gen_scenario(1, 2, seed=3)
         action = JointAction((1,), (0.3,), (0,))
         cost, _ = total_cost(scenario, action)
-        entry = scenario.users[0]
+        profile, task, _ = records_of(scenario)[0]
         expected = (
-            local_cost(entry.profile, entry.task, 0.3, scenario.chip_energy_per_cycle).cost
+            local_cost(profile, task, 0.3, scenario.chip_energy_per_cycle).cost
             + edge_classical_cost(
-                entry.profile, scenario.servers[1], 1, entry.task, 0.3,
+                profile, scenario.servers[1], 1, task, 0.3,
                 scenario.chip_energy_per_cycle,
             ).cost
         )
@@ -296,8 +297,9 @@ class TestTotalCost:
         action = JointAction((0, 1, 2), (0.2, 0.7, 1.0), (0, 0, 0))
         cost, _ = total_cost(scenario, action)
         perm = [2, 0, 1]
+        records = records_of(scenario)
         permuted = dataclasses.replace(
-            scenario, users=tuple(scenario.users[p] for p in perm)
+            scenario, columns=user_columns([records[p] for p in perm])
         )
         permuted_action = JointAction(
             tuple(action.server_choice[p] for p in perm),
@@ -326,42 +328,25 @@ class TestCostProperties:
         action = JointAction((0, 1, 0), (0.0, 0.5, 0.25), (0, 0, 0))
         costs = []
         for f_edge in (10e9, 15e9, 20e9):
-            users = tuple(
-                dataclasses.replace(
-                    entry, profile=dataclasses.replace(entry.profile, edge_cpu=f_edge)
-                )
-                for entry in scenario.users
-            )
-            costs.append(total_cost(dataclasses.replace(scenario, users=users), action)[0])
+            columns = dataclasses.replace(scenario.columns, edge_cpu=np.full(3, f_edge))
+            costs.append(total_cost(dataclasses.replace(scenario, columns=columns), action)[0])
         assert costs[0] >= costs[1] >= costs[2]
 
     def test_weakly_decreasing_in_gain(self):
         scenario = gen_scenario(2, 2, seed=17)
         action = JointAction((0, 1), (0.0, 0.0), (0, 0))
         base = total_cost(scenario, action)[0]
-        users = tuple(
-            dataclasses.replace(
-                entry,
-                profile=dataclasses.replace(
-                    entry.profile,
-                    channel_gains=tuple(2 * g for g in entry.profile.channel_gains),
-                ),
-            )
-            for entry in scenario.users
+        columns = dataclasses.replace(
+            scenario.columns, channel_gains=2 * scenario.columns.channel_gains
         )
-        assert total_cost(dataclasses.replace(scenario, users=users), action)[0] <= base
+        assert total_cost(dataclasses.replace(scenario, columns=columns), action)[0] <= base
 
     def test_weight_zero_kills_latency_dependence(self):
         scenario = gen_scenario(2, 2, seed=19, pins={"weight_latency": 0.0})
         action = JointAction((0, 1), (0.5, 0.5), (0, 0))
         base = total_cost(scenario, action)[0]
-        users = tuple(
-            dataclasses.replace(
-                entry, profile=dataclasses.replace(entry.profile, f_local=1e6)
-            )
-            for entry in scenario.users
-        )
-        slowed = total_cost(dataclasses.replace(scenario, users=users), action)[0]
+        columns = dataclasses.replace(scenario.columns, f_local=np.full(2, 1e6))
+        slowed = total_cost(dataclasses.replace(scenario, columns=columns), action)[0]
         assert slowed == pytest.approx(base, rel=1e-12)
 
     def test_components_nonnegative_and_finite(self):
@@ -379,20 +364,20 @@ class TestCostProperties:
 
 def spec_user_cost(scenario, u, server, ratio, use_qpu):
     """One user's full cost composed from the scalar spec functions alone."""
-    entry = scenario.users[u]
+    profile, task, qtask = records_of(scenario)[u]
     chip = scenario.chip_energy_per_cycle
     target = scenario.servers[server]
-    local = local_cost(entry.profile, entry.task, ratio, chip)
+    local = local_cost(profile, task, ratio, chip)
     if use_qpu:
         stages = cryostat_stages(scenario.cryostat)
         remote = edge_quantum_cost(
-            entry.profile, target, server, entry.quantum_task, ratio,
+            profile, target, server, qtask, ratio,
             logical_resources(target.concat_level),
             gate_power_profile(scenario.cryostat, scenario.qubit_tech, stages),
             scenario.qubit_tech,
         )
     else:
-        remote = edge_classical_cost(entry.profile, target, server, entry.task, ratio, chip)
+        remote = edge_classical_cost(profile, target, server, task, ratio, chip)
     return dataclasses.replace(
         remote,
         latency_local=local.latency_local,
@@ -454,17 +439,15 @@ class TestKernelMatchesSpec:
         scenario = KERNEL_SCENARIOS[name]()
         evaluator = ScenarioEvaluator(scenario)
         err = physical_error_rate(scenario.cryostat, scenario.qubit_tech)
-        for u, entry in enumerate(scenario.users):
+        for u, (profile, _, qtask) in enumerate(records_of(scenario)):
             for e, server in enumerate(scenario.servers):
-                assert evaluator.rate[u, e] == uplink_rate(entry.profile, server, e)
+                assert evaluator.rate[u, e] == uplink_rate(profile, server, e)
                 success = success_probability(
-                    entry.quantum_task.logical_qubits, entry.quantum_task.logical_depth,
+                    qtask.logical_qubits, qtask.logical_depth,
                     server.concat_level, err, scenario.error_threshold,
                 )
                 assert evaluator.success[u, e] == success
-                assert evaluator.eligible[u, e] == quantum_feasible(
-                    entry.quantum_task, entry.profile, success
-                )
+                assert evaluator.eligible[u, e] == quantum_feasible(qtask, profile, success)
 
     @pytest.mark.parametrize("name", sorted(ENDPOINT_SCENARIOS))
     def test_endpoint_costs(self, name):
@@ -518,11 +501,10 @@ class TestKernelMatchesSpec:
 
     def test_dead_link_raises_only_when_data_is_sent(self):
         scenario = gen_scenario(2, 2, seed=1)
-        entry = scenario.users[1]
-        dead = dataclasses.replace(
-            entry, profile=dataclasses.replace(entry.profile, channel_gains=(6.0, 1e-30))
-        )
-        scenario = dataclasses.replace(scenario, users=(scenario.users[0], dead))
+        gains = scenario.columns.channel_gains.copy()
+        gains[1] = 6.0, 1e-30
+        columns = dataclasses.replace(scenario.columns, channel_gains=gains)
+        scenario = dataclasses.replace(scenario, columns=columns)
         evaluator = ScenarioEvaluator(scenario)
         assert evaluator.rate[1, 1] == 0.0
         with pytest.raises(ValueError, match="link to server 1 carries no data"):
@@ -551,14 +533,11 @@ REFRESH_SHAPES = {
 
 def task_columns(scenario):
     """The per-user task columns ``ScenarioEvaluator.with_tasks`` takes."""
-    users = scenario.users
-    return (
-        [e.task.data_size for e in users],
-        [e.task.cycles_per_byte for e in users],
-        [e.quantum_task.data_size for e in users],
-        [e.quantum_task.logical_qubits for e in users],
-        [e.quantum_task.logical_depth for e in users],
-    )
+    columns = scenario.columns
+    return tuple(column.tolist() for column in (
+        columns.data_size, columns.cycles_per_byte, columns.quantum_data_size,
+        columns.logical_qubits, columns.logical_depth,
+    ))
 
 
 class TestWithTasks:
@@ -671,7 +650,7 @@ class TestDevicePhysics:
         powers = gate_power_profile(cryostat, tech, cryostat_stages(cryostat))
         # one byte of a one-qubit task at ratio 0 costs one QPU step
         unit = QuantumTaskSpec(data_size=1.0, logical_qubits=1, logical_depth=1)
-        profile = scenario.users[0].profile
+        profile = records_of(scenario)[0][0]
         for e, server in enumerate(scenario.servers):
             level = server.concat_level
             assert evaluator._suppression[e] == error_suppression(

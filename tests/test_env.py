@@ -6,20 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from meqc.costs import (
-    JointAction,
-    QuantumTaskSpec,
-    ScenarioEvaluator,
-    ServerProfile,
-    TaskSpec,
-    UserProfile,
-    total_cost,
-)
+from meqc.costs import JointAction, ScenarioEvaluator, ServerProfile
 from meqc.env import MeqcEnv, grant_mask, observation_length
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate, solve_baseline
 from meqc.workload import gen_scenario
 
-from cost_spec import qpu_saving
+from cost_spec import (
+    QuantumTaskSpec,
+    TaskSpec,
+    UserProfile,
+    qpu_saving,
+    records_of,
+    total_cost,
+    user_columns,
+)
 from test_workload import reference_redraw_tasks
 
 # ``grant_mask`` has one rule (largest saving wins); cases carry its name
@@ -44,35 +44,30 @@ def craft_scenario(num_servers=2, quotas=(54, 54), data_sizes=(1e3, 1e3),
         )
         task = TaskSpec(data_size=size, cycles_per_byte=1e6)
         qtask = QuantumTaskSpec(data_size=size, logical_qubits=20, logical_depth=813)
-        users.append(
-            dataclasses.replace(
-                gen_scenario(1, num_servers, seed=0).users[0],
-                profile=profile, task=task, quantum_task=qtask,
-            )
-        )
+        users.append((profile, task, qtask))
     return dataclasses.replace(
         gen_scenario(len(users), num_servers, seed=0),
-        users=tuple(users),
+        columns=user_columns(users),
         servers=tuple(ServerProfile(concat_level=lv) for lv in levels),
     )
 
 
 def reference_observation(scenario, user: int) -> np.ndarray:
     """User ``user``'s observation, read field by field from the scenario's objects."""
-    entry = scenario.users[user]
+    profile, task, qtask = records_of(scenario)[user]
     scales = scenario.normalization
     fields = [
-        entry.profile.f_local / scales.f_local,
-        entry.task.data_size / scales.data_size,
-        entry.task.cycles_per_byte / scales.cycles_per_byte,
-        entry.quantum_task.logical_qubits / scales.logical_qubits,
-        entry.quantum_task.logical_depth / scales.logical_depth,
-        entry.profile.edge_cpu / scales.edge_cpu,
-        entry.profile.logical_qubit_quota / scales.logical_qubit_quota,
+        profile.f_local / scales.f_local,
+        task.data_size / scales.data_size,
+        task.cycles_per_byte / scales.cycles_per_byte,
+        qtask.logical_qubits / scales.logical_qubits,
+        qtask.logical_depth / scales.logical_depth,
+        profile.edge_cpu / scales.edge_cpu,
+        profile.logical_qubit_quota / scales.logical_qubit_quota,
     ]
     fields.extend(s.concat_level / scales.concat_level for s in scenario.servers)
-    fields.append(entry.profile.tx_power / scales.tx_power)
-    fields.extend(g / scales.channel_gain for g in entry.profile.channel_gains)
+    fields.append(profile.tx_power / scales.tx_power)
+    fields.extend(g / scales.channel_gain for g in profile.channel_gains)
     return np.asarray(fields, dtype=np.float64)
 
 
@@ -300,7 +295,7 @@ class TestStep:
         env.reset()
         ungranted = JointAction((0,), (0.0,), (0,))
         result = env.step(ungranted)
-        assert result.indicators == (0,)
+        assert result.action.quantum_indicator == (0,)
         expected, _ = total_cost(scenario, ungranted)
         assert result.reward == pytest.approx(-expected, rel=1e-12)
 
@@ -328,8 +323,8 @@ class TestStep:
         scenario = craft_scenario(quotas=(54,), data_sizes=(1e3,))
         env = MeqcEnv(scenario)
         env.reset()
-        assert env.step([(0, 1.0)]).indicators == (0,)
-        assert env.step(JointAction((0,), (0.5,), (1,))).indicators == (1,)
+        assert env.step([(0, 1.0)]).action.quantum_indicator == (0,)
+        assert env.step(JointAction((0,), (0.5,), (1,))).action.quantum_indicator == (1,)
         with pytest.raises(ValueError, match="infeasible"):
             env.step(JointAction((0,), (1.0,), (1,)))
 
@@ -340,8 +335,9 @@ class TestStep:
         env.reset()
         base = env.step(actions).reward
         perm = [2, 0, 1]
+        records = records_of(scenario)
         permuted_scenario = dataclasses.replace(
-            scenario, users=tuple(scenario.users[p] for p in perm)
+            scenario, columns=user_columns([records[p] for p in perm])
         )
         env2 = MeqcEnv(permuted_scenario)
         env2.reset()
@@ -445,7 +441,7 @@ class TestBatchedRewards:
         assert env.rewards(servers, ratios).tolist() == rowwise_step_rewards(
             env, servers, ratios
         )
-        assert env.step([(0, 0.0)] * 3).indicators == (1, 0, 0)
+        assert env.step([(0, 0.0)] * 3).action.quantum_indicator == (1, 0, 0)
 
     def test_batch_checks_shape_and_servers(self):
         env = MeqcEnv(gen_scenario(2, 2, seed=0))
@@ -468,15 +464,15 @@ class TestBatchedRewards:
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
         env = MeqcEnv(scenario)
         result = env.step([(0, 0.0), (0, 0.3)])
-        assert result.indicators == (0, 1)
+        assert result.action.quantum_indicator == (0, 1)
         _, breakdowns = total_cost(scenario, result.action)
         assert result.latency_cost == sum(
-            entry.profile.weight_latency * b.latency_total
-            for entry, b in zip(scenario.users, breakdowns)
+            profile.weight_latency * b.latency_total
+            for (profile, _, _), b in zip(records_of(scenario), breakdowns)
         )
         assert result.energy_cost == sum(
-            entry.profile.weight_energy * b.energy_total
-            for entry, b in zip(scenario.users, breakdowns)
+            profile.weight_energy * b.energy_total
+            for (profile, _, _), b in zip(records_of(scenario), breakdowns)
         )
 
     def test_observations_built_once_per_scenario(self, monkeypatch):

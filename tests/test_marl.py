@@ -541,7 +541,7 @@ class TestTrain:
         def poisoning_update(agent, optimizers, batch, cfg):
             stats = real_update(agent, optimizers, batch, cfg)
             calls.append(agent)
-            if len(calls) == len(scenario.users) + 1:  # epoch 1, first agent
+            if len(calls) == len(scenario.columns.f_local) + 1:  # epoch 1, first agent
                 agent.nets["v_ratio"].weights[1][0, 0] = np.nan
             return stats
 

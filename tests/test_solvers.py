@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import meqc.costs
-from meqc.costs import JointAction, ScenarioEvaluator, total_cost
+from meqc.costs import JointAction, ScenarioEvaluator
 from meqc.env import MeqcEnv
 from meqc.marl import LearnedPolicy, TrainConfig, train
 from meqc.solvers import (
@@ -27,11 +27,10 @@ from meqc.solvers import (
     solve_exhaustive,
     solve_greedy,
 )
-from meqc.costs import QuantumTaskSpec, TaskSpec
 from meqc.device import CryostatConfig, QubitTech
-from meqc.workload import Scenario, ScenarioUser, gen_scenario, scenario_to_dict
+from meqc.workload import Scenario, UserColumns, gen_scenario, scenario_to_dict
 
-from cost_spec import local_cost, qpu_saving, user_cost
+from cost_spec import local_cost, qpu_saving, records_of, total_cost, user_cost
 from test_acceptance import instance_set
 from test_env import craft_scenario
 from test_workload import reference_redraw_tasks
@@ -49,8 +48,8 @@ class TestBaselines:
         action = solve_baseline(PolicyKind.LOCAL, scenario)
         assert action.local_ratio == (1.0,) * 4
         expected = sum(
-            local_cost(e.profile, e.task, 1.0, scenario.chip_energy_per_cycle).cost
-            for e in scenario.users
+            local_cost(profile, task, 1.0, scenario.chip_energy_per_cycle).cost
+            for profile, task, _ in records_of(scenario)
         )
         assert total_cost(scenario, action)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -115,12 +114,10 @@ def reference_greedy(scenario):
     evaluator = ScenarioEvaluator(scenario)
     num_users = evaluator.num_users
     num_servers = evaluator.num_servers
+    tasks = [task for _, task, _ in records_of(scenario)]
     order = sorted(
         range(num_users),
-        key=lambda u: (
-            -scenario.users[u].task.data_size * scenario.users[u].task.cycles_per_byte,
-            u,
-        ),
+        key=lambda u: (-tasks[u].data_size * tasks[u].cycles_per_byte, u),
     )
     servers = [0] * num_users
     ratios = [1.0] * num_users
@@ -364,17 +361,12 @@ class TestOracleMatchesReference:
         # energy-only users on a strong link: the uplink energy is below one
         # ulp of the compute energy, so full offload costs exactly as much as local
         scenario = craft_scenario(num_servers=2, quotas=(0, 0), data_sizes=(1e3, 3e3))
-        scenario = dataclasses.replace(scenario, users=tuple(
-            dataclasses.replace(
-                user,
-                task=dataclasses.replace(user.task, cycles_per_byte=1e9),
-                profile=dataclasses.replace(
-                    user.profile, weight_latency=0.0, weight_energy=1.0,
-                    tx_power=1e-12, channel_gains=(6e9, 6e9),
-                ),
-            )
-            for user in scenario.users
-        ))
+        columns = dataclasses.replace(
+            scenario.columns, cycles_per_byte=np.full(2, 1e9), weight_latency=np.zeros(2),
+            weight_energy=np.ones(2), tx_power=np.full(2, 1e-12),
+            channel_gains=np.full((2, 2), 6e9),
+        )
+        scenario = dataclasses.replace(scenario, columns=columns)
         endpoints = ScenarioEvaluator(scenario).endpoint_costs()
         assert (endpoints[:, :, 0, 0] == endpoints[:, :1, 1, 0]).all()
         action, cost = solve_exhaustive(scenario)
@@ -614,6 +606,7 @@ class TestEvaluate:
                      pickle.loads(pickle.dumps(scenario))):
             assert twin == scenario and hash(twin) == hash(scenario)
             assert scenario_to_dict(twin) == before
+            assert not any(column.flags.writeable for column in vars(twin.columns).values())
             assert "evaluator" not in vars(twin)
             assert twin.evaluator is not scenario.evaluator
             assert not twin.evaluator.rate.flags.writeable
@@ -693,7 +686,7 @@ class TestEvaluate:
     def test_redrawn_episodes_build_user_objects_only_when_read(self, kind, monkeypatch):
         scenario = gen_scenario(5, 3, seed=5)
         built = []
-        for cls in (Scenario, ScenarioUser, TaskSpec, QuantumTaskSpec):
+        for cls in (Scenario, UserColumns):
             monkeypatch.setattr(
                 cls, "__init__",
                 lambda self, *args, _init=cls.__init__, **kwargs:
@@ -714,7 +707,7 @@ class TestEvaluate:
         on its reference scenario.  A ``PolicyKind``'s actions are built here
         from the baseline definitions; any other policy acts itself.
         """
-        users, servers = len(base.users), len(base.servers)
+        users, servers = len(base.columns.f_local), len(base.servers)
         results = []
         for _ in range(episodes):
             scenario = reference_redraw_tasks(base, twin) if redraw else base
@@ -737,8 +730,9 @@ class TestEvaluate:
             std_cost=statistics.pstdev(costs),
             latency_cost=statistics.fmean(r.latency_cost for r in results),
             energy_cost=statistics.fmean(r.energy_cost for r in results),
-            qpu_grant_rate=sum(sum(r.indicators) for r in results) / (episodes * users),
-            mean_success_prob=sum(sum(r.success_probs) / users for r in results) / episodes,
+            qpu_grant_rate=sum(sum(r.action.quantum_indicator) for r in results)
+            / (episodes * users),
+            mean_success_prob=sum(sum(r.success.tolist()) / users for r in results) / episodes,
             episodes=episodes,
         )
 

@@ -2,12 +2,13 @@
 stability contract of the counter-based draw scheme."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from meqc.costs import ServerProfile, TaskSpec, UserProfile
+from meqc.costs import ServerProfile
 from meqc.device import CryostatConfig, QubitTech
 from meqc.env import MeqcEnv
 from meqc.workload import (
@@ -22,9 +23,7 @@ from meqc.workload import (
     PHYSICAL_QUBIT_RANGE,
     PRIMITIVE_EXPONENTS,
     TASK_SHAPES,
-    RayTracingParams,
     Scenario,
-    ScenarioUser,
     TX_POWER_RANGE,
     _F_CPU_EDGE,
     _F_CPU_LOCAL,
@@ -37,13 +36,11 @@ from meqc.workload import (
     _F_TX,
     _SERVER,
     _USER,
-    _cycles_per_byte,
     _integers,
     _pcg64_raw,
     _state_words,
     _uniform,
     _uniform_raw,
-    compile_quantum,
     draw_tasks,
     gen_scenario,
     load_scenario,
@@ -52,61 +49,72 @@ from meqc.workload import (
     scenario_to_dict,
 )
 
+from cost_spec import QuantumTaskSpec, TaskSpec, UserProfile, records_of, user_columns
+
+
+def reference_job(pb: int, data_size: float) -> tuple[TaskSpec, QuantumTaskSpec]:
+    """A render job over ``2**pb`` primitives, compiled by hand.
+
+    It costs ``3 * 2**pb`` cycles per byte.  Its search circuit has a
+    ``pb``-qubit primitive register, two 6-bit coordinate registers and 5
+    bookkeeping qubits; its depth is ``3 * pb`` preparation steps plus the
+    optimal number of search iterations over the ``2**width`` joint states.
+    """
+    width = pb + 2 * 6 + 5
+    depth = 3 * pb + math.floor(math.pi / 4 * math.sqrt(2**width))
+    return TaskSpec(data_size, float(3 * 2**pb)), QuantumTaskSpec(data_size, width, depth)
+
 
 class TestCompileQuantum:
+    """``TASK_SHAPES`` row ``pb`` is the compiled shape of a job over ``2**pb`` primitives."""
+
     def test_reference_small_job(self):
-        qtask = compile_quantum(RayTracingParams(3), TaskSpec(160e6, 24.0))
-        assert qtask.logical_qubits == 20
-        assert qtask.logical_depth == 813
+        assert TASK_SHAPES[3].tolist() == [24.0, 20.0, 813.0]
 
     def test_reference_large_job(self):
-        qtask = compile_quantum(RayTracingParams(9), TaskSpec(160e6, 1536.0))
-        assert qtask.logical_qubits == 26
-        assert qtask.logical_depth == 6460
+        assert TASK_SHAPES[9].tolist() == [1536.0, 26.0, 6460.0]
 
     def test_degenerate_job(self):
-        qtask = compile_quantum(
-            RayTracingParams(0, coord_bits=0), TaskSpec(1.0, 1.0)
-        )
-        assert qtask.logical_qubits == 5
-        assert qtask.logical_depth == math.floor(math.pi / 4 * math.sqrt(32))
-        assert qtask.logical_depth == 4
+        # a single primitive: 17 qubits, no preparation steps, 284 search iterations
+        assert TASK_SHAPES[0].tolist() == [3.0, 17.0, math.floor(math.pi / 4 * math.sqrt(2**17))]
+        assert TASK_SHAPES[0, 2] == 284
 
     def test_qubit_set_over_generator_range(self):
-        widths = {
-            compile_quantum(RayTracingParams(pb), TaskSpec(1e8, 1.0)).logical_qubits
-            for pb in range(3, 10)
-        }
-        assert widths == set(range(20, 27))
+        assert set(TASK_SHAPES[3:10, 1].tolist()) == set(range(20, 27))
+
+    def test_every_row_matches_the_hand_compilation(self):
+        assert TASK_SHAPES.dtype == np.float64
+        assert len(TASK_SHAPES) == PRIMITIVE_EXPONENTS[1] + 1
+        for pb, row in enumerate(TASK_SHAPES.tolist()):
+            task, qtask = reference_job(pb, 1e8)
+            assert row == [task.cycles_per_byte, qtask.logical_qubits, qtask.logical_depth]
 
     def test_data_size_carried_over(self):
-        task = TaskSpec(321e6, 24.0)
-        assert compile_quantum(RayTracingParams(4), task).data_size == task.data_size
+        columns = gen_scenario(20, 2, seed=4).columns
+        assert columns.quantum_data_size.tobytes() == columns.data_size.tobytes()
 
 
-def gen_task(params: RayTracingParams, rng: np.random.Generator) -> TaskSpec:
-    """Reference draw of one classical task for a render job of the given shape,
-    as ``gen_scenario`` draws each user's data size and cycles per byte."""
-    return TaskSpec(
-        data_size=_uniform(rng, DATA_SIZE_RANGE), cycles_per_byte=_cycles_per_byte(params)
-    )
+def gen_task(pb: int, rng: np.random.Generator) -> TaskSpec:
+    """Reference draw of one classical task for a render job over ``2**pb``
+    primitives, as ``gen_scenario`` draws each user's data size and cycles per byte."""
+    return reference_job(pb, _uniform(rng, DATA_SIZE_RANGE))[0]
 
 
 class TestGenTask:
     @pytest.mark.parametrize("pb,cycles", [(3, 24.0), (9, 1536.0)])
     def test_cycles_follow_primitive_count(self, pb, cycles):
-        task = gen_task(RayTracingParams(pb), np.random.default_rng(0))
-        assert task.cycles_per_byte == cycles
+        task = gen_task(pb, np.random.default_rng(0))
+        assert task.cycles_per_byte == cycles == TASK_SHAPES[pb, 0]
 
     def test_seed_determinism(self):
-        a = gen_task(RayTracingParams(5), np.random.default_rng(42))
-        b = gen_task(RayTracingParams(5), np.random.default_rng(42))
+        a = gen_task(5, np.random.default_rng(42))
+        b = gen_task(5, np.random.default_rng(42))
         assert a == b
 
     def test_size_range(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            task = gen_task(RayTracingParams(4), rng)
+            task = gen_task(4, rng)
             assert DATA_SIZE_RANGE[0] <= task.data_size <= DATA_SIZE_RANGE[1]
 
 
@@ -258,11 +266,7 @@ def reference_gen_scenario(num_users, num_servers, seed, pins=None):
             edge_cpu=float(edge_cpu),
             logical_qubit_quota=sub_phys // 91**sub_level,
         )
-        params = RayTracingParams(primitive_exponent=prim)
-        task = TaskSpec(data_size=rng(_F_TASK).uniform(*DATA_SIZE_RANGE),
-                        cycles_per_byte=_cycles_per_byte(params))
-        users.append(ScenarioUser(profile=profile, task=task,
-                                  quantum_task=compile_quantum(params, task)))
+        users.append((profile, *reference_job(prim, rng(_F_TASK).uniform(*DATA_SIZE_RANGE))))
     servers = tuple(
         ServerProfile(
             noise_power=DEFAULT_NOISE_POWER,
@@ -275,7 +279,7 @@ def reference_gen_scenario(num_users, num_servers, seed, pins=None):
     tech = QubitTech()
     if "decoherence_time" in pins:
         tech = dataclasses.replace(tech, decoherence_time=float(pins["decoherence_time"]))
-    return Scenario(users=tuple(users), servers=servers, cryostat=CryostatConfig(),
+    return Scenario(user_columns(users), servers=servers, cryostat=CryostatConfig(),
                     qubit_tech=tech, rng_seed=seed)
 
 
@@ -323,21 +327,20 @@ class TestEqualsReferenceLoop:
 class TestGenScenario:
     def test_shape(self):
         scenario = gen_scenario(10, 10, seed=0)
-        assert len(scenario.users) == 10
+        assert len(scenario.columns.f_local) == 10
         assert len(scenario.servers) == 10
         assert scenario.rng_seed == 0
 
     def test_degenerate_pair(self):
         scenario = gen_scenario(1, 1, seed=0)
-        assert len(scenario.users) == 1
+        assert len(scenario.columns.f_local) == 1
         assert len(scenario.servers) == 1
 
     def test_all_fields_within_ranges(self):
         # ~1e4 drawn fields across seeds
         for seed in range(150):
             scenario = gen_scenario(5, 4, seed=seed)
-            for entry in scenario.users:
-                p = entry.profile
+            for p, task, qtask in records_of(scenario):
                 assert p.f_local in LOCAL_CPU_CHOICES
                 assert p.edge_cpu in EDGE_CPU_CHOICES
                 assert TX_POWER_RANGE[0] <= p.tx_power <= TX_POWER_RANGE[1]
@@ -348,9 +351,9 @@ class TestGenScenario:
                 assert len(p.channel_gains) == 4
                 assert 0 <= p.logical_qubit_quota <= PHYSICAL_QUBIT_RANGE[1] // 91
                 assert p.weight_latency == 0.5 and p.weight_energy == 0.5
-                assert DATA_SIZE_RANGE[0] <= entry.task.data_size <= DATA_SIZE_RANGE[1]
-                assert entry.task.cycles_per_byte in {3 * 2**pb for pb in range(3, 10)}
-                assert 20 <= entry.quantum_task.logical_qubits <= 26
+                assert DATA_SIZE_RANGE[0] <= task.data_size <= DATA_SIZE_RANGE[1]
+                assert task.cycles_per_byte in {3 * 2**pb for pb in range(3, 10)}
+                assert 20 <= qtask.logical_qubits <= 26
             for server in scenario.servers:
                 assert server.concat_level in (1, 2, 3)
 
@@ -358,29 +361,29 @@ class TestGenScenario:
         assert gen_scenario(3, 3, seed=7) == gen_scenario(3, 3, seed=7)
         a = gen_scenario(3, 3, seed=7)
         b = gen_scenario(3, 3, seed=8)
-        assert a.users[0].profile.channel_gains != b.users[0].profile.channel_gains
+        assert a.columns.channel_gains[0].tolist() != b.columns.channel_gains[0].tolist()
 
     def test_adding_users_keeps_existing_draws(self):
         small = gen_scenario(2, 3, seed=5)
         large = gen_scenario(4, 3, seed=5)
-        assert large.users[:2] == small.users
+        assert records_of(large)[:2] == records_of(small)
         assert large.servers == small.servers
 
     def test_adding_servers_keeps_user_prefix_draws(self):
         small = gen_scenario(2, 2, seed=5)
         large = gen_scenario(2, 3, seed=5)
-        for narrow, wide in zip(small.users, large.users):
-            assert wide.profile.channel_gains[:2] == narrow.profile.channel_gains
-            assert wide.task == narrow.task
+        for narrow, wide in zip(records_of(small), records_of(large)):
+            assert wide[0].channel_gains[:2] == narrow[0].channel_gains
+            assert wide[1] == narrow[1]
 
     def test_pinning_changes_only_target_field(self):
         base = gen_scenario(3, 2, seed=2)
         pinned = gen_scenario(3, 2, seed=2, pins={"edge_cpu": 12.5e9})
-        for before, after in zip(base.users, pinned.users):
-            assert after.profile.edge_cpu == 12.5e9
-            assert after.profile.channel_gains == before.profile.channel_gains
-            assert after.profile.tx_power == before.profile.tx_power
-            assert after.task == before.task
+        for before, after in zip(records_of(base), records_of(pinned)):
+            assert after[0].edge_cpu == 12.5e9
+            assert after[0].channel_gains == before[0].channel_gains
+            assert after[0].tx_power == before[0].tx_power
+            assert after[1] == before[1]
         assert pinned.servers == base.servers
 
     def test_decoherence_pin(self):
@@ -394,8 +397,8 @@ class TestGenScenario:
     def test_quota_matches_subscription_formula(self):
         # pin the physical allotment; quota must be floor(pins / 91**level)
         pinned = gen_scenario(6, 2, seed=3, pins={"physical_qubits": 4000})
-        for entry in pinned.users:
-            assert entry.profile.logical_qubit_quota in (4000 // 91, 0)
+        for profile, _, _ in records_of(pinned):
+            assert profile.logical_qubit_quota in (4000 // 91, 0)
 
 
 class TestRedrawTasks:
@@ -434,30 +437,23 @@ def assert_tasks_of(drawn, scenario):
         for size, shape in zip(data_sizes.tolist(), TASK_SHAPES[exponents].tolist())
     ]
     want = [
-        (e.task.data_size, e.quantum_task.data_size, e.task.cycles_per_byte,
-         e.quantum_task.logical_qubits, e.quantum_task.logical_depth)
-        for e in scenario.users
+        (task.data_size, qtask.data_size, task.cycles_per_byte,
+         qtask.logical_qubits, qtask.logical_depth)
+        for _, task, qtask in records_of(scenario)
     ]
     assert got == want
 
 
 def reference_redraw_tasks(scenario, rng):
-    """Redraw as numpy's two calls, built into per-user objects through ``compile_quantum``."""
-    num_users = len(scenario.users)
-    prims = rng.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1, size=num_users)
-    sizes = rng.uniform(*DATA_SIZE_RANGE, size=num_users)
-    users = []
-    for entry, prim, size in zip(scenario.users, prims.tolist(), sizes.tolist()):
-        params = RayTracingParams(primitive_exponent=prim)
-        task = TaskSpec(
-            data_size=size,
-            cycles_per_byte=float(params.rays_per_primitive * 2**params.primitive_exponent),
-        )
-        users.append(
-            ScenarioUser(profile=entry.profile, task=task,
-                         quantum_task=compile_quantum(params, task))
-        )
-    return dataclasses.replace(scenario, users=tuple(users))
+    """Redraw as numpy's two calls, built into per-user records through ``reference_job``."""
+    records = records_of(scenario)
+    prims = rng.integers(PRIMITIVE_EXPONENTS[0], PRIMITIVE_EXPONENTS[1] + 1, size=len(records))
+    sizes = rng.uniform(*DATA_SIZE_RANGE, size=len(records))
+    users = [
+        (profile, *reference_job(prim, size))
+        for (profile, _, _), prim, size in zip(records, prims.tolist(), sizes.tolist())
+    ]
+    return dataclasses.replace(scenario, columns=user_columns(users))
 
 
 class TestDrawTasks:
@@ -552,4 +548,43 @@ class TestSerialization:
         doc = scenario_to_dict(gen_scenario(1, 1, seed=0))
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
+            scenario_from_dict(doc)
+
+    def test_integer_spelled_floats_save_back_unchanged(self, tmp_path):
+        """A hand-written file spelling every data size as an integer writes back byte for byte."""
+        doc = scenario_to_dict(gen_scenario(3, 2, seed=6))
+        for record in doc["users"]:
+            record["task"]["data_size"] = record["quantum_task"]["data_size"] = 1000
+        text = json.dumps(doc, indent=2) + "\n"
+        (tmp_path / "in.json").write_text(text, encoding="utf-8")
+        scenario = load_scenario(tmp_path / "in.json")
+        assert scenario.columns.data_size.dtype.kind == "i"
+        save_scenario(scenario, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_bytes() == text.encode("utf-8")
+
+    def test_mixed_spellings_save_back_as_floats(self, tmp_path):
+        """One column holds one type: ``1000`` beside ``1500.5`` is rewritten as ``1000.0``."""
+        doc = scenario_to_dict(gen_scenario(2, 2, seed=6))
+        doc["users"][0]["task"]["data_size"] = 1000
+        doc["users"][1]["task"]["data_size"] = 1500.5
+        (tmp_path / "in.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        save_scenario(load_scenario(tmp_path / "in.json"), tmp_path / "out.json")
+        saved = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        assert [u["task"]["data_size"] for u in saved["users"]] == [1000.0, 1500.5]
+        assert '"data_size": 1000.0' in (tmp_path / "out.json").read_text(encoding="utf-8")
+        doc["users"][0]["task"]["data_size"] = 1000.0
+        assert saved == doc
+
+    @pytest.mark.parametrize("part, change", [
+        ("profile", lambda record: record.pop("edge_cpu")),
+        ("task", lambda record: record.update(frames=3)),
+        ("quantum_task", lambda record: record.clear()),
+    ], ids=["missing", "unknown", "empty"])
+    def test_user_record_keys_checked(self, part, change):
+        doc = scenario_to_dict(gen_scenario(3, 2, seed=0))
+        change(doc["users"][2][part])
+        with pytest.raises(ValueError, match=f"^user 2 {part} needs exactly the keys "):
+            scenario_from_dict(doc)
+        del doc["users"][2][part]
+        with pytest.raises(ValueError, match=f"^user 2 {part} needs exactly the keys "):
             scenario_from_dict(doc)
