@@ -408,14 +408,17 @@ def run_grid(cfg: ExperimentConfig, param: str | None = None, values=(0.0,)) -> 
     value, rows labelled ``param`` "none".
 
     Each (value, seed) scenario is generated once and shared by every
-    policy, and with it the one evaluator it builds.  Rows come back
-    sorted regardless of worker scheduling, so output is deterministic.
+    policy, and with it the one evaluator it builds.  The grid is visited
+    seed by seed, so in a serial run a seed's values follow each other and
+    all but the first read its draws from ``gen_scenario``'s memo.  Rows
+    come back sorted regardless of worker scheduling, so output is
+    deterministic.
     """
     agents = _trained_agents(cfg)
     grid = [
         (cfg, param, value, vi, seed, agents)
-        for vi, value in enumerate(values)
         for seed in cfg.seeds
+        for vi, value in enumerate(values)
     ]
     # a pool forks all its workers up front, so never more than there are points
     workers = min(cfg.workers, len(grid))
@@ -426,12 +429,11 @@ def run_grid(cfg: ExperimentConfig, param: str | None = None, values=(0.0,)) -> 
         points = [_sweep_point(point) for point in grid]
     # (value, policy, seed) order before the stable sort, so rows that tie
     # on the sort key (repeated policies and seeds) keep their order
-    seeds = len(cfg.seeds)
     rows = [
-        points[vi * seeds + si][pi]
+        points[si * len(values) + vi][pi]
         for vi in range(len(values))
         for pi in range(len(cfg.policies))
-        for si in range(seeds)
+        for si in range(len(cfg.seeds))
     ]
     rows.sort(key=lambda r: (r["value"], r["policy"], r["seed"]))
     return rows

@@ -6,7 +6,10 @@ users.  ``ScenarioEvaluator`` tabulates one scenario's ratio-independent
 factors and evaluates the formulas on whole numpy batches, so solvers and
 the environment can score many candidate actions in one pass.  Its kernel
 is the model; the scalar form of each formula lives in the test suite
-(``tests/cost_spec.py``) as the reference the kernel is held to.
+(``tests/cost_spec.py``) as the reference the kernel is held to.  The
+uplink rate's ``log2`` table, the slow part of a build, is memoised on
+the exact bytes of its inputs (the last 16), so a regenerated scenario
+shares it.
 """
 
 from __future__ import annotations
@@ -173,6 +176,17 @@ def _device_physics(
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _log2_table(shape: tuple[int, ...], terms: bytes) -> np.ndarray:
+    """``log2`` of each float64 in ``terms``, as a read-only array of ``shape``.
+
+    ``math.log2`` rather than ``np.log2``, whose SIMD variants may round
+    differently, so it is slow; memoised on the exact bytes (the last 16).
+    """
+    log_terms = list(map(math.log2, memoryview(terms).cast("d").tolist()))
+    return _frozen(np.array(log_terms).reshape(shape))
+
+
 class ScenarioEvaluator:
     """Scores actions against one scenario.
 
@@ -231,11 +245,9 @@ class ScenarioEvaluator:
             np.array(rows, dtype=np.float64)
         ).T
 
-        # uplink_rate: bandwidth * log2(1 + tx * gain / noise).  math.log2
-        # rather than np.log2, whose SIMD variants may round differently.
-        snr = self._tx_power[:, None] * _column(users.channel_gains) / noise
-        log_terms = list(map(math.log2, (1.0 + snr).ravel().tolist()))
-        self.rate = _frozen(bandwidth * np.array(log_terms).reshape(snr.shape))
+        # uplink_rate: bandwidth * log2(1 + tx * gain / noise)
+        terms = 1.0 + self._tx_power[:, None] * _column(users.channel_gains) / noise
+        self.rate = _frozen(bandwidth * _log2_table(terms.shape, terms.tobytes()))
         self._dead_links = not self.rate.min() > 0.0  # a NaN rate is dead too
         self._chip_energy = scenario.chip_energy_per_cycle
         self._error_threshold = scenario.error_threshold

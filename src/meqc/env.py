@@ -135,6 +135,7 @@ class MeqcEnv:
         self.tasks: tuple[np.ndarray, np.ndarray] | None = None
         self._template = None
         self._observations = None
+        self._checked = (None, None, None)  # (evaluator, action, arrays) of the last check
 
     @property
     def evaluator(self) -> ScenarioEvaluator:
@@ -200,9 +201,19 @@ class MeqcEnv:
 
         A ``JointAction`` must pass ``check_action``; raw (server, ratio) pairs,
         tuples or a ``[U, 2]`` array, are read as floats, with grants None.
+        Greedy and the oracle hand back one action object per evaluator, so
+        the last one checked is kept: the same object on the same evaluator
+        returns the same read-only arrays without a second check.
         """
         if isinstance(action, JointAction):
-            return self.evaluator.check_action(action)
+            evaluator = self.evaluator
+            checked_by, checked, arrays = self._checked
+            if checked_by is not evaluator or checked is not action:
+                arrays = evaluator.check_action(action)
+                for array in arrays:
+                    array.flags.writeable = False
+                self._checked = (evaluator, action, arrays)
+            return arrays
         pairs = np.asarray(action, dtype=np.float64)
         if pairs.shape != (self.num_users, 2):
             raise ValueError(f"expected {self.num_users} actions, got shape {pairs.shape}")

@@ -15,7 +15,11 @@ A stream is ``default_rng(SeedSequence(seed, spawn_key=key))``.
 streams at once, then reads doubles and bounded integers (Lemire's
 multiply-shift) from the outputs as ``Generator`` does.  The tests hold
 every word, output and draw to numpy itself, so a numpy change to its
-generators fails them rather than moving a scenario.
+generators fails them rather than moving a scenario.  The draws depend
+only on ``(num_users, num_servers, seed, drawn tags)``, so they are
+memoised under that key (the last 16, read-only): a sweep regenerating
+one seed for each pinned value replays its streams once, and every call
+still builds and checks its own columns, scenario and servers.
 
 The draws go straight into a scenario's ``UserColumns``, one array per
 user field; a scenario's users take no other form.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -367,6 +372,60 @@ def _job_shape(primitive_exponent: int) -> tuple[int, int, int]:
 TASK_SHAPES = np.array([_job_shape(pb) for pb in range(PRIMITIVE_EXPONENTS[1] + 1)], dtype=float)
 
 
+# (low, high) of each bounded draw; a choice draws its index
+_BOUNDS = {
+    _F_PRIM: PRIMITIVE_EXPONENTS,
+    _F_CPU_LOCAL: (0, len(LOCAL_CPU_CHOICES) - 1),
+    _F_SUB_LEVEL: (CONCAT_LEVELS[0], CONCAT_LEVELS[-1]),
+    _F_CPU_EDGE: (0, len(EDGE_CPU_CHOICES) - 1),
+    _F_SUB_PHYS: PHYSICAL_QUBIT_RANGE,
+    _F_LEVEL: (CONCAT_LEVELS[0], CONCAT_LEVELS[-1]),
+}
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_streams(num_users: int, num_servers: int, seed: int, tags: tuple[int, ...]):
+    """Every draw of a scenario's streams: ``(gains, sizes, tx_power, ints, levels)``.
+
+    ``tags`` are the users' bounded draws, in order; ``ints`` is
+    ``[len(tags), U]``, row i the draws of ``tags[i]``, and ``levels`` the
+    servers' concatenation levels.  The draws are a pure function of the
+    arguments, so they are memoised (the last 16 keys) and returned
+    read-only: a sweep that regenerates one seed for each pinned value
+    replays its streams once.
+    """
+    tags = (_F_GAIN, _F_TASK, _F_TX, *tags)
+    # one stream per (field, user), field by field, then one per server
+    n_user = num_users * len(tags)
+    keys = np.empty((n_user + num_servers, 3), dtype=np.int64)
+    keys[:n_user, 0] = _USER
+    keys[:n_user, 1] = np.arange(n_user) % num_users
+    keys[:n_user, 2] = np.repeat(tags, num_users)
+    keys[n_user:] = _SERVER, 0, _F_LEVEL
+    keys[n_user:, 1] = np.arange(num_servers)
+
+    # num_servers outputs of each gain stream, then the first of every other
+    n_gain, n_float = num_users * num_servers, (num_servers + 2) * num_users
+    gain_rows, gain_steps = np.divmod(np.arange(n_gain), num_servers)
+    rows = np.concatenate([gain_rows, np.arange(num_users, len(keys))])
+    steps = np.concatenate([gain_steps + 1, np.ones(len(keys) - num_users, dtype=np.int64)])
+    raw = _pcg64_raw(_state_words(seed, keys), rows, steps)
+
+    bounds = np.array([_BOUNDS[tag] for tag in (*tags[3:], _F_LEVEL)]).T
+    low, high = np.repeat(bounds, [num_users] * (len(tags) - 3) + [num_servers], axis=1)
+    ints = _integers(seed, keys[3 * num_users:], raw[n_float:], low, high)
+    draws = (
+        _uniform_raw(raw[:n_gain], CHANNEL_GAIN_RANGE).reshape(num_users, num_servers),
+        _uniform_raw(raw[n_gain:n_gain + num_users], DATA_SIZE_RANGE),
+        _uniform_raw(raw[n_gain + num_users:n_float], TX_POWER_RANGE),
+        ints[:-num_servers].reshape(-1, num_users),
+        ints[-num_servers:],
+    )
+    for array in draws:
+        array.flags.writeable = False
+    return draws
+
+
 def gen_scenario(
     num_users: int,
     num_servers: int,
@@ -396,41 +455,14 @@ def gen_scenario(
     edge_cpu, sub_phys = pins.get("edge_cpu"), pins.get("physical_qubits")
     weight_latency = float(pins.get("weight_latency", DEFAULT_WEIGHT_LATENCY))
 
-    # (tag, low, high) of each user's bounded draws, then the servers' level;
-    # a choice draws its index
-    bounded = [
-        (_F_PRIM, *PRIMITIVE_EXPONENTS),
-        (_F_CPU_LOCAL, 0, len(LOCAL_CPU_CHOICES) - 1),
-        (_F_SUB_LEVEL, CONCAT_LEVELS[0], CONCAT_LEVELS[-1]),
-    ]
-    if edge_cpu is None:
-        bounded.append((_F_CPU_EDGE, 0, len(EDGE_CPU_CHOICES) - 1))
-    if sub_phys is None:
-        bounded.append((_F_SUB_PHYS, *PHYSICAL_QUBIT_RANGE))
-    tags, low, high = zip(*bounded, (_F_LEVEL, CONCAT_LEVELS[0], CONCAT_LEVELS[-1]))
-    tags = (_F_GAIN, _F_TASK, _F_TX, *tags[:-1])
-
-    # one stream per (field, user), field by field, then one per server
-    n_user = num_users * len(tags)
-    keys = np.empty((n_user + num_servers, 3), dtype=np.int64)
-    keys[:n_user, 0] = _USER
-    keys[:n_user, 1] = np.arange(n_user) % num_users
-    keys[:n_user, 2] = np.repeat(tags, num_users)
-    keys[n_user:] = _SERVER, 0, _F_LEVEL
-    keys[n_user:, 1] = np.arange(num_servers)
-
-    # num_servers outputs of each gain stream, then the first of every other
-    n_gain, n_float = num_users * num_servers, (num_servers + 2) * num_users
-    gain_rows, gain_steps = np.divmod(np.arange(n_gain), num_servers)
-    rows = np.concatenate([gain_rows, np.arange(num_users, len(keys))])
-    steps = np.concatenate([gain_steps + 1, np.ones(len(keys) - num_users, dtype=np.int64)])
-    raw = _pcg64_raw(_state_words(seed, keys), rows, steps)
-
-    gains = _uniform_raw(raw[:n_gain], CHANNEL_GAIN_RANGE).reshape(num_users, num_servers)
-    sizes = _uniform_raw(raw[n_gain:n_gain + num_users], DATA_SIZE_RANGE)
-    low, high = np.repeat([low, high], [num_users] * (len(low) - 1) + [num_servers], axis=1)
-    ints = _integers(seed, keys[3 * num_users:], raw[n_float:], low, high)
-    draws = dict(zip(tags[3:], ints[:-num_servers].reshape(-1, num_users)))
+    # each user's bounded draws; a pinned field draws nothing
+    tags = (_F_PRIM, _F_CPU_LOCAL, _F_SUB_LEVEL,
+            *((_F_CPU_EDGE,) if edge_cpu is None else ()),
+            *((_F_SUB_PHYS,) if sub_phys is None else ()))
+    # int keys, so that seed 1.0 raises rather than hits seed 1's entry
+    gains, sizes, tx_power, ints, server_levels = _draw_streams(
+        *map(operator.index, (num_users, num_servers, seed)), tags)
+    draws = dict(zip(tags, ints))
     levels = draws[_F_SUB_LEVEL]
     if sub_phys is None:
         quota = draws[_F_SUB_PHYS] // PHYS_PER_LOGICAL**levels
@@ -440,7 +472,7 @@ def gen_scenario(
 
     columns = UserColumns(
         f_local=np.array(LOCAL_CPU_CHOICES)[draws[_F_CPU_LOCAL]],
-        tx_power=_uniform_raw(raw[n_gain + num_users:n_float], TX_POWER_RANGE),
+        tx_power=tx_power,
         weight_latency=np.full(num_users, weight_latency),
         weight_energy=np.full(num_users, 1.0 - weight_latency),
         channel_gains=gains,
@@ -455,7 +487,7 @@ def gen_scenario(
     )
     servers = tuple(
         ServerProfile(noise_power=noise_power, bandwidth=bandwidth, concat_level=level)
-        for level in ints[-num_servers:].tolist()
+        for level in server_levels.tolist()
     )
 
     decoherence = pins.get("decoherence_time")
@@ -497,6 +529,7 @@ _USER_KEYS = {
     "task": ("data_size", "cycles_per_byte"),
     "quantum_task": ("data_size", "logical_qubits", "logical_depth"),
 }
+_COUNT_KEYS = ("logical_qubit_quota", "logical_qubits", "logical_depth")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -536,6 +569,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for part, keys in _USER_KEYS.items():
             if set(record.get(part, ())) != set(keys):
                 raise ValueError(f"user {u} {part} needs exactly the keys {', '.join(keys)}")
+            for key in keys:
+                values = record[part][key]
+                if key != "channel_gains":
+                    values = [values]
+                elif not isinstance(values, list):
+                    raise ValueError(f"user {u} {part} {key} must be a list, got {values!r}")
+                for value in values:
+                    # a string or a bool is not a number, and a count is a whole one
+                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                        raise ValueError(f"user {u} {part} {key} must be a number, got {value!r}")
+                    if key in _COUNT_KEYS and not (
+                            isinstance(value, numbers.Integral) or float(value).is_integer()):
+                        raise ValueError(f"user {u} {part} {key} must be a whole number, "
+                                         f"got {value!r}")
         gains = record["profile"]["channel_gains"]
         if len(gains) != len(servers):
             raise ValueError(f"user {u} has {len(gains)} channel gains for {len(servers)} servers")

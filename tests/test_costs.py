@@ -434,6 +434,20 @@ class TestKernelMatchesSpec:
                     qpu = spec_user_cost(scenario, u, e, ratio, True).cost
                     assert qpu_saving(evaluator, u, e, ratio) == cpu - qpu
 
+    def test_memoised_rate_matches_scalar_function(self):
+        scenario = gen_scenario(100, 20, seed=4)
+        meqc.costs._log2_table.cache_clear()
+        built, reused = ScenarioEvaluator(scenario), ScenarioEvaluator(scenario)
+        info = meqc.costs._log2_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for u, (profile, _, _) in enumerate(records_of(scenario)):
+            for e, server in enumerate(scenario.servers):
+                assert built.rate[u, e] == reused.rate[u, e] == uplink_rate(profile, server, e)
+        table = meqc.costs._log2_table((2,), np.array([2.0, 8.0]).tobytes())
+        assert table.tolist() == [1.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
     @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
     def test_tables_match_scalar_functions(self, name):
         scenario = KERNEL_SCENARIOS[name]()

@@ -346,6 +346,70 @@ class TestStep:
         )
 
 
+def count_checks(monkeypatch) -> list:
+    """Record the action of every ``ScenarioEvaluator.check_action`` call from here on."""
+    checked, real = [], ScenarioEvaluator.check_action
+
+    def counting(self, action):
+        checked.append(action)
+        return real(self, action)
+
+    monkeypatch.setattr(ScenarioEvaluator, "check_action", counting)
+    return checked
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.ORACLE])
+    def test_repeated_action_checked_once(self, monkeypatch, kind):
+        scenario = gen_scenario(4, 2, seed=3)
+        expected = evaluate(BaselinePolicy(kind), scenario, 6, np.random.default_rng(1))
+        checked = count_checks(monkeypatch)
+        stats = evaluate(BaselinePolicy(kind), scenario, 6, np.random.default_rng(1))
+        assert len(checked) == 1 and stats == expected
+
+    def test_checked_arrays_are_read_only_and_reused(self):
+        env = MeqcEnv(gen_scenario(3, 2, seed=5))
+        action = BaselinePolicy(PolicyKind.GREEDY).act(env, None)
+        arrays = env.check(action)
+        assert env.check(action) is arrays
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_new_object_or_new_evaluator_checked_again(self, monkeypatch):
+        scenario = gen_scenario(3, 2, seed=5)
+        action = BaselinePolicy(PolicyKind.GREEDY).act(MeqcEnv(scenario), None)
+        checked = count_checks(monkeypatch)
+        env = MeqcEnv(scenario)
+        env.check(action)
+        env.check(dataclasses.replace(action))  # equal, but another object
+        assert len(checked) == 2
+        local = JointAction((0,) * 3, (1.0,) * 3, (0,) * 3)  # valid in every episode
+        redrawn = MeqcEnv(scenario, redraw_tasks=True, rng=np.random.default_rng(0))
+        for _ in range(3):
+            redrawn.reset()
+            redrawn.check(local)
+            redrawn.check(local)
+        assert len(checked) == 5
+
+    def test_invalid_action_raises_in_episode_zero(self):
+        scenario = craft_scenario(quotas=(0,), data_sizes=(1e3,))
+        acted = []
+
+        class Infeasible:
+            def act(self, env, rng):
+                acted.append(env)
+                return JointAction((0,), (0.0,), (1,))
+
+        with pytest.raises(ValueError, match="infeasible"):
+            evaluate(Infeasible(), scenario, 5, np.random.default_rng(0))
+        assert len(acted) == 1
+        env, action = acted[0], JointAction((0,), (0.0,), (1,))
+        for _ in range(2):  # a refused action is not kept: it raises again
+            with pytest.raises(ValueError, match="infeasible"):
+                env.check(action)
+
+
 def rowwise_step_rewards(env, servers, ratios):
     return [
         env.step(list(zip(row_servers, row_ratios))).reward

@@ -50,3 +50,69 @@ def test_one_place_builds_an_evaluator():
         for owner in evaluator_builds(ast.parse(path.read_text()))
     ]
     assert builds == [("workload.py", "Scenario.evaluator")]
+
+
+MEMOS = {"lru_cache", "cache"}
+
+
+def memo_sizes(tree):
+    """Line and size of every ``functools.lru_cache``/``cache`` named in ``tree``.
+
+    The size is the node of the call's first argument or ``maxsize``
+    keyword; None for a bare decorator.
+    """
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names if alias.name in MEMOS}
+    sizes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            given = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            sizes[id(node.func)] = given[0] if given else None
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in MEMOS
+                and getattr(node.value, "id", None) == "functools") or (
+                isinstance(node, ast.Name) and node.id in imported):
+            yield node.lineno, sizes.get(id(node))
+
+
+def unbounded_memos(source: str) -> list[int]:
+    """Lines of the memos in ``source`` that state no integer ``maxsize``."""
+    return [line for line, size in memo_sizes(ast.parse(source))
+            if not (isinstance(size, ast.Constant) and type(size.value) is int)]
+
+
+def test_every_memo_is_bounded():
+    """A memo without an integer bound grows for the life of the process."""
+    sources = {path.name: path.read_text() for path in sorted((SRC / "meqc").glob("*.py"))}
+    assert sum(len(list(memo_sizes(ast.parse(s)))) for s in sources.values()) >= 4
+    assert {name: unbounded_memos(s) for name, s in sources.items() if unbounded_memos(s)} == {}
+
+
+def test_unbounded_memos_are_found():
+    source = """
+import functools
+from functools import lru_cache as memo
+
+@functools.lru_cache(maxsize=16)
+def a(): pass
+
+@functools.lru_cache(8)
+def b(): pass
+
+@functools.lru_cache(maxsize=None)
+def c(): pass
+
+@functools.lru_cache
+def d(): pass
+
+@functools.cache
+def e(): pass
+
+@memo()
+def f(): pass
+
+def g(cache):  # a local name, not the functools memo
+    return cache
+"""
+    assert sorted(unbounded_memos(source)) == [11, 14, 17, 20]

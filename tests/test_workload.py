@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from meqc.costs import ServerProfile
+from meqc.costs import ServerProfile, _log2_table
 from meqc.device import CryostatConfig, QubitTech
 from meqc.env import MeqcEnv
 from meqc.workload import (
@@ -21,6 +21,7 @@ from meqc.workload import (
     EDGE_CPU_CHOICES,
     LOCAL_CPU_CHOICES,
     PHYSICAL_QUBIT_RANGE,
+    PIN_FIELDS,
     PRIMITIVE_EXPONENTS,
     TASK_SHAPES,
     Scenario,
@@ -36,6 +37,7 @@ from meqc.workload import (
     _F_TX,
     _SERVER,
     _USER,
+    _draw_streams,
     _integers,
     _pcg64_raw,
     _state_words,
@@ -211,6 +213,7 @@ class TestFieldStreams:
 
     @pytest.mark.parametrize("shape", [(100, 20), (10, 10)])
     def test_gen_scenario_builds_no_generator(self, monkeypatch, shape):
+        _draw_streams.cache_clear()  # a memo hit would replay nothing
         built = count_pcg64(monkeypatch)
         gen_scenario(*shape, seed=0)
         assert built == []
@@ -401,6 +404,56 @@ class TestGenScenario:
             assert profile.logical_qubit_quota in (4000 // 91, 0)
 
 
+# a value for each pinnable field, and the columns that pin replaces
+PINS = {"edge_cpu": 15e9, "physical_qubits": 4000, "decoherence_time": 5e-3,
+        "weight_latency": 0.3}
+PINNED_COLUMNS = {"edge_cpu": {"edge_cpu"}, "physical_qubits": {"logical_qubit_quota"},
+                  "decoherence_time": set(), "weight_latency": {"weight_latency", "weight_energy"}}
+
+
+class TestDrawMemo:
+    def test_cached_draws_are_read_only(self):
+        tags = (_F_PRIM, _F_CPU_LOCAL, _F_SUB_LEVEL)
+        draws = _draw_streams(5, 3, 1, tags)
+        assert _draw_streams(5, 3, 1, tags) is draws
+        for array in draws:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_pinned_variants_share_unpinned_columns(self):
+        assert set(PINS) == set(PIN_FIELDS)
+        _draw_streams.cache_clear()
+        base = gen_scenario(30, 6, seed=9)
+        pinned = {field: gen_scenario(30, 6, seed=9, pins={field: value})
+                  for field, value in PINS.items()}
+        # one draw for the unpinned tags, one each without edge_cpu or physical_qubits
+        info = _draw_streams.cache_info()
+        assert (info.misses, info.hits) == (3, 2)
+        for field, scenario in pinned.items():
+            for name, column in vars(base.columns).items():
+                if name not in PINNED_COLUMNS[field]:
+                    assert np.array_equal(getattr(scenario.columns, name), column), (field, name)
+            assert scenario.servers == base.servers
+            _draw_streams.cache_clear()
+            assert gen_scenario(30, 6, seed=9, pins={field: PINS[field]}) == scenario
+
+    def test_sweep_at_one_seed_draws_once(self):
+        _draw_streams.cache_clear()
+        _log2_table.cache_clear()
+        for value in EDGE_CPU_CHOICES:
+            assert gen_scenario(10, 4, seed=3, pins={"edge_cpu": value}).evaluator
+        for memo in (_draw_streams, _log2_table):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (1, 2), memo
+
+    def test_integral_float_seed_does_not_hit(self):
+        gen_scenario(2, 2, seed=1)
+        with pytest.raises(TypeError):
+            gen_scenario(2, 2, seed=1.0)
+        with pytest.raises(TypeError):
+            gen_scenario(2.0, 2, seed=1)
+
+
 class TestRedrawTasks:
     def test_profiles_kept_tasks_changed(self):
         env = MeqcEnv(gen_scenario(3, 2, seed=1), redraw_tasks=True,
@@ -574,6 +627,23 @@ class TestSerialization:
         assert '"data_size": 1000.0' in (tmp_path / "out.json").read_text(encoding="utf-8")
         doc["users"][0]["task"]["data_size"] = 1000.0
         assert saved == doc
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("profile", "f_local", "3e9", "must be a number"),
+        ("profile", "f_local", True, "must be a number"),
+        ("task", "data_size", None, "must be a number"),
+        ("profile", "channel_gains", [6.0, "6.0"], "must be a number"),
+        ("profile", "channel_gains", "ab", "must be a list"),
+        ("quantum_task", "logical_qubits", 20.5, "must be a whole number"),
+        ("quantum_task", "logical_depth", False, "must be a number"),
+        ("profile", "logical_qubit_quota", 2.5, "must be a whole number"),
+    ], ids=["string", "bool", "null", "string_gain", "string_gains", "fractional_qubits",
+            "bool_depth", "fractional_quota"])
+    def test_user_value_types_checked(self, part, key, value, message):
+        doc = scenario_to_dict(gen_scenario(3, 2, seed=0))
+        doc["users"][1][part][key] = value
+        with pytest.raises(ValueError, match=f"^user 1 {part} {key} {message}, got "):
+            scenario_from_dict(doc)
 
     @pytest.mark.parametrize("part, change", [
         ("profile", lambda record: record.pop("edge_cpu")),
