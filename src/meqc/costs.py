@@ -100,22 +100,27 @@ class CostBreakdown:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointAction:
-    """Resolved decisions for every user: server, local ratio, QPU indicator."""
+    """Every user's server, local ratio and QPU indicator, one read-only ``[U]`` array each.
 
-    server_choice: tuple[int, ...]
-    local_ratio: tuple[float, ...]
-    quantum_indicator: tuple[int, ...]
+    Fields are copies of their inputs; equality compares values, and like an
+    array an action is unhashable.  Only ``ScenarioEvaluator.check_action``
+    checks an action.
+    """
+
+    server_choice: np.ndarray
+    local_ratio: np.ndarray
+    quantum_indicator: np.ndarray
 
     def __post_init__(self):
-        n = len(self.server_choice)
-        if len(self.local_ratio) != n or len(self.quantum_indicator) != n:
-            raise ValueError("action fields must have equal length")
-        if any(not 0.0 <= r <= 1.0 for r in self.local_ratio):
-            raise ValueError("local_ratio entries must lie in [0, 1]")
-        if any(i not in (0, 1) for i in self.quantum_indicator):
-            raise ValueError("quantum_indicator entries must be 0 or 1")
+        for name, values in vars(self).items():
+            object.__setattr__(self, name, _frozen(np.array(values)))
+
+    def __eq__(self, other):
+        if not isinstance(other, JointAction):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 def sum_over_users(values: np.ndarray) -> np.ndarray:
@@ -416,20 +421,25 @@ class ScenarioEvaluator:
         return self.feasibility(servers)[1] & (ratios < 1.0)
 
     def check_action(self, action: JointAction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The servers, ratios and grants of a complete joint action, validated.
+        """The one check of a joint action: its servers, ratios and grants, read-only.
 
-        Raises ``ValueError`` unless the action covers every user, picks
-        only known servers, grants the QPU only to ``candidates`` and
-        grants each server's QPU at most once.
+        Raises ``ValueError`` unless every field holds one entry per user,
+        ratios lie in [0, 1], indicators are 0 or 1, servers are known, and
+        the QPU goes only to ``candidates``, at most once per server.
         """
-        if len(action.server_choice) != self.num_users:
-            raise ValueError(
-                f"expected {self.num_users} actions, got {len(action.server_choice)}"
-            )
-        servers = np.array(action.server_choice, dtype=np.int64)
-        ratios = np.array(action.local_ratio, dtype=np.float64)
-        grants = np.array(action.quantum_indicator, dtype=bool)
-        self.check_servers(servers)
+        servers, ratios, indicators = vars(action).values()
+        if not servers.shape == ratios.shape == indicators.shape:
+            raise ValueError("action fields must have equal length")
+        if servers.shape != (self.num_users,):
+            raise ValueError(f"expected {self.num_users} actions, got shape {servers.shape}")
+        ratios = _frozen(ratios.astype(np.float64, copy=False))
+        if not ((ratios >= 0.0) & (ratios <= 1.0)).all():  # NaN fails too
+            raise ValueError("local_ratio entries must lie in [0, 1]")
+        grants = _frozen(indicators == 1)
+        if not (grants | (indicators == 0)).all():
+            raise ValueError("quantum_indicator entries must be 0 or 1")
+        self.check_servers(servers)  # before the cast, which would truncate 0.7 to 0
+        servers = _frozen(servers.astype(np.int64, copy=False))
         infeasible = grants & ~self.candidates(servers, ratios)
         if infeasible.any():
             u = int(np.argmax(infeasible))

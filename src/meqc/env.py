@@ -45,45 +45,44 @@ def observation_length(num_servers: int) -> int:
 
 def grant_mask(
     evaluator: ScenarioEvaluator, servers: np.ndarray, ratios: np.ndarray
-) -> np.ndarray:
-    """QPU grants of a ``[B, U]`` batch of decisions, as a boolean ``[B, U]`` array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """QPU grants of a ``[B, U]`` batch of decisions, and each winner's saving.
 
-    Each row is arbitrated on its own.  Every user that offloads some of
-    its task (ratio < 1) to a server and passes the feasibility check there
-    is a candidate (``ScenarioEvaluator.candidates``); the server executes
-    exactly one candidate on its QPU: the one whose offloaded share gains
-    the most (CPU cost minus QPU cost, at the user's actual ratio), ties
-    going to the lowest user index.
-    Everyone else falls back to the server CPUs.  ``servers`` must hold
-    valid server indices.
+    Rows are arbitrated apart.  Each server runs exactly one of its
+    ``candidates`` (ratio < 1, feasible there) on its QPU: the one whose
+    offloaded share gains the most (CPU cost minus QPU cost, at its actual
+    ratio), ties going to the lowest user index; the rest use the server
+    CPUs.  ``servers`` must hold valid server indices.  Returns boolean
+    grants and float savings, ``[B, U]`` each, NaN where there is no grant,
+    so a forced grant, one dearer than the CPU path, has ``saving < 0``.
     """
-    grants = np.zeros(servers.shape, dtype=bool)
+    grants, saving = np.zeros(servers.shape, dtype=bool), np.full(servers.shape, np.nan)
     rows, users = np.nonzero(evaluator.candidates(servers, ratios))
     if len(users) == 0:
-        return grants
+        return grants, saving
     chosen = servers[rows, users]
     # one contest per (row, server); sort each contest's candidates by rank
     contest = rows * evaluator.num_servers + chosen
-    saving = evaluator.savings(chosen, ratios[rows, users], users=users, episodes=rows)
-    order = np.lexsort((users, -saving, contest))
+    gain = evaluator.savings(chosen, ratios[rows, users], users=users, episodes=rows)
+    order = np.lexsort((users, -gain, contest))
     contest = contest[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = contest[1:] != contest[:-1]
     winners = order[first]
-    grants[rows[winners], users[winners]] = True
-    return grants
+    at = rows[winners], users[winners]
+    grants[at], saving[at] = True, gain[winners]
+    return grants, saving
 
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
-    """Outcome of one decision slot.
+    """Outcome of one decision slot; ``MeqcEnv.score`` returns B, batch axis first.
 
-    ``latency_cost`` and ``energy_cost`` are the latency- and
-    energy-weighted parts of the cost; they add up to ``-reward``.  The
-    arrays are per user: the resolved ``servers``, ``ratios`` and
-    ``grants``, and the ``success`` probability at the chosen server.  Their
-    ``JointAction`` view is built when read.  ``MeqcEnv.score``
-    returns one for B slots, every field with a leading batch axis.
+    ``latency_cost`` and ``energy_cost``, the weighted parts of the cost,
+    add up to ``-reward``.  Per user: the resolved ``servers``, ``ratios``
+    and ``grants``, the ``success`` probability at the chosen server and
+    ``grant_mask``'s ``saving``, NaN where it did not arbitrate (every
+    ``JointAction`` row).  ``action`` is the first three as a ``JointAction``.
     """
 
     reward: float
@@ -93,14 +92,11 @@ class StepResult:
     ratios: np.ndarray
     grants: np.ndarray
     success: np.ndarray
+    saving: np.ndarray
 
     @property
     def action(self) -> JointAction:
-        return JointAction(
-            server_choice=tuple(self.servers.tolist()),
-            local_ratio=tuple(self.ratios.tolist()),
-            quantum_indicator=tuple(self.grants.astype(int).tolist()),
-        )
+        return JointAction(self.servers, self.ratios, self.grants.astype(np.int64))
 
 
 class MeqcEnv:
@@ -203,17 +199,13 @@ class MeqcEnv:
         tuples or a ``[U, 2]`` array, are read as floats, with grants None.
         Greedy and the oracle hand back one action object per evaluator, so
         the last one checked is kept: the same object on the same evaluator
-        returns the same read-only arrays without a second check.
+        returns the same arrays without a second check.
         """
         if isinstance(action, JointAction):
             evaluator = self.evaluator
-            checked_by, checked, arrays = self._checked
-            if checked_by is not evaluator or checked is not action:
-                arrays = evaluator.check_action(action)
-                for array in arrays:
-                    array.flags.writeable = False
-                self._checked = (evaluator, action, arrays)
-            return arrays
+            if self._checked[0] is not evaluator or self._checked[1] is not action:
+                self._checked = (evaluator, action, evaluator.check_action(action))
+            return self._checked[2]
         pairs = np.asarray(action, dtype=np.float64)
         if pairs.shape != (self.num_users, 2):
             raise ValueError(f"expected {self.num_users} actions, got shape {pairs.shape}")
@@ -240,17 +232,18 @@ class MeqcEnv:
         ratios = np.where(ratios > 0.0, ratios, 0.0)
         ratios = np.where(ratios < 1.0, ratios, 1.0)
         raw = np.array([g is None for g in grants or [None] * len(servers)])
-        granted = np.zeros(servers.shape, dtype=bool)
+        granted, saving = np.zeros(servers.shape, dtype=bool), np.full(servers.shape, np.nan)
         if not raw.all():
             granted[~raw] = [g for g in grants if g is not None]
         if raw.any():  # only raw rows contend: a user at ratio 1 never does
-            granted |= grant_mask(evaluator, servers, np.where(raw[:, None], ratios, 1.0))
+            arbitrated, saving = grant_mask(evaluator, servers, np.where(raw[:, None], ratios, 1.0))
+            granted |= arbitrated
         b = evaluator.breakdown(servers, ratios, granted)
         return StepResult(
             -sum_over_users(b.cost),
             sum_over_users(evaluator.weight_latency * b.latency_total),
             sum_over_users(evaluator.weight_energy * b.energy_total),
-            servers, ratios, granted, evaluator.feasibility(servers)[0],
+            servers, ratios, granted, evaluator.feasibility(servers)[0], saving,
         )
 
     def rewards(self, servers, ratios) -> np.ndarray:

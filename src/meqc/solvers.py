@@ -105,11 +105,7 @@ def _greedy(evaluator: ScenarioEvaluator) -> JointAction:
         servers[u], ratios[u] = server, float(ratio)
         if indicators[u]:
             options[:, server, :, 1] = np.inf  # the slot is consumed
-    return JointAction(
-        server_choice=tuple(servers),
-        local_ratio=tuple(ratios),
-        quantum_indicator=tuple(indicators),
-    )
+    return JointAction(servers, ratios, indicators)
 
 
 def solve_exhaustive(
@@ -146,13 +142,12 @@ def _oracle(
     servers = np.argmin(cpu, axis=1)
     saving = cpu[users, servers][:, None] - np.minimum(endpoints[:, :, 0, 1], local[:, None])
     saving = np.where(evaluator.eligible & (saving > 0.0) & allow_quantum, saving, 0.0)
-    grants = np.zeros(evaluator.num_users, dtype=bool)
+    grants = np.zeros(evaluator.num_users, dtype=np.int64)
     for server, u in _max_weight_matching(saving.T):
-        servers[u], grants[u] = server, True
-    full = endpoints[users, servers, 0, grants.astype(int)]
+        servers[u], grants[u] = server, 1
+    full = endpoints[users, servers, 0, grants]
     ratios = np.where(full <= local, 0.0, 1.0)
-    action = JointAction(*(tuple(a.tolist()) for a in (servers, ratios, grants.astype(int))))
-    return action, float(sum_over_users(np.minimum(full, local)))
+    return JointAction(servers, ratios, grants), float(sum_over_users(np.minimum(full, local)))
 
 
 def _max_weight_matching(weights: np.ndarray) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ import pytest
 from meqc.bench import (
     CSV_COLUMNS,
     ConfigError,
+    ExperimentConfig,
     build_scenario,
     emit_csv,
     parse_config,
@@ -346,6 +347,27 @@ class TestBuildScenario:
         cfg = parse_config("scenario:\n  users: 2\n  servers: 2\n")
         scenario = build_scenario(cfg, seed=0, pins={"edge_cpu": 11e9})
         assert scenario.columns.edge_cpu.tolist() == [11e9, 11e9]
+
+
+def test_default_eval_grants_are_all_forced():
+    """At the default eval, seeds 0-4, every QPU grant costs more than the CPU path.
+
+    Each policy steps its episodes with ``run_grid``'s rng; a forced grant
+    is one whose recorded arbitration ``saving`` is negative.
+    """
+    cfg = ExperimentConfig()
+    grants = forced = 0
+    for seed in range(5):
+        scenario = build_scenario(cfg, seed)
+        for policy_idx, policy in enumerate(cfg.policies):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, policy_idx)))
+            env, chosen = MeqcEnv(scenario, rng=rng), BaselinePolicy(PolicyKind(policy))
+            for _ in range(cfg.episodes):
+                env.reset()
+                result = env.step(chosen.act(env, rng))
+                grants += np.count_nonzero(result.grants)
+                forced += np.count_nonzero(result.saving < 0.0)
+    assert grants == forced == 224
 
 
 def tiny_sweep_config(**extra):

@@ -156,7 +156,7 @@ class TestRedrawnEpisode:
 
 def allocate(evaluator, server_choice, local_ratio):
     """Grants of one joint decision: a one-row ``grant_mask`` batch."""
-    grants = grant_mask(
+    grants, _ = grant_mask(
         evaluator,
         np.array([server_choice], dtype=np.int64),
         np.array([local_ratio], dtype=np.float64),
@@ -203,8 +203,8 @@ class TestResolveAllocation:
         )
         assert ScenarioEvaluator(scenario).eligible[:, 0].all()
         action = solve_baseline(PolicyKind.LOCAL, scenario)
-        assert action.local_ratio == (1.0,) * 3
-        assert action.quantum_indicator == (0, 0, 0)
+        assert action.local_ratio.tolist() == [1.0] * 3
+        assert action.quantum_indicator.tolist() == [0, 0, 0]
         stats = evaluate(BaselinePolicy(PolicyKind.LOCAL), scenario, 3,
                          np.random.default_rng(0))
         assert stats.qpu_grant_rate == 0.0
@@ -301,7 +301,8 @@ class TestStep:
 
     def test_complete_action_infeasible_grant_rejected(self):
         # step and total_cost validate a JointAction alike: both refuse a grant
-        # on an ineligible (user, server) pair, at ratio 1, or to a taken QPU
+        # on an ineligible (user, server) pair, at ratio 1, or to a taken QPU,
+        # and every malformed field, a fractional server before any cast
         ineligible = craft_scenario(quotas=(0,), data_sizes=(1e3,))
         eligible = craft_scenario(quotas=(54,), data_sizes=(1e3,))
         pair = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
@@ -309,6 +310,12 @@ class TestStep:
             (ineligible, JointAction((0,), (0.0,), (1,)), "infeasible"),
             (eligible, JointAction((0,), (1.0,), (1,)), "infeasible"),
             (pair, JointAction((0, 0), (0.0, 0.0), (1, 1)), "more than one QPU grant"),
+            (gen_scenario(2, 3, 1), JointAction((0.7, 1), (1.0, 1.0), (0, 0)),
+             "user 0 picked unknown server 0.7$"),
+            (pair, JointAction((0, 0), (1.0,), (0, 0)), "fields must have equal length"),
+            (pair, JointAction((0, 0), (0.5, 1.5), (0, 0)), r"local_ratio .* lie in \[0, 1\]"),
+            (pair, JointAction((0, 0), (float("nan"), 1.0), (0, 0)), r"lie in \[0, 1\]"),
+            (pair, JointAction((0, 0), (0.5, 1.0), (0, 2)), "quantum_indicator .* 0 or 1"),
         )
         for scenario, action, message in cases:
             env = MeqcEnv(scenario)
@@ -317,6 +324,15 @@ class TestStep:
                 env.step(action)
             with pytest.raises(ValueError, match=message):
                 total_cost(scenario, action)
+
+    def test_joint_action_fields_are_read_only_copies(self):
+        servers, ratios = [0, 1], np.array([0.5, 1.0])
+        action = JointAction(servers, ratios, (0, 0))
+        servers[0], ratios[0] = 1, 0.0
+        assert action == JointAction((0, 1), (0.5, 1.0), (0, 0))
+        for field in (action.server_choice, action.local_ratio, action.quantum_indicator):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 1
 
     def test_complete_action_grant_at_ratio_one_rejected(self):
         # a user at ratio 1 offloads nothing, so it cannot hold a QPU grant
@@ -472,12 +488,22 @@ class TestBatchedRewards:
         servers = rng.integers(0, 3, size=(200, 5))
         ratios = rng.choice([0.0, 0.5, 1.0], size=(200, 5))
         ratios[::2] = rng.uniform(0, 1, size=(100, 5))
-        grants = grant_mask(evaluator, servers, ratios).astype(int)
+        grants, saving = grant_mask(evaluator, servers, ratios)
         for row in range(200):
             want = reference_allocation(
                 evaluator, servers[row].tolist(), ratios[row].tolist()
             )
-            assert tuple(grants[row].tolist()) == want, row
+            assert tuple(grants[row].astype(int).tolist()) == want, row
+        # the record holds each winner's saving and NaN everywhere else
+        rows, users = np.nonzero(grants)
+        assert saving[rows, users].tolist() == evaluator.savings(
+            servers[rows, users], ratios[rows, users], users=users).tolist()
+        assert np.isnan(saving[~grants]).all()
+        # a joint action's row is not arbitrated, so its saving is NaN, granted or not
+        mixed = MeqcEnv(scenario).score(servers[:4], ratios[:4], [grants[0], None, grants[2], None])
+        assert mixed.grants.tolist() == grants[:4].tolist() and grants[[0, 2]].any()
+        assert np.isnan(mixed.saving[[0, 2]]).all()
+        assert np.array_equal(mixed.saving[[1, 3]], saving[[1, 3]], equal_nan=True)
 
     def test_crafted_batch_makes_grants(self):
         scenario = craft_scenario(
@@ -486,7 +512,7 @@ class TestBatchedRewards:
         evaluator = ScenarioEvaluator(scenario)
         rng = np.random.default_rng(8)
         servers = rng.integers(0, 2, size=(64, 3))
-        grants = grant_mask(evaluator, servers, np.zeros((64, 3)))
+        grants, _ = grant_mask(evaluator, servers, np.zeros((64, 3)))
         assert grants.any()
         for row in range(64):
             for server in range(2):
@@ -498,14 +524,14 @@ class TestBatchedRewards:
         env = MeqcEnv(scenario)
         servers = np.array([[0, 0, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]])
         ratios = np.zeros((4, 3))
-        grants = grant_mask(env.evaluator, servers, ratios)
+        grants, _ = grant_mask(env.evaluator, servers, ratios)
         assert grants.astype(int).tolist() == [
             [1, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 0]
         ]
         assert env.rewards(servers, ratios).tolist() == rowwise_step_rewards(
             env, servers, ratios
         )
-        assert env.step([(0, 0.0)] * 3).action.quantum_indicator == (1, 0, 0)
+        assert env.step([(0, 0.0)] * 3).action.quantum_indicator.tolist() == [1, 0, 0]
 
     def test_batch_checks_shape_and_servers(self):
         env = MeqcEnv(gen_scenario(2, 2, seed=0))
@@ -528,7 +554,7 @@ class TestBatchedRewards:
         scenario = craft_scenario(quotas=(54, 54), data_sizes=(1e3, 2e3))
         env = MeqcEnv(scenario)
         result = env.step([(0, 0.0), (0, 0.3)])
-        assert result.action.quantum_indicator == (0, 1)
+        assert result.action.quantum_indicator.tolist() == [0, 1]
         _, breakdowns = total_cost(scenario, result.action)
         assert result.latency_cost == sum(
             profile.weight_latency * b.latency_total

@@ -46,7 +46,7 @@ class TestBaselines:
     def test_local_cost(self):
         scenario = gen_scenario(4, 3, seed=0)
         action = solve_baseline(PolicyKind.LOCAL, scenario)
-        assert action.local_ratio == (1.0,) * 4
+        assert action.local_ratio.tolist() == [1.0] * 4
         expected = sum(
             local_cost(profile, task, 1.0, scenario.chip_energy_per_cycle).cost
             for profile, task, _ in records_of(scenario)
@@ -64,7 +64,7 @@ class TestBaselines:
         action = solve_baseline(
             PolicyKind.RANDOM_CLOUD, scenario, np.random.default_rng(3)
         )
-        assert action.local_ratio == (0.0,) * 5
+        assert action.local_ratio.tolist() == [0.0] * 5
         assert all(0 <= s < 3 for s in action.server_choice)
 
     def test_random_reproducible(self):
@@ -370,17 +370,17 @@ class TestOracleMatchesReference:
         endpoints = ScenarioEvaluator(scenario).endpoint_costs()
         assert (endpoints[:, :, 0, 0] == endpoints[:, :1, 1, 0]).all()
         action, cost = solve_exhaustive(scenario)
-        assert action.local_ratio == (0.0, 0.0)
+        assert action.local_ratio.tolist() == [0.0, 0.0]
         assert (action, cost) == reference_oracle(scenario)
 
     def test_tie_rule(self):
         scenario = craft_scenario(**GRANTING_INSTANCES["two_servers_ties"])
         action, cost = solve_exhaustive(scenario)
         reference, reference_cost = reference_oracle(scenario)
-        assert action.server_choice == (0, 1, 0, 0, 0)
-        assert action.quantum_indicator == (1, 1, 0, 0, 0)
-        assert reference.server_choice == (0, 0, 0, 0, 1)
-        assert reference.quantum_indicator == (0, 0, 0, 1, 1)
+        assert action.server_choice.tolist() == [0, 1, 0, 0, 0]
+        assert action.quantum_indicator.tolist() == [1, 1, 0, 0, 0]
+        assert reference.server_choice.tolist() == [0, 0, 0, 0, 1]
+        assert reference.quantum_indicator.tolist() == [0, 0, 0, 1, 1]
         assert cost == reference_cost == 1500004.4025985901
 
 
