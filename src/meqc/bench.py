@@ -360,7 +360,8 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
     try:
         agents = load_checkpoint(cfg.checkpoint)
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        # missing, empty, truncated, not an .npz archive, or not a checkpoint
+        # missing, empty, truncated, not an .npz archive, not a v2 checkpoint,
+        # or holding non-finite parameters
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}") from exc
     obs_dim = observation_length(cfg.servers)
     if len(agents) != cfg.users or agents[0].obs_dim != obs_dim:

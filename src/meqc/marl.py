@@ -15,7 +15,9 @@ per-sample gradients summed over the minibatch.  All numerics run on the
 hand-rolled ``nn.Mlp``.  A run lives in two blocks: every network of every
 agent is a view of one parameter block, row ``u`` for agent ``u``, and
 every optimizer's moments, gradient row and step scratch are views of one
-optimizer-state block, which is freed when ``train`` returns.
+optimizer-state block, which is freed when ``train`` returns.  A checkpoint
+holds the parameter block and the shape it was cut by; loading one puts the
+agents back over it as views.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .env import MeqcEnv, observation_length
 from .nn import Adam, Mlp, Sgd
 from .workload import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_NET_NAMES = ("pi_server", "v_server", "pi_ratio", "v_ratio")
 # one learning-curve row per epoch: its mean per-step cost, then the
 # epoch means of the ``UpdateStats`` fields named after it
 CURVE_COLUMNS = ("epoch", "mean_cost", "policy_loss", "value_loss", "entropy")
@@ -157,10 +158,11 @@ class HybridAgent:
     """One user's policy and value networks.
 
     ``params`` holds the parameters of all four networks, one after another
-    in ``_NET_NAMES`` order, and each network's ``params`` is a view of it.
+    in ``_net_layouts`` order, and each network's ``params`` is a view of it.
     A caller-owned ``params`` vector, such as a row of a run's parameter
     block, is overwritten with the drawn networks; otherwise the agent
-    allocates its own.
+    allocates its own.  An agent pickles as its shape and ``params``, and
+    unpickles through ``from_params``, so its networks stay views.
     """
 
     def __init__(self, obs_dim: int, num_servers: int, hidden: int, rng: np.random.Generator,
@@ -172,17 +174,19 @@ class HybridAgent:
         }
 
     @classmethod
-    def from_params(
-        cls, obs_dim: int, num_servers: int, hidden: int, params: dict[str, np.ndarray]
-    ) -> HybridAgent:
-        """An agent holding copies of ``params`` (``flat_params`` form); nothing is drawn."""
+    def from_params(cls, obs_dim: int, num_servers: int, hidden: int,
+                    params: np.ndarray) -> HybridAgent:
+        """An agent whose networks are views of ``params``; nothing is drawn."""
         agent = cls.__new__(cls)
-        views = agent._allocate(obs_dim, num_servers, hidden, None)
+        views = agent._allocate(obs_dim, num_servers, hidden, params)
         agent.nets = {
-            name: Mlp.from_params(sizes, params[name], out=views[name])
+            name: Mlp.from_params(sizes, views[name])
             for name, (sizes, _) in _net_layouts(obs_dim, num_servers, hidden).items()
         }
         return agent
+
+    def __reduce__(self):
+        return type(self).from_params, (self.obs_dim, self.num_servers, self.hidden, self.params)
 
     @staticmethod
     def param_count(obs_dim: int, num_servers: int, hidden: int) -> int:
@@ -247,12 +251,13 @@ class HybridAgent:
         mean, _ = self.ratio_params(obs)
         return int(np.argmax(logits)), float(_sigmoid(float(mean)))
 
-    def flat_params(self) -> dict[str, np.ndarray]:
-        return {name: net.flat_params() for name, net in self.nets.items()}
 
-    def set_flat_params(self, params: dict[str, np.ndarray]) -> None:
-        for name, vec in params.items():
-            self.nets[name].set_flat_params(vec)
+def _non_finite_rows(params: np.ndarray) -> list[int]:
+    """Indices of the rows of a ``[U, P]`` block holding a NaN or infinity."""
+    # a row is finite iff its extremes are, as min and max propagate NaN;
+    # np.isfinite(params) would add a block-sized temporary
+    finite = np.isfinite(params.min(axis=1)) & np.isfinite(params.max(axis=1))
+    return np.flatnonzero(~finite).tolist()
 
 
 def _logsumexp(x):
@@ -497,10 +502,7 @@ def train(
                     agent_batch = {key: col[:, u] for key, col in batch.items()}
                     agent_batch["obs"] = o
                     stats.append(ppo_update(agent, opts, agent_batch, cfg))
-            # a row is finite iff its extremes are, as min and max propagate
-            # NaN; np.isfinite(params) would add a block-sized temporary
-            finite = np.isfinite(params.min(axis=1)) & np.isfinite(params.max(axis=1))
-            bad = np.flatnonzero(~finite).tolist()
+            bad = _non_finite_rows(params)
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
         except TrainingError:
@@ -530,42 +532,40 @@ def write_learning_curve(path: str | Path, curve: list[dict]) -> None:
 
 
 def save_checkpoint(path: str | Path, agents: list[HybridAgent]) -> None:
-    """Versioned dump of every agent's parameter vectors plus shape metadata."""
-    arrays = {
-        f"agent{i}.{name}": vec
-        for i, agent in enumerate(agents)
-        for name, vec in agent.flat_params().items()
-    }
+    """Versioned dump of the agents' ``[U, P]`` parameter block and its shape."""
     first = agents[0]
     # a file handle, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
         np.savez(
             fh,
             schema_version=CHECKPOINT_SCHEMA_VERSION,
-            num_agents=len(agents),
             obs_dim=first.obs_dim,
             num_servers=first.num_servers,
             hidden_units=first.hidden,
-            **arrays,
+            params=np.stack([agent.params for agent in agents]),
         )
 
 
 def load_checkpoint(path: str | Path) -> list[HybridAgent]:
+    """The checkpoint's agents, each a view of one row of its parameter block.
+
+    Nothing is copied or drawn.  Raises ``ValueError`` for another schema
+    version, a block that is not ``[U, P]`` with ``P`` fitting the shape,
+    or rows holding a NaN or infinity.
+    """
     with np.load(path) as data:
         version = int(data["schema_version"])
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(f"unsupported checkpoint schema_version {version}")
-        num_agents = int(data["num_agents"])
-        obs_dim = int(data["obs_dim"])
-        num_servers = int(data["num_servers"])
-        hidden = int(data["hidden_units"])
-        return [
-            HybridAgent.from_params(
-                obs_dim, num_servers, hidden,
-                {name: data[f"agent{i}.{name}"] for name in _NET_NAMES},
-            )
-            for i in range(num_agents)
-        ]
+        dims = [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")]
+        params = data["params"]
+    if params.ndim != 2:
+        raise ValueError(f"expected a [agents, parameters] block, got shape {params.shape}")
+    agents = [HybridAgent.from_params(*dims, row) for row in params]
+    bad = _non_finite_rows(params)
+    if bad:
+        raise ValueError(f"non-finite parameters for agents {bad}")
+    return agents
 
 
 class LearnedPolicy:

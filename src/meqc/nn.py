@@ -22,9 +22,9 @@ class Mlp:
     ``out_scale`` shrinks the output layer's initial weights, which keeps
     freshly initialized policy heads near-uniform.  ``params`` holds every
     parameter; ``weights`` and ``biases`` are views of it.  Passing
-    ``params`` (or ``out`` to ``from_params``) makes the network live in
-    that caller-owned vector, e.g. a slice of a run's parameter block,
-    overwriting it; otherwise the network allocates its own.
+    ``params`` makes the network draw into that caller-owned vector, e.g. a
+    slice of a run's parameter block; otherwise it allocates its own.
+    ``from_params`` puts a network over a given vector without drawing.
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0,
@@ -41,11 +41,10 @@ class Mlp:
             w *= scale
 
     @classmethod
-    def from_params(cls, sizes, params: np.ndarray, out: np.ndarray | None = None) -> Mlp:
-        """A network of ``sizes`` holding a copy of ``params``; nothing is drawn."""
+    def from_params(cls, sizes, params: np.ndarray) -> Mlp:
+        """A network of ``sizes`` whose parameters are views of ``params``; nothing is drawn."""
         net = cls.__new__(cls)
-        net._allocate(sizes, out)
-        net.set_flat_params(params)
+        net._allocate(sizes, params)
         return net
 
     @staticmethod
@@ -140,17 +139,6 @@ class Mlp:
             if i > 0:
                 g = g @ self.weights[i].T
         return grad
-
-    def flat_params(self) -> np.ndarray:
-        """Copy of all parameters as one flat vector (weights then bias per layer)."""
-        return self.params.copy()
-
-    def set_flat_params(self, vec: np.ndarray) -> None:
-        """Overwrite ``params`` in place, so ``weights``/``biases`` stay its views."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
-        self.params[:] = vec
 
 
 class _Optimizer:

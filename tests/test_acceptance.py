@@ -220,17 +220,17 @@ def test_criterion_6_gradient_verification():
         upstream = rng.normal(size=(3, sizes[-1]))
         _, cache = net.forward_cached(x)
         analytic = net.backward(cache, upstream)
-        flat = net.flat_params()
+        flat = net.params.copy()
         for index in rng.choice(net.num_params, size=min(25, net.num_params), replace=False):
             h = 1e-6
             bumped = flat.copy()
             bumped[index] += h
-            net.set_flat_params(bumped)
+            net.params[:] = bumped
             plus = float(np.sum(upstream * net.forward(x)))
             bumped[index] -= 2 * h
-            net.set_flat_params(bumped)
+            net.params[:] = bumped
             minus = float(np.sum(upstream * net.forward(x)))
-            net.set_flat_params(flat)
+            net.params[:] = flat
             numeric = (plus - minus) / (2 * h)
             rel = abs(numeric - analytic[index]) / max(1e-8, abs(numeric) + abs(analytic[index]))
             worst = max(worst, rel)

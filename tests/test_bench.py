@@ -681,8 +681,8 @@ class TestCli:
         save_checkpoint(path, train(gen_scenario(2, 2, seed=0), cfg, seed=0).agents)
         with np.load(path) as data:
             arrays = dict(data)
-        with open(path, "wb") as fh:  # the same checkpoint, declaring no agents
-            np.savez(fh, **{**arrays, "num_agents": 0})
+        with open(path, "wb") as fh:  # the same checkpoint, holding no agents
+            np.savez(fh, **{**arrays, "params": arrays["params"][:0]})
         config = tmp_path / "cfg.yaml"
         config.write_text(
             f"scenario: {{users: 2, servers: 2}}\n"
@@ -692,6 +692,68 @@ class TestCli:
         assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
         assert f"checkpoint: {path} holds 0 agents, but" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_loaded_checkpoint_scores_as_the_trained_agents(self, tmp_path, monkeypatch):
+        import meqc.bench
+
+        cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1,
+                          batch_size=8, hidden_units=16)
+        agents = train(gen_scenario(3, 2, seed=0), cfg, seed=0).agents
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, agents)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 3, servers: 2}\n"
+            f"policies: [trained, local]\ncheckpoint: {path}\nepisodes: 2\nseeds: [0, 1]\n"
+        )
+        loaded, memory = tmp_path / "loaded.csv", tmp_path / "memory.csv"
+        assert main(["eval", "--config", str(config), "--out", str(loaded)]) == 0
+        monkeypatch.setattr(meqc.bench, "load_checkpoint", lambda _: agents)
+        assert main(["eval", "--config", str(config), "--out", str(memory)]) == 0
+        assert loaded.read_bytes() == memory.read_bytes()
+
+    @pytest.mark.parametrize("case, reason", [
+        ("version_1", "unsupported checkpoint schema_version 1"),
+        ("width", "parameters per agent"),
+        ("one_dimensional", "expected a [agents, parameters] block"),
+        ("float32", "contiguous float64 vector"),
+        ("non_finite", "non-finite parameters for agents [0, 1]"),
+    ])
+    def test_malformed_checkpoint(self, case, reason, tmp_path, capsys):
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        agents = train(gen_scenario(2, 2, seed=0), cfg, seed=0).agents
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, agents)
+        with np.load(path) as data:
+            arrays = dict(data)
+        if case == "version_1":  # the per-network layout it had before the block
+            arrays = {key: arrays[key] for key in ("obs_dim", "num_servers", "hidden_units")}
+            arrays.update(schema_version=1, num_agents=len(agents))
+            for u, agent in enumerate(agents):
+                arrays.update({f"agent{u}.{name}": net.params for name, net in agent.nets.items()})
+        elif case == "width":
+            arrays["hidden_units"] = np.int64(9)
+        elif case == "one_dimensional":
+            arrays["params"] = arrays["params"].ravel()
+        elif case == "float32":
+            arrays["params"] = arrays["params"].astype(np.float32)
+        else:  # NaN logits pick server 0 and a NaN ratio clamps to 0: a plausible score
+            arrays["params"][0, 5] = np.nan
+            arrays["params"][1, -1] = np.inf
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "scenario: {users: 2, servers: 2}\n"
+            f"policies: [trained, local]\ncheckpoint: {path}\nepisodes: 1\n"
+        )
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"checkpoint: cannot load {path}: " in err and reason in err
+        assert "Traceback" not in err
 
     def test_non_finite_cost_fails_the_run(self, tmp_path, capsys):
         config = tmp_path / "cfg.yaml"

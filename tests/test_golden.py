@@ -78,9 +78,9 @@ def train_outputs(name: str, workdir: Path) -> dict[str, bytes]:
     curve = workdir / f"{name}_curve.csv"
     write_learning_curve(curve, result.curve)
     hashes = "".join(
-        f"agent{u}.{net} {hashlib.sha256(vec.tobytes()).hexdigest()}\n"
+        f"agent{u}.{name} {hashlib.sha256(net.params.tobytes()).hexdigest()}\n"
         for u, agent in enumerate(result.agents)
-        for net, vec in agent.flat_params().items()
+        for name, net in agent.nets.items()
     )
     return {
         f"{name}_curve.csv": curve.read_bytes(),

@@ -1,6 +1,8 @@
 """Learner tests: advantage estimation, the hybrid action distribution,
 clipped-update mechanics and the end-to-end training contract."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -253,9 +255,9 @@ class TestPpoUpdate:
         # pretend the old policy found this action much less likely:
         # ratio = exp(logp_new - logp_old) = 1 + 2*eps > 1 + eps, advantage > 0
         batch["logp_server"] = batch["logp_server"] - np.log(1 + 2 * cfg.clip_epsilon)
-        before = agent.nets["pi_server"].flat_params()
+        before = agent.nets["pi_server"].params.copy()
         ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
-        assert np.array_equal(agent.nets["pi_server"].flat_params(), before)
+        assert np.array_equal(agent.nets["pi_server"].params, before)
 
     def test_two_armed_bandit_concentrates(self):
         agent = HybridAgent(obs_dim=2, num_servers=2, hidden=16,
@@ -389,13 +391,14 @@ class TestOneRowUpdate:
         obs = np.linspace(0.0, 1.0, 6)
         batch = perturbed_batch(agents[0], obs, n, seed=10 * num_servers + n)
         tiled = dict(batch, obs=np.tile(obs, (n, 1)))
-        before = agents[0].flat_params()
+        before = {name: net.params.copy() for name, net in agents[0].nets.items()}
         ref = reference_ppo_update(agents[0], _make_optimizers([agents[0]], cfg)[0], tiled, cfg)
         got = ppo_update(agents[1], _make_optimizers([agents[1]], cfg)[0], batch, cfg)
-        for name, vec in agents[0].flat_params().items():
+        for name, net in agents[0].nets.items():
+            vec = net.params
             if n > 1 and (num_servers > 1 or name != "pi_server"):
                 assert not np.array_equal(vec, before[name]), name
-            delta = np.abs(agents[1].nets[name].flat_params() - vec).max()
+            delta = np.abs(agents[1].nets[name].params - vec).max()
             assert delta <= 1e-12 * np.abs(vec).max(), name
         for field in ("policy_loss", "value_loss", "entropy"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0)
@@ -407,11 +410,11 @@ class TestOneRowUpdate:
         cfg = TrainConfig(optimizer=optimizer)
         agent = HybridAgent(obs_dim=5, num_servers=1, hidden=16, rng=np.random.default_rng(3))
         obs = np.full(5, 0.3)
-        before = agent.nets["pi_server"].flat_params()
+        before = agent.nets["pi_server"].params.copy()
         opts = _make_optimizers([agent], cfg)[0]
         for seed in range(5):
             ppo_update(agent, opts, perturbed_batch(agent, obs, 128, seed), cfg)
-        assert np.array_equal(agent.nets["pi_server"].flat_params(), before)
+        assert np.array_equal(agent.nets["pi_server"].params, before)
 
 
 class TestTrain:
@@ -502,15 +505,13 @@ class TestTrain:
         fresh = train(scenario, cfg, seed=3)  # same init stream
         for a, b in zip(result.agents, fresh.agents):
             for name in a.nets:
-                assert np.array_equal(
-                    a.nets[name].flat_params(), b.nets[name].flat_params()
-                )
+                assert np.array_equal(a.nets[name].params, b.nets[name].params)
         # and identical to a run that never updates at all
         reference = train(scenario, self.smoke_config(epochs=1, learning_rate=0.0,
                                                       updates_per_epoch=1), seed=3)
         assert np.array_equal(
-            result.agents[0].nets["pi_server"].flat_params(),
-            reference.agents[0].nets["pi_server"].flat_params(),
+            result.agents[0].nets["pi_server"].params,
+            reference.agents[0].nets["pi_server"].params,
         )
 
     def test_toy_instance_approaches_oracle(self):
@@ -551,22 +552,18 @@ class TestTrain:
             train(scenario, cfg, seed=4, checkpoint_path=path)
         for want, got in zip(after_epoch0, load_checkpoint(path), strict=True):
             for name in want.nets:
-                assert np.array_equal(
-                    want.nets[name].flat_params(), got.nets[name].flat_params()
-                )
+                assert np.array_equal(want.nets[name].params, got.nets[name].params)
+        assert np.isfinite(calls[0].params).all()  # agent 0, poisoned, was rolled back
 
-        # without a path nothing is kept or written
-        saved, copies = [], []
-        real_flat = HybridAgent.flat_params
+        # without a path nothing is kept or written: the poisoned row stays
+        saved = []
         monkeypatch.setattr(marl, "save_checkpoint", lambda *args: saved.append(args))
-        monkeypatch.setattr(
-            HybridAgent, "flat_params", lambda self: copies.append(self) or real_flat(self)
-        )
         monkeypatch.chdir(tmp_path)
         calls.clear()
         with pytest.raises(TrainingError, match="non-finite parameters"):
             train(scenario, cfg, seed=4)
-        assert saved == [] and copies == []
+        assert saved == []
+        assert np.isnan(calls[0].nets["v_ratio"].weights[1][0, 0])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.npz"]
 
     def test_curve_written(self, tmp_path):
@@ -614,7 +611,8 @@ class TestMemoryBlocks:
         for u, agent in enumerate(result.agents):
             assert agent.params.base is block and np.shares_memory(agent.params, block[u])
             offset = 0
-            for name, net in zip(marl._NET_NAMES, agent.nets.values(), strict=True):
+            names = ("pi_server", "v_server", "pi_ratio", "v_ratio")
+            for name, net in zip(names, agent.nets.values(), strict=True):
                 assert net is agent.nets[name] and net.params.base is block
                 assert np.shares_memory(net.params, block[u, offset : offset + net.num_params])
                 offset += net.num_params
@@ -648,26 +646,16 @@ class TestMemoryBlocks:
         block = agents[0].params.base
         path = tmp_path / "agents.npz"
         save_checkpoint(path, agents)
-        for agent, restored in zip(agents, load_checkpoint(path), strict=True):
-            assert restored.params.tobytes() == agent.params.tobytes()
-            assert not np.shares_memory(restored.params, block)
-        copies = [
-            HybridAgent.from_params(a.obs_dim, a.num_servers, a.hidden, a.flat_params())
-            for a in agents
-        ]
-        for agent, copy in zip(agents, copies, strict=True):
+        restored = load_checkpoint(path)
+        for agent, copy in zip(agents, restored, strict=True):
             assert copy.params.tobytes() == agent.params.tobytes()
             assert not np.shares_memory(copy.params, block)
-            for net in copy.nets.values():
-                assert net.params.base is copy.params
         before = block.copy()
-        agents[1].set_flat_params({name: np.zeros(net.num_params)
-                                   for name, net in agents[1].nets.items()})
+        agents[1].params[:] = 0.0
         assert not block[1].any()
         assert np.array_equal(block[[0, 2]], before[[0, 2]])
-        for agent, copy in zip(agents[::2], copies[::2]):
-            assert copy.params.tobytes() == agent.params.tobytes()
-        assert copies[1].params.tobytes() == before[1].tobytes()
+        for copy, row in zip(restored, before, strict=True):
+            assert copy.params.tobytes() == row.tobytes()
 
     def test_finiteness_check_names_each_bad_row(self, monkeypatch):
         real_update = marl.ppo_update
@@ -700,27 +688,46 @@ class TestMemoryBlocks:
                         params=np.zeros(own.params.size + 1))
 
 
+def trained_agents(users, servers, hidden=16):
+    """Agents of a short training run on a ``users`` x ``servers`` scenario."""
+    cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1,
+                      batch_size=8, hidden_units=hidden)
+    return train(gen_scenario(users, servers, seed=0), cfg, seed=9).agents
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        scenario = gen_scenario(2, 2, seed=0)
-        cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1,
-                          batch_size=8, hidden_units=16)
-        result = train(scenario, cfg, seed=9)
+        agents = trained_agents(2, 2)
         path = tmp_path / "agents.npz"
-        save_checkpoint(path, result.agents)
-        # older checkpoints also carry an unread scenario_seed entry
-        older = tmp_path / "older.npz"
+        save_checkpoint(path, agents)
+        # a reader ignores entries it does not know, such as a scenario_seed
+        other = tmp_path / "other.npz"
         with np.load(path) as data:
             assert "scenario_seed" not in data
-            np.savez(older, **data, scenario_seed=np.float64(0))
+            np.savez(other, **data, scenario_seed=np.float64(0))
         obs = np.full(12, 0.4)
-        for restored in (load_checkpoint(path), load_checkpoint(older)):
-            for a, b in zip(result.agents, restored, strict=True):
+        for restored in (load_checkpoint(path), load_checkpoint(other)):
+            for a, b in zip(agents, restored, strict=True):
                 assert a.greedy_action(obs) == b.greedy_action(obs)
                 for name in a.nets:
-                    assert np.array_equal(
-                        a.nets[name].flat_params(), b.nets[name].flat_params()
-                    )
+                    assert np.array_equal(a.nets[name].params, b.nets[name].params)
+
+    def test_file_holds_the_parameter_block(self, tmp_path):
+        agents = trained_agents(3, 2)
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, agents)
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "hidden_units", "num_servers", "obs_dim", "params", "schema_version"
+            ]
+            assert int(data["schema_version"]) == 2
+            first = agents[0]
+            assert [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")] == [
+                first.obs_dim, first.num_servers, first.hidden
+            ]
+            params = data["params"]
+        assert params.dtype == np.float64
+        assert params.tobytes() == first.params.base.tobytes()  # train's [U, P] block
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         scenario = gen_scenario(2, 3, seed=0)
@@ -734,12 +741,19 @@ class TestCheckpoint:
         monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
         restored = load_checkpoint(path)
         assert drawn == []
+        # one loaded [U, P] block: every agent is a row of its buffer
+        block = restored[0].params.base
+        assert block.nbytes == 2 * restored[0].params.nbytes
+        assert not np.shares_memory(restored[0].params, restored[1].params)
         for a, b in zip(agents, restored, strict=True):
             assert (a.obs_dim, a.num_servers, a.hidden) == (b.obs_dim, b.num_servers, b.hidden)
+            assert b.params.base is block
             assert list(a.nets) == list(b.nets)
             for name in a.nets:
                 assert a.nets[name].sizes == b.nets[name].sizes
                 assert np.array_equal(a.nets[name].params, b.nets[name].params)
+                assert b.nets[name].params.base is block
+                assert np.shares_memory(b.nets[name].params, b.params)
 
     def test_schema_version_checked(self, tmp_path):
         scenario = gen_scenario(1, 1, seed=0)
@@ -755,3 +769,21 @@ class TestCheckpoint:
         np_mod.savez(path, **data)
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(path)
+
+
+class TestPickle:
+    def test_agent_pickles_as_its_row(self):
+        agents = trained_agents(3, 2, hidden=32)
+        block = agents[0].params.base
+        data = pickle.dumps(agents)
+        # one copy of the parameters, not one per view
+        assert len(data) < 1.05 * block.nbytes
+        obs = np.linspace(0.0, 1.0, agents[0].obs_dim)
+        for agent, copy in zip(agents, pickle.loads(data), strict=True):
+            assert not np.shares_memory(copy.params, block)
+            assert copy.params.tobytes() == agent.params.tobytes()
+            assert list(copy.nets) == list(agent.nets)
+            for net in copy.nets.values():
+                assert net.params.base is copy.params
+                assert all(w.base is copy.params for w in net.weights + net.biases)
+            assert copy.greedy_action(obs) == agent.greedy_action(obs)

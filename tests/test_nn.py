@@ -12,15 +12,15 @@ from meqc.nn import Adam, Mlp, Sgd
 
 def finite_difference(net, x, upstream, index, h=1e-6):
     """Central difference of sum(upstream * net(x)) along one parameter."""
-    flat = net.flat_params()
+    flat = net.params.copy()
     bumped = flat.copy()
     bumped[index] += h
-    net.set_flat_params(bumped)
+    net.params[:] = bumped
     plus = float(np.sum(upstream * net.forward(x)))
     bumped[index] -= 2 * h
-    net.set_flat_params(bumped)
+    net.params[:] = bumped
     minus = float(np.sum(upstream * net.forward(x)))
-    net.set_flat_params(flat)
+    net.params[:] = flat
     return (plus - minus) / (2 * h)
 
 
@@ -160,18 +160,10 @@ class TestBackward:
 
 
 class TestParams:
-    def test_flat_round_trip(self):
-        net = Mlp((4, 6, 3), np.random.default_rng(9))
-        flat = net.flat_params()
-        other = Mlp((4, 6, 3), np.random.default_rng(10))
-        other.set_flat_params(flat)
-        x = np.random.default_rng(11).normal(size=4)
-        assert np.array_equal(net.forward(x), other.forward(x))
-
     def test_wrong_length_rejected(self):
         net = Mlp((2, 2), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            net.set_flat_params(np.zeros(net.num_params + 1))
+        with pytest.raises(ValueError, match=f"{net.num_params} parameters"):
+            Mlp.from_params((2, 2), np.zeros(net.num_params + 1))
 
     @pytest.mark.parametrize(
         "sizes,out_scale", [((14, 256, 256, 3), 0.01), ((3, 2), 1.0), ((5, 7, 1), 2.5)]
@@ -189,29 +181,19 @@ class TestParams:
             assert not net.biases[i].any()
         assert net_rng.bit_generator.state == rng.bit_generator.state
 
-    def test_views_alias_params_after_set_flat_params(self):
-        net = Mlp((4, 6, 3), np.random.default_rng(9))
-        net.set_flat_params(Mlp((4, 6, 3), np.random.default_rng(10)).flat_params())
-        for w, b in zip(net.weights, net.biases):
-            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
-        x = np.random.default_rng(11).normal(size=4)
-        before = net.forward(x)
-        _, cache = net.forward_cached(x)
-        Adam(net, lr=0.01).step(net.backward(cache, np.ones(3)))
-        assert not np.allclose(net.forward(x), before)
-
-    def test_from_params_copies_and_views(self):
+    def test_from_params_views_a_given_vector(self):
         source = Mlp((4, 6, 3), np.random.default_rng(9))
-        params = source.flat_params()
+        params = source.params.copy()
         net = Mlp.from_params((4, 6, 3), params)
-        assert np.array_equal(net.params, params) and not np.shares_memory(net.params, params)
+        assert net.params is params
         for w, b in zip(net.weights, net.biases):
-            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+            assert w.base is params and b.base is params
         x = np.random.default_rng(11).normal(size=4)
         assert np.array_equal(net.forward(x), source.forward(x))
-        with pytest.raises(ValueError, match="parameters"):
-            Mlp.from_params((4, 6, 3), params[:-1])
-
+        _, cache = net.forward_cached(x)
+        Adam(net, lr=0.01).step(net.backward(cache, np.ones(3)))
+        assert not np.array_equal(params, source.params)  # the step wrote the given vector
+        assert not np.allclose(net.forward(x), source.forward(x))
 
     def test_caller_owned_params(self):
         own = Mlp((4, 6, 3), np.random.default_rng(9), out_scale=0.5)
@@ -220,12 +202,12 @@ class TestParams:
         assert net.params.base is block
         assert block[1].tobytes() == own.params.tobytes()
         assert (block[0] == 7.0).all()
-        copy = Mlp.from_params((4, 6, 3), own.params, out=block[0])
-        assert block[0].tobytes() == own.params.tobytes() and copy.params.base is block
         for bad in (np.zeros(own.num_params + 1), np.zeros(own.num_params, dtype=np.float32),
                     np.zeros(2 * own.num_params)[::2]):
             with pytest.raises(ValueError, match="contiguous float64 vector"):
                 Mlp((4, 6, 3), np.random.default_rng(9), params=bad)
+            with pytest.raises(ValueError, match="contiguous float64 vector"):
+                Mlp.from_params((4, 6, 3), bad)
 
     def test_adam_moments_in_caller_block(self):
         nets = [Mlp((3, 4, 2), np.random.default_rng(seed)) for seed in (12, 12)]
@@ -246,12 +228,12 @@ class TestParams:
 class TestOptimizers:
     def test_adam_zero_lr_is_identity(self):
         net = Mlp((3, 4, 2), np.random.default_rng(12))
-        before = net.flat_params()
+        before = net.params.copy()
         opt = Adam(net, lr=0.0)
         x = np.ones((2, 3))
         _, cache = net.forward_cached(x)
         opt.step(net.backward(cache, np.ones((2, 2))))
-        assert np.array_equal(net.flat_params(), before)
+        assert np.array_equal(net.params, before)
 
     def test_adam_descends_quadratic(self):
         net = Mlp((2, 1), np.random.default_rng(13))
@@ -292,7 +274,7 @@ class TestOptimizers:
         else:
             opt = Sgd(net, lr=0.05, buffers=buffers)
             ref_step = reference_sgd(ref_weights, ref_biases, lr=0.05)
-        start = net.flat_params()
+        start = net.params.copy()
         rng = np.random.default_rng(21)
         shape = () if rows is None else (rows,)
         for _ in range(25):
