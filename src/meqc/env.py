@@ -215,8 +215,9 @@ class MeqcEnv:
         """Resolve and score B joint decisions, ``servers``/``ratios`` ``[B, U]``, in one pass.
 
         Servers must be server indices; ratios are clamped to [0, 1].  Row b
-        keeps ``grants[b]`` (a ``check``-ed joint action's) unless it is None;
-        raw rows get ``grant_mask``'s.  ``tasks[b]`` is row b's redrawn
+        keeps ``grants[b]`` unless it is None; raw rows get ``grant_mask``'s.
+        Grants are not checked here: only ``step`` and ``evaluate`` pass
+        them, and both ``check`` them first.  ``tasks[b]`` is row b's redrawn
         episode; without ``tasks`` every row is scored on ``evaluator``.  Each
         field of the result has a leading batch axis.
         """

@@ -1,23 +1,24 @@
 """Multi-agent PPO over the hybrid server/ratio action space.
 
-Every user is an independent learner holding two actor-critic pairs: a
-categorical head over servers and a sigmoid-squashed Gaussian head for the
-local ratio, each with its own value network.  Rollouts come from the
-shared environment (team reward), advantages from generalized advantage
-estimation against each head's critic, and updates from the clipped
-surrogate objective.  An agent's observation is fixed within a training
-epoch, so its networks run once per epoch in the rollout and the epoch
-is one table of ``[T, U]`` columns: one batched draw of every agent's
-actions, and one ``gae`` pass over all 2U heads (each critic's baseline
-is constant).  Each update indexes every column once, and runs every
-network forward and backward on its agent's one observation row, fed the
-per-sample gradients summed over the minibatch.  All numerics run on the
-hand-rolled ``nn.Mlp``.  A run lives in two blocks: every network of every
-agent is a view of one parameter block, row ``u`` for agent ``u``, and
-every optimizer's moments, gradient row and step scratch are views of one
-optimizer-state block, which is freed when ``train`` returns.  A checkpoint
-holds the parameter block and the shape it was cut by; loading one puts the
-agents back over it as views.
+Every user is an independent learner holding two actors and one critic:
+a categorical head over servers and a sigmoid-squashed Gaussian head for
+the local ratio, both judged by one value network, as in H-PPO (Fan et
+al. 2019, arXiv:1903.01344).  Rollouts come from the shared environment
+(team reward), advantages from generalized advantage estimation against
+the agent's critic, and updates from the clipped surrogate objective.  An
+agent's observation is fixed within a training epoch, so its networks run
+once per epoch in the rollout and the epoch is one table of ``[T, U]``
+columns: one batched draw of every agent's actions, and one ``gae`` pass
+over all U critics (each critic's baseline is constant).  Each update
+indexes every column once, and runs every network forward and backward on
+its agent's one observation row, fed the per-sample gradients summed over
+the minibatch.  All numerics run on the hand-rolled ``nn.Mlp``.  A run
+lives in two blocks: every network of every agent is a view of one
+parameter block, row ``u`` for agent ``u``, and every optimizer's moments,
+gradient row and step scratch are views of one optimizer-state block,
+which is freed when ``train`` returns.  A checkpoint holds the parameter
+block and the shape it was cut by; loading one puts the agents back over
+it as views.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from .env import MeqcEnv, observation_length
 from .nn import Adam, Mlp, Sgd
 from .workload import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # one learning-curve row per epoch: its mean per-step cost, then the
-# epoch means of the ``UpdateStats`` fields named after it
+# epoch means of the ``UpdateStats`` fields named after it (``value_loss``
+# is the one critic's squared error)
 CURVE_COLUMNS = ("epoch", "mean_cost", "policy_loss", "value_loss", "entropy")
 
 
@@ -99,14 +101,14 @@ class PolicyHeads:
 
     ``logp_server``/``probs`` are over servers; ``mean``/``log_std`` give
     the pre-squash Gaussian of the ratio, ``log_std`` already clamped;
-    ``values`` are the (server, ratio) critics' estimates.
+    ``value`` is the critic's estimate, the baseline of both heads.
     """
 
     logp_server: np.ndarray
     probs: np.ndarray
     mean: float
     log_std: float
-    values: tuple[float, float]
+    value: float
 
 
 def draw_actions(
@@ -148,16 +150,15 @@ def _net_layouts(obs_dim: int, num_servers: int, hidden: int) -> dict:
     """``(sizes, out_scale)`` of each of an agent's networks, in draw order."""
     return {
         "pi_server": ((obs_dim, hidden, hidden, num_servers), 0.01),
-        "v_server": ((obs_dim, hidden, hidden, 1), 1.0),
+        "value": ((obs_dim, hidden, hidden, 1), 1.0),
         "pi_ratio": ((obs_dim, hidden, hidden, 2), 0.01),
-        "v_ratio": ((obs_dim, hidden, hidden, 1), 1.0),
     }
 
 
 class HybridAgent:
-    """One user's policy and value networks.
+    """One user's two policy networks and its value network.
 
-    ``params`` holds the parameters of all four networks, one after another
+    ``params`` holds the parameters of all three networks, one after another
     in ``_net_layouts`` order, and each network's ``params`` is a view of it.
     A caller-owned ``params`` vector, such as a row of a run's parameter
     block, is overwritten with the drawn networks; otherwise the agent
@@ -226,14 +227,12 @@ class HybridAgent:
         log_std = np.clip(out[..., 1], LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std
 
-    def values(self, obs) -> tuple[float, float]:
-        return (
-            float(self.nets["v_server"].forward(obs)[0]),
-            float(self.nets["v_ratio"].forward(obs)[0]),
-        )
+    def values(self, obs) -> float:
+        """The critic's estimate at one observation."""
+        return float(self.nets["value"].forward(obs)[0])
 
     def heads(self, obs) -> PolicyHeads:
-        """Action distribution and both value estimates at one observation."""
+        """Action distribution and value estimate at one observation."""
         logits = self.server_logits(obs)
         logp_all = logits - _logsumexp(logits)
         mean, log_std = self.ratio_params(obs)
@@ -242,7 +241,7 @@ class HybridAgent:
             probs=np.exp(logp_all),
             mean=float(mean),
             log_std=float(log_std),
-            values=self.values(obs),
+            value=self.values(obs),
         )
 
     def greedy_action(self, obs) -> tuple[int, float]:
@@ -268,11 +267,11 @@ def _logsumexp(x):
 def gae(
     rewards: np.ndarray, values: np.ndarray, discount: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over one or more heads sharing ``rewards``.
+    """Generalized advantage estimation over one or more critics sharing ``rewards``.
 
     ``values`` is ``[T+1]`` or ``[T+1, ...]``: one entry per step plus the
     bootstrap value of the state after the last step, each trailing
-    column one head's baseline.  Returns (advantages, returns) shaped like
+    column one critic's baseline.  Returns (advantages, returns) shaped like
     ``values[:-1]``, where returns are advantages plus the baseline.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -298,6 +297,9 @@ def gae(
 
 @dataclass(frozen=True)
 class UpdateStats:
+    """An update's summed policy loss, its critic's mean squared error and
+    its summed entropy."""
+
     policy_loss: float
     value_loss: float
     entropy: float
@@ -316,23 +318,22 @@ def _surrogate_coef(ratio, adv, clip_eps):
 
 
 def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConfig) -> UpdateStats:
-    """One clipped-surrogate update of all four networks on one minibatch.
+    """One clipped-surrogate update of all three networks on one minibatch.
 
     ``batch["obs"]`` is the observation every sample shares, so each
     network runs forward and backward once, on that row, fed the sum of the
     per-sample upstream gradients (backprop is linear in the upstream).
-    Both policy heads maximize the clipped objective plus an entropy bonus;
-    both critics descend on squared error against their GAE returns.
-    Raises ``TrainingError`` if any loss goes non-finite.
+    Both policy heads maximize the clipped objective plus an entropy bonus,
+    on the same (normalised) advantages; the critic descends on squared
+    error against the GAE returns.  Raises ``TrainingError`` if any loss
+    goes non-finite.
     """
     obs = batch["obs"]
     server = batch["server"]
     n = len(server)
-    adv_a = batch["adv_server"]
-    adv_r = batch["adv_ratio"]
+    adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
-        adv_a = _normalize(adv_a)
-        adv_r = _normalize(adv_r)
+        adv = _normalize(adv)
 
     # Discrete head.
     logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
@@ -340,10 +341,10 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     probs = np.exp(logp_all)
     ratio = np.exp(logp_all[server] - batch["logp_server"])
     surr_a = np.minimum(
-        ratio * adv_a, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_a
+        ratio * adv, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
     entropy_a = -(probs * logp_all).sum()
-    coef = _surrogate_coef(ratio, adv_a, cfg.clip_epsilon)
+    coef = _surrogate_coef(ratio, adv, cfg.clip_epsilon)
     up_logits = -(coef / n)[:, None] * (np.eye(len(probs))[server] - probs)
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
     optimizers["pi_server"].descend(cache_a, up_logits.sum(0))
@@ -360,28 +361,23 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     )
     ratio_r = np.exp(logp_new_r - batch["logp_ratio"])
     surr_r = np.minimum(
-        ratio_r * adv_r,
-        np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_r,
+        ratio_r * adv, np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
     entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
-    coef_r = _surrogate_coef(ratio_r, adv_r, cfg.clip_epsilon)
+    coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
     up_mean = -(coef_r / n) * (zscore / std)
     up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
     up_out = np.array([up_mean.sum(), up_ls.sum()])
     optimizers["pi_ratio"].descend(cache_r, up_out)
 
-    # Critics.
-    value_loss = 0.0
-    for net_name, target in (("v_server", batch["ret_server"]), ("v_ratio", batch["ret_ratio"])):
-        v, cache_v = agent.nets[net_name].forward_cached(obs)
-        err = v[0] - target
-        value_loss += float(np.mean(err**2))
-        up_v = np.array([(2.0 * err / n).sum()])
-        optimizers[net_name].descend(cache_v, up_v)
+    # Critic.
+    v, cache_v = agent.nets["value"].forward_cached(obs)
+    err = v[0] - batch["ret"]
+    optimizers["value"].descend(cache_v, np.array([(2.0 * err / n).sum()]))
 
     stats = UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
-        value_loss=value_loss,
+        value_loss=float(np.mean(err**2)),
         entropy=float(entropy_a + entropy_r),
     )
     if not all(np.isfinite(v) for v in (stats.policy_loss, stats.value_loss, stats.entropy)):
@@ -482,12 +478,10 @@ def train(
         actions = draw_actions(heads, cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
         # each critic's value is the same at every step and after the last
-        values = np.array([h.values for h in heads]).T  # [2, U]: (server, ratio) x agent
-        baselines = np.broadcast_to(values, (cfg.steps_per_epoch + 1, *values.shape))
-        advantages, returns = gae(rewards, baselines, cfg.discount, cfg.gae_lambda)
-        rollout = dict(actions)
-        for i, head in enumerate(("server", "ratio")):
-            rollout[f"adv_{head}"], rollout[f"ret_{head}"] = advantages[:, i], returns[:, i]
+        values = np.array([h.value for h in heads])  # [U]
+        baselines = np.broadcast_to(values, (cfg.steps_per_epoch + 1, len(values)))
+        adv, ret = gae(rewards, baselines, cfg.discount, cfg.gae_lambda)
+        rollout = dict(actions, adv=adv, ret=ret)
 
         stats: list[UpdateStats] = []
         try:

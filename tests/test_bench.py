@@ -714,6 +714,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case, reason", [
         ("version_1", "unsupported checkpoint schema_version 1"),
+        ("version_2", "unsupported checkpoint schema_version 2"),
         ("width", "parameters per agent"),
         ("one_dimensional", "expected a [agents, parameters] block"),
         ("float32", "contiguous float64 vector"),
@@ -732,6 +733,9 @@ class TestCli:
             arrays.update(schema_version=1, num_agents=len(agents))
             for u, agent in enumerate(agents):
                 arrays.update({f"agent{u}.{name}": net.params for name, net in agent.nets.items()})
+        elif case == "version_2":  # the same block with a second critic after pi_ratio
+            critic = np.stack([agent.nets["value"].params for agent in agents])
+            arrays.update(schema_version=2, params=np.hstack([arrays["params"], critic]))
         elif case == "width":
             arrays["hidden_units"] = np.int64(9)
         elif case == "one_dimensional":

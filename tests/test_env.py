@@ -325,6 +325,13 @@ class TestStep:
             with pytest.raises(ValueError, match=message):
                 total_cost(scenario, action)
 
+    def test_step_refuses_grants_that_score_would_take(self):
+        # score takes grants as given; step checks them before scoring
+        env = MeqcEnv(gen_scenario(3, 2, 0))
+        env.reset()
+        with pytest.raises(ValueError, match="user 0 claims an infeasible QPU grant on server 0"):
+            env.step(JointAction((0, 0, 0), (1.0, 1.0, 1.0), (1, 1, 1)))
+
     def test_joint_action_fields_are_read_only_copies(self):
         servers, ratios = [0, 1], np.array([0.5, 1.0])
         action = JointAction(servers, ratios, (0, 0))

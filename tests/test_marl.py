@@ -215,10 +215,8 @@ def constant_batch(agent, obs, server, advantage, rng, n=32):
     return {
         "obs": obs,
         **samples,
-        "adv_server": np.full(n, advantage),
-        "adv_ratio": np.zeros(n),
-        "ret_server": np.zeros(n),
-        "ret_ratio": np.zeros(n),
+        "adv": np.full(n, advantage),
+        "ret": np.zeros(n),
     }
 
 
@@ -272,15 +270,7 @@ class TestPpoUpdate:
         for _ in range(200):
             samples = draw_one(agent, obs, 64, rng)
             rewards = (samples["server"] == 0).astype(float)
-            value = agent.values(obs)[0]
-            batch = {
-                "obs": obs,
-                **samples,
-                "adv_server": rewards - value,
-                "adv_ratio": np.zeros(64),
-                "ret_server": rewards,
-                "ret_ratio": rewards,
-            }
+            batch = {"obs": obs, **samples, "adv": rewards - agent.values(obs), "ret": rewards}
             ppo_update(agent, opts, batch, cfg)
             probs = np.exp(agent.server_logits(obs) - _lse(agent.server_logits(obs)))
             assert abs(probs.sum() - 1.0) < 1e-6
@@ -288,13 +278,34 @@ class TestPpoUpdate:
         probs = np.exp(logits - _lse(logits))
         assert probs[0] >= 0.95
 
+    @pytest.mark.parametrize("normalize", [True, False], ids=["norm", "raw"])
+    def test_both_heads_take_one_advantage(self, monkeypatch, normalize):
+        # one critic: the server and ratio heads are weighted by the same
+        # advantages, normalised once
+        seen = []
+        real_coef = marl._surrogate_coef
+
+        def recording_coef(ratio, adv, clip_eps):
+            seen.append(adv.copy())
+            return real_coef(ratio, adv, clip_eps)
+
+        monkeypatch.setattr(marl, "_surrogate_coef", recording_coef)
+        agent = self.make_agent(seed=3)
+        cfg = TrainConfig(normalize_advantages=normalize)
+        batch = perturbed_batch(agent, np.full(4, 0.3), 64, seed=4)
+        ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
+        want = _normalize(batch["adv"]) if normalize else batch["adv"]
+        assert len(seen) == 2  # the server head, then the ratio head
+        for adv in seen:
+            assert adv.tobytes() == want.tobytes()
+
     def test_non_finite_loss_aborts(self):
         agent = self.make_agent(seed=2)
         cfg = TrainConfig()
         obs = np.full(4, 0.1)
         batch = constant_batch(agent, obs, server=0, advantage=1.0,
                                rng=np.random.default_rng(3))
-        batch["adv_server"] = np.full(32, np.nan)
+        batch["adv"] = np.full(32, np.nan)
         with pytest.raises(TrainingError, match="non-finite"):
             ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
 
@@ -303,11 +314,9 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     """The tiled update: every network runs on ``batch["obs"]``, one row per sample."""
     obs = batch["obs"]
     n = len(obs)
-    adv_a = batch["adv_server"]
-    adv_r = batch["adv_ratio"]
+    adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
-        adv_a = _normalize(adv_a)
-        adv_r = _normalize(adv_r)
+        adv = _normalize(adv)
 
     logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
     logp_all = logits - _logsumexp(logits)[:, None]
@@ -315,10 +324,10 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     logp_new = logp_all[np.arange(n), batch["server"]]
     ratio = np.exp(logp_new - batch["logp_server"])
     surr_a = np.minimum(
-        ratio * adv_a, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_a
+        ratio * adv, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
     entropy_a = -(probs * logp_all).sum(axis=1)
-    coef = _surrogate_coef(ratio, adv_a, cfg.clip_epsilon)
+    coef = _surrogate_coef(ratio, adv, cfg.clip_epsilon)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), batch["server"]] = 1.0
     up_logits = -(coef / n)[:, None] * (one_hot - probs)
@@ -337,28 +346,22 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     )
     ratio_r = np.exp(logp_new_r - batch["logp_ratio"])
     surr_r = np.minimum(
-        ratio_r * adv_r,
-        np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv_r,
+        ratio_r * adv, np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
     entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
-    coef_r = _surrogate_coef(ratio_r, adv_r, cfg.clip_epsilon)
+    coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
     up_out = np.zeros_like(out)
     up_out[:, 0] = -(coef_r / n) * (zscore / std)
     up_out[:, 1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
     optimizers["pi_ratio"].step(agent.nets["pi_ratio"].backward(cache_r, up_out))
 
-    value_loss = 0.0
-    for net_name, target in (("v_server", batch["ret_server"]), ("v_ratio", batch["ret_ratio"])):
-        v, cache_v = agent.nets[net_name].forward_cached(obs)
-        err = v[:, 0] - target
-        value_loss += float(np.mean(err**2))
-        optimizers[net_name].step(
-            agent.nets[net_name].backward(cache_v, (2.0 * err / n)[:, None])
-        )
+    v, cache_v = agent.nets["value"].forward_cached(obs)
+    err = v[:, 0] - batch["ret"]
+    optimizers["value"].step(agent.nets["value"].backward(cache_v, (2.0 * err / n)[:, None]))
 
     return UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
-        value_loss=value_loss,
+        value_loss=float(np.mean(err**2)),
         entropy=float(entropy_a.mean() + entropy_r.mean()),
     )
 
@@ -370,7 +373,7 @@ def perturbed_batch(agent, obs, n, seed):
     batch = constant_batch(agent, obs, None, 0.0, rng, n=n)
     batch["logp_server"] = batch["logp_server"] + rng.normal(0.0, 0.3, n)
     batch["logp_ratio"] = batch["logp_ratio"] + rng.normal(0.0, 0.3, n)
-    for key in ("adv_server", "adv_ratio", "ret_server", "ret_ratio"):
+    for key in ("adv", "ret"):
         batch[key] = rng.normal(0.0, 2.0, n)
     return batch
 
@@ -454,8 +457,8 @@ class TestTrain:
         cfg = self.smoke_config()
         train(gen_scenario(3, 2, seed=0), cfg, seed=0)
         agents = 3
-        assert counts["rollout"] == 4 * agents * cfg.epochs
-        assert counts["update"] == 4 * agents * cfg.epochs * cfg.updates_per_epoch
+        assert counts["rollout"] == 3 * agents * cfg.epochs
+        assert counts["update"] == 3 * agents * cfg.epochs * cfg.updates_per_epoch
 
     def test_one_gae_call_per_epoch(self, monkeypatch):
         shapes = []
@@ -468,7 +471,7 @@ class TestTrain:
         monkeypatch.setattr(marl, "gae", counting_gae)
         cfg = self.smoke_config()
         train(gen_scenario(3, 2, seed=0), cfg, seed=0)
-        assert shapes == [(cfg.steps_per_epoch + 1, 2, 3)] * cfg.epochs
+        assert shapes == [(cfg.steps_per_epoch + 1, 3)] * cfg.epochs
 
     @pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redraw"])
     def test_epoch_scored_in_one_batch(self, monkeypatch, redraw):
@@ -543,7 +546,7 @@ class TestTrain:
             stats = real_update(agent, optimizers, batch, cfg)
             calls.append(agent)
             if len(calls) == len(scenario.columns.f_local) + 1:  # epoch 1, first agent
-                agent.nets["v_ratio"].weights[1][0, 0] = np.nan
+                agent.nets["value"].weights[1][0, 0] = np.nan
             return stats
 
         monkeypatch.setattr(marl, "ppo_update", poisoning_update)
@@ -563,7 +566,7 @@ class TestTrain:
         with pytest.raises(TrainingError, match="non-finite parameters"):
             train(scenario, cfg, seed=4)
         assert saved == []
-        assert np.isnan(calls[0].nets["v_ratio"].weights[1][0, 0])
+        assert np.isnan(calls[0].nets["value"].weights[1][0, 0])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.npz"]
 
     def test_curve_written(self, tmp_path):
@@ -611,7 +614,7 @@ class TestMemoryBlocks:
         for u, agent in enumerate(result.agents):
             assert agent.params.base is block and np.shares_memory(agent.params, block[u])
             offset = 0
-            names = ("pi_server", "v_server", "pi_ratio", "v_ratio")
+            names = ("pi_server", "value", "pi_ratio")
             for name, net in zip(names, agent.nets.values(), strict=True):
                 assert net is agent.nets[name] and net.params.base is block
                 assert np.shares_memory(net.params, block[u, offset : offset + net.num_params])
@@ -621,7 +624,7 @@ class TestMemoryBlocks:
     def test_optimizer_state_shares_another_block(self, monkeypatch):
         result, optimizers = self.run(monkeypatch)
         params = result.agents[0].params.base
-        assert len(optimizers) == 4 * self.users
+        assert len(optimizers) == 3 * self.users
         state = optimizers[0].m.base
         assert state is not None and not np.shares_memory(state, params)
         start = state.__array_interface__["data"][0]
@@ -720,7 +723,7 @@ class TestCheckpoint:
             assert sorted(data.files) == [
                 "hidden_units", "num_servers", "obs_dim", "params", "schema_version"
             ]
-            assert int(data["schema_version"]) == 2
+            assert int(data["schema_version"]) == 3
             first = agents[0]
             assert [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")] == [
                 first.obs_dim, first.num_servers, first.hidden
