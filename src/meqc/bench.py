@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from .device import CryostatConfig, QubitTech
-from .env import observation_length
 from .marl import HybridAgent, LearnedPolicy, TrainConfig, load_checkpoint
 from .solvers import BaselinePolicy, PolicyKind, evaluate
 from .workload import (
@@ -360,15 +359,15 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
     try:
         agents = load_checkpoint(cfg.checkpoint)
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        # missing, empty, truncated, not an .npz archive, not a v2 checkpoint,
-        # or holding non-finite parameters
+        # missing, empty, truncated, not an .npz archive, not a v3 checkpoint,
+        # cut for inconsistent dimensions or holding non-finite parameters
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}") from exc
-    obs_dim = observation_length(cfg.servers)
-    if len(agents) != cfg.users or agents[0].obs_dim != obs_dim:
-        shape = f" with obs_dim {agents[0].obs_dim}" if agents else ""
+    # a loaded agent's obs_dim fits its num_servers, so the servers decide the fit
+    if len(agents) != cfg.users or agents[0].num_servers != cfg.servers:
+        shape = f" for {agents[0].num_servers} servers" if agents else ""
         raise ConfigError(
             f"checkpoint: {cfg.checkpoint} holds {len(agents)} agents{shape}, but the "
-            f"scenario has {cfg.users} users and obs_dim {obs_dim}"
+            f"scenario has {cfg.users} users and {cfg.servers} servers"
         )
     return agents
 

@@ -6,19 +6,19 @@ the local ratio, both judged by one value network, as in H-PPO (Fan et
 al. 2019, arXiv:1903.01344).  Rollouts come from the shared environment
 (team reward), advantages from generalized advantage estimation against
 the agent's critic, and updates from the clipped surrogate objective.  An
-agent's observation is fixed within a training epoch, so its networks run
-once per epoch in the rollout and the epoch is one table of ``[T, U]``
-columns: one batched draw of every agent's actions, and one ``gae`` pass
-over all U critics (each critic's baseline is constant).  Each update
-indexes every column once, and runs every network forward and backward on
-its agent's one observation row, fed the per-sample gradients summed over
-the minibatch.  All numerics run on the hand-rolled ``nn.Mlp``.  A run
-lives in two blocks: every network of every agent is a view of one
-parameter block, row ``u`` for agent ``u``, and every optimizer's moments,
-gradient row and step scratch are views of one optimizer-state block,
-which is freed when ``train`` returns.  A checkpoint holds the parameter
-block and the shape it was cut by; loading one puts the agents back over
-it as views.
+agent's observation is fixed within a training epoch, so every network
+call is on that one row: each network runs once per epoch in the
+rollout, whose epoch is one table of ``[T, U]`` columns (one batched draw
+of every agent's actions, one ``gae`` pass over all U constant critic
+baselines), and once forward and backward per update, fed the
+per-sample gradients summed over the minibatch.  All numerics run on the
+hand-rolled, one-row ``nn.Mlp``.  An agent and each of its networks are
+views of a given parameter vector, or of zeros, and draw only when given
+a generator.  A run lives in two blocks: agent ``u`` views row ``u`` of
+one parameter block, and every optimizer's moments, gradient row and step
+scratch are views of one optimizer-state block, freed when ``train``
+returns.  A checkpoint holds the parameter block and the shape it was cut
+by; loading one puts the agents back over its rows.
 """
 
 from __future__ import annotations
@@ -160,50 +160,34 @@ class HybridAgent:
 
     ``params`` holds the parameters of all three networks, one after another
     in ``_net_layouts`` order, and each network's ``params`` is a view of it.
-    A caller-owned ``params`` vector, such as a row of a run's parameter
-    block, is overwritten with the drawn networks; otherwise the agent
-    allocates its own.  An agent pickles as its shape and ``params``, and
-    unpickles through ``from_params``, so its networks stay views.
+    The agent views a given ``params``, such as a row of a run's parameter
+    block, or zeros of its own; only with ``rng`` do its networks draw their
+    initial weights into it, in that order.  An agent pickles as its shape
+    and ``params``, so its networks stay views.
     """
 
-    def __init__(self, obs_dim: int, num_servers: int, hidden: int, rng: np.random.Generator,
-                 params: np.ndarray | None = None):
-        views = self._allocate(obs_dim, num_servers, hidden, params)
-        self.nets = {
-            name: Mlp(sizes, rng, out_scale=out_scale, params=views[name])
-            for name, (sizes, out_scale) in _net_layouts(obs_dim, num_servers, hidden).items()
-        }
-
-    @classmethod
-    def from_params(cls, obs_dim: int, num_servers: int, hidden: int,
-                    params: np.ndarray) -> HybridAgent:
-        """An agent whose networks are views of ``params``; nothing is drawn."""
-        agent = cls.__new__(cls)
-        views = agent._allocate(obs_dim, num_servers, hidden, params)
-        agent.nets = {
-            name: Mlp.from_params(sizes, views[name])
-            for name, (sizes, _) in _net_layouts(obs_dim, num_servers, hidden).items()
-        }
-        return agent
-
-    def __reduce__(self):
-        return type(self).from_params, (self.obs_dim, self.num_servers, self.hidden, self.params)
-
-    @staticmethod
-    def param_count(obs_dim: int, num_servers: int, hidden: int) -> int:
-        """Length of an agent's ``params``: the sum over its networks."""
-        layouts = _net_layouts(obs_dim, num_servers, hidden).values()
-        return sum(Mlp.param_count(sizes) for sizes, _ in layouts)
-
-    def _allocate(self, obs_dim, num_servers, hidden, params) -> dict[str, np.ndarray]:
-        """Set the shape and ``params`` (zeros when omitted); return its per-network views."""
+    def __init__(self, obs_dim: int, num_servers: int, hidden: int,
+                 rng: np.random.Generator | None = None, params: np.ndarray | None = None):
         self.obs_dim = obs_dim
         self.num_servers = num_servers
         self.hidden = hidden
         if params is None:
             params = np.zeros(self.param_count(obs_dim, num_servers, hidden))
         self.params = params
-        return self.split(params)
+        views = self.split(params)
+        self.nets = {
+            name: Mlp(sizes, rng, out_scale=out_scale, params=views[name])
+            for name, (sizes, out_scale) in _net_layouts(obs_dim, num_servers, hidden).items()
+        }
+
+    def __reduce__(self):
+        return HybridAgent, (self.obs_dim, self.num_servers, self.hidden, None, self.params)
+
+    @staticmethod
+    def param_count(obs_dim: int, num_servers: int, hidden: int) -> int:
+        """Length of an agent's ``params``: the sum over its networks."""
+        layouts = _net_layouts(obs_dim, num_servers, hidden).values()
+        return sum(Mlp.param_count(sizes) for sizes, _ in layouts)
 
     def split(self, array: np.ndarray) -> dict[str, np.ndarray]:
         """Per-network views of ``array``'s last axis, laid out like ``params``."""
@@ -223,8 +207,8 @@ class HybridAgent:
     def ratio_params(self, obs):
         """(mean, log_std) of the pre-squash Gaussian, log_std clamped."""
         out = self.nets["pi_ratio"].forward(obs)
-        mean = out[..., 0]
-        log_std = np.clip(out[..., 1], LOG_STD_MIN, LOG_STD_MAX)
+        mean = out[0]
+        log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std
 
     def values(self, obs) -> float:
@@ -260,8 +244,8 @@ def _non_finite_rows(params: np.ndarray) -> list[int]:
 
 
 def _logsumexp(x):
-    m = np.max(x, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))).squeeze(-1)
+    m = np.max(x)
+    return m + np.log(np.sum(np.exp(x - m)))
 
 
 def gae(
@@ -457,9 +441,7 @@ def train(
         (env.num_users, HybridAgent.param_count(obs_dim, env.num_servers, cfg.hidden_units))
     )
     agents = [
-        HybridAgent(
-            obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss), params=row
-        )
+        HybridAgent(obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss), row)
         for ss, row in zip(agents_ss.spawn(env.num_users), params)
     ]
     optimizers = _make_optimizers(agents, cfg)
@@ -544,18 +526,27 @@ def load_checkpoint(path: str | Path) -> list[HybridAgent]:
     """The checkpoint's agents, each a view of one row of its parameter block.
 
     Nothing is copied or drawn.  Raises ``ValueError`` for another schema
-    version, a block that is not ``[U, P]`` with ``P`` fitting the shape,
-    or rows holding a NaN or infinity.
+    version, a dimension below 1, an ``obs_dim`` that does not fit
+    ``num_servers``, a block that is not ``[U, P]`` with ``P`` fitting the
+    shape, or rows holding a NaN or infinity.
     """
     with np.load(path) as data:
         version = int(data["schema_version"])
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(f"unsupported checkpoint schema_version {version}")
-        dims = [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")]
+        obs_dim, num_servers, hidden = dims = [
+            int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")
+        ]
         params = data["params"]
+    if min(dims) < 1:
+        raise ValueError(f"dimensions must be >= 1, got obs_dim {obs_dim}, "
+                         f"num_servers {num_servers}, hidden_units {hidden}")
+    if obs_dim != observation_length(num_servers):
+        raise ValueError(f"obs_dim {obs_dim} does not fit {num_servers} servers, "
+                         f"whose observations have {observation_length(num_servers)} entries")
     if params.ndim != 2:
         raise ValueError(f"expected a [agents, parameters] block, got shape {params.shape}")
-    agents = [HybridAgent.from_params(*dims, row) for row in params]
+    agents = [HybridAgent(*dims, params=row) for row in params]
     bad = _non_finite_rows(params)
     if bad:
         raise ValueError(f"non-finite parameters for agents {bad}")

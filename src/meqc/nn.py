@@ -1,9 +1,11 @@
 """Minimal dense network with hand-written reverse-mode gradients.
 
 Deliberately framework-free: a stack of affine layers with tanh hidden
-activations and a linear output.  ``backward`` returns exact analytic
-gradients for an arbitrary upstream gradient on the outputs; the test
-suite pins them against central finite differences.
+activations and a linear output, run on one input row at a time, since
+every learner call feeds a network its agent's one observation.
+``backward`` returns exact analytic gradients for an arbitrary upstream
+gradient on that row's output; the test suite pins them against central
+finite differences.
 
 Parameters and gradients are flat vectors, weights then bias per layer,
 so the optimizers update a whole network with a few in-place array
@@ -16,44 +18,19 @@ import numpy as np
 
 
 class Mlp:
-    """Fully connected tanh network.
+    """Fully connected tanh network over one flat parameter vector.
 
     ``sizes`` lists layer widths input-first, e.g. ``(14, 256, 256, 3)``.
-    ``out_scale`` shrinks the output layer's initial weights, which keeps
-    freshly initialized policy heads near-uniform.  ``params`` holds every
-    parameter; ``weights`` and ``biases`` are views of it.  Passing
-    ``params`` makes the network draw into that caller-owned vector, e.g. a
-    slice of a run's parameter block; otherwise it allocates its own.
-    ``from_params`` puts a network over a given vector without drawing.
+    ``params`` holds every parameter; ``weights`` and ``biases`` are views
+    of it.  The network views a given ``params``, a contiguous float64
+    vector such as a slice of a run's parameter block, or zeros of its own.
+    Only with ``rng`` does it draw: the biases are zeroed and each weight
+    matrix is drawn into place, ``out_scale`` shrinking the output layer's,
+    which keeps freshly initialized policy heads near-uniform.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator, out_scale: float = 1.0,
+    def __init__(self, sizes, rng: np.random.Generator | None = None, out_scale: float = 1.0,
                  params: np.ndarray | None = None):
-        self._allocate(sizes, params)
-        for b in self.biases:
-            b.fill(0.0)
-        for i, w in enumerate(self.weights):
-            scale = 1.0 / np.sqrt(w.shape[0])
-            if i == len(self.weights) - 1:
-                scale *= out_scale
-            # the stream and values of rng.normal(0.0, scale, w.shape)
-            rng.standard_normal(out=w)
-            w *= scale
-
-    @classmethod
-    def from_params(cls, sizes, params: np.ndarray) -> Mlp:
-        """A network of ``sizes`` whose parameters are views of ``params``; nothing is drawn."""
-        net = cls.__new__(cls)
-        net._allocate(sizes, params)
-        return net
-
-    @staticmethod
-    def param_count(sizes) -> int:
-        """Length of the flat parameter vector of a network of ``sizes``."""
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-
-    def _allocate(self, sizes, params: np.ndarray | None) -> None:
-        """Set ``params`` (zeros when omitted) with ``weights``/``biases`` as its views."""
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
         self.sizes = tuple(int(s) for s in sizes)
@@ -64,9 +41,25 @@ class Mlp:
                   and params.flags.c_contiguous):
             raise ValueError(f"expected a contiguous float64 vector of {count} parameters")
         self.params = params
-        layers = self.layers(self.params)
+        layers = self.layers(params)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
+        if rng is None:
+            return
+        for b in self.biases:
+            b.fill(0.0)
+        for i, w in enumerate(self.weights):
+            scale = 1.0 / np.sqrt(w.shape[0])
+            if i == len(self.weights) - 1:
+                scale *= out_scale
+            # the stream and values of rng.normal(0.0, scale, w.shape)
+            rng.standard_normal(out=w)
+            w *= scale
+
+    @staticmethod
+    def param_count(sizes) -> int:
+        """Length of the flat parameter vector of a network of ``sizes``."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
     @property
     def num_params(self) -> int:
@@ -86,47 +79,35 @@ class Mlp:
         return views
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic forward pass; accepts a single vector or a batch."""
-        y, _ = self.forward_cached(x)
-        return y
+        """Deterministic forward pass of one ``[sizes[0]]`` row."""
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass returning (output, activation cache) for ``backward``."""
+        """Forward pass of one row: its output and, as the cache, its activations."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.sizes[0]:
-            raise ValueError(
-                f"input width {x.shape[1]} does not match layer width {self.sizes[0]}"
-            )
+        if x.shape != (self.sizes[0],):
+            raise ValueError(f"input shape {x.shape} is not one row of width {self.sizes[0]}")
         activations = [x]
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.tanh(h)
-            activations.append(h)
-        out = h[0] if squeeze else h
-        return out, (activations, squeeze)
+            h = activations[-1] @ w + b
+            activations.append(np.tanh(h) if i != last else h)
+        return activations[-1], activations
 
     def backward(self, cache, upstream: np.ndarray, out: np.ndarray | None = None):
-        """Gradient of ``sum(upstream * output)`` w.r.t. ``params``.
+        """Gradient of ``upstream @ output`` w.r.t. ``params`` at the cached row.
 
-        ``upstream`` must match the cached forward's output shape; batch
-        contributions are summed.  The gradient is written into ``out`` (a
-        fresh vector when omitted) in the parameter layout, and returned.
+        ``upstream`` is one ``[sizes[-1]]`` row.  Per layer the weight
+        gradient is ``outer(input, g)`` and the bias gradient ``g``, written
+        into ``out`` (a fresh vector when omitted) in the parameter layout,
+        which is returned.
         """
-        activations, squeeze = cache
+        activations = cache
         g = np.asarray(upstream, dtype=np.float64)
-        expected = activations[-1].shape[1:] if squeeze else activations[-1].shape
-        if g.shape != expected:
+        if g.shape != (self.sizes[-1],):
             raise ValueError(
-                f"upstream shape {g.shape} does not match cached output {expected}"
+                f"upstream shape {g.shape} is not one row of width {self.sizes[-1]}"
             )
-        if squeeze:
-            g = g[None, :]
         grad = np.empty(self.num_params) if out is None else out
         layers = self.layers(grad)
         last = len(layers) - 1
@@ -134,8 +115,8 @@ class Mlp:
             if i != last:
                 g = g * (1.0 - activations[i + 1] ** 2)  # through tanh
             dw, db = layers[i]
-            np.matmul(activations[i].T, g, out=dw)
-            np.sum(g, axis=0, out=db)
+            np.outer(activations[i], g, out=dw)
+            db[:] = g
             if i > 0:
                 g = g @ self.weights[i].T
         return grad

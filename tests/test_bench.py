@@ -20,7 +20,7 @@ from meqc.bench import (
 )
 from meqc.cli import main
 from meqc.env import MeqcEnv
-from meqc.marl import TrainConfig, save_checkpoint, train
+from meqc.marl import HybridAgent, TrainConfig, save_checkpoint, train
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import gen_scenario
 
@@ -400,6 +400,23 @@ class TestRunSweep:
         parallel = run_sweep(tiny_sweep_config(workers=2))
         assert serial == parallel
 
+    def test_trained_sweep_through_a_process_pool(self, tmp_path):
+        # the pool pickles the loaded agents into each grid point's task
+        cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
+                          batch_size=4, hidden_units=8)
+        path = tmp_path / "agents.npz"
+        save_checkpoint(path, train(gen_scenario(2, 2, seed=0), cfg, 0).agents)
+        text = (
+            "scenario: {users: 2, servers: 2}\n"
+            "sweep: {parameter: edge_cpu, values: [10.0e9, 20.0e9]}\n"
+            f"policies: [trained, local]\ncheckpoint: {path}\nepisodes: 2\nseeds: [0]\n"
+        )
+        serial = run_sweep(parse_config(text))
+        assert [(r["value"], r["policy"]) for r in serial] == [
+            (value, policy) for value in (10.0e9, 20.0e9) for policy in ("local", "trained")
+        ]
+        assert run_sweep(parse_config(text + "workers: 2\n")) == serial
+
     def test_pool_bounded_by_grid_size(self, tmp_path, monkeypatch):
         import meqc.bench
 
@@ -657,8 +674,8 @@ class TestCli:
         assert f"checkpoint: cannot load {path}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("users, servers", [(1, 2), (3, 2), (2, 3)],
-                             ids=["fewer_users", "more_users", "more_servers"])
+    @pytest.mark.parametrize("users, servers", [(1, 2), (3, 2), (2, 3), (2, 1)],
+                             ids=["fewer_users", "more_users", "more_servers", "fewer_servers"])
     def test_checkpoint_not_fitting_scenario(self, users, servers, tmp_path, capsys):
         cfg = TrainConfig(epochs=1, steps_per_epoch=4, updates_per_epoch=1,
                           batch_size=4, hidden_units=8)
@@ -716,6 +733,10 @@ class TestCli:
         ("version_1", "unsupported checkpoint schema_version 1"),
         ("version_2", "unsupported checkpoint schema_version 2"),
         ("width", "parameters per agent"),
+        ("no_servers", "dimensions must be >= 1, got obs_dim 8, num_servers 0"),
+        ("no_hidden", "dimensions must be >= 1"),
+        ("more_logits", "obs_dim 12 does not fit 3 servers"),
+        ("fewer_logits", "obs_dim 12 does not fit 1 servers"),
         ("one_dimensional", "expected a [agents, parameters] block"),
         ("float32", "contiguous float64 vector"),
         ("non_finite", "non-finite parameters for agents [0, 1]"),
@@ -738,6 +759,15 @@ class TestCli:
             arrays.update(schema_version=2, params=np.hstack([arrays["params"], critic]))
         elif case == "width":
             arrays["hidden_units"] = np.int64(9)
+        elif case == "no_servers":  # an observation without server columns
+            arrays.update(obs_dim=8, num_servers=0)
+        elif case == "no_hidden":
+            arrays["hidden_units"] = np.int64(0)
+        elif case.endswith("_logits"):  # well-formed agents whose heads miss the scenario
+            servers = 3 if case == "more_logits" else 1
+            arrays.update(num_servers=servers, params=np.stack([
+                HybridAgent(12, servers, 8, rng=np.random.default_rng(u)).params for u in range(2)
+            ]))
         elif case == "one_dimensional":
             arrays["params"] = arrays["params"].ravel()
         elif case == "float32":

@@ -32,6 +32,8 @@ from meqc.nn import Mlp
 from meqc.solvers import evaluate
 from meqc.workload import gen_scenario
 
+from test_nn import reference_backward, reference_forward
+
 
 def discounted_advantage_oracle(rewards, values, discount, lam):
     """Forward-evaluated sum of discounted one-step errors."""
@@ -311,15 +313,16 @@ class TestPpoUpdate:
 
 
 def reference_ppo_update(agent, optimizers, batch, cfg):
-    """The tiled update: every network runs on ``batch["obs"]``, one row per sample."""
+    """The tiled update: every network runs on ``batch["obs"]``, one row per
+    sample, and steps along the sum of the per-sample gradients."""
     obs = batch["obs"]
     n = len(obs)
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
 
-    logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
-    logp_all = logits - _logsumexp(logits)[:, None]
+    logits, cache_a = reference_forward(agent.nets["pi_server"], obs)
+    logp_all = logits - np.array([_logsumexp(row) for row in logits])[:, None]
     probs = np.exp(logp_all)
     logp_new = logp_all[np.arange(n), batch["server"]]
     ratio = np.exp(logp_new - batch["logp_server"])
@@ -332,9 +335,9 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     one_hot[np.arange(n), batch["server"]] = 1.0
     up_logits = -(coef / n)[:, None] * (one_hot - probs)
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
-    optimizers["pi_server"].step(agent.nets["pi_server"].backward(cache_a, up_logits))
+    optimizers["pi_server"].step(reference_backward(agent.nets["pi_server"], cache_a, up_logits))
 
-    out, cache_r = agent.nets["pi_ratio"].forward_cached(obs)
+    out, cache_r = reference_forward(agent.nets["pi_ratio"], obs)
     mean = out[:, 0]
     raw_ls = out[:, 1]
     log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
@@ -353,11 +356,12 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     up_out = np.zeros_like(out)
     up_out[:, 0] = -(coef_r / n) * (zscore / std)
     up_out[:, 1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
-    optimizers["pi_ratio"].step(agent.nets["pi_ratio"].backward(cache_r, up_out))
+    optimizers["pi_ratio"].step(reference_backward(agent.nets["pi_ratio"], cache_r, up_out))
 
-    v, cache_v = agent.nets["value"].forward_cached(obs)
+    v, cache_v = reference_forward(agent.nets["value"], obs)
     err = v[:, 0] - batch["ret"]
-    optimizers["value"].step(agent.nets["value"].backward(cache_v, (2.0 * err / n)[:, None]))
+    up_v = (2.0 * err / n)[:, None]
+    optimizers["value"].step(reference_backward(agent.nets["value"], cache_v, up_v))
 
     return UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
@@ -690,6 +694,20 @@ class TestMemoryBlocks:
             HybridAgent(obs_dim=5, num_servers=2, hidden=8, rng=np.random.default_rng(4),
                         params=np.zeros(own.params.size + 1))
 
+    def test_agent_views_a_given_row_without_drawing(self):
+        source = HybridAgent(obs_dim=5, num_servers=2, hidden=8, rng=np.random.default_rng(4))
+        source.params += 0.25  # biases too: a view must not zero them
+        block = np.stack([np.full(source.params.size, 7.0), source.params])
+        before = block.tobytes()
+        agent = HybridAgent(obs_dim=5, num_servers=2, hidden=8, params=block[1])
+        assert block.tobytes() == before  # nothing drawn or zeroed
+        assert np.shares_memory(agent.params, block[1])
+        assert all(net.params.base is block for net in agent.nets.values())
+        obs = np.linspace(0.0, 1.0, 5)
+        assert agent.greedy_action(obs) == source.greedy_action(obs)
+        assert agent.values(obs) == source.values(obs)
+        assert not HybridAgent(obs_dim=5, num_servers=2, hidden=8).params.any()
+
 
 def trained_agents(users, servers, hidden=16):
     """Agents of a short training run on a ``users`` x ``servers`` scenario."""
@@ -739,9 +757,18 @@ class TestCheckpoint:
         agents = train(scenario, cfg, seed=9).agents
         path = tmp_path / "agents.npz"
         save_checkpoint(path, agents)
-        drawn = []  # Mlp.__init__ is what draws initial weights from normals
-        monkeypatch.setattr(Mlp, "__init__", lambda *args, **kwargs: drawn.append(args))
-        monkeypatch.setattr(np.random, "default_rng", lambda *args: drawn.append(args))
+        # a network draws only from a generator it is given, and none can be
+        # made without one of these
+        drawn, real_init = [], Mlp.__init__
+
+        def recording_init(self, sizes, rng=None, *args, **kwargs):
+            if rng is not None:
+                drawn.append(sizes)
+            real_init(self, sizes, rng, *args, **kwargs)
+
+        monkeypatch.setattr(Mlp, "__init__", recording_init)
+        for name in ("default_rng", "Generator", "RandomState"):
+            monkeypatch.setattr(np.random, name, lambda *args, **kwargs: drawn.append(args))
         restored = load_checkpoint(path)
         assert drawn == []
         # one loaded [U, P] block: every agent is a row of its buffer

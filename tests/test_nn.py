@@ -10,16 +10,28 @@ import pytest
 from meqc.nn import Adam, Mlp, Sgd
 
 
-def finite_difference(net, x, upstream, index, h=1e-6):
-    """Central difference of sum(upstream * net(x)) along one parameter."""
+def reference_forward(net, xs):
+    """A batch forward over the one-row network: the ``[n, sizes[-1]]``
+    outputs of the rows of ``xs``, and each row's cache."""
+    passes = [net.forward_cached(x) for x in xs]
+    return np.array([y for y, _ in passes]), [cache for _, cache in passes]
+
+
+def reference_backward(net, caches, upstreams):
+    """A batch backward: the one-row gradients at each cached row, summed."""
+    return sum(net.backward(cache, g) for cache, g in zip(caches, upstreams))
+
+
+def finite_difference(net, xs, upstream, index, h=1e-6):
+    """Central difference of sum(upstream * net(xs)) along one parameter."""
     flat = net.params.copy()
     bumped = flat.copy()
     bumped[index] += h
     net.params[:] = bumped
-    plus = float(np.sum(upstream * net.forward(x)))
+    plus = float(np.sum(upstream * reference_forward(net, xs)[0]))
     bumped[index] -= 2 * h
     net.params[:] = bumped
-    minus = float(np.sum(upstream * net.forward(x)))
+    minus = float(np.sum(upstream * reference_forward(net, xs)[0]))
     net.params[:] = flat
     return (plus - minus) / (2 * h)
 
@@ -92,17 +104,13 @@ class TestForward:
         b = net.forward(x)
         assert np.array_equal(a, b)
 
-    def test_batch_matches_single(self):
-        net = Mlp((3, 5, 2), np.random.default_rng(3))
-        xs = np.random.default_rng(4).normal(size=(6, 3))
-        batch = net.forward(xs)
-        for i, x in enumerate(xs):
-            assert np.allclose(batch[i], net.forward(x), rtol=1e-14)
-
     def test_shape_mismatch(self):
+        # a network runs on one row: a batch, even of one row, is refused
         net = Mlp((3, 2), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="width"):
-            net.forward(np.ones(4))
+        for x in (np.ones(4), np.ones(2), np.ones((1, 3)), np.ones((4, 3)), np.float64(1.0)):
+            for run in (net.forward, net.forward_cached):
+                with pytest.raises(ValueError, match="not one row of width 3"):
+                    run(x)
 
 
 class TestBackward:
@@ -112,8 +120,8 @@ class TestBackward:
             net = Mlp(sizes, rng)
             x = rng.normal(size=(4, sizes[0]))
             upstream = rng.normal(size=(4, sizes[-1]))
-            _, cache = net.forward_cached(x)
-            analytic = net.backward(cache, upstream)
+            _, caches = reference_forward(net, x)
+            analytic = reference_backward(net, caches, upstream)
             idx = rng.choice(net.num_params, size=min(40, net.num_params), replace=False)
             for i in idx:
                 numeric = finite_difference(net, x, upstream, int(i))
@@ -122,10 +130,8 @@ class TestBackward:
 
     def test_zero_upstream_zero_grads(self):
         net = Mlp((3, 4, 2), np.random.default_rng(0))
-        x = np.ones((2, 3))
-        _, cache = net.forward_cached(x)
-        grads = net.backward(cache, np.zeros((2, 2)))
-        assert not grads.any()
+        _, caches = reference_forward(net, np.ones((2, 3)))
+        assert not reference_backward(net, caches, np.zeros((2, 2))).any()
 
     def test_linear_net_closed_form(self):
         # a single affine layer: grads equal the least-squares expressions
@@ -133,21 +139,17 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 3))
         y = rng.normal(size=(7, 2))
-        pred, cache = net.forward_cached(x)
+        pred, caches = reference_forward(net, x)
         residual = pred - y  # gradient of 0.5*||pred - y||^2
-        (dw, db), = net.layers(net.backward(cache, residual))
+        (dw, db), = net.layers(reference_backward(net, caches, residual))
         assert np.allclose(dw, x.T @ residual, rtol=1e-12)
         assert np.allclose(db, residual.sum(axis=0), rtol=1e-12)
 
     def test_wrong_upstream_rejected(self):
         net = Mlp((3, 2), np.random.default_rng(0))
         _, cache = net.forward_cached(np.ones(3))
-        for upstream in (np.ones(1), np.ones(3), np.ones((1, 2))):
-            with pytest.raises(ValueError, match="upstream"):
-                net.backward(cache, upstream)
-        _, cache = net.forward_cached(np.ones((4, 3)))
-        for upstream in (np.ones((4, 1)), np.ones(2)):
-            with pytest.raises(ValueError, match="upstream"):
+        for upstream in (np.ones(1), np.ones(3), np.ones((1, 2)), np.ones((4, 2))):
+            with pytest.raises(ValueError, match="upstream .* not one row of width 2"):
                 net.backward(cache, upstream)
 
     def test_out_receives_the_gradient(self):
@@ -163,7 +165,7 @@ class TestParams:
     def test_wrong_length_rejected(self):
         net = Mlp((2, 2), np.random.default_rng(0))
         with pytest.raises(ValueError, match=f"{net.num_params} parameters"):
-            Mlp.from_params((2, 2), np.zeros(net.num_params + 1))
+            Mlp((2, 2), params=np.zeros(net.num_params + 1))
 
     @pytest.mark.parametrize(
         "sizes,out_scale", [((14, 256, 256, 3), 0.01), ((3, 2), 1.0), ((5, 7, 1), 2.5)]
@@ -181,11 +183,13 @@ class TestParams:
             assert not net.biases[i].any()
         assert net_rng.bit_generator.state == rng.bit_generator.state
 
-    def test_from_params_views_a_given_vector(self):
+    def test_params_views_a_given_vector(self):
         source = Mlp((4, 6, 3), np.random.default_rng(9))
+        source.params += 0.25  # biases too: a view must not zero them
         params = source.params.copy()
-        net = Mlp.from_params((4, 6, 3), params)
+        net = Mlp((4, 6, 3), params=params)
         assert net.params is params
+        assert params.tobytes() == source.params.tobytes()  # nothing drawn or zeroed
         for w, b in zip(net.weights, net.biases):
             assert w.base is params and b.base is params
         x = np.random.default_rng(11).normal(size=4)
@@ -207,18 +211,17 @@ class TestParams:
             with pytest.raises(ValueError, match="contiguous float64 vector"):
                 Mlp((4, 6, 3), np.random.default_rng(9), params=bad)
             with pytest.raises(ValueError, match="contiguous float64 vector"):
-                Mlp.from_params((4, 6, 3), bad)
+                Mlp((4, 6, 3), params=bad)
 
     def test_adam_moments_in_caller_block(self):
         nets = [Mlp((3, 4, 2), np.random.default_rng(seed)) for seed in (12, 12)]
         state = np.zeros((2, nets[0].num_params + 5))
         opts = [Adam(nets[0], lr=0.01), Adam(nets[1], lr=0.01, moments=state[:, 5:])]
         assert opts[1].m.base is state and opts[1].v.base is state
-        x = np.ones((2, 3))
         for _ in range(3):
             for net, opt in zip(nets, opts):
-                _, cache = net.forward_cached(x)
-                opt.descend(cache, np.ones((2, 2)))
+                _, cache = net.forward_cached(np.ones(3))
+                opt.descend(cache, np.ones(2))
         assert nets[0].params.tobytes() == nets[1].params.tobytes()
         assert state[1, 5:].tobytes() == opts[0].v.tobytes() and not state[:, :5].any()
         with pytest.raises(ValueError, match="moments"):
@@ -230,9 +233,8 @@ class TestOptimizers:
         net = Mlp((3, 4, 2), np.random.default_rng(12))
         before = net.params.copy()
         opt = Adam(net, lr=0.0)
-        x = np.ones((2, 3))
-        _, cache = net.forward_cached(x)
-        opt.step(net.backward(cache, np.ones((2, 2))))
+        _, caches = reference_forward(net, np.ones((2, 3)))
+        opt.step(reference_backward(net, caches, np.ones((2, 2))))
         assert np.array_equal(net.params, before)
 
     def test_adam_descends_quadratic(self):
@@ -242,20 +244,19 @@ class TestOptimizers:
         target = np.array([[0.3], [-0.7]])
 
         def loss():
-            return float(np.sum((net.forward(x) - target) ** 2))
+            return float(np.sum((reference_forward(net, x)[0] - target) ** 2))
 
         start = loss()
         for _ in range(200):
-            pred, cache = net.forward_cached(x)
-            opt.step(net.backward(cache, 2.0 * (pred - target)))
+            pred, caches = reference_forward(net, x)
+            opt.step(reference_backward(net, caches, 2.0 * (pred - target)))
         assert loss() < 1e-4 < start
 
     def test_sgd_matches_manual_update(self):
         net = Mlp((2, 2), np.random.default_rng(14))
         w_before = net.weights[0].copy()
-        x = np.ones((1, 2))
-        _, cache = net.forward_cached(x)
-        grads = net.backward(cache, np.ones((1, 2)))
+        _, caches = reference_forward(net, np.ones((1, 2)))
+        grads = reference_backward(net, caches, np.ones((1, 2)))
         Sgd(net, lr=0.1).step(grads)
         assert np.allclose(net.weights[0], w_before - 0.1 * net.layers(grads)[0][0], rtol=1e-14)
 
@@ -276,11 +277,14 @@ class TestOptimizers:
             ref_step = reference_sgd(ref_weights, ref_biases, lr=0.05)
         start = net.params.copy()
         rng = np.random.default_rng(21)
-        shape = () if rows is None else (rows,)
         for _ in range(25):
-            x = rng.normal(size=shape + (sizes[0],))
-            _, cache = net.forward_cached(x)
-            grad = net.backward(cache, rng.normal(size=shape + (sizes[-1],)), out=opt.grad)
+            if rows is None:
+                _, cache = net.forward_cached(rng.normal(size=sizes[0]))
+                grad = net.backward(cache, rng.normal(size=sizes[-1]), out=opt.grad)
+            else:  # a gradient summed over rows, as an update feeds its optimizers
+                _, caches = reference_forward(net, rng.normal(size=(rows, sizes[0])))
+                opt.grad[:] = reference_backward(net, caches, rng.normal(size=(rows, sizes[-1])))
+                grad = opt.grad
             ref_step([(dw.copy(), db.copy()) for dw, db in net.layers(grad)])
             opt.step(grad)
             for (w, b), ref_w, ref_b in zip(net.layers(net.params), ref_weights, ref_biases):
