@@ -163,8 +163,10 @@ def _key_lines(text: str) -> dict[str, int]:
 
     Keys are spelled as the parsed document holds them, so ``1:`` maps
     from ``"1"`` and ``true:`` from ``"True"``.  Keys merged in with ``<<``
-    map to their line in the merged mapping, and a key present more than
-    once maps to the occurrence the parsed document keeps.
+    map to their line in the merged mapping, which a key written beside
+    the ``<<`` overrides.  A key written twice in one mapping, which the
+    parser would silently resolve to its last value, raises ``ConfigError``
+    naming both lines.
     """
     constructor = _Loader("")
     try:
@@ -172,6 +174,32 @@ def _key_lines(text: str) -> dict[str, int]:
     except yaml.YAMLError:
         return {}
     lines: dict[str, int] = {}
+    checked: set[int] = set()
+
+    def check_unique(node, prefix):
+        # before any merge is flattened, while each mapping holds only its own keys
+        if id(node) in checked:  # an alias, or a merged mapping seen before
+            return
+        checked.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            for item in node.value:
+                check_unique(item, prefix)
+        if not isinstance(node, yaml.MappingNode):
+            return
+        first: dict = {}
+        for key_node, value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                check_unique(value_node, prefix)
+                continue
+            key = constructor.construct_object(key_node)
+            line = key_node.start_mark.line + 1
+            if key in first:
+                raise ConfigError(f"{prefix}{key} (lines {first[key]} and {line}): "
+                                  "repeated key; give it once")
+            first[key] = line
+            check_unique(value_node, f"{prefix}{key}.")
+
+    check_unique(root, "")
 
     def walk(node, prefix):
         if not isinstance(node, yaml.MappingNode):

@@ -14,6 +14,8 @@ operations on caller-owned buffers and allocate nothing network-sized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -25,8 +27,12 @@ class Mlp:
     of it.  The network views a given ``params``, a contiguous float64
     vector such as a slice of a run's parameter block, or zeros of its own.
     Only with ``rng`` does it draw: the biases are zeroed and each weight
-    matrix is drawn into place, ``out_scale`` shrinking the output layer's,
-    which keeps freshly initialized policy heads near-uniform.
+    matrix is drawn into place, one uniform per weight, from
+    ``U(-sqrt(3) * s, sqrt(3) * s)`` with ``s = out_scale / sqrt(fan_in)``
+    for the output layer and ``1 / sqrt(fan_in)`` for the others.  That is
+    LeCun's variance ``s**2`` ("Efficient BackProp", 1998) at under a
+    quarter of a normal draw's cost; a small ``out_scale`` keeps freshly
+    initialized policy heads near-uniform.
     """
 
     def __init__(self, sizes, rng: np.random.Generator | None = None, out_scale: float = 1.0,
@@ -52,9 +58,11 @@ class Mlp:
             scale = 1.0 / np.sqrt(w.shape[0])
             if i == len(self.weights) - 1:
                 scale *= out_scale
-            # the stream and values of rng.normal(0.0, scale, w.shape)
-            rng.standard_normal(out=w)
-            w *= scale
+            # U(-bound, bound) has variance bound**2 / 3 = scale**2
+            bound = np.sqrt(3.0) * scale
+            rng.random(out=w)
+            w -= 0.5
+            w *= 2.0 * bound
 
     @staticmethod
     def param_count(sizes) -> int:
@@ -150,6 +158,13 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class Adam(_Optimizer):
     """Adam (Kingma & Ba) over the flat parameter vector of one ``Mlp``.
 
+    A step takes the efficient form of the paper's section 2:
+    ``params -= alpha * (m / (sqrt(v) + eps_hat))`` with
+    ``alpha = lr * sqrt(c2) / c1`` and ``eps_hat = eps * sqrt(c2)``, where
+    ``c1``, ``c2`` are the bias corrections ``1 - beta**t``.  In exact
+    arithmetic that is Algorithm 1's ``lr * (m / c1) / (sqrt(v / c2) + eps)``;
+    in floating point it agrees to rounding and takes two fewer array passes.
+
     ``moments`` is a zeroed ``(2, size)`` float array whose rows become the
     first and second moment estimates ``m`` and ``v``; a run passes views of
     its optimizer-state block.  Each optimizer gets its own when omitted.
@@ -184,13 +199,12 @@ class Adam(_Optimizer):
         np.square(grad, out=a)
         a *= 1.0 - _BETA2
         v += a
-        # params -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
-        np.divide(m, correct1, out=a)
-        a *= self.lr
-        np.divide(v, correct2, out=b)
-        np.sqrt(b, out=b)
-        b += _EPS
-        a /= b
+        # params -= alpha * (m / (sqrt(v) + eps_hat)), bias corrections in scalars
+        root2 = math.sqrt(correct2)
+        np.sqrt(v, out=b)
+        b += _EPS * root2
+        np.divide(m, b, out=a)
+        a *= self.lr * root2 / correct1
         self.net.params -= a
 
 

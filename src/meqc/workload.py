@@ -485,10 +485,13 @@ def gen_scenario(
         logical_qubits=width.astype(np.int64),
         logical_depth=depth.astype(np.int64),
     )
-    servers = tuple(
-        ServerProfile(noise_power=noise_power, bandwidth=bandwidth, concat_level=level)
-        for level in server_levels.tolist()
-    )
+    # one checked, frozen profile per distinct level, shared by its servers
+    server_levels = server_levels.tolist()
+    profiles = {
+        level: ServerProfile(noise_power=noise_power, bandwidth=bandwidth, concat_level=level)
+        for level in set(server_levels)
+    }
+    servers = tuple(profiles[level] for level in server_levels)
 
     decoherence = pins.get("decoherence_time")
     tech = qubit_tech if qubit_tech is not None else QubitTech()

@@ -93,6 +93,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(where)):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("policies: [local]\npolicies: [greedy]\nepisodes: 1\n",
+             "policies (lines 1 and 2): repeated key"),
+            ("episodes: 1\nscenario:\n  users: 2\n  servers: 3\n  users: 4\n",
+             "scenario.users (lines 3 and 5): repeated key"),
+            ("episodes: 1\nscenario:\n  <<: {users: 2,\n        users: 3}\n",
+             "scenario.users (lines 3 and 4): repeated key"),
+        ],
+        ids=["top", "section", "in_merged_mapping"],
+    )
+    def test_repeated_key_rejected_with_both_lines(self, text, where, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(text)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
+        assert main(["eval", "--config", str(config)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_merge_override_is_not_a_repeat(self):
+        # a key beside ``<<`` overrides the merged one, and the first of a
+        # merged sequence wins over the later ones
+        cfg = parse_config(
+            "scenario:\n  <<: [{users: 2, servers: 3}, {users: 5}]\n  servers: 4\n"
+        )
+        assert (cfg.users, cfg.servers) == (2, 4)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("frobnicate: 1\n")

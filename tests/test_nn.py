@@ -37,10 +37,12 @@ def finite_difference(net, xs, upstream, index, h=1e-6):
 
 
 def reference_adam(weights, biases, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """The per-layer Adam that the flat ``Adam`` replaced, kept as its spec.
+    """A per-layer Adam in the flat ``Adam``'s operation order, kept as its spec.
 
     Returns ``step(grads)``, which applies one update along per-layer
-    ``[(dW, db), ...]`` gradients to ``weights``/``biases`` in place.
+    ``[(dW, db), ...]`` gradients to ``weights``/``biases`` in place.  The
+    bias corrections are folded into the scalars ``alpha`` and ``eps_hat``,
+    Kingma & Ba's efficient form.
     """
     m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
     v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
@@ -50,7 +52,9 @@ def reference_adam(weights, biases, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         nonlocal t
         t += 1
         correct1 = 1.0 - beta1**t
-        correct2 = 1.0 - beta2**t
+        root2 = math.sqrt(1.0 - beta2**t)
+        alpha = lr * root2 / correct1
+        eps_hat = eps * root2
         for i, (dw, db) in enumerate(grads):
             mw, mb = m[i]
             vw, vb = v[i]
@@ -62,8 +66,31 @@ def reference_adam(weights, biases, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             vw += (1.0 - beta2) * dw**2
             vb *= beta2
             vb += (1.0 - beta2) * db**2
-            weights[i] -= lr * (mw / correct1) / (np.sqrt(vw / correct2) + eps)
-            biases[i] -= lr * (mb / correct1) / (np.sqrt(vb / correct2) + eps)
+            weights[i] -= alpha * (mw / (np.sqrt(vw) + eps_hat))
+            biases[i] -= alpha * (mb / (np.sqrt(vb) + eps_hat))
+
+    return step
+
+
+def reference_adam_textbook(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's Algorithm 1 over a flat vector, bias-corrected moments and all.
+
+    Returns ``step(grad)``, which updates ``params`` in place.  ``Adam``
+    computes the same update in the efficient form, so the two agree to
+    rounding only.
+    """
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    t = 0
+
+    def step(grad):
+        nonlocal t
+        t += 1
+        m[:] = beta1 * m + (1.0 - beta1) * grad
+        v[:] = beta2 * v + (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        params[:] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     return step
 
@@ -170,7 +197,7 @@ class TestParams:
     @pytest.mark.parametrize(
         "sizes,out_scale", [((14, 256, 256, 3), 0.01), ((3, 2), 1.0), ((5, 7, 1), 2.5)]
     )
-    def test_in_place_init_matches_normal_draw(self, sizes, out_scale):
+    def test_in_place_init_matches_uniform_draw(self, sizes, out_scale):
         net_rng = np.random.default_rng(31)
         net = Mlp(sizes, net_rng, out_scale=out_scale)
         rng = np.random.default_rng(31)
@@ -178,10 +205,21 @@ class TestParams:
             scale = 1.0 / np.sqrt(fan_in)
             if i == len(sizes) - 2:
                 scale *= out_scale
-            expected = rng.normal(0.0, scale, size=(fan_in, fan_out))
+            bound = np.sqrt(3.0) * scale
+            expected = (rng.random((fan_in, fan_out)) - 0.5) * (2.0 * bound)
             assert np.array_equal(net.weights[i], expected)
             assert not net.biases[i].any()
+        # one uniform per weight, and nothing else drawn
         assert net_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_init_variance_is_lecun(self):
+        # each layer's weights have variance s**2, s = out_scale / sqrt(fan_in)
+        sizes, out_scale = (14, 256, 256, 3), 0.5
+        net = Mlp(sizes, np.random.default_rng(32), out_scale=out_scale)
+        for i, w in enumerate(net.weights):
+            s2 = (out_scale if i == len(net.weights) - 1 else 1.0) ** 2 / sizes[i]
+            assert np.var(w) == pytest.approx(s2, rel=0.05)
+            assert np.abs(w).max() <= np.sqrt(3.0 * s2)
 
     def test_params_views_a_given_vector(self):
         source = Mlp((4, 6, 3), np.random.default_rng(9))
@@ -290,6 +328,24 @@ class TestOptimizers:
             for (w, b), ref_w, ref_b in zip(net.layers(net.params), ref_weights, ref_biases):
                 assert np.array_equal(w, ref_w) and np.array_equal(b, ref_b)
         assert not np.array_equal(net.params, start)
+
+    def test_adam_matches_textbook_form(self):
+        # 200 steps from zero moments, compared after every one, t = 1
+        # included; gradients span ten decades, so eps matters for some.
+        # A step moves a parameter by at most about lr, so the forms' rounding
+        # is also bounded by 1e-12 * lr where a parameter passes near zero.
+        lr = 0.01
+        net = Mlp((14, 32, 32, 3), np.random.default_rng(22))
+        opt = Adam(net, lr=lr)
+        ref_params = net.params.copy()
+        ref_step = reference_adam_textbook(ref_params, lr=lr)
+        rng = np.random.default_rng(23)
+        decades = rng.uniform(-10.0, 0.0, size=net.num_params)
+        for _ in range(200):
+            grad = rng.normal(size=net.num_params) * 10.0**decades
+            ref_step(grad)
+            opt.step(grad)
+            np.testing.assert_allclose(net.params, ref_params, rtol=1e-12, atol=1e-12 * lr)
 
     @pytest.mark.parametrize("maker", [Adam, Sgd])
     def test_step_with_run_owned_buffers_allocates_nothing(self, maker):
