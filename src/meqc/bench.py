@@ -166,7 +166,8 @@ def _key_lines(text: str) -> dict[str, int]:
     map to their line in the merged mapping, which a key written beside
     the ``<<`` overrides.  A key written twice in one mapping, which the
     parser would silently resolve to its last value, raises ``ConfigError``
-    naming both lines.
+    naming both lines, and so does a value that is an alias of a mapping
+    containing it, naming its key and line.
     """
     constructor = _Loader("")
     try:
@@ -201,19 +202,23 @@ def _key_lines(text: str) -> dict[str, int]:
 
     check_unique(root, "")
 
-    def walk(node, prefix):
+    def walk(node, prefix, ancestors):
         if not isinstance(node, yaml.MappingNode):
             return
         # inline ``<<`` merges in the constructor's order: merged keys
         # first, each overridden by the ones after it
         constructor.flatten_mapping(node)
+        ancestors = ancestors | {id(node)}
         for key_node, value_node in node.value:
             path = f"{prefix}{constructor.construct_object(key_node)}"
             lines[path] = key_node.start_mark.line + 1
-            walk(value_node, path + ".")
+            if id(value_node) in ancestors:
+                raise ConfigError(f"{path} (line {lines[path]}): "
+                                  "an alias of a mapping that contains it")
+            walk(value_node, path + ".", ancestors)
 
     try:
-        walk(root, "")
+        walk(root, "", frozenset())
     except yaml.YAMLError:
         return {}
     return lines

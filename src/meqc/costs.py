@@ -373,22 +373,23 @@ class ScenarioEvaluator:
         the path (CPU, QPU).  QPU entries are computed for ineligible
         pairs too.
         """
-        # One kernel call on [U, E + 1, 2]: column e < E is server e at
-        # ratio 0.  Column E is ratio 1, where nothing is offloaded, so its
-        # cost is the same at every server and on both paths; it is
-        # evaluated once (at server 0, CPU path) and broadcast.
+        # One kernel call on [path, E + 1, U], users innermost so that every
+        # ufunc runs long inner loops: column e < E is server e at ratio 0.
+        # Column E is ratio 1, where nothing is offloaded, so its cost is the
+        # same at every server and on both paths; it is read once (at server
+        # 0, CPU path) and broadcast.
         columns = np.arange(self.num_servers + 1)
         ratio_one = columns == self.num_servers
         cost = self._cost_terms(
             np.where(ratio_one, 0, columns)[:, None],
             np.where(ratio_one, 1.0, 0.0)[:, None],
-            _PATHS,
-            self.user_index[:, None, None],
+            _PATHS[:, None, None],
+            self.user_index,
             None,
         )[0]
         costs = np.empty((self.num_users, self.num_servers, 2, 2))
-        costs[:, :, 0] = cost[:, :-1]
-        costs[:, :, 1] = cost[:, -1:, :1]
+        costs[:, :, 0] = cost[:, :-1].T
+        costs[:, :, 1] = cost[0, -1][:, None, None]
         return costs
 
     def savings(self, servers, ratios, users=None, episodes=None) -> np.ndarray:

@@ -1,24 +1,26 @@
 """Multi-agent PPO over the hybrid server/ratio action space.
 
-Every user is an independent learner holding two actors and one critic:
-a categorical head over servers and a sigmoid-squashed Gaussian head for
-the local ratio, both judged by one value network, as in H-PPO (Fan et
-al. 2019, arXiv:1903.01344).  Rollouts come from the shared environment
-(team reward), advantages from generalized advantage estimation against
-the agent's critic, and updates from the clipped surrogate objective.  An
+Every user is an independent learner holding one policy network and one
+critic.  The policy's shared torso feeds two heads, a categorical head
+over servers and a sigmoid-squashed Gaussian head for the local ratio,
+both judged by the one value network, as in H-PPO (Fan et al. 2019,
+arXiv:1903.01344).  Rollouts come from the shared environment (team
+reward), advantages from generalized advantage estimation against the
+agent's critic, and updates from the clipped surrogate objective.  An
 agent's observation is fixed within a training epoch, so every network
 call is on that one row: each network runs once per epoch in the
 rollout, whose epoch is one table of ``[T, U]`` columns (one batched draw
 of every agent's actions, one ``gae`` pass over all U constant critic
 baselines), and once forward and backward per update, fed the
-per-sample gradients summed over the minibatch.  All numerics run on the
-hand-rolled, one-row ``nn.Mlp``.  An agent and each of its networks are
-views of a given parameter vector, or of zeros, and draw only when given
-a generator.  A run lives in two blocks: agent ``u`` views row ``u`` of
-one parameter block, and every optimizer's moments, gradient row and step
-scratch are views of one optimizer-state block, freed when ``train``
-returns.  A checkpoint holds the parameter block and the shape it was cut
-by; loading one puts the agents back over its rows.
+per-sample gradients summed over the minibatch, both heads' at once.
+All numerics run on the hand-rolled, one-row ``nn.Mlp``.  An agent and
+each of its networks are views of a given parameter vector, or of zeros,
+and draw only when given a generator.  A run lives in two blocks: agent
+``u`` views row ``u`` of one parameter block, and every optimizer's
+moments, gradient row and step scratch are views of one optimizer-state
+block, freed when ``train`` returns.  A checkpoint holds the parameter
+block and the shape it was cut by; loading one puts the agents back over
+its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .env import MeqcEnv, observation_length
 from .nn import Adam, Mlp, Sgd
 from .workload import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # one learning-curve row per epoch: its mean per-step cost, then the
@@ -147,18 +149,21 @@ def draw_actions(
 
 
 def _net_layouts(obs_dim: int, num_servers: int, hidden: int) -> dict:
-    """``(sizes, out_scale)`` of each of an agent's networks, in draw order."""
+    """``(sizes, out_scale)`` of each of an agent's networks, in draw order.
+
+    The policy's outputs are the server logits, then the ratio's pre-squash
+    mean and log-std.
+    """
     return {
-        "pi_server": ((obs_dim, hidden, hidden, num_servers), 0.01),
+        "policy": ((obs_dim, hidden, hidden, num_servers + 2), 0.01),
         "value": ((obs_dim, hidden, hidden, 1), 1.0),
-        "pi_ratio": ((obs_dim, hidden, hidden, 2), 0.01),
     }
 
 
 class HybridAgent:
-    """One user's two policy networks and its value network.
+    """One user's policy network, whose torso feeds both heads, and its value network.
 
-    ``params`` holds the parameters of all three networks, one after another
+    ``params`` holds the parameters of both networks, one after another
     in ``_net_layouts`` order, and each network's ``params`` is a view of it.
     The agent views a given ``params``, such as a row of a run's parameter
     block, or zeros of its own; only with ``rng`` do its networks draw their
@@ -201,15 +206,17 @@ class HybridAgent:
             raise ValueError(f"expected {offset} parameters per agent, got {array.shape[-1]}")
         return views
 
+    def policy(self, obs):
+        """Server logits, then the pre-squash Gaussian's mean and clamped log_std."""
+        out = self.nets["policy"].forward(obs)
+        return out[:-2], out[-2], np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
+
     def server_logits(self, obs):
-        return self.nets["pi_server"].forward(obs)
+        return self.policy(obs)[0]
 
     def ratio_params(self, obs):
         """(mean, log_std) of the pre-squash Gaussian, log_std clamped."""
-        out = self.nets["pi_ratio"].forward(obs)
-        mean = out[0]
-        log_std = np.clip(out[1], LOG_STD_MIN, LOG_STD_MAX)
-        return mean, log_std
+        return self.policy(obs)[1:]
 
     def values(self, obs) -> float:
         """The critic's estimate at one observation."""
@@ -217,9 +224,8 @@ class HybridAgent:
 
     def heads(self, obs) -> PolicyHeads:
         """Action distribution and value estimate at one observation."""
-        logits = self.server_logits(obs)
+        logits, mean, log_std = self.policy(obs)
         logp_all = logits - _logsumexp(logits)
-        mean, log_std = self.ratio_params(obs)
         return PolicyHeads(
             logp_server=logp_all,
             probs=np.exp(logp_all),
@@ -230,8 +236,7 @@ class HybridAgent:
 
     def greedy_action(self, obs) -> tuple[int, float]:
         """Deterministic mode: argmax server, squashed mean ratio."""
-        logits = self.server_logits(obs)
-        mean, _ = self.ratio_params(obs)
+        logits, mean, _ = self.policy(obs)
         return int(np.argmax(logits)), float(_sigmoid(float(mean)))
 
 
@@ -302,15 +307,16 @@ def _surrogate_coef(ratio, adv, clip_eps):
 
 
 def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConfig) -> UpdateStats:
-    """One clipped-surrogate update of all three networks on one minibatch.
+    """One clipped-surrogate update of both networks on one minibatch.
 
     ``batch["obs"]`` is the observation every sample shares, so each
     network runs forward and backward once, on that row, fed the sum of the
     per-sample upstream gradients (backprop is linear in the upstream).
     Both policy heads maximize the clipped objective plus an entropy bonus,
-    on the same (normalised) advantages; the critic descends on squared
-    error against the GAE returns.  Raises ``TrainingError`` if any loss
-    goes non-finite.
+    on the same (normalised) advantages, and the policy steps once along
+    the sum of their gradients; the critic descends on squared error
+    against the GAE returns.  Raises ``TrainingError`` if any loss goes
+    non-finite.
     """
     obs = batch["obs"]
     server = batch["server"]
@@ -318,9 +324,10 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
+    out, cache_p = agent.nets["policy"].forward_cached(obs)
+    logits, (mean, raw_ls) = out[:-2], out[-2:]
 
     # Discrete head.
-    logits, cache_a = agent.nets["pi_server"].forward_cached(obs)
     logp_all = logits - _logsumexp(logits)
     probs = np.exp(logp_all)
     ratio = np.exp(logp_all[server] - batch["logp_server"])
@@ -331,11 +338,8 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     coef = _surrogate_coef(ratio, adv, cfg.clip_epsilon)
     up_logits = -(coef / n)[:, None] * (np.eye(len(probs))[server] - probs)
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
-    optimizers["pi_server"].descend(cache_a, up_logits.sum(0))
 
     # Continuous head.
-    out, cache_r = agent.nets["pi_ratio"].forward_cached(obs)
-    mean, raw_ls = out
     log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
     ls_open = LOG_STD_MIN < raw_ls < LOG_STD_MAX
     std = np.exp(log_std)
@@ -351,8 +355,10 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
     up_mean = -(coef_r / n) * (zscore / std)
     up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
-    up_out = np.array([up_mean.sum(), up_ls.sum()])
-    optimizers["pi_ratio"].descend(cache_r, up_out)
+
+    # Both heads through the shared torso: one backward of their joint upstream.
+    up_out = np.concatenate([up_logits.sum(0), [up_mean.sum(), up_ls.sum()]])
+    optimizers["policy"].descend(cache_p, up_out)
 
     # Critic.
     v, cache_v = agent.nets["value"].forward_cached(obs)

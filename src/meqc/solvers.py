@@ -88,24 +88,32 @@ def solve_greedy(scenario: Scenario) -> JointAction:
 
 
 def _greedy(evaluator: ScenarioEvaluator) -> JointAction:
-    """``solve_greedy`` on a scenario's evaluator."""
-    num_users = evaluator.num_users
+    """``solve_greedy`` on a scenario's evaluator.
+
+    Every user not yet visited takes its first minimum in one ``argmin``.
+    Only a QPU pick consumes a slot, so the picks stand up to and including
+    the first one; after it, that server's QPU options close and the later
+    users are solved again.  Each pass but the last consumes a slot, so
+    there are at most E + 1 passes.
+    """
     order = np.argsort(-(evaluator.data_size * evaluator.cycles_per_byte), kind="stable")
     # [U, E, ratio, path] in scan order.  CPU comes before QPU at each
     # (server, ratio), so the first minimum is a QPU option only when that
     # is strictly cheaper, i.e. saves cost.
     options = evaluator.endpoint_costs()
     options[..., 1] = np.where(evaluator.eligible[:, :, None], options[..., 1], np.inf)
-    servers = [0] * num_users
-    ratios = [1.0] * num_users
-    indicators = [0] * num_users
-    for u in order:
-        server, rest = divmod(int(np.argmin(options[u])), 4)
-        ratio, indicators[u] = divmod(rest, 2)
-        servers[u], ratios[u] = server, float(ratio)
-        if indicators[u]:
-            options[:, server, :, 1] = np.inf  # the slot is consumed
-    return JointAction(servers, ratios, indicators)
+    picks = np.empty(evaluator.num_users, dtype=np.int64)
+    while len(order):
+        chosen = np.argmin(options[order].reshape(len(order), -1), axis=1)
+        granted = np.flatnonzero(chosen % 2)
+        done = granted[0] + 1 if len(granted) else len(order)
+        picks[order[:done]] = chosen[:done]
+        if len(granted):
+            options[:, chosen[granted[0]] // 4, :, 1] = np.inf  # the slot is consumed
+        order = order[done:]
+    servers, rest = np.divmod(picks, 4)
+    ratios, indicators = np.divmod(rest, 2)
+    return JointAction(servers, ratios.astype(np.float64), indicators)
 
 
 def solve_exhaustive(

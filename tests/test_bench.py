@@ -21,6 +21,7 @@ from meqc.bench import (
 from meqc.cli import main
 from meqc.env import MeqcEnv
 from meqc.marl import HybridAgent, TrainConfig, save_checkpoint, train
+from meqc.nn import Mlp
 from meqc.solvers import BaselinePolicy, PolicyKind, evaluate
 from meqc.workload import gen_scenario
 
@@ -174,10 +175,11 @@ class TestParseConfig:
             ("episodes: 1\ntrain:\n  epochs: 0\n", "train.epochs (line 3): epochs must be >= 1"),
             ("episodes: 1\ndevice: {num_stages: 1}\n",
              "device.num_stages (line 2): must be >= 2, got 1"),
+            ("scenario: &x {users: *x}\n", "scenario.users (line 1): an alias of a mapping"),
         ],
         ids=["weight_latency_abc", "epochs_x", "users_2.7", "episodes_true", "seeds_1.7",
              "decoherence_time_nan", "top_mixed_keys", "sweep_mixed_keys",
-             "train_mixed_keys", "epochs_0", "num_stages_1"],
+             "train_mixed_keys", "epochs_0", "num_stages_1", "self_alias"],
     )
     def test_ill_typed_value_rejected_with_key_and_line(self, text, where, tmp_path, capsys):
         with pytest.raises(ConfigError, match=re.escape(where)):
@@ -760,6 +762,7 @@ class TestCli:
     @pytest.mark.parametrize("case, reason", [
         ("version_1", "unsupported checkpoint schema_version 1"),
         ("version_2", "unsupported checkpoint schema_version 2"),
+        ("version_3", "unsupported checkpoint schema_version 3"),
         ("width", "parameters per agent"),
         ("no_servers", "dimensions must be >= 1, got obs_dim 8, num_servers 0"),
         ("no_hidden", "dimensions must be >= 1"),
@@ -782,9 +785,13 @@ class TestCli:
             arrays.update(schema_version=1, num_agents=len(agents))
             for u, agent in enumerate(agents):
                 arrays.update({f"agent{u}.{name}": net.params for name, net in agent.nets.items()})
-        elif case == "version_2":  # the same block with a second critic after pi_ratio
+        elif case == "version_2":  # a second critic after the last network, as version 2 had
             critic = np.stack([agent.nets["value"].params for agent in agents])
             arrays.update(schema_version=2, params=np.hstack([arrays["params"], critic]))
+        elif case == "version_3":  # three networks: server logits, critic, ratio
+            sizes = [(12, 8, 8, 2), (12, 8, 8, 1), (12, 8, 8, 2)]
+            arrays.update(schema_version=3, params=np.zeros(
+                (len(agents), sum(Mlp.param_count(s) for s in sizes))))
         elif case == "width":
             arrays["hidden_units"] = np.int64(9)
         elif case == "no_servers":  # an observation without server columns

@@ -179,7 +179,7 @@ class TestHybridSampling:
     def test_agents_draw_from_their_own_heads(self):
         agents = [HybridAgent(obs_dim=3, num_servers=3, hidden=8,
                               rng=np.random.default_rng(seed)) for seed in (0, 1)]
-        agents[1].nets["pi_server"].biases[-1][:] = (-50.0, -50.0, 50.0)
+        agents[1].nets["policy"].biases[-1][:3] = (-50.0, -50.0, 50.0)  # server logits
         obs = np.full(3, 0.5)
         actions = draw_actions([a.heads(obs) for a in agents], 300, np.random.default_rng(6))
         assert actions["server"].shape == (300, 2)
@@ -255,9 +255,11 @@ class TestPpoUpdate:
         # pretend the old policy found this action much less likely:
         # ratio = exp(logp_new - logp_old) = 1 + 2*eps > 1 + eps, advantage > 0
         batch["logp_server"] = batch["logp_server"] - np.log(1 + 2 * cfg.clip_epsilon)
-        before = agent.nets["pi_server"].params.copy()
+        out_w, out_b = agent.nets["policy"].weights[-1], agent.nets["policy"].biases[-1]
+        before = out_w[:, :3].copy(), out_b[:3].copy()  # the server-logit columns
         ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
-        assert np.array_equal(agent.nets["pi_server"].params, before)
+        assert np.array_equal(out_w[:, :3], before[0])
+        assert np.array_equal(out_b[:3], before[1])
 
     def test_two_armed_bandit_concentrates(self):
         agent = HybridAgent(obs_dim=2, num_servers=2, hidden=16,
@@ -314,14 +316,16 @@ class TestPpoUpdate:
 
 def reference_ppo_update(agent, optimizers, batch, cfg):
     """The tiled update: every network runs on ``batch["obs"]``, one row per
-    sample, and steps along the sum of the per-sample gradients."""
+    sample, and steps along the sum of the per-sample gradients; the policy
+    along both heads' at once."""
     obs = batch["obs"]
     n = len(obs)
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
 
-    logits, cache_a = reference_forward(agent.nets["pi_server"], obs)
+    out, cache_p = reference_forward(agent.nets["policy"], obs)
+    logits = out[:, :-2]
     logp_all = logits - np.array([_logsumexp(row) for row in logits])[:, None]
     probs = np.exp(logp_all)
     logp_new = logp_all[np.arange(n), batch["server"]]
@@ -333,13 +337,12 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     coef = _surrogate_coef(ratio, adv, cfg.clip_epsilon)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), batch["server"]] = 1.0
-    up_logits = -(coef / n)[:, None] * (one_hot - probs)
-    up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
-    optimizers["pi_server"].step(reference_backward(agent.nets["pi_server"], cache_a, up_logits))
+    up_out = np.zeros_like(out)
+    up_out[:, :-2] = -(coef / n)[:, None] * (one_hot - probs)
+    up_out[:, :-2] += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
 
-    out, cache_r = reference_forward(agent.nets["pi_ratio"], obs)
-    mean = out[:, 0]
-    raw_ls = out[:, 1]
+    mean = out[:, -2]
+    raw_ls = out[:, -1]
     log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
     ls_open = (raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)
     std = np.exp(log_std)
@@ -353,10 +356,9 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     )
     entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
     coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
-    up_out = np.zeros_like(out)
-    up_out[:, 0] = -(coef_r / n) * (zscore / std)
-    up_out[:, 1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
-    optimizers["pi_ratio"].step(reference_backward(agent.nets["pi_ratio"], cache_r, up_out))
+    up_out[:, -2] = -(coef_r / n) * (zscore / std)
+    up_out[:, -1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
+    optimizers["policy"].step(reference_backward(agent.nets["policy"], cache_p, up_out))
 
     v, cache_v = reference_forward(agent.nets["value"], obs)
     err = v[:, 0] - batch["ret"]
@@ -394,7 +396,7 @@ class TestOneRowUpdate:
         agents = [HybridAgent(obs_dim=6, num_servers=num_servers, hidden=32,
                               rng=np.random.default_rng(num_servers)) for _ in range(2)]
         for agent in agents:
-            agent.nets["pi_ratio"].biases[-1][1] = log_std_bias
+            agent.nets["policy"].biases[-1][-1] = log_std_bias
         obs = np.linspace(0.0, 1.0, 6)
         batch = perturbed_batch(agents[0], obs, n, seed=10 * num_servers + n)
         tiled = dict(batch, obs=np.tile(obs, (n, 1)))
@@ -403,7 +405,7 @@ class TestOneRowUpdate:
         got = ppo_update(agents[1], _make_optimizers([agents[1]], cfg)[0], batch, cfg)
         for name, net in agents[0].nets.items():
             vec = net.params
-            if n > 1 and (num_servers > 1 or name != "pi_server"):
+            if n > 1:
                 assert not np.array_equal(vec, before[name]), name
             delta = np.abs(agents[1].nets[name].params - vec).max()
             assert delta <= 1e-12 * np.abs(vec).max(), name
@@ -412,16 +414,74 @@ class TestOneRowUpdate:
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_one_server_policy_untouched(self, optimizer):
-        # with one server the discrete head's gradient is exactly zero; any
-        # rounding residue would become a full-size Adam step
+        # with one server the discrete head's gradient is exactly zero
+        # (probs == [1.0]), so its column of the output layer never moves;
+        # any rounding residue would become a full-size Adam step
         cfg = TrainConfig(optimizer=optimizer)
         agent = HybridAgent(obs_dim=5, num_servers=1, hidden=16, rng=np.random.default_rng(3))
         obs = np.full(5, 0.3)
-        before = agent.nets["pi_server"].params.copy()
+        out_w, out_b = agent.nets["policy"].weights[-1], agent.nets["policy"].biases[-1]
+        before = out_w[:, 0].copy(), out_b[0]
         opts = _make_optimizers([agent], cfg)[0]
         for seed in range(5):
             ppo_update(agent, opts, perturbed_batch(agent, obs, 128, seed), cfg)
-        assert np.array_equal(agent.nets["pi_server"].params, before)
+        assert np.array_equal(out_w[:, 0], before[0]) and out_b[0] == before[1]
+
+
+def head_losses(net, batch, cfg):
+    """The server head's and the ratio head's loss at ``net``'s parameters:
+    each its negated mean clipped surrogate minus its entropy bonus."""
+    adv = batch["adv"]
+    if cfg.normalize_advantages and len(adv) > 1:
+        adv = _normalize(adv)
+    out = net.forward(batch["obs"])
+    logits, mean, log_std = out[:-2], out[-2], np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
+    low, high = 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon
+
+    logp_all = logits - _lse(logits)
+    ratio = np.exp(logp_all[batch["server"]] - batch["logp_server"])
+    surr = np.minimum(ratio * adv, np.clip(ratio, low, high) * adv)
+    entropy = -(np.exp(logp_all) * logp_all).sum()
+    server_loss = -surr.mean() - cfg.entropy_coef * entropy
+
+    std = np.exp(log_std)
+    logp_r = (-0.5 * ((batch["pre_squash"] - mean) / std) ** 2 - log_std - 0.5 * _LOG_2PI
+              - batch["squash_correction"])
+    ratio_r = np.exp(logp_r - batch["logp_ratio"])
+    surr_r = np.minimum(ratio_r * adv, np.clip(ratio_r, low, high) * adv)
+    ratio_loss = -surr_r.mean() - cfg.entropy_coef * (log_std + 0.5 * (_LOG_2PI + 1.0))
+    return server_loss, ratio_loss
+
+
+class TestSharedTorso:
+    @pytest.mark.parametrize("normalize", [True, False], ids=["norm", "raw"])
+    def test_policy_gradient_sums_both_heads(self, normalize):
+        # the policy steps along the server head's loss gradient plus the
+        # ratio head's, each taken by central differences; on the shared
+        # layers both heads contribute
+        cfg = TrainConfig(entropy_coef=0.05, normalize_advantages=normalize)
+        agent = HybridAgent(obs_dim=5, num_servers=3, hidden=8, rng=np.random.default_rng(11))
+        batch = perturbed_batch(agent, np.linspace(-0.5, 0.5, 5), 16, seed=12)
+        opts = _make_optimizers([agent], cfg)[0]
+        steps = []
+        opts["policy"].step = lambda grad: steps.append(grad.copy())
+        ppo_update(agent, opts, batch, cfg)
+        (grad,) = steps
+
+        net = agent.nets["policy"]
+        theta = net.params.copy()
+        h = 1e-6
+        numeric = np.zeros((2, net.num_params))
+        for i in range(net.num_params):
+            for sign in (1.0, -1.0):
+                net.params[i] = theta[i] + sign * h
+                numeric[:, i] += sign * np.array(head_losses(net, batch, cfg)) / (2 * h)
+            net.params[i] = theta[i]
+        scale = np.abs(grad).max()
+        assert np.abs(grad - numeric.sum(axis=0)).max() <= 1e-6 * scale
+        torso = net.num_params - net.weights[-1].size - net.biases[-1].size
+        for head in numeric:
+            assert np.abs(head[:torso]).max() > 1e-3 * scale
 
 
 class TestTrain:
@@ -461,8 +521,8 @@ class TestTrain:
         cfg = self.smoke_config()
         train(gen_scenario(3, 2, seed=0), cfg, seed=0)
         agents = 3
-        assert counts["rollout"] == 3 * agents * cfg.epochs
-        assert counts["update"] == 3 * agents * cfg.epochs * cfg.updates_per_epoch
+        assert counts["rollout"] == 2 * agents * cfg.epochs
+        assert counts["update"] == 2 * agents * cfg.epochs * cfg.updates_per_epoch
 
     def test_one_gae_call_per_epoch(self, monkeypatch):
         shapes = []
@@ -517,8 +577,8 @@ class TestTrain:
         reference = train(scenario, self.smoke_config(epochs=1, learning_rate=0.0,
                                                       updates_per_epoch=1), seed=3)
         assert np.array_equal(
-            result.agents[0].nets["pi_server"].params,
-            reference.agents[0].nets["pi_server"].params,
+            result.agents[0].nets["policy"].params,
+            reference.agents[0].nets["policy"].params,
         )
 
     def test_toy_instance_approaches_oracle(self):
@@ -618,7 +678,7 @@ class TestMemoryBlocks:
         for u, agent in enumerate(result.agents):
             assert agent.params.base is block and np.shares_memory(agent.params, block[u])
             offset = 0
-            names = ("pi_server", "value", "pi_ratio")
+            names = ("policy", "value")
             for name, net in zip(names, agent.nets.values(), strict=True):
                 assert net is agent.nets[name] and net.params.base is block
                 assert np.shares_memory(net.params, block[u, offset : offset + net.num_params])
@@ -628,7 +688,7 @@ class TestMemoryBlocks:
     def test_optimizer_state_shares_another_block(self, monkeypatch):
         result, optimizers = self.run(monkeypatch)
         params = result.agents[0].params.base
-        assert len(optimizers) == 3 * self.users
+        assert len(optimizers) == 2 * self.users
         state = optimizers[0].m.base
         assert state is not None and not np.shares_memory(state, params)
         start = state.__array_interface__["data"][0]
@@ -672,7 +732,7 @@ class TestMemoryBlocks:
         def poisoning_update(agent, optimizers, batch, cfg):
             stats = real_update(agent, optimizers, batch, cfg)
             if len(calls) in poison:
-                agent.nets["pi_ratio"].biases[0][0] = poison[len(calls)]
+                agent.nets["policy"].biases[0][0] = poison[len(calls)]
             calls.append(agent)
             return stats
 
@@ -741,7 +801,7 @@ class TestCheckpoint:
             assert sorted(data.files) == [
                 "hidden_units", "num_servers", "obs_dim", "params", "schema_version"
             ]
-            assert int(data["schema_version"]) == 3
+            assert int(data["schema_version"]) == 4
             first = agents[0]
             assert [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")] == [
                 first.obs_dim, first.num_servers, first.hidden

@@ -202,6 +202,18 @@ class TestGreedy:
         # the heaviest user is served first and takes the slot
         assert action.quantum_indicator[2] == 1
 
+    def test_matches_reference_over_successive_grants(self):
+        # the first 12x5 QPU-pays instance on which greedy grants three QPUs,
+        # each grant closing a server that later users then solve without
+        for seed in range(10):
+            scenario = qpu_pays_instance(seed, num_users=12, num_servers=5)
+            want = reference_greedy(scenario)
+            if sum(want.quantum_indicator) >= 3:
+                break
+        else:
+            pytest.fail("no 12x5 QPU-pays instance among seeds 0-9 grants three QPUs")
+        assert solve_greedy(scenario) == want
+
     def test_takes_qpu_only_when_strictly_cheaper(self):
         scenario = gen_scenario(4, 3, seed=9)
         evaluator = ScenarioEvaluator(scenario)
