@@ -392,7 +392,7 @@ def _trained_agents(cfg: ExperimentConfig) -> list[HybridAgent] | None:
     try:
         agents = load_checkpoint(cfg.checkpoint)
     except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        # missing, empty, truncated, not an .npz archive, not a v3 checkpoint,
+        # missing, empty, truncated, not an .npz archive, another schema version,
         # cut for inconsistent dimensions or holding non-finite parameters
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}") from exc
     # a loaded agent's obs_dim fits its num_servers, so the servers decide the fit

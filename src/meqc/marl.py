@@ -4,15 +4,19 @@ Every user is an independent learner holding one policy network and one
 critic.  The policy's shared torso feeds two heads, a categorical head
 over servers and a sigmoid-squashed Gaussian head for the local ratio,
 both judged by the one value network, as in H-PPO (Fan et al. 2019,
-arXiv:1903.01344).  Rollouts come from the shared environment (team
-reward), advantages from generalized advantage estimation against the
-agent's critic, and updates from the clipped surrogate objective.  An
-agent's observation is fixed within a training epoch, so every network
-call is on that one row: each network runs once per epoch in the
-rollout, whose epoch is one table of ``[T, U]`` columns (one batched draw
-of every agent's actions, one ``gae`` pass over all U constant critic
-baselines), and once forward and backward per update, fed the
-per-sample gradients summed over the minibatch, both heads' at once.
+arXiv:1903.01344).  A policy output row is the server logits, then the
+ratio's pre-squash mean and log-std; one reader, ``_read_heads``, turns
+rows into the action distribution for the rollout's draw and the update,
+and ``LearnedPolicy`` acts on the same stacked rows.  Rollouts come from
+the shared environment (team reward), advantages from generalized
+advantage estimation against the agent's critic, and updates from the
+clipped surrogate objective.  An agent's observation is fixed within a
+training epoch, so every network call is on that one row: each network
+runs once per epoch in the rollout, whose epoch is one table of
+``[T, U]`` columns (one batched draw from the stacked ``[U, E + 2]``
+policy rows, one ``gae`` pass over all U constant critic baselines), and
+once forward and backward per update, fed the per-sample gradients
+summed over the minibatch, both heads' at once.
 All numerics run on the hand-rolled, one-row ``nn.Mlp``.  An agent and
 each of its networks are views of a given parameter vector, or of zeros,
 and draw only when given a generator.  A run lives in two blocks: agent
@@ -28,7 +32,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -97,26 +100,23 @@ def _log_sigmoid_slope(z):
     return -(_softplus(z) + _softplus(-z))
 
 
-@dataclass(frozen=True)
-class PolicyHeads:
-    """One agent's network outputs at one observation.
-
-    ``logp_server``/``probs`` are over servers; ``mean``/``log_std`` give
-    the pre-squash Gaussian of the ratio, ``log_std`` already clamped;
-    ``value`` is the critic's estimate, the baseline of both heads.
-    """
-
-    logp_server: np.ndarray
-    probs: np.ndarray
-    mean: float
-    log_std: float
-    value: float
+def _read_heads(out):
+    """Server log-probabilities, pre-squash mean and clamped log-std of
+    policy rows ``[..., E + 2]``."""
+    logits = out[..., :-2]
+    top = logits.max(axis=-1, keepdims=True)
+    logp_server = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
+    return logp_server, out[..., -2], np.clip(out[..., -1], LOG_STD_MIN, LOG_STD_MAX)
 
 
-def draw_actions(
-    heads: Sequence[PolicyHeads], steps: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """``steps`` (server, ratio) draws per agent, as ``[steps, agents]`` columns.
+def _gaussian_log_density(zscore, log_std):
+    """Log-density of a Gaussian with ``log_std`` at ``zscore`` deviations from its mean."""
+    return -0.5 * zscore**2 - log_std - 0.5 * _LOG_2PI
+
+
+def draw_actions(out: np.ndarray, steps: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """``steps`` (server, ratio) draws per agent from its policy row of ``out``
+    (``[agents, E + 2]``), as ``[steps, agents]`` columns.
 
     Consumes one ``random`` block, then one ``standard_normal`` block.
     Servers follow ``Generator.choice(p=probs)``: the right insertion point
@@ -125,25 +125,21 @@ def draw_actions(
     change-of-variables correction ``-log sigmoid'(z)``, so the reported
     value is the density of the ratio itself.
     """
-    uniform = rng.random((steps, len(heads)))
-    normal = rng.standard_normal((steps, len(heads)))
-    cdf = np.cumsum([h.probs for h in heads], axis=1)
+    logp_all, mean, log_std = _read_heads(out)
+    uniform = rng.random((steps, len(out)))
+    normal = rng.standard_normal((steps, len(out)))
+    cdf = np.cumsum(np.exp(logp_all), axis=1)
     cdf /= cdf[:, -1:]
-    server = np.stack(
-        [np.searchsorted(c, x, side="right") for c, x in zip(cdf, uniform.T)], axis=1
-    )
-    logp_all = np.array([h.logp_server for h in heads])
-    mean = np.array([h.mean for h in heads])
-    log_std = np.array([h.log_std for h in heads])
-    z = mean + np.exp(log_std) * normal
+    server = (uniform[..., None] >= cdf).sum(-1)
+    std = np.exp(log_std)
+    z = mean + std * normal
     correction = _log_sigmoid_slope(z)
-    gauss = -0.5 * ((z - mean) / np.exp(log_std)) ** 2 - log_std - 0.5 * _LOG_2PI
     return {
         "server": server,
         "ratio": _sigmoid(z),
         "pre_squash": z,
-        "logp_server": logp_all[np.arange(len(heads)), server],
-        "logp_ratio": gauss - correction,
+        "logp_server": logp_all[np.arange(len(out)), server],
+        "logp_ratio": _gaussian_log_density((z - mean) / std, log_std) - correction,
         "squash_correction": correction,
     }
 
@@ -206,38 +202,14 @@ class HybridAgent:
             raise ValueError(f"expected {offset} parameters per agent, got {array.shape[-1]}")
         return views
 
-    def policy(self, obs):
-        """Server logits, then the pre-squash Gaussian's mean and clamped log_std."""
-        out = self.nets["policy"].forward(obs)
-        return out[:-2], out[-2], np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
-
-    def server_logits(self, obs):
-        return self.policy(obs)[0]
-
-    def ratio_params(self, obs):
-        """(mean, log_std) of the pre-squash Gaussian, log_std clamped."""
-        return self.policy(obs)[1:]
-
     def values(self, obs) -> float:
         """The critic's estimate at one observation."""
         return float(self.nets["value"].forward(obs)[0])
 
-    def heads(self, obs) -> PolicyHeads:
-        """Action distribution and value estimate at one observation."""
-        logits, mean, log_std = self.policy(obs)
-        logp_all = logits - _logsumexp(logits)
-        return PolicyHeads(
-            logp_server=logp_all,
-            probs=np.exp(logp_all),
-            mean=float(mean),
-            log_std=float(log_std),
-            value=self.values(obs),
-        )
 
-    def greedy_action(self, obs) -> tuple[int, float]:
-        """Deterministic mode: argmax server, squashed mean ratio."""
-        logits, mean, _ = self.policy(obs)
-        return int(np.argmax(logits)), float(_sigmoid(float(mean)))
+def _policy_rows(agents: list[HybridAgent], obs: np.ndarray) -> np.ndarray:
+    """``[U, E + 2]``: each agent's policy output at its observation row."""
+    return np.stack([agent.nets["policy"].forward(o) for agent, o in zip(agents, obs)])
 
 
 def _non_finite_rows(params: np.ndarray) -> list[int]:
@@ -246,11 +218,6 @@ def _non_finite_rows(params: np.ndarray) -> list[int]:
     # np.isfinite(params) would add a block-sized temporary
     finite = np.isfinite(params.min(axis=1)) & np.isfinite(params.max(axis=1))
     return np.flatnonzero(~finite).tolist()
-
-
-def _logsumexp(x):
-    m = np.max(x)
-    return m + np.log(np.sum(np.exp(x - m)))
 
 
 def gae(
@@ -325,10 +292,9 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
     out, cache_p = agent.nets["policy"].forward_cached(obs)
-    logits, (mean, raw_ls) = out[:-2], out[-2:]
+    logp_all, mean, log_std = _read_heads(out)
 
     # Discrete head.
-    logp_all = logits - _logsumexp(logits)
     probs = np.exp(logp_all)
     ratio = np.exp(logp_all[server] - batch["logp_server"])
     surr_a = np.minimum(
@@ -340,13 +306,10 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
 
     # Continuous head.
-    log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
-    ls_open = LOG_STD_MIN < raw_ls < LOG_STD_MAX
+    ls_open = LOG_STD_MIN < out[-1] < LOG_STD_MAX
     std = np.exp(log_std)
     zscore = (batch["pre_squash"] - mean) / std
-    logp_new_r = (
-        -0.5 * zscore**2 - log_std - 0.5 * _LOG_2PI - batch["squash_correction"]
-    )
+    logp_new_r = _gaussian_log_density(zscore, log_std) - batch["squash_correction"]
     ratio_r = np.exp(logp_new_r - batch["logp_ratio"])
     surr_r = np.minimum(
         ratio_r * adv, np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
@@ -462,11 +425,10 @@ def train(
         # epoch in one batch, then score all steps in one batch.
         env.reset()
         obs = env.observations()
-        heads = [agent.heads(o) for agent, o in zip(agents, obs)]
-        actions = draw_actions(heads, cfg.steps_per_epoch, sample_rng)
+        actions = draw_actions(_policy_rows(agents, obs), cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
         # each critic's value is the same at every step and after the last
-        values = np.array([h.value for h in heads])  # [U]
+        values = np.array([agent.values(o) for agent, o in zip(agents, obs)])  # [U]
         baselines = np.broadcast_to(values, (cfg.steps_per_epoch + 1, len(values)))
         adv, ret = gae(rewards, baselines, cfg.discount, cfg.gae_lambda)
         rollout = dict(actions, adv=adv, ret=ret)
@@ -566,4 +528,6 @@ class LearnedPolicy:
         self.agents = agents
 
     def act(self, env, rng):
-        return [a.greedy_action(obs) for a, obs in zip(self.agents, env.observations())]
+        """``[U, 2]`` pairs: each agent's argmax server logit and squashed mean ratio."""
+        out = _policy_rows(self.agents, env.observations())
+        return np.stack([out[:, :-2].argmax(axis=1), _sigmoid(out[:, -2])], axis=1)

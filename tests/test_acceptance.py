@@ -294,9 +294,14 @@ def test_criterion_7_gae_oracle():
     _passed(7, f"{total} sequences agree with the weighted n-step oracle at 1e-12")
 
 
-def test_criterion_8_desk_scale_learning():
-    start = time.time()
-    cfg = TrainConfig(epochs=100, steps_per_epoch=500)
+# criterion 8's bars: mean trained cost over the mean oracle's and over
+# the mean better of the local and random baselines
+ORACLE_BAR, BASELINE_BAR = 1.10, 0.70
+
+
+def _criterion_8_costs(cfg):
+    """Mean trained, oracle and best-baseline costs over criterion 8's
+    scenarios, each trained with ``cfg``, and one detail line per seed."""
     trained_costs = []
     oracle_costs = []
     baseline_costs = []
@@ -321,18 +326,43 @@ def test_criterion_8_desk_scale_learning():
         baseline_costs.append(min(local, random_mean))
         details.append(f"seed {seed}: trained={trained:.2f} oracle={oracle:.2f} "
                        f"best-baseline={min(local, random_mean):.2f}")
-    mean_trained = float(np.mean(trained_costs))
-    mean_oracle = float(np.mean(oracle_costs))
-    mean_baseline = float(np.mean(baseline_costs))
+    means = (float(np.mean(costs)) for costs in (trained_costs, oracle_costs, baseline_costs))
+    return (*means, details)
+
+
+def test_criterion_8_desk_scale_learning():
+    start = time.time()
+    cfg = TrainConfig(epochs=100, steps_per_epoch=500)
+    mean_trained, mean_oracle, mean_baseline, details = _criterion_8_costs(cfg)
     elapsed = time.time() - start
     for line in details:
         print("  " + line)
-    assert mean_trained <= 1.10 * mean_oracle, (mean_trained, mean_oracle)
-    assert mean_trained <= 0.70 * mean_baseline, (mean_trained, mean_baseline)
+    assert mean_trained <= ORACLE_BAR * mean_oracle, (mean_trained, mean_oracle)
+    assert mean_trained <= BASELINE_BAR * mean_baseline, (mean_trained, mean_baseline)
     assert elapsed < 15 * 60
     _passed(8, f"trained/oracle={mean_trained / mean_oracle:.3f} (<=1.10), "
                f"trained/best-baseline={mean_trained / mean_baseline:.3f} (<=0.70), "
                f"{elapsed / 60:.1f} min")
+
+
+def test_criterion_8_tracks_learning_rate_times_width():
+    """At one input per network, Adam's per-parameter steps add up over the
+    width (standard parameterisation; Yang et al., arXiv:2203.03466), so
+    criterion 8 follows ``learning_rate * hidden_units``: 16 units pass at
+    the default product, 1.6e-2 x 16, and fail at the default rate."""
+    start = time.time()
+    trained, oracle, baseline, _ = _criterion_8_costs(
+        TrainConfig(epochs=100, steps_per_epoch=500, hidden_units=16, learning_rate=1.6e-2)
+    )
+    assert trained <= ORACLE_BAR * oracle, (trained, oracle)
+    assert trained <= BASELINE_BAR * baseline, (trained, baseline)
+    slow, slow_oracle, _, _ = _criterion_8_costs(
+        TrainConfig(epochs=100, steps_per_epoch=500, hidden_units=16, learning_rate=1e-3)
+    )
+    assert slow > ORACLE_BAR * slow_oracle, (slow, slow_oracle)
+    _passed("8 (lr x width)",
+            f"hidden 16: trained/oracle={trained / oracle:.3f} at lr 1.6e-2 (<=1.10), "
+            f"{slow / slow_oracle:.2f} at lr 1e-3 (>1.10), {time.time() - start:.1f} s")
 
 
 def test_criterion_9a_edge_cpu_sweep_monotone():

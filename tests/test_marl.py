@@ -2,6 +2,7 @@
 clipped-update mechanics and the end-to-end training contract."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from meqc.marl import (
     TrainConfig,
     TrainingError,
     UpdateStats,
-    _logsumexp,
+    _log_sigmoid_slope,
     _make_optimizers,
     _normalize,
+    _read_heads,
+    _sigmoid,
     _surrogate_coef,
     draw_actions,
     gae,
@@ -128,9 +131,60 @@ class TestGae:
                     assert ret[column].tobytes() == want[1].tobytes()
 
 
+def policy_rows(agents, obs):
+    """``[U, E + 2]``: every agent's policy output at the one row ``obs``."""
+    return np.stack([agent.nets["policy"].forward(obs) for agent in agents])
+
+
+def server_logits(agent, obs):
+    return agent.nets["policy"].forward(obs)[:-2]
+
+
 def draw_one(agent, obs, n, rng):
     """``n`` actions of one agent at ``obs``, as per-sample columns."""
-    return {key: col[:, 0] for key, col in draw_actions([agent.heads(obs)], n, rng).items()}
+    return {key: col[:, 0] for key, col in draw_actions(policy_rows([agent], obs), n, rng).items()}
+
+
+def reference_draw_actions(out, steps, rng):
+    """The per-agent draw: each agent's own log-softmax and probabilities,
+    then ``np.searchsorted(..., side="right")`` of its uniforms in its cdf."""
+    logp_all = np.array([row[:-2] - _lse(row[:-2]) for row in out])
+    probs = [np.exp(logp) for logp in logp_all]
+    mean = np.array([float(row[-2]) for row in out])
+    log_std = np.array([float(np.clip(row[-1], LOG_STD_MIN, LOG_STD_MAX)) for row in out])
+    uniform = rng.random((steps, len(out)))
+    normal = rng.standard_normal((steps, len(out)))
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    server = np.stack(
+        [np.searchsorted(c, x, side="right") for c, x in zip(cdf, uniform.T)], axis=1
+    )
+    z = mean + np.exp(log_std) * normal
+    correction = _log_sigmoid_slope(z)
+    gauss = -0.5 * ((z - mean) / np.exp(log_std)) ** 2 - log_std - 0.5 * _LOG_2PI
+    return {
+        "server": server,
+        "ratio": _sigmoid(z),
+        "pre_squash": z,
+        "logp_server": logp_all[np.arange(len(out)), server],
+        "logp_ratio": gauss - correction,
+        "squash_correction": correction,
+    }
+
+
+def greedy_reference(agents, obs):
+    """Each agent's greedy pair, one agent at a time: argmax logit, squashed mean."""
+    pairs = []
+    for agent, o in zip(agents, obs):
+        out = agent.nets["policy"].forward(o)
+        pairs.append((int(np.argmax(out[:-2])), float(_sigmoid(float(out[-2])))))
+    return pairs
+
+
+def greedy_act(agents, obs):
+    """``LearnedPolicy(agents).act`` with every agent observing the row ``obs``."""
+    env = SimpleNamespace(observations=lambda: np.tile(obs, (len(agents), 1)))
+    return LearnedPolicy(agents).act(env, None)
 
 
 class TestHybridSampling:
@@ -164,40 +218,75 @@ class TestHybridSampling:
         for net in agent.nets.values():
             net.weights[-1] *= 100.0  # far from uniform
         obs = np.linspace(-1.0, 1.0, 4)
-        heads = agent.heads(obs)
+        out = agent.nets["policy"].forward(obs)
+        logp_server = out[:-2] - _lse(out[:-2])
+        log_std = np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
         for seed in range(5):
             samples = draw_one(agent, obs, 257, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
-            expected = rng.choice(num_servers, size=257, p=heads.probs)
+            expected = rng.choice(num_servers, size=257, p=np.exp(logp_server))
             assert np.array_equal(samples["server"], expected)
             normal = rng.standard_normal(257)
-            assert np.array_equal(
-                samples["pre_squash"], heads.mean + np.exp(heads.log_std) * normal
-            )
-            assert np.array_equal(samples["logp_server"], heads.logp_server[expected])
+            assert np.array_equal(samples["pre_squash"], out[-2] + np.exp(log_std) * normal)
+            assert np.array_equal(samples["logp_server"], logp_server[expected])
+
+    @pytest.mark.parametrize("num_servers", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("agents", [1, 3, 10])
+    def test_matches_per_agent_reference(self, agents, num_servers):
+        # the stacked draw against one log-softmax and one searchsorted per
+        # agent, bit for bit; rows far from uniform, with a probability that
+        # underflows to zero, and with log-stds beyond either clamp
+        rng = np.random.default_rng(100 * agents + num_servers)
+        for case in ("plain", "logits_x100", "underflow"):
+            out = rng.normal(size=(agents, num_servers + 2))
+            out[:, -1] *= 4.0
+            if case == "logits_x100":
+                out[0, :-2] *= 100.0
+            elif case == "underflow" and num_servers > 1:
+                out[-1, 0] = out[-1, 1:-2].max() - 800.0  # exp underflows to 0.0
+                assert np.exp(out[-1, 0] - _lse(out[-1, :-2])) == 0.0
+            for seed in range(3):
+                got = draw_actions(out, 257, np.random.default_rng(seed))
+                want = reference_draw_actions(out, 257, np.random.default_rng(seed))
+                assert list(got) == list(want)
+                for key in want:
+                    assert got[key].dtype == want[key].dtype, key
+                    assert got[key].tobytes() == want[key].tobytes(), key
 
     def test_agents_draw_from_their_own_heads(self):
         agents = [HybridAgent(obs_dim=3, num_servers=3, hidden=8,
                               rng=np.random.default_rng(seed)) for seed in (0, 1)]
         agents[1].nets["policy"].biases[-1][:3] = (-50.0, -50.0, 50.0)  # server logits
         obs = np.full(3, 0.5)
-        actions = draw_actions([a.heads(obs) for a in agents], 300, np.random.default_rng(6))
+        actions = draw_actions(policy_rows(agents, obs), 300, np.random.default_rng(6))
         assert actions["server"].shape == (300, 2)
         assert (actions["server"][:, 1] == 2).all()
         assert len(np.unique(actions["server"][:, 0])) == 3
 
     def test_greedy_mode_deterministic(self):
-        agent = HybridAgent(obs_dim=4, num_servers=3, hidden=8,
-                            rng=np.random.default_rng(4))
-        obs = np.full(4, 0.3)
-        assert agent.greedy_action(obs) == agent.greedy_action(obs)
+        # LearnedPolicy acts on all agents' rows at once, bit for bit as one
+        # agent at a time would, and the same way every time
+        rng = np.random.default_rng(4)
+        for num_servers in (1, 2, 3, 5):
+            for _ in range(10):
+                agents = [HybridAgent(obs_dim=4, num_servers=num_servers, hidden=8,
+                                      rng=rng) for _ in range(6)]
+                for agent in agents:
+                    agent.nets["policy"].weights[-1] *= rng.choice([1.0, 100.0])
+                obs = rng.normal(size=(6, 4))
+                env = SimpleNamespace(observations=lambda: obs)
+                pairs = LearnedPolicy(agents).act(env, None)
+                assert pairs.shape == (6, 2) and pairs.dtype == np.float64
+                want = np.array(greedy_reference(agents, obs), dtype=np.float64)
+                assert pairs.tobytes() == want.tobytes()
+                assert LearnedPolicy(agents).act(env, None).tobytes() == pairs.tobytes()
 
     def test_squashed_density_integrates_to_one(self):
         # change-of-variables check: integrate the implied density over (0, 1)
         agent = HybridAgent(obs_dim=3, num_servers=2, hidden=8,
                             rng=np.random.default_rng(5))
         obs = np.full(3, 0.7)
-        mean, log_std = agent.ratio_params(obs)
+        _, mean, log_std = _read_heads(agent.nets["policy"].forward(obs))
         mean, std = float(mean), float(np.exp(log_std))
         ratios = np.linspace(1e-7, 1.0 - 1e-7, 200_001)
         z = np.log(ratios / (1.0 - ratios))
@@ -211,7 +300,7 @@ def constant_batch(agent, obs, server, advantage, rng, n=32):
     """Batch of transitions at one observation sampled from the agent's current policy."""
     samples = draw_one(agent, obs, n, rng)
     if server is not None:
-        logits = agent.server_logits(obs)
+        logits = server_logits(agent, obs)
         samples["server"] = np.full(n, server)
         samples["logp_server"] = np.full(n, logits[server] - _lse(logits))
     return {
@@ -239,10 +328,10 @@ class TestPpoUpdate:
         obs = np.full(4, 0.2)
         batch = constant_batch(agent, obs, server=1, advantage=2.0,
                                rng=np.random.default_rng(1))
-        logits = agent.server_logits(obs)
+        logits = server_logits(agent, obs)
         before = logits[1] - _lse(logits)
         ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
-        logits = agent.server_logits(obs)
+        logits = server_logits(agent, obs)
         assert logits[1] - _lse(logits) > before
 
     def test_clipped_ratio_stops_gradient(self):
@@ -276,9 +365,10 @@ class TestPpoUpdate:
             rewards = (samples["server"] == 0).astype(float)
             batch = {"obs": obs, **samples, "adv": rewards - agent.values(obs), "ret": rewards}
             ppo_update(agent, opts, batch, cfg)
-            probs = np.exp(agent.server_logits(obs) - _lse(agent.server_logits(obs)))
+            logits = server_logits(agent, obs)
+            probs = np.exp(logits - _lse(logits))
             assert abs(probs.sum() - 1.0) < 1e-6
-        logits = agent.server_logits(obs)
+        logits = server_logits(agent, obs)
         probs = np.exp(logits - _lse(logits))
         assert probs[0] >= 0.95
 
@@ -326,7 +416,7 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
 
     out, cache_p = reference_forward(agent.nets["policy"], obs)
     logits = out[:, :-2]
-    logp_all = logits - np.array([_logsumexp(row) for row in logits])[:, None]
+    logp_all = logits - np.array([_lse(row) for row in logits])[:, None]
     probs = np.exp(logp_all)
     logp_new = logp_all[np.arange(n), batch["server"]]
     ratio = np.exp(logp_new - batch["logp_server"])
@@ -764,7 +854,7 @@ class TestMemoryBlocks:
         assert np.shares_memory(agent.params, block[1])
         assert all(net.params.base is block for net in agent.nets.values())
         obs = np.linspace(0.0, 1.0, 5)
-        assert agent.greedy_action(obs) == source.greedy_action(obs)
+        assert greedy_act([agent], obs).tobytes() == greedy_act([source], obs).tobytes()
         assert agent.values(obs) == source.values(obs)
         assert not HybridAgent(obs_dim=5, num_servers=2, hidden=8).params.any()
 
@@ -788,8 +878,8 @@ class TestCheckpoint:
             np.savez(other, **data, scenario_seed=np.float64(0))
         obs = np.full(12, 0.4)
         for restored in (load_checkpoint(path), load_checkpoint(other)):
+            assert greedy_act(restored, obs).tobytes() == greedy_act(agents, obs).tobytes()
             for a, b in zip(agents, restored, strict=True):
-                assert a.greedy_action(obs) == b.greedy_action(obs)
                 for name in a.nets:
                     assert np.array_equal(a.nets[name].params, b.nets[name].params)
 
@@ -869,11 +959,12 @@ class TestPickle:
         # one copy of the parameters, not one per view
         assert len(data) < 1.05 * block.nbytes
         obs = np.linspace(0.0, 1.0, agents[0].obs_dim)
-        for agent, copy in zip(agents, pickle.loads(data), strict=True):
+        copies = pickle.loads(data)
+        assert greedy_act(copies, obs).tobytes() == greedy_act(agents, obs).tobytes()
+        for agent, copy in zip(agents, copies, strict=True):
             assert not np.shares_memory(copy.params, block)
             assert copy.params.tobytes() == agent.params.tobytes()
             assert list(copy.nets) == list(agent.nets)
             for net in copy.nets.values():
                 assert net.params.base is copy.params
                 assert all(w.base is copy.params for w in net.weights + net.biases)
-            assert copy.greedy_action(obs) == agent.greedy_action(obs)
