@@ -1,28 +1,31 @@
 """Multi-agent PPO over the hybrid server/ratio action space.
 
-Every user is an independent learner holding one policy network and one
-critic.  The policy's shared torso feeds two heads, a categorical head
-over servers and a sigmoid-squashed Gaussian head for the local ratio,
-both judged by the one value network, as in H-PPO (Fan et al. 2019,
-arXiv:1903.01344).  A policy output row is the server logits, then the
-ratio's pre-squash mean and log-std; one reader, ``_read_heads``, turns
-rows into the action distribution for the rollout's draw and the update,
-and ``LearnedPolicy`` acts on the same stacked rows.  Rollouts come from
-the shared environment (team reward), advantages from generalized
-advantage estimation against the agent's critic, and updates from the
-clipped surrogate objective.  An agent's observation is fixed within a
-training epoch, so every network call is on that one row: each network
-runs once per epoch in the rollout, whose epoch is one table of
-``[T, U]`` columns (one batched draw from the stacked ``[U, E + 2]``
-policy rows, one ``gae`` pass over all U constant critic baselines), and
-once forward and backward per update, fed the per-sample gradients
-summed over the minibatch, both heads' at once.
+Every user is an independent learner holding one network.  Its shared
+torso feeds three heads: a categorical head over servers and a
+sigmoid-squashed Gaussian head for the local ratio, as in H-PPO (Fan et
+al. 2019, arXiv:1903.01344), and the critic's value, as in PPO's
+shared-parameter form (Schulman et al. 2017, arXiv:1707.06347, eq. 9).
+An output row is the server logits, the ratio's pre-squash mean and
+log-std, then the value; one reader, ``_read_heads``, turns rows into the
+action distribution for the rollout's draw and the update, and
+``LearnedPolicy`` acts on the same stacked rows.  Rollouts come from the
+shared environment (team reward), advantages from generalized advantage
+estimation against the value head, and updates from the clipped
+surrogate objective plus the value head's squared error, divided by 1 +
+the minibatch's return variance so that the costs' scale stays off the
+shared torso.  An agent's observation is fixed within a training epoch,
+so every network call is on that one row: each agent's network runs once per epoch in the
+rollout, whose epoch is one table of ``[T, U]`` columns (one batched
+draw from the stacked ``[U, E + 3]`` rows, one ``gae`` pass over the U
+constant values of the same rows), and once forward and backward per
+update, fed the per-sample gradients summed over the minibatch, all
+three heads' at once.
 All numerics run on the hand-rolled, one-row ``nn.Mlp``.  An agent and
-each of its networks are views of a given parameter vector, or of zeros,
-and draw only when given a generator.  A run lives in two blocks: agent
-``u`` views row ``u`` of one parameter block, and every optimizer's
-moments, gradient row and step scratch are views of one optimizer-state
-block, freed when ``train`` returns.  A checkpoint holds the parameter
+its network are views of a given parameter vector, or of zeros, and draw
+only when given a generator.  A run lives in two blocks: agent ``u``
+views row ``u`` of one parameter block, and every optimizer's moments,
+gradient row and step scratch are views of one optimizer-state block,
+freed when ``train`` returns.  A checkpoint holds the parameter
 block and the shape it was cut by; loading one puts the agents back over
 its rows.
 """
@@ -39,12 +42,12 @@ from .env import MeqcEnv, observation_length
 from .nn import Adam, Mlp, Sgd
 from .workload import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # one learning-curve row per epoch: its mean per-step cost, then the
 # epoch means of the ``UpdateStats`` fields named after it (``value_loss``
-# is the one critic's squared error)
+# is the value head's squared error)
 CURVE_COLUMNS = ("epoch", "mean_cost", "policy_loss", "value_loss", "entropy")
 
 
@@ -102,11 +105,11 @@ def _log_sigmoid_slope(z):
 
 def _read_heads(out):
     """Server log-probabilities, pre-squash mean and clamped log-std of
-    policy rows ``[..., E + 2]``."""
-    logits = out[..., :-2]
+    network rows ``[..., E + 3]``."""
+    logits = out[..., :-3]
     top = logits.max(axis=-1, keepdims=True)
     logp_server = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
-    return logp_server, out[..., -2], np.clip(out[..., -1], LOG_STD_MIN, LOG_STD_MAX)
+    return logp_server, out[..., -3], np.clip(out[..., -2], LOG_STD_MIN, LOG_STD_MAX)
 
 
 def _gaussian_log_density(zscore, log_std):
@@ -115,8 +118,8 @@ def _gaussian_log_density(zscore, log_std):
 
 
 def draw_actions(out: np.ndarray, steps: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """``steps`` (server, ratio) draws per agent from its policy row of ``out``
-    (``[agents, E + 2]``), as ``[steps, agents]`` columns.
+    """``steps`` (server, ratio) draws per agent from its row of ``out``
+    (``[agents, E + 3]``), as ``[steps, agents]`` columns.
 
     Consumes one ``random`` block, then one ``standard_normal`` block.
     Servers follow ``Generator.choice(p=probs)``: the right insertion point
@@ -144,27 +147,22 @@ def draw_actions(out: np.ndarray, steps: int, rng: np.random.Generator) -> dict[
     }
 
 
-def _net_layouts(obs_dim: int, num_servers: int, hidden: int) -> dict:
-    """``(sizes, out_scale)`` of each of an agent's networks, in draw order.
-
-    The policy's outputs are the server logits, then the ratio's pre-squash
-    mean and log-std.
-    """
-    return {
-        "policy": ((obs_dim, hidden, hidden, num_servers + 2), 0.01),
-        "value": ((obs_dim, hidden, hidden, 1), 1.0),
-    }
+def _layer_sizes(obs_dim: int, num_servers: int, hidden: int) -> tuple[int, ...]:
+    """Layer widths of an agent's network: E logits, the ratio's mean and log-std, the value."""
+    return (obs_dim, hidden, hidden, num_servers + 3)
 
 
 class HybridAgent:
-    """One user's policy network, whose torso feeds both heads, and its value network.
+    """One user's network, whose torso feeds the server, ratio and value heads.
 
-    ``params`` holds the parameters of both networks, one after another
-    in ``_net_layouts`` order, and each network's ``params`` is a view of it.
-    The agent views a given ``params``, such as a row of a run's parameter
-    block, or zeros of its own; only with ``rng`` do its networks draw their
-    initial weights into it, in that order.  An agent pickles as its shape
-    and ``params``, so its networks stay views.
+    ``net`` is ``Mlp((obs_dim, H, H, E + 3), out_scale=0.01)`` over
+    ``params``.  The value column is drawn at that out_scale too (a
+    separate critic drew its output at 1.0): either way the first values
+    sit orders of magnitude below returns of 1e2-1e7 cost units, so the
+    critic starts from about zero in both.  The agent views a given ``params``, such
+    as a row of a run's parameter block, or zeros of its own; only with
+    ``rng`` does its network draw its initial weights into it.  An agent
+    pickles as its shape and ``params``, so its network stays a view.
     """
 
     def __init__(self, obs_dim: int, num_servers: int, hidden: int,
@@ -172,44 +170,27 @@ class HybridAgent:
         self.obs_dim = obs_dim
         self.num_servers = num_servers
         self.hidden = hidden
+        count = self.param_count(obs_dim, num_servers, hidden)
         if params is None:
-            params = np.zeros(self.param_count(obs_dim, num_servers, hidden))
+            params = np.zeros(count)
+        elif params.shape[-1:] != (count,):
+            raise ValueError(f"expected {count} parameters per agent, got {params.shape[-1]}")
         self.params = params
-        views = self.split(params)
-        self.nets = {
-            name: Mlp(sizes, rng, out_scale=out_scale, params=views[name])
-            for name, (sizes, out_scale) in _net_layouts(obs_dim, num_servers, hidden).items()
-        }
+        self.net = Mlp(_layer_sizes(obs_dim, num_servers, hidden), rng, out_scale=0.01,
+                       params=params)
 
     def __reduce__(self):
         return HybridAgent, (self.obs_dim, self.num_servers, self.hidden, None, self.params)
 
     @staticmethod
     def param_count(obs_dim: int, num_servers: int, hidden: int) -> int:
-        """Length of an agent's ``params``: the sum over its networks."""
-        layouts = _net_layouts(obs_dim, num_servers, hidden).values()
-        return sum(Mlp.param_count(sizes) for sizes, _ in layouts)
-
-    def split(self, array: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-network views of ``array``'s last axis, laid out like ``params``."""
-        views = {}
-        offset = 0
-        for name, (sizes, _) in _net_layouts(self.obs_dim, self.num_servers, self.hidden).items():
-            count = Mlp.param_count(sizes)
-            views[name] = array[..., offset : offset + count]
-            offset += count
-        if array.shape[-1] != offset:
-            raise ValueError(f"expected {offset} parameters per agent, got {array.shape[-1]}")
-        return views
-
-    def values(self, obs) -> float:
-        """The critic's estimate at one observation."""
-        return float(self.nets["value"].forward(obs)[0])
+        """Length of an agent's ``params``."""
+        return Mlp.param_count(_layer_sizes(obs_dim, num_servers, hidden))
 
 
-def _policy_rows(agents: list[HybridAgent], obs: np.ndarray) -> np.ndarray:
-    """``[U, E + 2]``: each agent's policy output at its observation row."""
-    return np.stack([agent.nets["policy"].forward(o) for agent, o in zip(agents, obs)])
+def _output_rows(agents: list[HybridAgent], obs: np.ndarray) -> np.ndarray:
+    """``[U, E + 3]``: each agent's network output at its observation row."""
+    return np.stack([agent.net.forward(o) for agent, o in zip(agents, obs)])
 
 
 def _non_finite_rows(params: np.ndarray) -> list[int]:
@@ -253,8 +234,8 @@ def gae(
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """An update's summed policy loss, its critic's mean squared error and
-    its summed entropy."""
+    """An update's summed policy loss, its value head's mean squared error
+    and its summed entropy."""
 
     policy_loss: float
     value_loss: float
@@ -273,17 +254,20 @@ def _surrogate_coef(ratio, adv, clip_eps):
     return np.where(gated, 0.0, ratio * adv)
 
 
-def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConfig) -> UpdateStats:
-    """One clipped-surrogate update of both networks on one minibatch.
+def ppo_update(agent: HybridAgent, optimizer: Adam | Sgd, batch: dict,
+               cfg: TrainConfig) -> UpdateStats:
+    """One clipped-surrogate update of the agent's network on one minibatch.
 
-    ``batch["obs"]`` is the observation every sample shares, so each
-    network runs forward and backward once, on that row, fed the sum of the
+    ``batch["obs"]`` is the observation every sample shares, so the network
+    runs forward and backward once, on that row, fed the sum of the
     per-sample upstream gradients (backprop is linear in the upstream).
     Both policy heads maximize the clipped objective plus an entropy bonus,
-    on the same (normalised) advantages, and the policy steps once along
-    the sum of their gradients; the critic descends on squared error
-    against the GAE returns.  Raises ``TrainingError`` if any loss goes
-    non-finite.
+    on the same (normalised) advantages, and the value head descends on its
+    mean squared error against the GAE returns divided by 1 + their
+    variance over the minibatch; the network steps once along the sum of the
+    three gradients, PPO's combined loss (arXiv:1707.06347, eq. 9) with
+    value coefficient 1.  ``value_loss`` reports the undivided squared
+    error.  Raises ``TrainingError`` if any loss goes non-finite.
     """
     obs = batch["obs"]
     server = batch["server"]
@@ -291,7 +275,7 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
-    out, cache_p = agent.nets["policy"].forward_cached(obs)
+    out, cache = agent.net.forward_cached(obs)
     logp_all, mean, log_std = _read_heads(out)
 
     # Discrete head.
@@ -306,7 +290,7 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
 
     # Continuous head.
-    ls_open = LOG_STD_MIN < out[-1] < LOG_STD_MAX
+    ls_open = LOG_STD_MIN < out[-2] < LOG_STD_MAX
     std = np.exp(log_std)
     zscore = (batch["pre_squash"] - mean) / std
     logp_new_r = _gaussian_log_density(zscore, log_std) - batch["squash_correction"]
@@ -319,14 +303,15 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     up_mean = -(coef_r / n) * (zscore / std)
     up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
 
-    # Both heads through the shared torso: one backward of their joint upstream.
-    up_out = np.concatenate([up_logits.sum(0), [up_mean.sum(), up_ls.sum()]])
-    optimizers["policy"].descend(cache_p, up_out)
+    # Value head: its squared error over 1 + the minibatch's return variance,
+    # so that returns of 1e2-1e7 cost units do not swamp the policy heads'
+    # upstream on the shared torso; the 1 keeps equal returns at plain error.
+    err = out[-1] - batch["ret"]
+    up_v = 2.0 * err / (n * (1.0 + batch["ret"].var()))
 
-    # Critic.
-    v, cache_v = agent.nets["value"].forward_cached(obs)
-    err = v[0] - batch["ret"]
-    optimizers["value"].descend(cache_v, np.array([(2.0 * err / n).sum()]))
+    # All three heads through the shared torso: one backward of their joint upstream.
+    up_out = np.concatenate([up_logits.sum(0), [up_mean.sum(), up_ls.sum(), up_v.sum()]])
+    optimizer.descend(cache, up_out)
 
     stats = UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
@@ -341,34 +326,24 @@ def ppo_update(agent: HybridAgent, optimizers: dict, batch: dict, cfg: TrainConf
     return stats
 
 
-def _make_optimizers(agents: list[HybridAgent], cfg: TrainConfig) -> list[dict]:
-    """One optimizer per network of every agent, all state in one fresh block.
+def _make_optimizers(agents: list[HybridAgent], cfg: TrainConfig) -> list[Adam | Sgd]:
+    """One optimizer per agent, all state in one fresh block.
 
-    Updates run one network at a time, so every network of every agent
-    shares one gradient row and step scratch pair, sized to the largest
-    network.  Adam's moments follow as ``[U, 2, P]``: each agent's ``m``
-    and ``v`` rows, laid out like its ``params``.  This block stays apart
-    from the parameter block, so the agents a run returns keep none of it.
+    Updates run one agent at a time, so every agent's optimizer shares one
+    gradient row and step scratch pair.  Adam's moments follow as
+    ``[U, 2, P]``: each agent's ``m`` and ``v`` rows.  This block stays
+    apart from the parameter block, so the agents a run returns keep none
+    of it.
     """
-    width = max(net.num_params for net in agents[0].nets.values())
     count = agents[0].params.size
     adam = cfg.optimizer == "adam"
-    state = np.zeros(3 * width + (2 * len(agents) * count if adam else 0))
-    buffers = state[: 3 * width].reshape(3, width)
+    state = np.zeros(3 * count + (2 * len(agents) * count if adam else 0))
+    buffers = state[: 3 * count].reshape(3, count)
     if not adam:
-        return [
-            {name: Sgd(net, cfg.learning_rate, buffers=buffers)
-             for name, net in agent.nets.items()}
-            for agent in agents
-        ]
-    optimizers = []
-    for agent, moments in zip(agents, state[3 * width :].reshape(len(agents), 2, count)):
-        views = agent.split(moments)
-        optimizers.append({
-            name: Adam(net, cfg.learning_rate, buffers=buffers, moments=views[name])
-            for name, net in agent.nets.items()
-        })
-    return optimizers
+        return [Sgd(agent.net, cfg.learning_rate, buffers=buffers) for agent in agents]
+    moments = state[3 * count :].reshape(len(agents), 2, count)
+    return [Adam(agent.net, cfg.learning_rate, buffers=buffers, moments=agent_moments)
+            for agent, agent_moments in zip(agents, moments)]
 
 
 @dataclass
@@ -405,7 +380,7 @@ def train(
         rng=np.random.default_rng(env_ss),
     )
     obs_dim = observation_length(env.num_servers)
-    # the run's parameter block: agent u's networks are views of row u
+    # the run's parameter block: agent u's network is a view of row u
     params = np.zeros(
         (env.num_users, HybridAgent.param_count(obs_dim, env.num_servers, cfg.hidden_units))
     )
@@ -421,15 +396,15 @@ def train(
     last_good = None if checkpoint_path is None else params.copy()
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
-        # values are fixed for the epoch: evaluate them once, draw the whole
-        # epoch in one batch, then score all steps in one batch.
+        # value are fixed for the epoch: run each network once, draw the
+        # whole epoch in one batch, then score all steps in one batch.
         env.reset()
         obs = env.observations()
-        actions = draw_actions(_policy_rows(agents, obs), cfg.steps_per_epoch, sample_rng)
+        out = _output_rows(agents, obs)
+        actions = draw_actions(out, cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
-        # each critic's value is the same at every step and after the last
-        values = np.array([agent.values(o) for agent, o in zip(agents, obs)])  # [U]
-        baselines = np.broadcast_to(values, (cfg.steps_per_epoch + 1, len(values)))
+        # each value head's output is the same at every step and after the last
+        baselines = np.broadcast_to(out[:, -1], (cfg.steps_per_epoch + 1, len(out)))
         adv, ret = gae(rewards, baselines, cfg.discount, cfg.gae_lambda)
         rollout = dict(actions, adv=adv, ret=ret)
 
@@ -442,10 +417,10 @@ def train(
                     replace=False,
                 )
                 batch = {key: col[idx] for key, col in rollout.items()}
-                for u, (agent, opts, o) in enumerate(zip(agents, optimizers, obs)):
+                for u, (agent, optimizer, o) in enumerate(zip(agents, optimizers, obs)):
                     agent_batch = {key: col[:, u] for key, col in batch.items()}
                     agent_batch["obs"] = o
-                    stats.append(ppo_update(agent, opts, agent_batch, cfg))
+                    stats.append(ppo_update(agent, optimizer, agent_batch, cfg))
             bad = _non_finite_rows(params)
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
@@ -529,5 +504,5 @@ class LearnedPolicy:
 
     def act(self, env, rng):
         """``[U, 2]`` pairs: each agent's argmax server logit and squashed mean ratio."""
-        out = _policy_rows(self.agents, env.observations())
-        return np.stack([out[:, :-2].argmax(axis=1), _sigmoid(out[:, -2])], axis=1)
+        out = _output_rows(self.agents, env.observations())
+        return np.stack([out[:, :-3].argmax(axis=1), _sigmoid(out[:, -3])], axis=1)

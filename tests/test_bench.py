@@ -763,6 +763,7 @@ class TestCli:
         ("version_1", "unsupported checkpoint schema_version 1"),
         ("version_2", "unsupported checkpoint schema_version 2"),
         ("version_3", "unsupported checkpoint schema_version 3"),
+        ("version_4", "unsupported checkpoint schema_version 4"),
         ("width", "parameters per agent"),
         ("no_servers", "dimensions must be >= 1, got obs_dim 8, num_servers 0"),
         ("no_hidden", "dimensions must be >= 1"),
@@ -783,14 +784,19 @@ class TestCli:
         if case == "version_1":  # the per-network layout it had before the block
             arrays = {key: arrays[key] for key in ("obs_dim", "num_servers", "hidden_units")}
             arrays.update(schema_version=1, num_agents=len(agents))
-            for u, agent in enumerate(agents):
-                arrays.update({f"agent{u}.{name}": net.params for name, net in agent.nets.items()})
+            for u in range(len(agents)):
+                arrays.update({f"agent{u}.{name}": np.zeros(Mlp.param_count(sizes)) for name, sizes
+                               in (("policy", (12, 8, 8, 4)), ("value", (12, 8, 8, 1)))})
         elif case == "version_2":  # a second critic after the last network, as version 2 had
-            critic = np.stack([agent.nets["value"].params for agent in agents])
+            critic = np.zeros((len(agents), Mlp.param_count((12, 8, 8, 1))))
             arrays.update(schema_version=2, params=np.hstack([arrays["params"], critic]))
         elif case == "version_3":  # three networks: server logits, critic, ratio
             sizes = [(12, 8, 8, 2), (12, 8, 8, 1), (12, 8, 8, 2)]
             arrays.update(schema_version=3, params=np.zeros(
+                (len(agents), sum(Mlp.param_count(s) for s in sizes))))
+        elif case == "version_4":  # two networks: policy (logits, mean, log-std), critic
+            sizes = [(12, 8, 8, 4), (12, 8, 8, 1)]
+            arrays.update(schema_version=4, params=np.zeros(
                 (len(agents), sum(Mlp.param_count(s) for s in sizes))))
         elif case == "width":
             arrays["hidden_units"] = np.int64(9)

@@ -71,16 +71,15 @@ REDRAW_EVAL = dict(users=10, servers=10, seeds=(0, 1, 2), episodes=5,
 
 
 def train_outputs(name: str, workdir: Path) -> dict[str, bytes]:
-    """The learning-curve CSV and per-network parameter hashes of one run."""
+    """The learning-curve CSV and per-agent parameter hashes of one run."""
     run = TRAIN_RUNS[name]
     scenario = gen_scenario(run["users"], run["servers"], run["scenario_seed"])
     result = train(scenario, run["cfg"], run["seed"])
     curve = workdir / f"{name}_curve.csv"
     write_learning_curve(curve, result.curve)
     hashes = "".join(
-        f"agent{u}.{name} {hashlib.sha256(net.params.tobytes()).hexdigest()}\n"
+        f"agent{u}.net {hashlib.sha256(agent.params.tobytes()).hexdigest()}\n"
         for u, agent in enumerate(result.agents)
-        for name, net in agent.nets.items()
     )
     return {
         f"{name}_curve.csv": curve.read_bytes(),

@@ -31,7 +31,7 @@ from meqc.marl import (
     save_checkpoint,
     train,
 )
-from meqc.nn import Mlp
+from meqc.nn import Adam, Mlp
 from meqc.solvers import evaluate
 from meqc.workload import gen_scenario
 
@@ -131,27 +131,27 @@ class TestGae:
                     assert ret[column].tobytes() == want[1].tobytes()
 
 
-def policy_rows(agents, obs):
-    """``[U, E + 2]``: every agent's policy output at the one row ``obs``."""
-    return np.stack([agent.nets["policy"].forward(obs) for agent in agents])
+def output_rows(agents, obs):
+    """``[U, E + 3]``: every agent's network output at the one row ``obs``."""
+    return np.stack([agent.net.forward(obs) for agent in agents])
 
 
 def server_logits(agent, obs):
-    return agent.nets["policy"].forward(obs)[:-2]
+    return agent.net.forward(obs)[:-3]
 
 
 def draw_one(agent, obs, n, rng):
     """``n`` actions of one agent at ``obs``, as per-sample columns."""
-    return {key: col[:, 0] for key, col in draw_actions(policy_rows([agent], obs), n, rng).items()}
+    return {key: col[:, 0] for key, col in draw_actions(output_rows([agent], obs), n, rng).items()}
 
 
 def reference_draw_actions(out, steps, rng):
     """The per-agent draw: each agent's own log-softmax and probabilities,
     then ``np.searchsorted(..., side="right")`` of its uniforms in its cdf."""
-    logp_all = np.array([row[:-2] - _lse(row[:-2]) for row in out])
+    logp_all = np.array([row[:-3] - _lse(row[:-3]) for row in out])
     probs = [np.exp(logp) for logp in logp_all]
-    mean = np.array([float(row[-2]) for row in out])
-    log_std = np.array([float(np.clip(row[-1], LOG_STD_MIN, LOG_STD_MAX)) for row in out])
+    mean = np.array([float(row[-3]) for row in out])
+    log_std = np.array([float(np.clip(row[-2], LOG_STD_MIN, LOG_STD_MAX)) for row in out])
     uniform = rng.random((steps, len(out)))
     normal = rng.standard_normal((steps, len(out)))
     cdf = np.cumsum(probs, axis=1)
@@ -176,8 +176,8 @@ def greedy_reference(agents, obs):
     """Each agent's greedy pair, one agent at a time: argmax logit, squashed mean."""
     pairs = []
     for agent, o in zip(agents, obs):
-        out = agent.nets["policy"].forward(o)
-        pairs.append((int(np.argmax(out[:-2])), float(_sigmoid(float(out[-2])))))
+        out = agent.net.forward(o)
+        pairs.append((int(np.argmax(out[:-3])), float(_sigmoid(float(out[-3])))))
     return pairs
 
 
@@ -191,9 +191,8 @@ class TestHybridSampling:
     def test_server_frequencies_near_uniform(self):
         agent = HybridAgent(obs_dim=6, num_servers=4, hidden=16,
                             rng=np.random.default_rng(0))
-        for net in agent.nets.values():
-            for w in net.weights:
-                w[:] = 0.0
+        for w in agent.net.weights:
+            w[:] = 0.0
         obs = np.zeros(6)
         rng = np.random.default_rng(1)
         counts = np.bincount(draw_one(agent, obs, 10_000, rng)["server"], minlength=4)
@@ -215,19 +214,18 @@ class TestHybridSampling:
         # pre-squash ratio from a standard_normal block
         agent = HybridAgent(obs_dim=4, num_servers=num_servers, hidden=8,
                             rng=np.random.default_rng(num_servers))
-        for net in agent.nets.values():
-            net.weights[-1] *= 100.0  # far from uniform
+        agent.net.weights[-1] *= 100.0  # far from uniform
         obs = np.linspace(-1.0, 1.0, 4)
-        out = agent.nets["policy"].forward(obs)
-        logp_server = out[:-2] - _lse(out[:-2])
-        log_std = np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
+        out = agent.net.forward(obs)
+        logp_server = out[:-3] - _lse(out[:-3])
+        log_std = np.clip(out[-2], LOG_STD_MIN, LOG_STD_MAX)
         for seed in range(5):
             samples = draw_one(agent, obs, 257, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             expected = rng.choice(num_servers, size=257, p=np.exp(logp_server))
             assert np.array_equal(samples["server"], expected)
             normal = rng.standard_normal(257)
-            assert np.array_equal(samples["pre_squash"], out[-2] + np.exp(log_std) * normal)
+            assert np.array_equal(samples["pre_squash"], out[-3] + np.exp(log_std) * normal)
             assert np.array_equal(samples["logp_server"], logp_server[expected])
 
     @pytest.mark.parametrize("num_servers", [1, 2, 3, 5, 10])
@@ -238,13 +236,13 @@ class TestHybridSampling:
         # underflows to zero, and with log-stds beyond either clamp
         rng = np.random.default_rng(100 * agents + num_servers)
         for case in ("plain", "logits_x100", "underflow"):
-            out = rng.normal(size=(agents, num_servers + 2))
-            out[:, -1] *= 4.0
+            out = rng.normal(size=(agents, num_servers + 3))
+            out[:, -2] *= 4.0
             if case == "logits_x100":
-                out[0, :-2] *= 100.0
+                out[0, :-3] *= 100.0
             elif case == "underflow" and num_servers > 1:
-                out[-1, 0] = out[-1, 1:-2].max() - 800.0  # exp underflows to 0.0
-                assert np.exp(out[-1, 0] - _lse(out[-1, :-2])) == 0.0
+                out[-1, 0] = out[-1, 1:-3].max() - 800.0  # exp underflows to 0.0
+                assert np.exp(out[-1, 0] - _lse(out[-1, :-3])) == 0.0
             for seed in range(3):
                 got = draw_actions(out, 257, np.random.default_rng(seed))
                 want = reference_draw_actions(out, 257, np.random.default_rng(seed))
@@ -256,9 +254,9 @@ class TestHybridSampling:
     def test_agents_draw_from_their_own_heads(self):
         agents = [HybridAgent(obs_dim=3, num_servers=3, hidden=8,
                               rng=np.random.default_rng(seed)) for seed in (0, 1)]
-        agents[1].nets["policy"].biases[-1][:3] = (-50.0, -50.0, 50.0)  # server logits
+        agents[1].net.biases[-1][:3] = (-50.0, -50.0, 50.0)  # server logits
         obs = np.full(3, 0.5)
-        actions = draw_actions(policy_rows(agents, obs), 300, np.random.default_rng(6))
+        actions = draw_actions(output_rows(agents, obs), 300, np.random.default_rng(6))
         assert actions["server"].shape == (300, 2)
         assert (actions["server"][:, 1] == 2).all()
         assert len(np.unique(actions["server"][:, 0])) == 3
@@ -272,7 +270,7 @@ class TestHybridSampling:
                 agents = [HybridAgent(obs_dim=4, num_servers=num_servers, hidden=8,
                                       rng=rng) for _ in range(6)]
                 for agent in agents:
-                    agent.nets["policy"].weights[-1] *= rng.choice([1.0, 100.0])
+                    agent.net.weights[-1] *= rng.choice([1.0, 100.0])
                 obs = rng.normal(size=(6, 4))
                 env = SimpleNamespace(observations=lambda: obs)
                 pairs = LearnedPolicy(agents).act(env, None)
@@ -286,7 +284,7 @@ class TestHybridSampling:
         agent = HybridAgent(obs_dim=3, num_servers=2, hidden=8,
                             rng=np.random.default_rng(5))
         obs = np.full(3, 0.7)
-        _, mean, log_std = _read_heads(agent.nets["policy"].forward(obs))
+        _, mean, log_std = _read_heads(agent.net.forward(obs))
         mean, std = float(mean), float(np.exp(log_std))
         ratios = np.linspace(1e-7, 1.0 - 1e-7, 200_001)
         z = np.log(ratios / (1.0 - ratios))
@@ -344,7 +342,7 @@ class TestPpoUpdate:
         # pretend the old policy found this action much less likely:
         # ratio = exp(logp_new - logp_old) = 1 + 2*eps > 1 + eps, advantage > 0
         batch["logp_server"] = batch["logp_server"] - np.log(1 + 2 * cfg.clip_epsilon)
-        out_w, out_b = agent.nets["policy"].weights[-1], agent.nets["policy"].biases[-1]
+        out_w, out_b = agent.net.weights[-1], agent.net.biases[-1]
         before = out_w[:, :3].copy(), out_b[:3].copy()  # the server-logit columns
         ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
         assert np.array_equal(out_w[:, :3], before[0])
@@ -363,7 +361,8 @@ class TestPpoUpdate:
         for _ in range(200):
             samples = draw_one(agent, obs, 64, rng)
             rewards = (samples["server"] == 0).astype(float)
-            batch = {"obs": obs, **samples, "adv": rewards - agent.values(obs), "ret": rewards}
+            value = agent.net.forward(obs)[-1]
+            batch = {"obs": obs, **samples, "adv": rewards - value, "ret": rewards}
             ppo_update(agent, opts, batch, cfg)
             logits = server_logits(agent, obs)
             probs = np.exp(logits - _lse(logits))
@@ -404,18 +403,18 @@ class TestPpoUpdate:
             ppo_update(agent, _make_optimizers([agent], cfg)[0], batch, cfg)
 
 
-def reference_ppo_update(agent, optimizers, batch, cfg):
-    """The tiled update: every network runs on ``batch["obs"]``, one row per
-    sample, and steps along the sum of the per-sample gradients; the policy
-    along both heads' at once."""
+def reference_ppo_update(agent, optimizer, batch, cfg):
+    """The tiled update: the network runs on ``batch["obs"]``, one row per
+    sample, and steps along the sum of the per-sample gradients, all three
+    heads' at once."""
     obs = batch["obs"]
     n = len(obs)
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
 
-    out, cache_p = reference_forward(agent.nets["policy"], obs)
-    logits = out[:, :-2]
+    out, cache = reference_forward(agent.net, obs)
+    logits = out[:, :-3]
     logp_all = logits - np.array([_lse(row) for row in logits])[:, None]
     probs = np.exp(logp_all)
     logp_new = logp_all[np.arange(n), batch["server"]]
@@ -428,11 +427,11 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(n), batch["server"]] = 1.0
     up_out = np.zeros_like(out)
-    up_out[:, :-2] = -(coef / n)[:, None] * (one_hot - probs)
-    up_out[:, :-2] += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
+    up_out[:, :-3] = -(coef / n)[:, None] * (one_hot - probs)
+    up_out[:, :-3] += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None])
 
-    mean = out[:, -2]
-    raw_ls = out[:, -1]
+    mean = out[:, -3]
+    raw_ls = out[:, -2]
     log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
     ls_open = (raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)
     std = np.exp(log_std)
@@ -446,14 +445,12 @@ def reference_ppo_update(agent, optimizers, batch, cfg):
     )
     entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
     coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
-    up_out[:, -2] = -(coef_r / n) * (zscore / std)
-    up_out[:, -1] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
-    optimizers["policy"].step(reference_backward(agent.nets["policy"], cache_p, up_out))
+    up_out[:, -3] = -(coef_r / n) * (zscore / std)
+    up_out[:, -2] = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
 
-    v, cache_v = reference_forward(agent.nets["value"], obs)
-    err = v[:, 0] - batch["ret"]
-    up_v = (2.0 * err / n)[:, None]
-    optimizers["value"].step(reference_backward(agent.nets["value"], cache_v, up_v))
+    err = out[:, -1] - batch["ret"]
+    up_out[:, -1] = 2.0 * err / (n * (1.0 + batch["ret"].var()))
+    optimizer.step(reference_backward(agent.net, cache, up_out))
 
     return UpdateStats(
         policy_loss=float(-(surr_a.mean() + surr_r.mean())),
@@ -486,19 +483,18 @@ class TestOneRowUpdate:
         agents = [HybridAgent(obs_dim=6, num_servers=num_servers, hidden=32,
                               rng=np.random.default_rng(num_servers)) for _ in range(2)]
         for agent in agents:
-            agent.nets["policy"].biases[-1][-1] = log_std_bias
+            agent.net.biases[-1][-2] = log_std_bias
         obs = np.linspace(0.0, 1.0, 6)
         batch = perturbed_batch(agents[0], obs, n, seed=10 * num_servers + n)
         tiled = dict(batch, obs=np.tile(obs, (n, 1)))
-        before = {name: net.params.copy() for name, net in agents[0].nets.items()}
+        before = agents[0].params.copy()
         ref = reference_ppo_update(agents[0], _make_optimizers([agents[0]], cfg)[0], tiled, cfg)
         got = ppo_update(agents[1], _make_optimizers([agents[1]], cfg)[0], batch, cfg)
-        for name, net in agents[0].nets.items():
-            vec = net.params
-            if n > 1:
-                assert not np.array_equal(vec, before[name]), name
-            delta = np.abs(agents[1].nets[name].params - vec).max()
-            assert delta <= 1e-12 * np.abs(vec).max(), name
+        vec = agents[0].params
+        if n > 1:
+            assert not np.array_equal(vec, before)
+        delta = np.abs(agents[1].params - vec).max()
+        assert delta <= 1e-12 * np.abs(vec).max()
         for field in ("policy_loss", "value_loss", "entropy"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0)
 
@@ -510,7 +506,7 @@ class TestOneRowUpdate:
         cfg = TrainConfig(optimizer=optimizer)
         agent = HybridAgent(obs_dim=5, num_servers=1, hidden=16, rng=np.random.default_rng(3))
         obs = np.full(5, 0.3)
-        out_w, out_b = agent.nets["policy"].weights[-1], agent.nets["policy"].biases[-1]
+        out_w, out_b = agent.net.weights[-1], agent.net.biases[-1]
         before = out_w[:, 0].copy(), out_b[0]
         opts = _make_optimizers([agent], cfg)[0]
         for seed in range(5):
@@ -519,13 +515,15 @@ class TestOneRowUpdate:
 
 
 def head_losses(net, batch, cfg):
-    """The server head's and the ratio head's loss at ``net``'s parameters:
-    each its negated mean clipped surrogate minus its entropy bonus."""
+    """The server head's, the ratio head's and the value head's loss at
+    ``net``'s parameters: each policy head's negated mean clipped surrogate
+    minus its entropy bonus, and the value head's mean squared error over
+    1 + the variance of the returns."""
     adv = batch["adv"]
     if cfg.normalize_advantages and len(adv) > 1:
         adv = _normalize(adv)
     out = net.forward(batch["obs"])
-    logits, mean, log_std = out[:-2], out[-2], np.clip(out[-1], LOG_STD_MIN, LOG_STD_MAX)
+    logits, mean, log_std = out[:-3], out[-3], np.clip(out[-2], LOG_STD_MIN, LOG_STD_MAX)
     low, high = 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon
 
     logp_all = logits - _lse(logits)
@@ -540,38 +538,63 @@ def head_losses(net, batch, cfg):
     ratio_r = np.exp(logp_r - batch["logp_ratio"])
     surr_r = np.minimum(ratio_r * adv, np.clip(ratio_r, low, high) * adv)
     ratio_loss = -surr_r.mean() - cfg.entropy_coef * (log_std + 0.5 * (_LOG_2PI + 1.0))
-    return server_loss, ratio_loss
+    value_loss = np.mean((out[-1] - batch["ret"]) ** 2) / (1.0 + batch["ret"].var())
+    return server_loss, ratio_loss, value_loss
+
+
+def update_and_numeric_gradients(agent, batch, cfg):
+    """``ppo_update``'s step direction, and each head's loss gradient taken
+    by central differences at the parameters it started from."""
+    optimizer = _make_optimizers([agent], cfg)[0]
+    steps = []
+    optimizer.step = lambda grad: steps.append(grad.copy())
+    ppo_update(agent, optimizer, batch, cfg)
+    (grad,) = steps
+
+    net = agent.net
+    theta = net.params.copy()
+    h = 1e-6
+    numeric = np.zeros((3, net.num_params))
+    for i in range(net.num_params):
+        for sign in (1.0, -1.0):
+            net.params[i] = theta[i] + sign * h
+            numeric[:, i] += sign * np.array(head_losses(net, batch, cfg)) / (2 * h)
+        net.params[i] = theta[i]
+    return grad, numeric
 
 
 class TestSharedTorso:
     @pytest.mark.parametrize("normalize", [True, False], ids=["norm", "raw"])
     def test_policy_gradient_sums_both_heads(self, normalize):
-        # the policy steps along the server head's loss gradient plus the
-        # ratio head's, each taken by central differences; on the shared
-        # layers both heads contribute
+        # where the value head meets its returns, the network steps along
+        # the server head's loss gradient plus the ratio head's; on the
+        # shared layers both heads contribute
         cfg = TrainConfig(entropy_coef=0.05, normalize_advantages=normalize)
         agent = HybridAgent(obs_dim=5, num_servers=3, hidden=8, rng=np.random.default_rng(11))
-        batch = perturbed_batch(agent, np.linspace(-0.5, 0.5, 5), 16, seed=12)
-        opts = _make_optimizers([agent], cfg)[0]
-        steps = []
-        opts["policy"].step = lambda grad: steps.append(grad.copy())
-        ppo_update(agent, opts, batch, cfg)
-        (grad,) = steps
+        obs = np.linspace(-0.5, 0.5, 5)
+        batch = perturbed_batch(agent, obs, 16, seed=12)
+        batch["ret"] = np.full(16, agent.net.forward(obs)[-1])
+        grad, numeric = update_and_numeric_gradients(agent, batch, cfg)
+        scale = np.abs(grad).max()
+        assert np.abs(grad - numeric[:2].sum(axis=0)).max() <= 1e-6 * scale
+        assert np.abs(numeric[2]).max() <= 1e-6 * scale
+        torso = agent.net.num_params - agent.net.weights[-1].size - agent.net.biases[-1].size
+        for head in numeric[:2]:
+            assert np.abs(head[:torso]).max() > 1e-3 * scale
 
-        net = agent.nets["policy"]
-        theta = net.params.copy()
-        h = 1e-6
-        numeric = np.zeros((2, net.num_params))
-        for i in range(net.num_params):
-            for sign in (1.0, -1.0):
-                net.params[i] = theta[i] + sign * h
-                numeric[:, i] += sign * np.array(head_losses(net, batch, cfg)) / (2 * h)
-            net.params[i] = theta[i]
+    @pytest.mark.parametrize("normalize", [True, False], ids=["norm", "raw"])
+    def test_gradient_sums_all_three_heads(self, normalize):
+        # the combined loss: the network steps along the sum of the server
+        # head's, the ratio head's and the value head's loss gradients, and
+        # the value head's share on the shared layers is not negligible
+        cfg = TrainConfig(entropy_coef=0.05, normalize_advantages=normalize)
+        agent = HybridAgent(obs_dim=5, num_servers=3, hidden=8, rng=np.random.default_rng(13))
+        batch = perturbed_batch(agent, np.linspace(-0.5, 0.5, 5), 16, seed=14)
+        grad, numeric = update_and_numeric_gradients(agent, batch, cfg)
         scale = np.abs(grad).max()
         assert np.abs(grad - numeric.sum(axis=0)).max() <= 1e-6 * scale
-        torso = net.num_params - net.weights[-1].size - net.biases[-1].size
-        for head in numeric:
-            assert np.abs(head[:torso]).max() > 1e-3 * scale
+        torso = agent.net.num_params - agent.net.weights[-1].size - agent.net.biases[-1].size
+        assert np.abs(numeric[2, :torso]).max() > 1e-3 * scale
 
 
 class TestTrain:
@@ -591,13 +614,19 @@ class TestTrain:
         assert a.curve == b.curve
 
     def test_rollout_runs_each_network_once_per_epoch(self, monkeypatch):
-        counts = {"rollout": 0, "update": 0}
+        # one network per agent: one forward per epoch in the rollout, and
+        # one forward, backward and optimizer step per update
+        counts = {phase: dict.fromkeys(("forward", "backward", "step"), 0)
+                  for phase in ("rollout", "update")}
         in_update = [False]
-        real_forward, real_update = Mlp.forward_cached, marl.ppo_update
+        real_forward, real_backward = Mlp.forward_cached, Mlp.backward
+        real_step, real_update = Adam.step, marl.ppo_update
 
-        def counting_forward(self, x):
-            counts["update" if in_update[0] else "rollout"] += 1
-            return real_forward(self, x)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts["update" if in_update[0] else "rollout"][name] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
         def flagged_update(*args):
             in_update[0] = True
@@ -606,13 +635,16 @@ class TestTrain:
             finally:
                 in_update[0] = False
 
-        monkeypatch.setattr(Mlp, "forward_cached", counting_forward)
+        monkeypatch.setattr(Mlp, "forward_cached", counting("forward", real_forward))
+        monkeypatch.setattr(Mlp, "backward", counting("backward", real_backward))
+        monkeypatch.setattr(Adam, "step", counting("step", real_step))
         monkeypatch.setattr(marl, "ppo_update", flagged_update)
         cfg = self.smoke_config()
         train(gen_scenario(3, 2, seed=0), cfg, seed=0)
         agents = 3
-        assert counts["rollout"] == 2 * agents * cfg.epochs
-        assert counts["update"] == 2 * agents * cfg.epochs * cfg.updates_per_epoch
+        assert counts["rollout"] == {"forward": agents * cfg.epochs, "backward": 0, "step": 0}
+        updates = agents * cfg.epochs * cfg.updates_per_epoch
+        assert counts["update"] == {"forward": updates, "backward": updates, "step": updates}
 
     def test_one_gae_call_per_epoch(self, monkeypatch):
         shapes = []
@@ -661,15 +693,11 @@ class TestTrain:
         result = train(scenario, cfg, seed=3)
         fresh = train(scenario, cfg, seed=3)  # same init stream
         for a, b in zip(result.agents, fresh.agents):
-            for name in a.nets:
-                assert np.array_equal(a.nets[name].params, b.nets[name].params)
+            assert np.array_equal(a.params, b.params)
         # and identical to a run that never updates at all
         reference = train(scenario, self.smoke_config(epochs=1, learning_rate=0.0,
                                                       updates_per_epoch=1), seed=3)
-        assert np.array_equal(
-            result.agents[0].nets["policy"].params,
-            reference.agents[0].nets["policy"].params,
-        )
+        assert np.array_equal(result.agents[0].params, reference.agents[0].params)
 
     def test_toy_instance_approaches_oracle(self):
         from meqc.solvers import solve_exhaustive
@@ -700,7 +728,7 @@ class TestTrain:
             stats = real_update(agent, optimizers, batch, cfg)
             calls.append(agent)
             if len(calls) == len(scenario.columns.f_local) + 1:  # epoch 1, first agent
-                agent.nets["value"].weights[1][0, 0] = np.nan
+                agent.net.weights[1][0, 0] = np.nan
             return stats
 
         monkeypatch.setattr(marl, "ppo_update", poisoning_update)
@@ -708,8 +736,7 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"non-finite parameters for agents \[0\]"):
             train(scenario, cfg, seed=4, checkpoint_path=path)
         for want, got in zip(after_epoch0, load_checkpoint(path), strict=True):
-            for name in want.nets:
-                assert np.array_equal(want.nets[name].params, got.nets[name].params)
+            assert np.array_equal(want.params, got.params)
         assert np.isfinite(calls[0].params).all()  # agent 0, poisoned, was rolled back
 
         # without a path nothing is kept or written: the poisoned row stays
@@ -720,7 +747,7 @@ class TestTrain:
         with pytest.raises(TrainingError, match="non-finite parameters"):
             train(scenario, cfg, seed=4)
         assert saved == []
-        assert np.isnan(calls[0].nets["value"].weights[1][0, 0])
+        assert np.isnan(calls[0].net.weights[1][0, 0])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["agents.npz"]
 
     def test_curve_written(self, tmp_path):
@@ -747,9 +774,9 @@ class TestMemoryBlocks:
         seen = []
         real_update = marl.ppo_update
 
-        def recording_update(agent, optimizers, batch, cfg):
-            seen.extend(optimizers.values())
-            return real_update(agent, optimizers, batch, cfg)
+        def recording_update(agent, optimizer, batch, cfg):
+            seen.append(optimizer)
+            return real_update(agent, optimizer, batch, cfg)
 
         monkeypatch.setattr(marl, "ppo_update", recording_update)
         cfg = TrainConfig(epochs=2, steps_per_epoch=8, updates_per_epoch=1, batch_size=8,
@@ -761,24 +788,22 @@ class TestMemoryBlocks:
         result, _ = self.run(monkeypatch)
         agent0 = result.agents[0]
         size = HybridAgent.param_count(agent0.obs_dim, self.servers, self.hidden)
+        assert size == Mlp.param_count((agent0.obs_dim, self.hidden, self.hidden,
+                                        self.servers + 3))
+        # 3 servers, 256 hidden units: 14*256+256 + 256*256+256 + 256*6+6
+        assert HybridAgent.param_count(14, 3, 256) == 71_174
         block = agent0.params.base
         assert block.shape == (self.users, size)
         # nothing but parameters: a returned result pins no optimizer state
         assert block.nbytes == self.users * size * 8
         for u, agent in enumerate(result.agents):
             assert agent.params.base is block and np.shares_memory(agent.params, block[u])
-            offset = 0
-            names = ("policy", "value")
-            for name, net in zip(names, agent.nets.values(), strict=True):
-                assert net is agent.nets[name] and net.params.base is block
-                assert np.shares_memory(net.params, block[u, offset : offset + net.num_params])
-                offset += net.num_params
-            assert offset == size
+            assert agent.net.params is agent.params and agent.net.num_params == size
 
     def test_optimizer_state_shares_another_block(self, monkeypatch):
         result, optimizers = self.run(monkeypatch)
         params = result.agents[0].params.base
-        assert len(optimizers) == 2 * self.users
+        assert len(optimizers) == self.users
         state = optimizers[0].m.base
         assert state is not None and not np.shares_memory(state, params)
         start = state.__array_interface__["data"][0]
@@ -794,8 +819,9 @@ class TestMemoryBlocks:
 
     def test_sgd_run_has_no_moments(self, monkeypatch):
         result, optimizers = self.run(monkeypatch, optimizer="sgd")
-        widest = max(net.num_params for net in result.agents[0].nets.values())
-        assert {opt.grad.base.shape for opt in optimizers} == {(3 * widest,)}
+        size = result.agents[0].params.size
+        assert len(optimizers) == self.users
+        assert {opt.grad.base.shape for opt in optimizers} == {(3 * size,)}
 
     def test_copies_leave_the_block(self, monkeypatch, tmp_path):
         result, _ = self.run(monkeypatch)
@@ -822,7 +848,7 @@ class TestMemoryBlocks:
         def poisoning_update(agent, optimizers, batch, cfg):
             stats = real_update(agent, optimizers, batch, cfg)
             if len(calls) in poison:
-                agent.nets["policy"].biases[0][0] = poison[len(calls)]
+                agent.net.biases[0][0] = poison[len(calls)]
             calls.append(agent)
             return stats
 
@@ -852,10 +878,10 @@ class TestMemoryBlocks:
         agent = HybridAgent(obs_dim=5, num_servers=2, hidden=8, params=block[1])
         assert block.tobytes() == before  # nothing drawn or zeroed
         assert np.shares_memory(agent.params, block[1])
-        assert all(net.params.base is block for net in agent.nets.values())
+        assert agent.net.params.base is block
         obs = np.linspace(0.0, 1.0, 5)
         assert greedy_act([agent], obs).tobytes() == greedy_act([source], obs).tobytes()
-        assert agent.values(obs) == source.values(obs)
+        assert agent.net.forward(obs).tobytes() == source.net.forward(obs).tobytes()
         assert not HybridAgent(obs_dim=5, num_servers=2, hidden=8).params.any()
 
 
@@ -880,8 +906,7 @@ class TestCheckpoint:
         for restored in (load_checkpoint(path), load_checkpoint(other)):
             assert greedy_act(restored, obs).tobytes() == greedy_act(agents, obs).tobytes()
             for a, b in zip(agents, restored, strict=True):
-                for name in a.nets:
-                    assert np.array_equal(a.nets[name].params, b.nets[name].params)
+                assert np.array_equal(a.params, b.params)
 
     def test_file_holds_the_parameter_block(self, tmp_path):
         agents = trained_agents(3, 2)
@@ -891,7 +916,7 @@ class TestCheckpoint:
             assert sorted(data.files) == [
                 "hidden_units", "num_servers", "obs_dim", "params", "schema_version"
             ]
-            assert int(data["schema_version"]) == 4
+            assert int(data["schema_version"]) == 5
             first = agents[0]
             assert [int(data[key]) for key in ("obs_dim", "num_servers", "hidden_units")] == [
                 first.obs_dim, first.num_servers, first.hidden
@@ -928,12 +953,9 @@ class TestCheckpoint:
         for a, b in zip(agents, restored, strict=True):
             assert (a.obs_dim, a.num_servers, a.hidden) == (b.obs_dim, b.num_servers, b.hidden)
             assert b.params.base is block
-            assert list(a.nets) == list(b.nets)
-            for name in a.nets:
-                assert a.nets[name].sizes == b.nets[name].sizes
-                assert np.array_equal(a.nets[name].params, b.nets[name].params)
-                assert b.nets[name].params.base is block
-                assert np.shares_memory(b.nets[name].params, b.params)
+            assert a.net.sizes == b.net.sizes
+            assert np.array_equal(a.net.params, b.net.params)
+            assert b.net.params is b.params
 
     def test_schema_version_checked(self, tmp_path):
         scenario = gen_scenario(1, 1, seed=0)
@@ -964,7 +986,5 @@ class TestPickle:
         for agent, copy in zip(agents, copies, strict=True):
             assert not np.shares_memory(copy.params, block)
             assert copy.params.tobytes() == agent.params.tobytes()
-            assert list(copy.nets) == list(agent.nets)
-            for net in copy.nets.values():
-                assert net.params.base is copy.params
-                assert all(w.base is copy.params for w in net.weights + net.biases)
+            assert copy.net.params is copy.params
+            assert all(w.base is copy.params for w in copy.net.weights + copy.net.biases)
