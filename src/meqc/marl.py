@@ -13,26 +13,27 @@ shared environment (team reward), advantages from generalized advantage
 estimation against the value head, and updates from the clipped
 surrogate objective plus the value head's squared error, divided by 1 +
 the minibatch's return variance so that the costs' scale stays off the
-shared torso.  An agent's observation is fixed within a training epoch,
-so every network call is on that one row: each agent's network runs once per epoch in the
-rollout, whose epoch is one table of ``[T, U]`` columns (one batched
-draw from the stacked ``[U, E + 3]`` rows, one ``gae`` pass over the U
-constant values of the same rows), and once forward and backward per
-update, fed the per-sample gradients summed over the minibatch, all
-three heads' at once.
-All numerics run on the hand-rolled, one-row ``nn.Mlp``.  An agent and
-its network are views of a given parameter vector, or of zeros, and draw
-only when given a generator.  A run lives in two blocks: agent ``u``
-views row ``u`` of one parameter block, and every optimizer's moments,
-gradient row and step scratch are views of one optimizer-state block,
-freed when ``train`` returns.  A checkpoint holds the parameter
-block and the shape it was cut by; loading one puts the agents back over
-its rows.
+shared torso.
+A run's agents train as one stack: agent ``u`` views row ``u`` of one
+``[U, P]`` parameter block, and one ``nn.Mlp`` over the block runs every
+agent's network on its own row at once.  An agent's observation is fixed
+within a training epoch, so the rollout runs the stack once per epoch; its
+epoch is one table of ``[T, U]`` columns (one batched draw from the
+``[U, E + 3]`` output rows, one ``gae`` pass over the U constant values of
+the same rows).  Each update round is one ``ppo_update`` of all agents:
+one forward, one backward fed each agent's per-sample gradients summed
+over its minibatch, all three heads' at once, and one optimizer step.
+An agent and its one-row network are views of a given parameter vector,
+or of zeros, and draw only when given a generator.  The optimizer's state
+is one block, freed when ``train`` returns.  A checkpoint holds the
+parameter block and the shape it was cut by; loading one puts the agents
+back over its rows.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,10 +83,12 @@ class TrainConfig:
                      "hidden_units"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.clip_epsilon <= 0.0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not self.clip_epsilon > 0.0:
             raise ValueError("clip_epsilon must be > 0")
+        if math.isnan(self.entropy_coef):
+            raise ValueError("entropy_coef must be a number, not NaN")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -188,11 +191,6 @@ class HybridAgent:
         return Mlp.param_count(_layer_sizes(obs_dim, num_servers, hidden))
 
 
-def _output_rows(agents: list[HybridAgent], obs: np.ndarray) -> np.ndarray:
-    """``[U, E + 3]``: each agent's network output at its observation row."""
-    return np.stack([agent.net.forward(o) for agent, o in zip(agents, obs)])
-
-
 def _non_finite_rows(params: np.ndarray) -> list[int]:
     """Indices of the rows of a ``[U, P]`` block holding a NaN or infinity."""
     # a row is finite iff its extremes are, as min and max propagate NaN;
@@ -234,16 +232,17 @@ def gae(
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """An update's summed policy loss, its value head's mean squared error
-    and its summed entropy."""
+    """An update's per-agent ``[U]`` summed policy losses, value heads' mean
+    squared errors and summed entropies."""
 
-    policy_loss: float
-    value_loss: float
-    entropy: float
+    policy_loss: np.ndarray
+    value_loss: np.ndarray
+    entropy: np.ndarray
 
 
 def _normalize(adv: np.ndarray) -> np.ndarray:
-    return (adv - adv.mean()) / (adv.std() + 1e-8)
+    """Each row of ``adv`` shifted and scaled to mean 0 and standard deviation 1."""
+    return (adv - adv.mean(axis=-1, keepdims=True)) / (adv.std(axis=-1, keepdims=True) + 1e-8)
 
 
 def _surrogate_coef(ratio, adv, clip_eps):
@@ -254,43 +253,47 @@ def _surrogate_coef(ratio, adv, clip_eps):
     return np.where(gated, 0.0, ratio * adv)
 
 
-def ppo_update(agent: HybridAgent, optimizer: Adam | Sgd, batch: dict,
-               cfg: TrainConfig) -> UpdateStats:
-    """One clipped-surrogate update of the agent's network on one minibatch.
+def ppo_update(net: Mlp, optimizer: Adam | Sgd, batch: dict, cfg: TrainConfig) -> UpdateStats:
+    """One clipped-surrogate update of U agents' networks, each on its own minibatch.
 
-    ``batch["obs"]`` is the observation every sample shares, so the network
-    runs forward and backward once, on that row, fed the sum of the
+    ``net`` runs the agents' ``[U, P]`` parameter block (one agent is
+    ``U = 1``) and ``optimizer`` steps it.  ``batch["obs"]`` is
+    ``[U, obs_dim]``, row u the observation all of agent u's samples share;
+    every other column is ``[U, n]``, row u agent u's samples, contiguous so
+    that each sum over samples runs as over one agent's own column.  Each
+    network runs forward and backward once, on its row, fed the sum of its
     per-sample upstream gradients (backprop is linear in the upstream).
-    Both policy heads maximize the clipped objective plus an entropy bonus,
-    on the same (normalised) advantages, and the value head descends on its
-    mean squared error against the GAE returns divided by 1 + their
-    variance over the minibatch; the network steps once along the sum of the
-    three gradients, PPO's combined loss (arXiv:1707.06347, eq. 9) with
-    value coefficient 1.  ``value_loss`` reports the undivided squared
-    error.  Raises ``TrainingError`` if any loss goes non-finite.
+    Both policy heads maximize the clipped objective plus an
+    entropy bonus, on the same (normalised) advantages, and the value head
+    descends on its mean squared error against the GAE returns divided by
+    1 + their variance over the minibatch; each network steps once along
+    the sum of the three gradients, PPO's combined loss (arXiv:1707.06347,
+    eq. 9) with value coefficient 1.  ``value_loss`` reports the undivided
+    squared error.  Raises ``TrainingError`` naming the agents whose losses
+    went non-finite.
     """
-    obs = batch["obs"]
     server = batch["server"]
-    n = len(server)
+    n = server.shape[-1]
     adv = batch["adv"]
     if cfg.normalize_advantages and n > 1:
         adv = _normalize(adv)
-    out, cache = agent.net.forward_cached(obs)
+    out, cache = net.forward_cached(batch["obs"])
     logp_all, mean, log_std = _read_heads(out)
+    mean, log_std = mean[:, None], log_std[:, None]
 
     # Discrete head.
     probs = np.exp(logp_all)
-    ratio = np.exp(logp_all[server] - batch["logp_server"])
+    ratio = np.exp(np.take_along_axis(logp_all, server, axis=1) - batch["logp_server"])
     surr_a = np.minimum(
         ratio * adv, np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
-    entropy_a = -(probs * logp_all).sum()
+    entropy_a = -(probs * logp_all).sum(axis=1)
     coef = _surrogate_coef(ratio, adv, cfg.clip_epsilon)
-    up_logits = -(coef / n)[:, None] * (np.eye(len(probs))[server] - probs)
-    up_logits += (cfg.entropy_coef / n) * probs * (logp_all + entropy_a)
+    up_logits = -(coef / n)[..., None] * (np.eye(probs.shape[1])[server] - probs[:, None])
+    up_logits += ((cfg.entropy_coef / n) * probs * (logp_all + entropy_a[:, None]))[:, None]
 
     # Continuous head.
-    ls_open = LOG_STD_MIN < out[-2] < LOG_STD_MAX
+    ls_open = (LOG_STD_MIN < out[:, -2:-1]) & (out[:, -2:-1] < LOG_STD_MAX)
     std = np.exp(log_std)
     zscore = (batch["pre_squash"] - mean) / std
     logp_new_r = _gaussian_log_density(zscore, log_std) - batch["squash_correction"]
@@ -298,7 +301,7 @@ def ppo_update(agent: HybridAgent, optimizer: Adam | Sgd, batch: dict,
     surr_r = np.minimum(
         ratio_r * adv, np.clip(ratio_r, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon) * adv
     )
-    entropy_r = log_std + 0.5 * (_LOG_2PI + 1.0)
+    entropy_r = log_std[:, 0] + 0.5 * (_LOG_2PI + 1.0)
     coef_r = _surrogate_coef(ratio_r, adv, cfg.clip_epsilon)
     up_mean = -(coef_r / n) * (zscore / std)
     up_ls = (-(coef_r / n) * (zscore**2 - 1.0) - cfg.entropy_coef / n) * ls_open
@@ -306,44 +309,47 @@ def ppo_update(agent: HybridAgent, optimizer: Adam | Sgd, batch: dict,
     # Value head: its squared error over 1 + the minibatch's return variance,
     # so that returns of 1e2-1e7 cost units do not swamp the policy heads'
     # upstream on the shared torso; the 1 keeps equal returns at plain error.
-    err = out[-1] - batch["ret"]
-    up_v = 2.0 * err / (n * (1.0 + batch["ret"].var()))
+    ret = batch["ret"]
+    err = out[:, -1:] - ret
+    up_v = 2.0 * err / (n * (1.0 + ret.var(axis=1, keepdims=True)))
 
     # All three heads through the shared torso: one backward of their joint upstream.
-    up_out = np.concatenate([up_logits.sum(0), [up_mean.sum(), up_ls.sum(), up_v.sum()]])
-    optimizer.descend(cache, up_out)
+    optimizer.descend(cache, np.column_stack(
+        [up_logits.sum(axis=1), up_mean.sum(axis=1), up_ls.sum(axis=1), up_v.sum(axis=1)]
+    ))
 
     stats = UpdateStats(
-        policy_loss=float(-(surr_a.mean() + surr_r.mean())),
-        value_loss=float(np.mean(err**2)),
-        entropy=float(entropy_a + entropy_r),
+        policy_loss=-(surr_a.mean(axis=1) + surr_r.mean(axis=1)),
+        value_loss=np.mean(err**2, axis=1),
+        entropy=entropy_a + entropy_r,
     )
-    if not all(np.isfinite(v) for v in (stats.policy_loss, stats.value_loss, stats.entropy)):
+    bad = ~(np.isfinite(stats.policy_loss) & np.isfinite(stats.value_loss)
+            & np.isfinite(stats.entropy))
+    if bad.any():
         raise TrainingError(
-            f"non-finite update: policy_loss={stats.policy_loss} "
-            f"value_loss={stats.value_loss} entropy={stats.entropy}"
+            f"non-finite update for agents {np.flatnonzero(bad).tolist()}: "
+            f"policy_loss={stats.policy_loss[bad].tolist()} "
+            f"value_loss={stats.value_loss[bad].tolist()} entropy={stats.entropy[bad].tolist()}"
         )
     return stats
 
 
-def _make_optimizers(agents: list[HybridAgent], cfg: TrainConfig) -> list[Adam | Sgd]:
-    """One optimizer per agent, all state in one fresh block.
+def _make_optimizer(net: Mlp, cfg: TrainConfig) -> Adam | Sgd:
+    """The optimizer of the agents' ``[U, P]`` networks, all its state in one fresh block.
 
-    Updates run one agent at a time, so every agent's optimizer shares one
-    gradient row and step scratch pair.  Adam's moments follow as
-    ``[U, 2, P]``: each agent's ``m`` and ``v`` rows.  This block stays
-    apart from the parameter block, so the agents a run returns keep none
-    of it.
+    The block holds the ``[U, P]`` gradient rows and one scratch pair, then
+    Adam's moments as ``[2, U, P]``: every agent's ``m`` rows, then its
+    ``v`` rows.  It stays apart from the parameter block, so the agents a
+    run returns keep none of it.
     """
-    count = agents[0].params.size
+    rows, count = net.params.shape
     adam = cfg.optimizer == "adam"
-    state = np.zeros(3 * count + (2 * len(agents) * count if adam else 0))
-    buffers = state[: 3 * count].reshape(3, count)
+    state = np.zeros((rows + 2 + (2 * rows if adam else 0), count))
+    buffers = state[: rows + 2]
     if not adam:
-        return [Sgd(agent.net, cfg.learning_rate, buffers=buffers) for agent in agents]
-    moments = state[3 * count :].reshape(len(agents), 2, count)
-    return [Adam(agent.net, cfg.learning_rate, buffers=buffers, moments=agent_moments)
-            for agent, agent_moments in zip(agents, moments)]
+        return Sgd(net, cfg.learning_rate, buffers=buffers)
+    moments = state[rows + 2 :].reshape(2, rows, count)
+    return Adam(net, cfg.learning_rate, buffers=buffers, moments=moments)
 
 
 @dataclass
@@ -380,15 +386,16 @@ def train(
         rng=np.random.default_rng(env_ss),
     )
     obs_dim = observation_length(env.num_servers)
-    # the run's parameter block: agent u's network is a view of row u
-    params = np.zeros(
-        (env.num_users, HybridAgent.param_count(obs_dim, env.num_servers, cfg.hidden_units))
-    )
+    sizes = _layer_sizes(obs_dim, env.num_servers, cfg.hidden_units)
+    # the run's parameter block: agent u's network is a view of row u, and
+    # ``net`` runs all of them at once
+    params = np.zeros((env.num_users, Mlp.param_count(sizes)))
     agents = [
         HybridAgent(obs_dim, env.num_servers, cfg.hidden_units, np.random.default_rng(ss), row)
         for ss, row in zip(agents_ss.spawn(env.num_users), params)
     ]
-    optimizers = _make_optimizers(agents, cfg)
+    net = Mlp(sizes, params=params)
+    optimizer = _make_optimizer(net, cfg)
     sample_rng = np.random.default_rng(sample_ss)
     batch_rng = np.random.default_rng(batch_ss)
 
@@ -396,11 +403,11 @@ def train(
     last_good = None if checkpoint_path is None else params.copy()
     for epoch in range(cfg.epochs):
         # Observations only change on reset, so each agent's policy and
-        # value are fixed for the epoch: run each network once, draw the
+        # value are fixed for the epoch: run the networks once, draw the
         # whole epoch in one batch, then score all steps in one batch.
         env.reset()
         obs = env.observations()
-        out = _output_rows(agents, obs)
+        out = net.forward(obs)
         actions = draw_actions(out, cfg.steps_per_epoch, sample_rng)
         rewards = env.rewards(actions["server"], actions["ratio"])
         # each value head's output is the same at every step and after the last
@@ -416,11 +423,11 @@ def train(
                     size=min(cfg.batch_size, cfg.steps_per_epoch),
                     replace=False,
                 )
-                batch = {key: col[idx] for key, col in rollout.items()}
-                for u, (agent, optimizer, o) in enumerate(zip(agents, optimizers, obs)):
-                    agent_batch = {key: col[:, u] for key, col in batch.items()}
-                    agent_batch["obs"] = o
-                    stats.append(ppo_update(agent, optimizer, agent_batch, cfg))
+                # agent-major [U, n] columns, whose sums over samples run
+                # along contiguous rows: take makes them so, col.T[:, idx] not
+                batch = {key: col.T.take(idx, axis=1) for key, col in rollout.items()}
+                batch["obs"] = obs
+                stats.append(ppo_update(net, optimizer, batch, cfg))
             bad = _non_finite_rows(params)
             if bad:
                 raise TrainingError(f"non-finite parameters for agents {bad}")
@@ -432,7 +439,9 @@ def train(
         if last_good is not None:
             last_good[:] = params
 
-        means = [float(np.mean([getattr(s, name) for s in stats])) for name in CURVE_COLUMNS[2:]]
+        # each column's mean over the epoch's updates, update-major, agent-minor
+        means = [float(np.mean(np.concatenate([getattr(s, name) for s in stats])))
+                 for name in CURVE_COLUMNS[2:]]
         result.curve.append(dict(zip(CURVE_COLUMNS, [epoch, float(-rewards.mean()), *means])))
 
     if curve_path is not None:
@@ -497,12 +506,17 @@ def load_checkpoint(path: str | Path) -> list[HybridAgent]:
 
 
 class LearnedPolicy:
-    """Deterministic policy adapter over trained agents (for evaluation)."""
+    """Deterministic policy adapter over trained agents (for evaluation).
+
+    Stacks the agents' rows once, into one network over a ``[U, P]`` copy,
+    so that an action is one forward; the agents' later changes do not
+    reach it.
+    """
 
     def __init__(self, agents: list[HybridAgent]):
-        self.agents = agents
+        self.net = Mlp(agents[0].net.sizes, params=np.stack([agent.params for agent in agents]))
 
     def act(self, env, rng):
         """``[U, 2]`` pairs: each agent's argmax server logit and squashed mean ratio."""
-        out = _output_rows(self.agents, env.observations())
+        out = self.net.forward(env.observations())
         return np.stack([out[:, :-3].argmax(axis=1), _sigmoid(out[:, -3])], axis=1)

@@ -106,6 +106,27 @@ def reference_sgd(weights, biases, lr):
     return step
 
 
+def step_peak_bytes(opt, grad):
+    """Peak bytes that ``tracemalloc`` traces during one ``opt.step(grad)``."""
+    # numpy caches each ufunc's loop on its first call in the process
+    # (about 256 B each); warm up so that only the step itself is measured
+    opt.step(grad)
+    tracemalloc.start()
+    try:
+        opt.step(grad)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def stacked_params(sizes, rows, seed):
+    """A ``[rows, P]`` block, row u drawn by a one-row network from seed + u."""
+    block = np.empty((rows, Mlp.param_count(sizes)))
+    for u, row in enumerate(block):
+        Mlp(sizes, np.random.default_rng(seed + u), params=row)
+    return block
+
+
 class TestForward:
     def test_zero_weights_give_biases(self):
         net = Mlp((3, 2), np.random.default_rng(0))
@@ -305,8 +326,7 @@ class TestOptimizers:
         net = Mlp(sizes, np.random.default_rng(20), out_scale=0.5)
         ref_weights = [w.copy() for w in net.weights]
         ref_biases = [b.copy() for b in net.biases]
-        # buffers wider than the network, as when a run shares them
-        buffers = np.empty((3, net.num_params + 7))
+        buffers = np.empty((3, net.num_params))
         if optimizer == "adam":
             opt = Adam(net, lr=0.01, buffers=buffers)
             ref_step = reference_adam(ref_weights, ref_biases, lr=0.01)
@@ -353,13 +373,106 @@ class TestOptimizers:
         opt = maker(net, 1e-3, buffers=np.empty((3, net.num_params)))
         _, cache = net.forward_cached(np.linspace(0.0, 1.0, 14))
         grad = net.backward(cache, np.ones(3), out=opt.grad)
-        # numpy caches each ufunc's loop on its first call in the process
-        # (about 256 B each); warm up so that only the step itself is measured
-        opt.step(grad)
-        tracemalloc.start()
-        try:
-            opt.step(grad)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1024
+        assert step_peak_bytes(opt, grad) < 1024
+
+
+class TestStack:
+    """A ``[U, P]`` block runs as U one-row networks, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("sizes", [(14, 256, 256, 6), (28, 16, 16, 13)],
+                             ids=["3x3-h256", "10x10-h16"])
+    def test_matches_one_row_networks(self, rows, sizes):
+        block = stacked_params(sizes, rows, 40)
+        net = Mlp(sizes, params=block)
+        singles = [Mlp(sizes, params=row) for row in block]
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(rows, sizes[0]))
+        upstream = rng.normal(size=(rows, sizes[-1])) * 10.0 ** rng.integers(-3, 3, rows)[:, None]
+        out, cache = net.forward_cached(x)
+        assert out.shape == (rows, sizes[-1])
+        grad = np.full(block.shape, np.nan)
+        assert net.backward(cache, upstream, out=grad) is grad
+        for u, single in enumerate(singles):
+            want, single_cache = single.forward_cached(x[u])
+            assert out[u].tobytes() == want.tobytes()
+            for layer, single_layer in zip(cache, single_cache):
+                assert layer[u].tobytes() == single_layer.tobytes()
+            assert grad[u].tobytes() == single.backward(single_cache, upstream[u]).tobytes()
+        assert np.array_equal(net.forward(x), out)
+
+    def test_layers_view_the_block(self):
+        sizes = (4, 6, 3)
+        block = stacked_params(sizes, 3, 42)
+        net = Mlp(sizes, params=block)
+        assert net.num_params == Mlp.param_count(sizes) == block.shape[1]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            assert w.shape == (3, sizes[i], sizes[i + 1]) and b.shape == (3, sizes[i + 1])
+            assert w.base is block and b.base is block
+        net.weights[1][2, 0, 0] = 7.0
+        assert Mlp(sizes, params=block[2]).weights[1][0, 0] == 7.0
+        assert not (Mlp(sizes, params=block[1]).weights[1] == 7.0).any()
+
+    def test_shape_mismatch(self):
+        # one row per network: a single row, or a row too few, is refused
+        net = Mlp((3, 2), params=stacked_params((3, 2), 4, 43))
+        for x in (np.ones(3), np.ones((3, 3)), np.ones((4, 2)), np.ones((1, 4, 3))):
+            with pytest.raises(ValueError, match="not one row of width 3 per network"):
+                net.forward(x)
+        _, cache = net.forward_cached(np.ones((4, 3)))
+        for upstream in (np.ones(2), np.ones((3, 2)), np.ones((4, 3))):
+            with pytest.raises(ValueError, match="not one row of width 2 per network"):
+                net.backward(cache, upstream)
+
+    def test_matches_finite_differences(self):
+        sizes = (4, 8, 8, 3)
+        block = stacked_params(sizes, 3, 44)
+        net = Mlp(sizes, params=block)
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(3, sizes[0]))
+        upstream = rng.normal(size=(3, sizes[-1]))
+        _, cache = net.forward_cached(x)
+        analytic = net.backward(cache, upstream)
+        flat = block.copy()
+        h = 1e-6
+        for u in range(3):
+            for i in rng.choice(block.shape[1], size=40, replace=False):
+                block[u, i] = flat[u, i] + h
+                plus = float(np.sum(upstream * net.forward(x)))
+                block[u, i] = flat[u, i] - h
+                minus = float(np.sum(upstream * net.forward(x)))
+                block[u, i] = flat[u, i]
+                numeric = (plus - minus) / (2 * h)
+                denom = max(1e-8, abs(numeric) + abs(analytic[u, i]))
+                assert abs(numeric - analytic[u, i]) / denom < 1e-4
+
+    @pytest.mark.parametrize("maker", [Adam, Sgd])
+    def test_step_with_run_owned_buffers_allocates_nothing(self, maker):
+        # the block steps row by row through the one-row scratch pair
+        sizes = (14, 256, 256, 3)
+        net = Mlp(sizes, params=stacked_params(sizes, 3, 0))
+        opt = maker(net, 1e-3, buffers=np.empty((3 + 2, net.num_params)))
+        _, cache = net.forward_cached(np.tile(np.linspace(0.0, 1.0, 14), (3, 1)))
+        assert step_peak_bytes(opt, net.backward(cache, np.ones((3, 3)), out=opt.grad)) < 1024
+
+    @pytest.mark.parametrize("maker", [Adam, Sgd])
+    def test_optimizer_steps_each_row_as_its_own(self, maker):
+        sizes = (14, 32, 32, 6)
+        block = stacked_params(sizes, 3, 46)
+        net = Mlp(sizes, params=block)
+        opt = maker(net, 0.01)
+        assert opt.grad.shape == block.shape
+        if maker is Adam:
+            assert opt.m.shape == opt.v.shape == block.shape
+        singles = [Mlp(sizes, params=row.copy()) for row in block]
+        single_opts = [maker(single, 0.01) for single in singles]
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            x = rng.normal(size=(3, sizes[0]))
+            upstream = rng.normal(size=(3, sizes[-1]))
+            _, cache = net.forward_cached(x)
+            opt.descend(cache, upstream)
+            for u, (single, single_opt) in enumerate(zip(singles, single_opts)):
+                _, single_cache = single.forward_cached(x[u])
+                single_opt.descend(single_cache, upstream[u])
+                assert block[u].tobytes() == single.params.tobytes()
